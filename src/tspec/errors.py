@@ -14,10 +14,10 @@ class HypothesisMismatchError(DomainError):
 
 
 class IntegrationFailureError(TspecError):
-    """Adaptive ODE integration could not proceed.
+    """Jost propagation did not meet its tolerance within the cell cap.
 
     Attributes:
-        x: position at which the step size underflowed.
+        x: position at which the propagation failed, when one applies.
     """
 
     def __init__(self, message, x=None):

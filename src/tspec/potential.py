@@ -153,12 +153,21 @@ def evaluate_q(p: Potential, x):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def _quad_panels(p: Potential) -> int:
-    """Panel count, knot-aligned for grid kinds so spline kinks sit on edges."""
+def aligned_cells(p: Potential, cells: int) -> int:
+    """The smallest uniform cell count >= `cells` whose edges include every spline knot.
+
+    Grid kinds need a multiple of their interval count so spline kinks sit on
+    cell edges; other kinds take `cells` as it is.
+    """
     if p.kind != "grid":
-        return _QUAD_PANELS
+        return cells
     nint = len(p.samples) - 1
-    return nint * max(1, -(-_QUAD_PANELS // nint))
+    return nint * max(1, -(-cells // nint))
+
+
+def _quad_panels(p: Potential) -> int:
+    """Panel count for the composite Gauss-Legendre rule."""
+    return aligned_cells(p, _QUAD_PANELS)
 
 
 def _gauss_composite(f, panels: int, order: int) -> float:

@@ -82,19 +82,26 @@ def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) 
 
 
 def read_spectrum(path):
-    """Read a spectrum file back losslessly; verifies the content hash."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a spectrum file back losslessly; verifies the content hash.
+
+    A file that cannot be read, is not JSON or does not have the spectrum
+    layout raises ConfigError.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read spectrum file ({exc.strerror or exc})") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON file ({exc})") from None
     try:
         hdict = dict(doc["header"])
         rdicts = doc["records"]
-    except (KeyError, TypeError) as exc:
+        header = SpectrumHeader(**hdict)
+        records = [SpectrumRecord(**{k: r.get(k) for k in _RECORD_FIELDS}) for r in rdicts]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
-    expected = hdict.get("content_hash", "")
-    actual = _content_hash(hdict, rdicts)
-    header = SpectrumHeader(**{k: v for k, v in hdict.items()})
-    records = [SpectrumRecord(**{k: r.get(k) for k in _RECORD_FIELDS}) for r in rdicts]
-    return header, records, expected == actual
+    return header, records, hdict.get("content_hash", "") == _content_hash(hdict, rdicts)
 
 
 def write_spectrum_csv(path, records: List[SpectrumRecord]):

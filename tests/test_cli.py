@@ -172,6 +172,23 @@ class TestValidateCommand:
         assert code == 1
 
 
+class TestMalformedSpectrumFile:
+    @pytest.mark.parametrize("case", ["missing", "not_json", "unknown_header_key"])
+    def test_exit_1_without_traceback(self, workdir, config_path, spectrum_path, case, capsys):
+        path = workdir / f"malformed_{case}.json"
+        if case == "not_json":
+            path.write_text("this is not JSON\n")
+        elif case == "unknown_header_key":
+            doc = json.loads(open(spectrum_path).read())
+            doc["header"]["colour"] = "blue"
+            path.write_text(json.dumps(doc))
+        code = main(["--config", config_path, "validate", "--spectrum", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+
+
 class TestEnvOverrides:
     def test_tol_env(self, config_path, monkeypatch, capsys):
         monkeypatch.setenv("TSPEC_TOL", "1e-10")

@@ -1,11 +1,74 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
+from scipy.special import airye
 
+import tspec.jost
 from tspec import Potential, jost_at_zero, jost_via_kernel, kernel_iterate, successive_approx
-from tspec.errors import DomainError, TruncationWarning
+from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
 from tspec.jost import jost_at_zero_many
 
 from conftest import const_jost
+
+SPLINE_SAMPLES = (0.4, -1.1, 0.7, 1.9, -0.3, 0.8, -1.6, 0.2, 1.3)
+NONCONSTANT = {
+    "linear": Potential.polynomial([0.3, 1.0]),
+    "cubic": Potential.polynomial([0.5, -1.0, 2.0, 1.5]),
+    "spline": Potential.grid(SPLINE_SAMPLES),
+}
+
+
+def dop853_jost(potential, ks):
+    """f(k,0), f'(k,0) by scipy DOP853 at rtol 1e-13, restarted at every spline knot.
+
+    q is rebuilt here with numpy/scipy from the potential's payload, so the
+    reference shares no evaluation code with tspec.
+    """
+    if potential.kind == "grid":
+        q = CubicSpline(np.linspace(0.0, 1.0, len(potential.samples)), potential.samples,
+                        bc_type="natural")
+        edges = np.linspace(1.0, 0.0, len(potential.samples))
+    else:
+        coeffs = np.asarray(potential.coeffs)
+        q = lambda x: np.polynomial.polynomial.polyval(x, coeffs)  # noqa: E731
+        edges = np.array([1.0, 0.0])
+    out = []
+    for k in ks:
+        y = np.array([np.exp(1j * k), 1j * k * np.exp(1j * k)])
+        kk = k * k
+        for a, b in zip(edges[:-1], edges[1:]):
+            sol = solve_ivp(lambda x, y: np.array([y[1], (q(x) - kk) * y[0]]), (a, b), y,
+                            method="DOP853", rtol=1e-13, atol=1e-16 * np.max(np.abs(y)))
+            y = sol.y[:, -1]
+        out.append(y)
+    return np.array(out).T
+
+
+def airy_jost_xm1(ks):
+    """f(k,0), f'(k,0) for q = x - 1 in closed form: psi = a Ai(z) + b Bi(z), z = x - 1 - k^2.
+
+    Uses the scaled functions of scipy.special.airye (Ai = aie e^{-zeta},
+    Bi = bie e^{|Re zeta|}, zeta = 2/3 z^{3/2}) so that large |k| does not overflow.
+    Well conditioned for Im k << 0 with small Re k only: elsewhere the two terms
+    cancel (checked against 80-digit mpmath to 4e-11 relative for Re k <= 3,
+    Im k from -12 to -30).
+    """
+    ks = np.asarray(ks, dtype=complex)
+    z1, z0 = -ks * ks, -1.0 - ks * ks
+    zeta1, zeta0 = 2.0 / 3.0 * z1 ** 1.5, 2.0 / 3.0 * z0 ** 1.5
+    ai1, aip1, bi1, bip1 = airye(z1)
+    ai0, aip0, bi0, bip0 = airye(z0)
+    # The Wronskian of Ai and Bi is 1/pi; psi(1) = e^{ik}, psi'(1) = ik e^{ik}.
+    a = np.pi * np.exp(1j * ks + np.abs(zeta1.real) - zeta0) * (bip1 - 1j * ks * bi1)
+    b = np.pi * np.exp(1j * ks - zeta1 + np.abs(zeta0.real)) * (1j * ks * ai1 - aip1)
+    return a * ai0 + b * bi0, a * aip0 + b * bip0
+
+
+def scaled_rel(ks, f, fp, f_ref, fp_ref):
+    """Relative difference on |f| + |f'|/max(1,|k|), the propagator's error measure."""
+    w = 1.0 / np.maximum(1.0, np.abs(ks))
+    return (np.abs(f - f_ref) + w * np.abs(fp - fp_ref)) / (np.abs(f_ref) + w * np.abs(fp_ref))
 
 
 class TestJostAtZero:
@@ -55,6 +118,74 @@ class TestJostAtZero:
             b = jost_at_zero(q_one, -k)
             w = a.f * b.fprime - a.fprime * b.f
             assert w == pytest.approx(-2j * k, rel=1e-10)
+
+
+class TestNonConstantPotentials:
+    """Error control on potentials where one Magnus cell is not exact."""
+
+    DIFF_KS = np.array([0.7 + 0.2j, 7.5 - 3.0j, -15.2 + 6.0j, 31.4 + 10.0j, 44.0 - 10.0j, 60.0])
+
+    @pytest.mark.parametrize("name", sorted(NONCONSTANT))
+    def test_matches_dop853(self, name):
+        p = NONCONSTANT[name]
+        f, fp = jost_at_zero_many(p, self.DIFF_KS)
+        f_ref, fp_ref = dop853_jost(p, self.DIFF_KS)
+        assert np.max(np.abs(f - f_ref) / np.abs(f_ref)) < 1e-10
+        assert np.max(np.abs(fp - fp_ref) / np.abs(fp_ref)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["cubic", "spline"])
+    def test_wronskian(self, name):
+        # W[f(k,.), f(-k,.)] = -2ik for complex k as well.
+        p = NONCONSTANT[name]
+        ks = np.array([0.4 + 0.3j, 3.0 - 1.5j, 9.5 + 2.0j, 18.0 - 0.5j, 25.0 + 1.0j])
+        f, fp = jost_at_zero_many(p, np.concatenate([ks, -ks]))
+        n = ks.size
+        w = f[:n] * fp[n:] - fp[:n] * f[n:]
+        assert np.max(np.abs(w + 2j * ks) / np.abs(2 * ks)) < 1e-9
+
+    @pytest.mark.parametrize("name", ["cubic", "spline"])
+    def test_tolerance_consistency(self, name):
+        p = NONCONSTANT[name]
+        rng = np.random.default_rng(7)
+        ks = 30 * rng.uniform(0.05, 1.0, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        ks = ks.real + 1j * np.clip(ks.imag, -4.0, 4.0)
+        f_coarse, fp_coarse = jost_at_zero_many(p, ks, rtol=1e-9)
+        f_fine, fp_fine = jost_at_zero_many(p, ks, rtol=1e-13)
+        assert np.max(scaled_rel(ks, f_coarse, fp_coarse, f_fine, fp_fine)) < 1e-9
+
+    @pytest.mark.parametrize("rtol", [1e-13, 1e-9])
+    def test_rounding_floor_matches_airy(self, q_xm1, rtol, monkeypatch):
+        # For Im k << 0 the start at x=1 is recessive and rounding, amplified
+        # like e^{2|Im k| x}, sits above rtol = 1e-13; the doubling stops at the
+        # floor instead of failing. The value returned there must still be
+        # within the floor's own estimate, 2 eps * cells * int_0^1 e^{2 tau x} dx,
+        # of the closed form.
+        used = []
+        propagate = tspec.jost._propagate
+
+        def spy(qfun, ks, cells):
+            used.append(cells)
+            return propagate(qfun, ks, cells)
+
+        monkeypatch.setattr(tspec.jost, "_propagate", spy)
+        ks = np.array([a - 1j * tau for a in (0.0, 1.0, 3.0) for tau in (12.0, 16.0, 20.0, 25.0, 30.0)])
+        f_ref, fp_ref = airy_jost_xm1(ks)
+        w = 1.0 / np.maximum(1.0, np.abs(ks))
+        for k, fr, fpr in zip(ks, f_ref, fp_ref):
+            used.clear()
+            f, fp = jost_at_zero_many(q_xm1, [k], rtol=rtol)
+            tau = -k.imag
+            floor = 2.0 * np.finfo(float).eps * max(used) * np.expm1(2 * tau) / (2 * tau)
+            scale = abs(fr) + w[0] * abs(fpr)
+            err = abs(f[0] - fr) + w[0] * abs(fp[0] - fpr)
+            assert err <= floor + rtol * scale, k
+
+    @pytest.mark.parametrize("name", ["linear", "spline"])
+    def test_cell_cap_raises(self, name, monkeypatch):
+        # The spline's 8 intervals start at 8 cells, so a cap of 16 allows one doubling.
+        monkeypatch.setattr(tspec.jost, "_MAX_CELLS", 16)
+        with pytest.raises(IntegrationFailureError):
+            jost_at_zero_many(NONCONSTANT[name], [30.0 + 1.0j], rtol=1e-13)
 
 
 class TestKernel:
