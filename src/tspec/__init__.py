@@ -9,8 +9,8 @@ from eigenvalue data.
 __version__ = "0.1.0"
 
 from .potential import Potential, PotentialScalars, derive_scalars, evaluate_q, q_constants
-from .jost import JostValue, KernelGrid, SuccessiveApproxState, jost_at_zero, jost_via_kernel, kernel_iterate, successive_approx
-from .charfun import CharFunSample, DEvaluator, FValue, eval_D, eval_F, make_d_evaluator, sample_D_grid
+from .jost import JostValue, jost_at_zero
+from .charfun import CharFunSample, DEvaluator, eval_D, make_d_evaluator, sample_D_grid
 from .rootfind import ContourBox, Eigenvalue, find_zeros, index_eigenvalues, winding_count
 from .gamma_recovery import GammaEstimate, HadamardProduct, eval_E, gamma_direct, gamma_from_endpoint, gamma_from_omega, hadamard_product
 
@@ -21,17 +21,10 @@ __all__ = [
     "evaluate_q",
     "q_constants",
     "JostValue",
-    "KernelGrid",
-    "SuccessiveApproxState",
     "jost_at_zero",
-    "jost_via_kernel",
-    "kernel_iterate",
-    "successive_approx",
     "CharFunSample",
     "DEvaluator",
-    "FValue",
     "eval_D",
-    "eval_F",
     "make_d_evaluator",
     "sample_D_grid",
     "ContourBox",

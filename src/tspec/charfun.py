@@ -23,14 +23,6 @@ _RICHARDSON_FACTORS = (4.0, 2.0, 1.5, 1.0)
 
 
 @dataclass(frozen=True)
-class FValue:
-    """F(k) = -i[f'(k,0) - h f(k,0)]."""
-
-    k: complex
-    value: complex
-
-
-@dataclass(frozen=True)
 class CharFunSample:
     """One sample k -> D(k), tagged with the boundary-condition variant."""
 
@@ -44,11 +36,6 @@ class CharFunSample:
 def _check_variant(variant: str):
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def eval_F(p: Potential, k, rtol: float = DEFAULT_RTOL) -> FValue:
-    f, fp = jost_at_zero_many(p, [k], rtol=rtol)
-    return FValue(k=complex(k), value=complex(-1j * (fp[0] - p.h * f[0])))
 
 
 def _d_from_jost(ks, f_pos, fp_pos, f_neg, fp_neg, variant, h):
@@ -121,7 +108,7 @@ def eval_D(p: Potential, k, variant: str = "robin", rtol: float = DEFAULT_RTOL,
 
 
 def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
-                  rtol: float = DEFAULT_RTOL, threads: int = 1):
+                  rtol: float = DEFAULT_RTOL):
     """Evaluate D on an n x m grid over region = (sigma0, sigma1, tau0, tau1).
 
     Per-point failures are recorded on the sample rather than raised; used by
@@ -132,34 +119,21 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
     sigmas = np.linspace(s0, s1, n)
     taus = np.linspace(t0, t1, m)
     points = (sigmas[:, None] + 1j * taus[None, :]).ravel()
-
-    def eval_chunk(chunk):
-        try:
-            vals = eval_D_many(p, chunk, variant=variant, rtol=rtol)
-            return [CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h)
-                    for c, v in zip(chunk, vals)]
-        except Exception:
-            samples = []
-            for c in chunk:
-                try:
-                    v = eval_D_many(p, [c], variant=variant, rtol=rtol)[0]
-                    samples.append(CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h))
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    nan = complex(float("nan"), float("nan"))
-                    samples.append(CharFunSample(k=complex(c), value=nan, variant=variant,
-                                                 h=p.h, error=f"{type(exc).__name__}: {exc}"))
-            return samples
-
-    if threads > 1 and points.size > 16:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(points, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, chunks))
-        samples = [s for part in parts for s in part]
-    else:
-        samples = eval_chunk(points)
-    return samples
+    try:
+        vals = eval_D_many(p, points, variant=variant, rtol=rtol)
+        return [CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h)
+                for c, v in zip(points, vals)]
+    except Exception:
+        samples = []
+        for c in points:
+            try:
+                v = eval_D_many(p, [c], variant=variant, rtol=rtol)[0]
+                samples.append(CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h))
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                nan = complex(float("nan"), float("nan"))
+                samples.append(CharFunSample(k=complex(c), value=nan, variant=variant,
+                                             h=p.h, error=f"{type(exc).__name__}: {exc}"))
+        return samples
 
 
 class DEvaluator:

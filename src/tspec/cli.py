@@ -1,8 +1,8 @@
 """Batch command-line driver: config in, structured JSON/CSV out.
 
-Exit codes: 0 success, 1 configuration/schema error, 2 unresolved clusters or
-failed validation audits (partial results still written), 3 computation
-failure.
+Exit codes: 0 success, 1 configuration/schema or usage error, 2 unresolved
+clusters or failed validation audits (partial results still written), 3
+computation failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics as asy
 from .charfun import DEvaluator, eval_D, sample_D_grid
-from .config import RunConfig, env_overrides, load_config
+from .config import RunConfig, check_values, env_overrides, load_config
 from .errors import ConfigError, TspecError, UnstableLimitError
 from .gamma_recovery import gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .pipeline import (eigenvalues_from_records, run_spectrum, run_validate)
@@ -44,15 +44,22 @@ def _parse_range(text: str):
     lo, _, hi = text.partition("..")
     if not hi:
         raise argparse.ArgumentTypeError("expected lo..hi")
-    return int(lo), int(hi)
+    return [int(lo), int(hi)]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code; 2 means unresolved or failed audits."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tspec", description=__doc__)
+    parser = _Parser(prog="tspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tspec {__version__}")
     parser.add_argument("--config", help="run-config JSON path")
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--threads", type=int, help="worker pool size")
     parser.add_argument("--tol", type=float, help="override the integrator tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -101,15 +108,16 @@ def _load_run_config(args) -> RunConfig:
     if not path:
         raise ConfigError("a --config file (or TSPEC_CONFIG) is required")
     cfg = load_config(path)
-    threads = args.threads if args.threads is not None else env.get("threads")
-    if threads is not None:
-        cfg.threads = int(threads)
     tol = args.tol if args.tol is not None else env.get("tol")
     if tol is not None:
         cfg.tolerances = dict(cfg.tolerances, rtol=float(tol))
     out = args.out if args.out is not None else env.get("out")
     if out is not None:
         cfg.out = out
+    if args.command == "spectrum":
+        flags = {"region": args.region, "depth": args.depth, "n": args.n}
+        cfg.spectrum = dict(cfg.spectrum, **{k: v for k, v in flags.items() if v is not None})
+    check_values(cfg)
     return cfg
 
 
@@ -133,12 +141,6 @@ def _jsonable(value):
 
 
 def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    if args.region:
-        cfg.spectrum = dict(cfg.spectrum, region=args.region)
-    if args.depth:
-        cfg.spectrum = dict(cfg.spectrum, depth=args.depth)
-    if args.n:
-        cfg.spectrum = dict(cfg.spectrum, n=list(args.n))
     run = run_spectrum(cfg)
     out = cfg.out or "spectrum.json"
     write_spectrum(out, run.header, run.records)
@@ -151,7 +153,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def _dump_kernel_row(p: Potential, path: str, mesh: int):
-    from .jost import kernel_iterate
+    from .crosscheck import kernel_iterate
 
     kg = kernel_iterate(p, mesh)
     with open(path, "w", newline="") as fh:
@@ -172,8 +174,7 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
                     "h": sample.h}, cfg.out)
         return 0
     region = args.region or cfg.charfun.get("region") or [0.0, 10.0, 0.0, 3.0]
-    samples = sample_D_grid(p, cfg.variant, region, args.nx, args.ny,
-                            rtol=cfg.rtol, threads=cfg.threads)
+    samples = sample_D_grid(p, cfg.variant, region, args.nx, args.ny, rtol=cfg.rtol)
     out = cfg.out or "charfun_grid.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

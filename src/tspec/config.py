@@ -1,22 +1,25 @@
 """Run configuration: schema validation and environment overrides.
 
 The config file is JSON. Unknown keys are rejected at every level so typos
-fail fast instead of silently running defaults.
+fail fast instead of silently running defaults. The potential section is
+checked by :meth:`tspec.potential.Potential.from_dict`.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .potential import Potential, finite_real
 
 ENV_PREFIX = "TSPEC_"
 
 _TOP_KEYS = {"potential", "variant", "spectrum", "charfun", "asymptotics",
-             "gamma", "validate", "tolerances", "threads", "out"}
+             "gamma", "validate", "tolerances", "out"}
 _SECTION_KEYS = {
     "spectrum": {"region", "depth", "n"},
     "charfun": {"k", "region", "nx", "ny"},
@@ -24,11 +27,6 @@ _SECTION_KEYS = {
     "gamma": {"route", "spectrum", "probe", "k0", "taus"},
     "validate": {"spectrum", "contours", "gamma_tol", "theorem"},
     "tolerances": {"rtol", "rtol_refine", "rtol_winding"},
-}
-_POTENTIAL_KEYS = {
-    "polynomial": {"kind", "coeffs", "h"},
-    "grid": {"kind", "samples", "h"},
-    "constant": {"kind", "value", "h"},
 }
 
 
@@ -42,7 +40,6 @@ class RunConfig:
     gamma: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    threads: int = 1
     out: Optional[str] = None
 
     @property
@@ -66,6 +63,33 @@ def _check_keys(name: str, mapping: dict, allowed: set):
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _sequence(value, size: int, check) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == size and all(map(check, value))
+
+
+def check_values(cfg: RunConfig):
+    """Reject malformed tolerance and spectrum values with ConfigError.
+
+    Run on every config and again after command-line overrides.
+    """
+    for key, value in cfg.tolerances.items():
+        if not (finite_real(value) and value > 0):
+            raise ConfigError(f"tolerances.{key} must be a positive finite number, got {value!r}")
+    spec = cfg.spectrum
+    n, r, depth = spec.get("n", [0, 0]), spec.get("region", [0, 1, 0, 1]), spec.get("depth", 1)
+    if not (_sequence(n, 2, _is_int) and n[0] <= n[1]):
+        raise ConfigError(f"spectrum.n must be two integers lo <= hi, got {n!r}")
+    if not (_sequence(r, 4, finite_real) and r[0] < r[1] and r[2] < r[3]):
+        raise ConfigError("spectrum.region must be four finite numbers with sigma0 < sigma1 "
+                          f"and tau0 < tau1, got {r!r}")
+    if not (_is_int(depth) and depth > 0):
+        raise ConfigError(f"spectrum.depth must be a positive integer, got {depth!r}")
+
+
 def validate_config(raw: dict) -> RunConfig:
     """Validate the raw mapping and build a RunConfig. Raises ConfigError."""
     _check_keys("config", raw, _TOP_KEYS)
@@ -77,21 +101,16 @@ def validate_config(raw: dict) -> RunConfig:
     if variant not in ("robin", "dirichlet"):
         raise ConfigError(f"variant must be 'robin' or 'dirichlet', got {variant!r}")
     pot = raw["potential"]
-    if not isinstance(pot, dict) or "kind" not in pot:
-        raise ConfigError("potential must be a mapping with a 'kind'")
-    allowed = _POTENTIAL_KEYS.get(pot["kind"])
-    if allowed is None:
-        raise ConfigError(f"unknown potential kind {pot['kind']!r}")
-    _check_keys("potential", pot, allowed)
+    try:
+        Potential.from_dict(pot)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     if variant == "robin" and "h" not in pot:
         raise ConfigError("robin variant requires 'h' in the potential section")
     for section, keys in _SECTION_KEYS.items():
         if section in raw:
             _check_keys(section, raw[section], keys)
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
-    return RunConfig(
+    cfg = RunConfig(
         potential=pot,
         variant=variant,
         spectrum=raw.get("spectrum", {}),
@@ -100,9 +119,10 @@ def validate_config(raw: dict) -> RunConfig:
         gamma=raw.get("gamma", {}),
         validate=raw.get("validate", {}),
         tolerances=raw.get("tolerances", {}),
-        threads=threads,
         out=raw.get("out"),
     )
+    check_values(cfg)
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -120,11 +140,6 @@ def env_overrides(environ=None) -> dict:
     """TSPEC_-prefixed environment overrides for the global CLI flags."""
     environ = os.environ if environ is None else environ
     out = {}
-    if ENV_PREFIX + "THREADS" in environ:
-        try:
-            out["threads"] = int(environ[ENV_PREFIX + "THREADS"])
-        except ValueError:
-            raise ConfigError("TSPEC_THREADS must be an integer") from None
     if ENV_PREFIX + "TOL" in environ:
         try:
             out["tol"] = float(environ[ENV_PREFIX + "TOL"])

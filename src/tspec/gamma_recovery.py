@@ -15,13 +15,14 @@ is reported as the truncation-error diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ProbeTooCloseError, UnstableLimitError
 from .potential import PotentialScalars
+from .rootfind import orbit
 
 _CONJ_TOL = 1e-9
 _DEFAULT_UNSTABLE_TOL = 0.05
@@ -33,11 +34,15 @@ class HadamardProduct:
 
     lambdas holds the nonzero eigenvalues with multiplicity (repeats), closed
     under conjugation and sorted by ascending modulus; s is the multiplicity
-    of the zero eigenvalue.
+    of the zero eigenvalue. E multiplies the factor of lambdas[first[i]] with
+    that of its conjugate lambdas[second[i]] before the rest; second[i] is -1
+    for a real lambda.
     """
 
     s: int
     lambdas: tuple
+    first: np.ndarray = field(compare=False, repr=False)
+    second: np.ndarray = field(compare=False, repr=False)
 
     @property
     def truncation(self) -> int:
@@ -48,29 +53,36 @@ class HadamardProduct:
 
 
 def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
-    """Validated constructor; rejects lists not closed under conjugation."""
+    """Validated constructor; rejects lists not closed under conjugation.
+
+    Each complex lambda is paired with the first later unpaired entry within
+    1e-9 max(1, |lambda|) of its conjugate; sorting by modulus keeps that
+    entry close by.
+    """
     arr = np.asarray(list(lambdas), dtype=complex)
-    if arr.size == 0 and s == 0:
-        return HadamardProduct(s=0, lambdas=())
     if not np.all(np.isfinite(arr)) or np.any(arr == 0):
         raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
-    order = np.argsort(np.abs(arr), kind="stable")
-    arr = arr[order]
-    scale = np.abs(arr)
-    complex_mask = np.abs(arr.imag) > _CONJ_TOL * scale
-    pool = list(np.nonzero(complex_mask)[0])
-    while pool:
-        i = pool.pop(0)
+    arr = arr[np.argsort(np.abs(arr), kind="stable")]
+    first, second = [], []
+    used = np.zeros(arr.size, dtype=bool)
+    for i in range(arr.size):
+        if used[i]:
+            continue
+        used[i] = True
+        first.append(i)
+        second.append(-1)
+        if abs(arr[i].imag) <= _CONJ_TOL * abs(arr[i]):
+            continue
         target = np.conj(arr[i])
-        match = None
-        for j in pool:
-            if abs(arr[j] - target) <= _CONJ_TOL * max(1.0, abs(target)):
-                match = j
+        for j in range(i + 1, arr.size):
+            if not used[j] and abs(arr[j] - target) <= _CONJ_TOL * max(1.0, abs(target)):
+                used[j] = True
+                second[-1] = j
                 break
-        if match is None:
+        else:
             raise DomainError(f"eigenvalue list not closed under conjugation: {arr[i]} unpaired")
-        pool.remove(match)
-    return HadamardProduct(s=int(s), lambdas=tuple(complex(v) for v in arr))
+    return HadamardProduct(s=int(s), lambdas=tuple(complex(v) for v in arr),
+                           first=np.array(first, dtype=int), second=np.array(second, dtype=int))
 
 
 def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
@@ -91,27 +103,19 @@ def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
 
 
 def _paired_factors(hp: HadamardProduct, k: complex) -> np.ndarray:
-    """Factors (1 - k^2/lambda), conjugate pairs multiplied together first."""
-    lams = np.asarray(hp.lambdas, dtype=complex)
-    facs = 1.0 - (k * k) / lams
-    out = []
-    used = np.zeros(lams.size, dtype=bool)
-    for i in range(lams.size):
-        if used[i]:
-            continue
-        if abs(lams[i].imag) > _CONJ_TOL * abs(lams[i]):
-            for j in range(i + 1, lams.size):
-                if not used[j] and abs(lams[j] - np.conj(lams[i])) <= _CONJ_TOL * max(1.0, abs(lams[i])):
-                    out.append(facs[i] * facs[j])
-                    used[i] = used[j] = True
-                    break
-            else:
-                out.append(facs[i])
-                used[i] = True
-        else:
-            out.append(facs[i])
-            used[i] = True
-    return np.asarray(out, dtype=complex)
+    """Factors (1 - k^2/lambda), conjugate pairs multiplied together first.
+
+    The pair product is spelled out in real arithmetic because numpy's
+    vectorized complex multiply may fuse a*c - b*d into one rounding; then
+    E(k) on the real axis keeps a rounding-level imaginary part.
+    """
+    facs = 1.0 - (k * k) / np.asarray(hp.lambdas, dtype=complex)
+    out = facs[hp.first]
+    pair = hp.second >= 0
+    a, b = out[pair], facs[hp.second[pair]]
+    out.real[pair] = a.real * b.real - a.imag * b.imag
+    out.imag[pair] = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def eval_E(hp: HadamardProduct, k) -> complex:
@@ -189,8 +193,7 @@ def _omega_ladder(hp: HadamardProduct, rungs: int, k0: Optional[float]):
     Multiples of pi/2 null the universal sin(2k)/4k oscillation of the
     characteristic function, leaving clean 1/k^2-type corrections.
     """
-    roots = hp.sqrt_roots()
-    mirrors = np.concatenate([roots, -roots, np.conj(roots), -np.conj(roots)]) if roots.size else np.array([])
+    mirrors = orbit(hp.sqrt_roots()).ravel()
     for m in range(1, 10):
         base = (m * math.pi / 2.0) if k0 is None else k0
         ks = np.array([base * 2 ** j for j in range(rungs)])
@@ -274,10 +277,8 @@ def gamma_direct(d_evaluator: Callable, hp: HadamardProduct, probe_k: float,
                  *, min_distance: float = 0.1) -> GammaEstimate:
     """Single-point ratio D(k0)/E(k0); ground truth for the limit routes."""
     probe = complex(probe_k)
-    roots = hp.sqrt_roots()
-    if roots.size:
-        mirrors = np.concatenate([roots, -roots, np.conj(roots), -np.conj(roots)])
-        dist = float(np.min(np.abs(probe - mirrors)))
+    if hp.truncation:
+        dist = float(np.min(np.abs(probe - orbit(hp.sqrt_roots()))))
         if dist <= min_distance:
             raise ProbeTooCloseError(f"probe {probe} is {dist:.3g} from a listed root")
     d_val = complex(np.asarray(d_evaluator(np.array([probe])), dtype=complex)[0])

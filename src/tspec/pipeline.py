@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import asymptotics as asy
 from .charfun import DEvaluator
@@ -22,9 +23,9 @@ from .errors import (BoundaryTooCloseError, DomainError, HypothesisMismatchError
                      UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, find_zeros,
-                       gamma_contour_count, index_eigenvalues, newton_refine_many,
-                       origin_multiplicity, winding_count)
+from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, _local_scale,
+                       find_zeros, gamma_contour_count, index_eigenvalues, newton_refine_many,
+                       orbit, origin_multiplicity, representative, winding_count)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
@@ -35,15 +36,6 @@ def is_degenerate(dev: DEvaluator) -> bool:
     """True when D vanishes identically (the unperturbed q = 0 system)."""
     vals = np.asarray(dev(np.array(_DEGENERATE_PROBES)), dtype=complex)
     return bool(np.max(np.abs(vals)) < 1e-11)
-
-
-def _classify(k: complex) -> str:
-    tol = 1e-8 * (1.0 + abs(k))
-    if abs(k.imag) < tol:
-        return "real"
-    if abs(k.real) < tol:
-        return "imaginary"
-    return "quadrant"
 
 
 def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
@@ -84,10 +76,9 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                 w = -1
             if w != 1:
                 root, ok = _boxed_fallback(dev, dev_fine, target, half)
-        rep = complex(abs(root.real), abs(root.imag))
+        rep = representative(root)
         residual = float(abs(complex(dev_fine(rep))))
-        circle = rep + 0.5 * min(1.0, spacing / 2.0) * np.exp(2j * math.pi * np.arange(8) / 8)
-        local_scale = float(np.max(np.abs(dev_fine(circle))))
+        local_scale = _local_scale(dev_fine, rep, 0.5 * min(1.0, spacing / 2.0))
         out.append(Eigenvalue(k=rep, lam=rep * rep, index=n, multiplicity=1,
                               residual=residual, cls=_classify(rep), copies=(complex(root),),
                               local_scale=local_scale, refined=bool(ok), branch=br))
@@ -103,7 +94,7 @@ def _boxed_fallback(dev, dev_fine, target: complex, half: float):
         return complex(target), False
     if not res.zeros:
         return complex(target), False
-    best = min(res.zeros, key=lambda e: abs(e.k - complex(abs(target.real), abs(target.imag))))
+    best = min(res.zeros, key=lambda e: abs(e.k - representative(target)))
     return complex(best.k), True
 
 
@@ -117,13 +108,11 @@ def scan_spectrum(p: Potential, scalars: PotentialScalars, variant: str, region,
 
 def expand_orbit(ev: Eigenvalue) -> List[complex]:
     """The full symmetry orbit {k, -k, k*, -k*} of a representative, deduplicated."""
-    rep = ev.k
-    orbit = []
-    for cand in (rep, -rep, np.conj(rep), -np.conj(rep)):
-        c = complex(cand)
-        if all(abs(c - o) > 1e-12 * (1.0 + abs(c)) for o in orbit):
-            orbit.append(c)
-    return orbit
+    out = []
+    for c in map(complex, orbit(ev.k)):
+        if all(abs(c - o) > 1e-12 * (1.0 + abs(c)) for o in out):
+            out.append(c)
+    return out
 
 
 def records_from_eigenvalues(zeros: List[Eigenvalue]) -> List[SpectrumRecord]:
@@ -142,7 +131,7 @@ def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
     """First-quadrant representatives with indices, one per orbit."""
     seen = {}
     for r in records:
-        rep = complex(abs(r.re_k), abs(r.im_k))
+        rep = representative(complex(r.re_k, r.im_k))
         key = (round(rep.real, 9), round(rep.imag, 9))
         if key not in seen:
             seen[key] = Eigenvalue(k=rep, lam=rep * rep, index=r.index,
@@ -229,23 +218,24 @@ class ValidationReport:
     def add(self, name, status, detail=""):
         self.entries.append(AuditEntry(name=name, status=status, detail=detail))
 
-    def to_rows(self):
-        return [(e.name, e.status, e.detail) for e in self.entries]
-
 
 def audit_symmetry(records: List[SpectrumRecord], tol: float = 1e-9) -> AuditEntry:
-    """The record set must be closed under k -> -k and k -> k*."""
-    ks = [complex(r.re_k, r.im_k) for r in records]
-    missing = []
-    for k in ks:
-        for image in (-k, np.conj(k), -np.conj(k)):
-            if not any(abs(image - other) <= tol * (1.0 + abs(k)) for other in ks):
-                missing.append((k, complex(image)))
-    if missing:
-        k, image = missing[0]
+    """The record set must be closed under k -> -k and k -> k*.
+
+    An image of k counts as present when its nearest record lies within
+    tol (1 + |k|).
+    """
+    ks = np.array([complex(r.re_k, r.im_k) for r in records], dtype=complex)
+    images = orbit(ks)[:, 1:].ravel()     # record-major: -k, k*, -k* per record
+    tree = cKDTree(np.column_stack([ks.real, ks.imag]))
+    dist, _ = tree.query(np.column_stack([images.real, images.imag]))
+    missing = np.nonzero(dist > tol * (1.0 + np.abs(np.repeat(ks, 3))))[0]
+    if missing.size:
+        first = missing[0]
         return AuditEntry("symmetry-closure", "fail",
-                          f"{len(missing)} missing mirrors, e.g. {image} of {k}")
-    return AuditEntry("symmetry-closure", "pass", f"{len(ks)} records closed under +-k, conj")
+                          f"{missing.size} missing mirrors, e.g. {complex(images[first])} "
+                          f"of {complex(ks[first // 3])}")
+    return AuditEntry("symmetry-closure", "pass", f"{ks.size} records closed under +-k, conj")
 
 
 def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry:
@@ -321,8 +311,7 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
         return AuditEntry("gamma-consistency", "skipped",
                           f"only {hp.truncation} eigenvalues; limit routes need >= 20")
     probe = None
-    roots = hp.sqrt_roots()
-    mirrors = np.concatenate([roots, -roots, np.conj(roots), -np.conj(roots)])
+    mirrors = orbit(hp.sqrt_roots()).ravel()
     for cand in _DIRECT_PROBE_CANDIDATES:
         if np.min(np.abs(cand - mirrors)) > 0.1:
             probe = cand

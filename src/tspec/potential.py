@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
-KINDS = ("polynomial", "grid", "constant")
+PAYLOAD_KEYS = {"polynomial": "coeffs", "grid": "samples", "constant": "value"}
 
 _QUAD_PANELS = 32       # composite Gauss-Legendre panels
 _QUAD_ORDER = 8         # nodes per panel
@@ -42,7 +42,7 @@ class Potential:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PAYLOAD_KEYS:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if self.kind == "polynomial" and len(self.coeffs) == 0:
             raise DomainError("polynomial potential needs at least one coefficient")
@@ -66,36 +66,27 @@ class Potential:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "Potential":
-        """Build from the run-config representation (see External Interfaces)."""
+        """Build from the run-config mapping: ``kind``, its payload key and ``h``.
+
+        The one check of the potential schema; every violation is a DomainError.
+        """
         if not isinstance(spec, dict) or "kind" not in spec:
             raise DomainError("potential spec must be a mapping with a 'kind' key")
         kind = spec["kind"]
-        allowed = {
-            "polynomial": {"kind", "coeffs", "h"},
-            "grid": {"kind", "samples", "h"},
-            "constant": {"kind", "value", "h"},
-        }.get(kind)
-        if allowed is None:
+        if not isinstance(kind, str) or kind not in PAYLOAD_KEYS:
             raise DomainError(f"unknown potential kind {kind!r}")
-        unknown = set(spec) - allowed
+        payload = PAYLOAD_KEYS[kind]
+        unknown = set(spec) - {"kind", "h", payload}
         if unknown:
             raise DomainError(f"unknown potential keys: {sorted(unknown)}")
-        h = float(spec.get("h", 0.0))
-        if kind == "polynomial":
-            return cls.polynomial(spec.get("coeffs", ()), h=h)
-        if kind == "grid":
-            return cls.grid(spec.get("samples", ()), h=h)
-        return cls.constant(spec.get("value", 0.0), h=h)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "h": self.h}
-        if self.kind == "polynomial":
-            out["coeffs"] = list(self.coeffs)
-        elif self.kind == "grid":
-            out["samples"] = list(self.samples)
-        else:
-            out["value"] = self.value
-        return out
+        h = _real(spec.get("h", 0.0), "h")
+        if kind == "constant":
+            return cls.constant(_real(spec.get("value", 0.0), "value"), h=h)
+        values = spec.get(payload, ())
+        if not isinstance(values, (list, tuple)):
+            raise DomainError(f"potential {payload} must be a list of numbers, got {values!r}")
+        values = [_real(v, payload) for v in values]
+        return cls.polynomial(values, h=h) if kind == "polynomial" else cls.grid(values, h=h)
 
     @cached_property
     def _spline(self) -> CubicSpline:
@@ -124,6 +115,20 @@ class Potential:
                 return 0.0
             return float(np.polynomial.polynomial.polyval(x, c))
         return float(self._spline(x, nu=order)) if order <= 3 else 0.0
+
+
+def finite_real(value) -> bool:
+    """True for a finite real number; bools, strings and ints beyond float range are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _real(value, name: str) -> float:
+    if not finite_real(value):
+        raise DomainError(f"potential {name}: expected a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

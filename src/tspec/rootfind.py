@@ -22,6 +22,7 @@ _MAX_BOUNDARY_POINTS = 2 ** 14
 _MODULUS_FLOOR_REL = 1e-4   # local dip vs neighbors marking a boundary zero
 _STUCK_SEGMENT = 1e-9       # unresolvable phase jump across a segment this short
 _SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59, 0.5)
+_CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
 
 
 @dataclass
@@ -320,16 +321,28 @@ def _subdivide(f, box: ContourBox, w_parent: int, spacing: float):
     return None
 
 
-def _classify(k: complex, tol: float) -> str:
+def orbit(ks) -> np.ndarray:
+    """The symmetry images k, -k, k*, -k* of each k, stacked along a new last axis.
+
+    D is even and real on the real axis, so its zeros are closed under this
+    group; a scalar k gives an array of 4, an array of n gives n x 4.
+    """
+    ks = np.asarray(ks, dtype=complex)
+    return np.stack([ks, -ks, ks.conj(), -ks.conj()], axis=-1)
+
+
+def representative(k: complex) -> complex:
+    """The first-quadrant image (|Re k|, |Im k|) of k under the symmetry group."""
+    return complex(abs(k.real), abs(k.imag))
+
+
+def _classify(k: complex) -> str:
+    tol = _CLS_TOL * (1.0 + abs(k))
     if abs(k.imag) < tol:
         return "real"
     if abs(k.real) < tol:
         return "imaginary"
     return "quadrant"
-
-
-def _representative(k: complex) -> complex:
-    return complex(abs(k.real), abs(k.imag))
 
 
 def _local_scale(f, k: complex, radius: float) -> float:
@@ -396,10 +409,9 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
             deduped.append((z, mult, refined))
 
     # Group into orbits of the symmetry group k -> -k, k -> k*.
-    cls_tol = 1e-8
     orbits: List[dict] = []
     for z, mult, refined in deduped:
-        rep = _representative(z) if symmetry else z
+        rep = representative(z) if symmetry else z
         for orb in orbits:
             if symmetry and abs(rep - orb["rep"]) < 10 * dedup_tol * max(1.0, abs(rep)):
                 orb["copies"].append(z)
@@ -412,13 +424,13 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     reps = [orb["rep"] for orb in orbits]
     for orb in orbits:
         rep = orb["rep"]
-        tol = cls_tol * (1.0 + abs(rep))
+        tol = _CLS_TOL * (1.0 + abs(rep))
         others = [abs(rep - r) for r in reps if r is not rep and abs(rep - r) > tol]
         radius = 0.5 * min(1.0, min(others) if others else 1.0)
         residual = float(abs(np.asarray(rf(np.array([rep])), dtype=complex)[0]))
         zeros.append(Eigenvalue(
             k=rep, lam=rep * rep, index=None, multiplicity=orb["mult"],
-            residual=residual, cls=_classify(rep, tol), copies=tuple(orb["copies"]),
+            residual=residual, cls=_classify(rep), copies=tuple(orb["copies"]),
             local_scale=_local_scale(rf, rep, radius), refined=orb["refined"],
         ))
     zeros.sort(key=lambda e: (abs(e.k), e.k.real))

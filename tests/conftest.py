@@ -63,13 +63,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def kg_one_128(q_one):
-    from tspec import kernel_iterate
+    from tspec.crosscheck import kernel_iterate
 
     return kernel_iterate(q_one, 128)
 
 
 @pytest.fixture(scope="session")
 def kg_one_256(q_one):
-    from tspec import kernel_iterate
+    from tspec.crosscheck import kernel_iterate
 
     return kernel_iterate(q_one, 256)

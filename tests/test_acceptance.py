@@ -18,7 +18,8 @@ from tspec.asymptotics import leading_zeros, solve_transcendental
 from tspec.charfun import make_d_evaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
-from tspec.jost import jost_at_zero_many, jost_via_kernel
+from tspec.crosscheck import jost_via_kernel
+from tspec.jost import jost_at_zero_many
 from tspec.pipeline import targeted_spectrum
 from tspec.rootfind import find_zeros, gamma_contour_count, index_eigenvalues
 

@@ -1,25 +1,32 @@
 import numpy as np
 import pytest
 
-from tspec import Potential, derive_scalars, eval_D, eval_F, sample_D_grid
+from tspec import Potential, derive_scalars, eval_D, sample_D_grid
 from tspec.charfun import eval_D_many, make_d_evaluator
 from tspec.errors import DomainError
+from tspec.jost import jost_at_zero_many
 
 from conftest import const_jost, dirichlet_d_const1
 
 
+def big_f(p, k):
+    """F(k) = -i[f'(k,0) - h f(k,0)], the Jost data D is assembled from."""
+    f, fp = jost_at_zero_many(p, [k])
+    return complex(-1j * (fp[0] - p.h * f[0]))
+
+
 class TestEvalF:
     def test_free_h_zero(self, q_zero):
-        assert eval_F(q_zero, 2.0).value == pytest.approx(2.0, abs=1e-11)
+        assert big_f(q_zero, 2.0) == pytest.approx(2.0, abs=1e-11)
 
     def test_free_h_one(self):
         p = Potential.constant(0.0, h=1.0)
-        assert eval_F(p, 2.0).value == pytest.approx(2.0 + 1.0j, abs=1e-11)
+        assert big_f(p, 2.0) == pytest.approx(2.0 + 1.0j, abs=1e-11)
 
     def test_constant_closed_form(self, q_one):
         f, fp = const_jost(1.0, 3.0)
         expect = -1j * fp
-        assert eval_F(q_one, 3.0).value == pytest.approx(expect, rel=1e-10)
+        assert big_f(q_one, 3.0) == pytest.approx(expect, rel=1e-10)
 
     def test_decaying_direction(self, q_one, q_linear):
         # |F(i tau)| on the decaying side is negligible against the growing
@@ -27,8 +34,8 @@ class TestEvalF:
         for p in (q_one, q_linear):
             ratios = []
             for tau in (5.0, 10.0, 20.0):
-                up = abs(eval_F(p, 1j * tau).value)
-                down = abs(eval_F(p, -1j * tau).value)
+                up = abs(big_f(p, 1j * tau))
+                down = abs(big_f(p, -1j * tau))
                 ratios.append(up / down)
             assert ratios[0] > ratios[1] > ratios[2]
 
@@ -135,14 +142,6 @@ class TestGrid:
         assert errors and all("DomainError" in s.error for s in errors)
         ok = [s for s in samples if s.error is None]
         assert all(np.isfinite(s.value.real) for s in ok)
-
-    def test_threads_match_serial(self, q_one):
-        # Chunking changes the shared adaptive steps, so only up to tolerance.
-        a = sample_D_grid(q_one, "robin", (0.5, 4.0, 0.0, 1.0), 6, 3, threads=1)
-        b = sample_D_grid(q_one, "robin", (0.5, 4.0, 0.0, 1.0), 6, 3, threads=3)
-        for sa, sb in zip(a, b):
-            assert sa.k == sb.k
-            assert sa.value == pytest.approx(sb.value, rel=1e-9, abs=1e-12)
 
 
 class TestEvaluatorCache:

@@ -201,8 +201,66 @@ class TestEnvOverrides:
         capsys.readouterr()
 
     def test_bad_env_value(self, config_path, monkeypatch):
-        monkeypatch.setenv("TSPEC_THREADS", "many")
+        monkeypatch.setenv("TSPEC_TOL", "abc")
         assert main(["--config", config_path, "charfun", "eval", "--k", "1.0,0.0"]) == 1
+
+
+class TestMalformedConfig:
+    BASE = {"potential": {"kind": "polynomial", "coeffs": [0.0, 1.0], "h": 0.0},
+            "variant": "robin"}
+
+    @pytest.mark.parametrize("case, patch", [
+        ("coeffs_not_numbers", {"potential": {"kind": "polynomial", "coeffs": ["a"], "h": 0.0}}),
+        ("coeffs_not_a_list", {"potential": {"kind": "polynomial", "coeffs": 5, "h": 0.0}}),
+        ("h_not_a_number", {"potential": {"kind": "polynomial", "coeffs": [1.0], "h": "x"}}),
+        ("kind_unhashable", {"potential": {"kind": ["grid"], "samples": [1.0] * 5, "h": 0.0}}),
+        ("grid_too_short", {"potential": {"kind": "grid", "samples": [1.0, 2.0, 3.0], "h": 0.0}}),
+        ("rtol_not_a_number", {"tolerances": {"rtol": "x"}}),
+        ("rtol_negative", {"tolerances": {"rtol_refine": -1e-13}}),
+        ("n_one_value", {"spectrum": {"n": [0]}}),
+        ("n_reversed", {"spectrum": {"n": [3, 1]}}),
+        ("region_empty", {"spectrum": {"region": [1.0, 1.0, 0.0, 2.0]}}),
+        ("region_not_finite", {"spectrum": {"region": [0.0, float("inf"), 0.0, 2.0]}}),
+        ("depth_zero", {"spectrum": {"depth": 0}}),
+    ])
+    def test_exit_1_without_traceback(self, workdir, case, patch, capsys):
+        path = workdir / f"malformed_cfg_{case}.json"
+        path.write_text(json.dumps(dict(self.BASE, **patch)))
+        out = workdir / f"malformed_cfg_{case}_out.json"
+        code = main(["--config", str(path), "--out", str(out), "spectrum"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "3..1"], ["--depth", "-2"], ["--region", "0,0,0,1"]])
+    def test_bad_spectrum_flags(self, config_path, flags, capsys):
+        assert main(["--config", config_path, "spectrum"] + flags) == 1
+        assert "config error" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "5"],
+        ["spectrum", "--n", "1..x"],
+        ["--no-such-flag", "spectrum"],
+        ["charfun", "eval"],
+        [],
+    ])
+    def test_exit_1(self, config_path, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", config_path] + argv)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag])
+        assert excinfo.value.code == 0
+        assert "tspec" in capsys.readouterr().out
 
 
 class TestConsoleEntry:

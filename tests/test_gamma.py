@@ -50,6 +50,28 @@ class TestHadamardProduct:
         with pytest.raises(DomainError):
             hadamard_product([2 + 1j, 3.0])
 
+    def test_stored_pairing_matches_pairing_loop(self, synthetic_hp, rng):
+        # Reference: pair each complex factor with the first later unused
+        # factor at its conjugate, in ascending |lambda|, on every call.
+        lams = np.array(synthetic_mu_product(50).lambdas + (3.0 + 0j, 7.5 + 0j))
+        hp = hadamard_product(rng.permutation(lams))
+        lams = np.asarray(hp.lambdas)
+        for k in (0.7, 3.3 + 1.2j, 11.0):
+            facs = 1.0 - k * k / lams
+            ref, used = [], np.zeros(lams.size, dtype=bool)
+            for i in range(lams.size):
+                if used[i]:
+                    continue
+                used[i] = True
+                ref.append(facs[i])
+                if abs(lams[i].imag) > 1e-9 * abs(lams[i]):
+                    j = next(j for j in range(i + 1, lams.size) if not used[j]
+                             and abs(lams[j] - np.conj(lams[i])) <= 1e-9 * max(1.0, abs(lams[i])))
+                    used[j] = True
+                    ref[-1] = facs[i] * facs[j]
+            assert eval_E(hp, k) == complex(np.prod(ref))
+            assert log_E(hp, k) == complex(np.sum(np.log(ref)))
+
     def test_real_for_real_k(self, synthetic_hp, rng):
         for k in rng.uniform(0.3, 12, 10):
             val = eval_E(synthetic_hp, float(k))

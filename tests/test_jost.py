@@ -5,7 +5,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import airye
 
 import tspec.jost
-from tspec import Potential, jost_at_zero, jost_via_kernel, kernel_iterate, successive_approx
+from tspec import Potential, jost_at_zero
+from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
 from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
 from tspec.jost import jost_at_zero_many
 
@@ -210,10 +211,12 @@ class TestKernel:
     def test_diagonal_identity_polynomial(self):
         p = Potential.polynomial([0.2, 1.0, -0.6])
         kg = kernel_iterate(p, 64)
-        qtail = kg.half_grid_tail_integral()
         n = kg.mesh_n
+        x = np.arange(n + 1) * kg.h
+        antideriv = np.polynomial.polynomial.polyint(p.coeffs)
+        qtail = np.polynomial.polynomial.polyval(1.0, antideriv) - np.polynomial.polynomial.polyval(x, antideriv)
         diag = kg.values[np.arange(n + 1), np.arange(n + 1)]
-        assert np.max(np.abs(diag - 0.5 * qtail[::2])) < 1e-9
+        assert np.max(np.abs(diag - 0.5 * qtail)) < 1e-9
 
     def test_kernel_route_vs_ode_route(self, q_one, kg_one_128):
         for k in range(1, 11):

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
 from tspec.errors import ConfigError
-from tspec.pipeline import (audit_symmetry, eigenvalues_from_records, expand_orbit,
+from tspec.pipeline import (AuditEntry, audit_symmetry, eigenvalues_from_records, expand_orbit,
                             is_degenerate, run_spectrum, run_validate, targeted_spectrum)
 from tspec.charfun import DEvaluator
 from tspec.rootfind import Eigenvalue
+from tspec.spectrumfile import SpectrumRecord
 
 
 def _cfg(potential, variant="robin", **extra):
@@ -119,6 +123,31 @@ class TestAudits:
         assert len(broken) == 3
         entry = audit_symmetry(broken)
         assert entry.status == "fail"
+
+    @pytest.mark.parametrize("damage", ["none", "drop", "perturb"])
+    def test_symmetry_matches_pairwise_search(self, damage):
+        # Reference: every record against every other, mirror by mirror.
+        rng = np.random.default_rng(7)
+        reps = rng.uniform(0.5, 40.0, 50) + 1j * rng.uniform(0.0, 4.0, 50)
+        reps[:5] = reps[:5].real
+        records = [SpectrumRecord(index=n, re_k=m.real, im_k=m.imag, multiplicity=1,
+                                  residual=0.0, cls="quadrant")
+                   for n, k in enumerate(reps)
+                   for m in dict.fromkeys(complex(v) for v in (k, -k, np.conj(k), -np.conj(k)))]
+        if damage == "drop":
+            del records[17]
+        elif damage == "perturb":
+            records[23] = replace(records[23], re_k=records[23].re_k + 1e-6)
+        ks = [complex(r.re_k, r.im_k) for r in records]
+        missing = [(k, complex(image)) for k in ks for image in (-k, np.conj(k), -np.conj(k))
+                   if not any(abs(image - o) <= 1e-9 * (1.0 + abs(k)) for o in ks)]
+        if missing:
+            ref = AuditEntry("symmetry-closure", "fail", f"{len(missing)} missing mirrors, "
+                             f"e.g. {missing[0][1]} of {missing[0][0]}")
+        else:
+            ref = AuditEntry("symmetry-closure", "pass", f"{len(ks)} records closed under +-k, conj")
+        assert audit_symmetry(records) == ref
+        assert (ref.status == "pass") == (damage == "none")
 
     def test_validate_fresh_run(self, small_run):
         cfg = _cfg({"kind": "constant", "value": 1.0, "h": 0.0},

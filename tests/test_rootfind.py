@@ -8,8 +8,8 @@ from tspec.charfun import make_d_evaluator
 from tspec.errors import IndexingConflictError, PhaseResolutionError
 from tspec.potential import PotentialScalars
 from tspec.rootfind import (ContourBox, Eigenvalue, find_zeros, gamma_contour_count,
-                            index_eigenvalues, newton_refine, origin_multiplicity,
-                            winding_count)
+                            index_eigenvalues, newton_refine, orbit, origin_multiplicity,
+                            representative, winding_count)
 
 
 def poly_with_roots(roots):
@@ -23,6 +23,19 @@ def poly_with_roots(roots):
         return out
 
     return f
+
+
+class TestSymmetryGroup:
+    def test_orbit_order_and_shape(self):
+        assert orbit(2 + 1j).tolist() == [2 + 1j, -2 - 1j, 2 - 1j, -2 + 1j]
+        ks = np.array([2 + 1j, -3.0 + 0.5j, 0.25j])
+        images = orbit(ks)
+        assert images.shape == (3, 4)
+        assert np.array_equal(images[1], orbit(ks[1]))
+
+    def test_representative_folds_every_image(self):
+        for image in orbit(-3.0 + 0.5j):
+            assert representative(image) == 3.0 + 0.5j
 
 
 class TestWindingCount:
