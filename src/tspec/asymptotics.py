@@ -16,8 +16,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisMismatchError, UnstableLimitError
+from .errors import DomainError, HypothesisMismatchError, TspecError, UnstableLimitError
 from .potential import PotentialScalars, q_constants
+from .rootfind import find_zeros, newton_refine_many
 
 THEOREM_TAGS = ("T41i_W21", "T41i_W22", "T41ii_W21", "T41ii_W22",
                 "T42i", "T42ii", "Dirichlet_i", "Dirichlet_ii")
@@ -39,6 +40,12 @@ class TranscendentalProblem:
 def solve_transcendental(kappa, w, max_iter: int = 50, tol: float = 1e-12) -> TranscendentalProblem:
     """Solve z - kappa*log z = w for large |w|, seeded from the expansion
     z = w + kappa log w + kappa^2 log w / w.
+
+    Unlike every other Newton polish in the package, this one does not go
+    through :func:`tspec.rootfind.newton_refine_many`: it stops on the
+    residual |z - kappa log z - w| < tol, and it takes the analytic derivative
+    1 - kappa/z, because a difference stencil could straddle the branch cut
+    of the principal log.
     """
     kappa = complex(kappa)
     w = complex(w)
@@ -67,11 +74,6 @@ def eval_g1(scalars: PotentialScalars, k):
     karr = np.asarray(k, dtype=complex)
     out = 4j * karr * scalars.omega + scalars.q_at_1 * (np.exp(2j * karr) - np.exp(-2j * karr))
     return complex(out) if out.ndim == 0 else out
-
-
-def _g1_prime(scalars: PotentialScalars, k):
-    karr = np.asarray(k, dtype=complex)
-    return 4j * scalars.omega + 2j * scalars.q_at_1 * (np.exp(2j * karr) + np.exp(-2j * karr))
 
 
 def _g1_over_k(scalars: PotentialScalars):
@@ -113,26 +115,8 @@ def _case_tag(scalars: PotentialScalars) -> str:
     return "ratio_positive" if scalars.q_at_1 / scalars.omega > 0 else "ratio_negative"
 
 
-def _polish_on_g1(scalars: PotentialScalars, seed: complex, max_iter: int = 40):
-    z = complex(seed)
-    for _ in range(max_iter):
-        g = complex(eval_g1(scalars, z))
-        gp = complex(_g1_prime(scalars, z))
-        if gp == 0:
-            return z, False
-        dz = -g / gp
-        z += dz
-        if abs(dz) < 1e-13 * max(1.0, abs(z)):
-            return z, True
-        if abs(z - seed) > 2.0:
-            return complex(seed), False
-    return z, abs(complex(eval_g1(scalars, z))) < 1e-10 * abs(complex(_g1_prime(scalars, z))) * max(1.0, abs(z))
-
-
 def _small_leading_zeros(scalars: PotentialScalars, tau_hi: float):
     """Zeros of g1/k with 0 <= Re k < pi, found by box search (no formula seed)."""
-    from .rootfind import find_zeros
-
     res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, tau_hi), max_depth=24,
                      min_size=1e-9, spacing=0.1)
     return sorted((ev.k for ev in res.zeros), key=abs)
@@ -162,30 +146,32 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
             mus.append(smalls[0])
             bns.append(None)
             pol.append(True)
-    for n in range(1, n_max + 1):
-        if tag == "ratio_negative":
-            b = math.log(2 * n * math.pi) - math.log(-q1 / (2 * w)) - 0.5j * math.pi
-        else:
-            b = math.log(2 * n * math.pi) - math.log(q1 / (2 * w)) - 1.5j * math.pi
-        seed = n * math.pi + 0.5j * b - b / (4 * n * math.pi)
-        z, ok = _polish_on_g1(scalars, seed)
+    n_all = np.arange(1, n_max + 1)
+    if tag == "ratio_negative":
+        b_all = np.log(2 * n_all * math.pi) - math.log(-q1 / (2 * w)) - 0.5j * math.pi
+    else:
+        b_all = np.log(2 * n_all * math.pi) - math.log(q1 / (2 * w)) - 1.5j * math.pi
+    seeds = n_all * math.pi + 0.5j * b_all - b_all / (4 * n_all * math.pi)
+    roots, conv = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds, tol=1e-13,
+                                     max_iter=40)
+    conv &= np.abs(roots - seeds) <= 2.0
+    polished = zip(n_all.tolist(), b_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist())
+    for n, b, seed, z, ok in polished:
         if not ok:
-            from .rootfind import find_zeros
-
             box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
             try:
                 res = find_zeros(_g1_over_k(scalars), box, max_depth=18, spacing=0.1)
                 near = min((ev.k for ev in res.zeros), key=lambda kk: abs(kk - seed), default=None)
-            except Exception:
+            except TspecError:
                 near = None
             if near is not None:
                 z, ok = near, True
             else:
-                z, ok = complex(seed), False
+                z, ok = seed, False
         ns.append(n)
         mus.append(z)
         bns.append(b)
-        pol.append(bool(ok))
+        pol.append(ok)
     return LeadingZeros(tag, ns, mus, bns, pol)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .jost import DEFAULT_RTOL, jost_at_zero_many
+from .jost import DEFAULT_RTOL, domain_error, jost_at_zero_many
 from .potential import Potential
 
 VARIANTS = ("robin", "dirichlet")
@@ -112,28 +112,31 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
     """Evaluate D on an n x m grid over region = (sigma0, sigma1, tau0, tau1).
 
     Per-point failures are recorded on the sample rather than raised; used by
-    root-finder seeding and the CLI field export.
+    root-finder seeding and the CLI field export. Points the Jost layer
+    rejects (non-finite, or |Im k| above its cap) get their error without
+    being evaluated; the rest go in one batch, point by point only if that
+    batch fails.
     """
     _check_variant(variant)
     s0, s1, t0, t1 = (float(v) for v in region)
     sigmas = np.linspace(s0, s1, n)
     taus = np.linspace(t0, t1, m)
     points = (sigmas[:, None] + 1j * taus[None, :]).ravel()
+    errors = ([None] * points.size if domain_error(points) is None
+              else [domain_error(c) for c in points])
+    ok = np.array([e is None for e in errors], dtype=bool)
+    values = np.full(points.size, complex(np.nan, np.nan))
     try:
-        vals = eval_D_many(p, points, variant=variant, rtol=rtol)
-        return [CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h)
-                for c, v in zip(points, vals)]
+        values[ok] = eval_D_many(p, points[ok], variant=variant, rtol=rtol)
     except Exception:
-        samples = []
-        for c in points:
+        for i in np.nonzero(ok)[0]:
             try:
-                v = eval_D_many(p, [c], variant=variant, rtol=rtol)[0]
-                samples.append(CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h))
+                values[i] = eval_D_many(p, points[i:i + 1], variant=variant, rtol=rtol)[0]
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                nan = complex(float("nan"), float("nan"))
-                samples.append(CharFunSample(k=complex(c), value=nan, variant=variant,
-                                             h=p.h, error=f"{type(exc).__name__}: {exc}"))
-        return samples
+                errors[i] = exc
+    return [CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h,
+                          error=None if e is None else f"{type(e).__name__}: {e}")
+            for c, v, e in zip(points, values, errors)]
 
 
 class DEvaluator:

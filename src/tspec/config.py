@@ -1,8 +1,9 @@
 """Run configuration: schema validation and environment overrides.
 
 The config file is JSON. Unknown keys are rejected at every level so typos
-fail fast instead of silently running defaults. The potential section is
-checked by :meth:`tspec.potential.Potential.from_dict`.
+fail fast instead of silently running defaults, and every key that is
+accepted is read by some command and has its value checked. The potential
+section is checked by :meth:`tspec.potential.Potential.from_dict`.
 """
 
 from __future__ import annotations
@@ -13,21 +14,57 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .asymptotics import THEOREM_TAGS
 from .errors import ConfigError, DomainError
 from .potential import Potential, finite_real
 
 ENV_PREFIX = "TSPEC_"
 
-_TOP_KEYS = {"potential", "variant", "spectrum", "charfun", "asymptotics",
-             "gamma", "validate", "tolerances", "out"}
-_SECTION_KEYS = {
-    "spectrum": {"region", "depth", "n"},
-    "charfun": {"k", "region", "nx", "ny"},
-    "asymptotics": {"theorem", "n", "spectrum"},
-    "gamma": {"route", "spectrum", "probe", "k0", "taus"},
-    "validate": {"spectrum", "contours", "gamma_tol", "theorem"},
-    "tolerances": {"rtol", "rtol_refine", "rtol_winding"},
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _list_of(value, check) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+def _positive(value) -> bool:
+    return finite_real(value) and value > 0
+
+
+def _region(r) -> bool:
+    return _list_of(r, finite_real) and len(r) == 4 and r[0] < r[1] and r[2] < r[3]
+
+
+_REGION = (_region, "four finite numbers with sigma0 < sigma1 and tau0 < tau1")
+_POSITIVE = (_positive, "a positive finite number")
+
+# The keys each section accepts, each with its value check and the check's wording.
+_SECTIONS = {
+    "spectrum": {
+        "n": (lambda n: _list_of(n, _is_int) and len(n) == 2 and n[0] <= n[1],
+              "two integers lo <= hi"),
+        "region": _REGION,
+        "depth": (lambda d: _is_int(d) and d > 0, "a positive integer"),
+    },
+    "charfun": {"region": _REGION},
+    "gamma": {
+        "k0": _POSITIVE,
+        # The extrapolation refits without the last rung, so it needs two.
+        "taus": (lambda t: _list_of(t, lambda tau: finite_real(tau) and tau < 0) and len(t) >= 2,
+                 "a list of at least two negative finite numbers"),
+    },
+    "validate": {
+        "spectrum": (lambda path: isinstance(path, str), "a string"),
+        "contours": (lambda c: _list_of(c, lambda n: _is_int(n) and n >= 0),
+                     "a list of non-negative integers"),
+        "gamma_tol": _POSITIVE,
+        "theorem": (lambda tag: tag in THEOREM_TAGS, f"one of {', '.join(THEOREM_TAGS)}"),
+    },
+    "tolerances": {"rtol": _POSITIVE, "rtol_refine": _POSITIVE},
 }
+_TOP_KEYS = {"potential", "variant", "out"} | set(_SECTIONS)
 
 
 @dataclass
@@ -36,7 +73,6 @@ class RunConfig:
     variant: str
     spectrum: dict = field(default_factory=dict)
     charfun: dict = field(default_factory=dict)
-    asymptotics: dict = field(default_factory=dict)
     gamma: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -50,44 +86,27 @@ class RunConfig:
     def rtol_refine(self) -> float:
         return float(self.tolerances.get("rtol_refine", 1e-13))
 
-    @property
-    def rtol_winding(self) -> float:
-        return float(self.tolerances.get("rtol_winding", 1e-9))
 
-
-def _check_keys(name: str, mapping: dict, allowed: set):
+def _check_keys(name: str, mapping: dict, allowed):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{name} must be a mapping")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _sequence(value, size: int, check) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == size and all(map(check, value))
-
-
 def check_values(cfg: RunConfig):
-    """Reject malformed tolerance and spectrum values with ConfigError.
+    """Reject malformed section values and a non-string out with ConfigError.
 
     Run on every config and again after command-line overrides.
     """
-    for key, value in cfg.tolerances.items():
-        if not (finite_real(value) and value > 0):
-            raise ConfigError(f"tolerances.{key} must be a positive finite number, got {value!r}")
-    spec = cfg.spectrum
-    n, r, depth = spec.get("n", [0, 0]), spec.get("region", [0, 1, 0, 1]), spec.get("depth", 1)
-    if not (_sequence(n, 2, _is_int) and n[0] <= n[1]):
-        raise ConfigError(f"spectrum.n must be two integers lo <= hi, got {n!r}")
-    if not (_sequence(r, 4, finite_real) and r[0] < r[1] and r[2] < r[3]):
-        raise ConfigError("spectrum.region must be four finite numbers with sigma0 < sigma1 "
-                          f"and tau0 < tau1, got {r!r}")
-    if not (_is_int(depth) and depth > 0):
-        raise ConfigError(f"spectrum.depth must be a positive integer, got {depth!r}")
+    for section, rules in _SECTIONS.items():
+        for key, value in getattr(cfg, section).items():
+            check, wording = rules[key]
+            if not check(value):
+                raise ConfigError(f"{section}.{key} must be {wording}, got {value!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a string, got {cfg.out!r}")
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -107,15 +126,14 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
     if variant == "robin" and "h" not in pot:
         raise ConfigError("robin variant requires 'h' in the potential section")
-    for section, keys in _SECTION_KEYS.items():
+    for section, rules in _SECTIONS.items():
         if section in raw:
-            _check_keys(section, raw[section], keys)
+            _check_keys(section, raw[section], rules)
     cfg = RunConfig(
         potential=pot,
         variant=variant,
         spectrum=raw.get("spectrum", {}),
         charfun=raw.get("charfun", {}),
-        asymptotics=raw.get("asymptotics", {}),
         gamma=raw.get("gamma", {}),
         validate=raw.get("validate", {}),
         tolerances=raw.get("tolerances", {}),

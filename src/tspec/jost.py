@@ -118,6 +118,16 @@ def _propagate(qfun, ks: np.ndarray, cells: int):
     return y[0], y[1]
 
 
+def domain_error(ks, im_cap: float = IM_CAP_DEFAULT):
+    """The DomainError that :func:`jost_at_zero_many` raises for ks, or None if it takes them."""
+    ks = np.asarray(ks, dtype=complex)
+    if not np.all(np.isfinite(ks)):
+        return DomainError("k must be finite")
+    if np.any(np.abs(ks.imag) > im_cap):
+        return DomainError(f"|Im k| exceeds the integrator cap {im_cap}")
+    return None
+
+
 def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL, im_cap: float = IM_CAP_DEFAULT):
     """Vectorized f(k,0), f'(k,0) over an array of k.
 
@@ -135,10 +145,9 @@ def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL, im_cap: floa
     raises IntegrationFailureError.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    if not np.all(np.isfinite(ks)):
-        raise DomainError("k must be finite")
-    if np.any(np.abs(ks.imag) > im_cap):
-        raise DomainError(f"|Im k| exceeds the integrator cap {im_cap}")
+    error = domain_error(ks, im_cap)
+    if error is not None:
+        raise error
     if ks.size == 0:
         return ks.copy(), ks.copy()
     qfun = p._eval

@@ -23,19 +23,20 @@ _MODULUS_FLOOR_REL = 1e-4   # local dip vs neighbors marking a boundary zero
 _STUCK_SEGMENT = 1e-9       # unresolvable phase jump across a segment this short
 _SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59, 0.5)
 _CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
+_STENCIL = np.array([0, 1, -1, 1j, -1j])[:, None]              # Newton points z + d * offset
+_DERIV_WEIGHTS = np.array([0, 0.25, -0.25, -0.25j, 0.25j])    # f'(z) d from the stencil values
+_STALL_REL = 1e-8           # a step this small, relative, may end Newton on the noise floor
 
 
 @dataclass
 class ContourBox:
-    """A rectangle in the k-plane with its winding statistics."""
+    """A rectangle in the k-plane with its winding count once computed."""
 
     s0: float
     s1: float
     t0: float
     t1: float
     winding: Optional[int] = None
-    boundary_samples: int = 0
-    min_boundary_modulus: float = math.inf
 
     @property
     def width(self) -> float:
@@ -150,13 +151,7 @@ def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
                 raise PhaseResolutionError(
                     f"winding {total:.4f} does not round cleanly on box "
                     f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
-            box.winding = w
-            box.boundary_samples = int(pts.size)
-            box.min_boundary_modulus = float(np.abs(vals).min())
-            if box is not base:
-                base.winding = w
-                base.boundary_samples = box.boundary_samples
-                base.min_boundary_modulus = box.min_boundary_modulus
+            base.winding = w
             return w
         if not perturb:
             if exhausted:
@@ -174,43 +169,6 @@ def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
     raise BoundaryTooCloseError(
         f"zero on the boundary of [{base.s0},{base.s1}]x[{base.t0},{base.t1}] "
         "after 3 perturbations")
-
-
-def newton_refine(f: Callable, z0: complex, *, tol: float = 1e-12, max_iter: int = 50,
-                  step_rel: float = 1e-6):
-    """Newton iteration with the derivative from central complex differences.
-
-    Two orthogonal difference directions are averaged; analyticity makes them
-    consistent and their gap doubles as a derivative error estimate. Returns
-    (z, converged, iterations, derivative_gap).
-    """
-    z = complex(z0)
-    best = (math.inf, z)
-    grew = 0
-    for it in range(1, max_iter + 1):
-        d = step_rel * max(1.0, abs(z))
-        batch = np.array([z, z + d, z - d, z + 1j * d, z - 1j * d], dtype=complex)
-        vals = np.asarray(f(batch), dtype=complex)
-        d1 = (vals[1] - vals[2]) / (2.0 * d)
-        d2 = (vals[3] - vals[4]) / (2.0 * 1j * d)
-        deriv = 0.5 * (d1 + d2)
-        gap = abs(d1 - d2)
-        if deriv == 0:
-            return z, False, it, gap
-        dz = -vals[0] / deriv
-        z = z + dz
-        step = abs(dz)
-        if step < tol * max(1.0, abs(z)):
-            return z, True, it, gap
-        if step < best[0]:
-            best = (step, z)
-            grew = 0
-        else:
-            grew += 1
-            # Stalled on the evaluation noise floor: accept the best iterate.
-            if grew >= 2 and best[0] < 1e-8 * max(1.0, abs(z)):
-                return best[1], True, it, gap
-    return best[1], False, max_iter, gap
 
 
 def _line_clear(f, a: complex, b: complex) -> bool:
@@ -239,30 +197,51 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
                        step_rel: float = 1e-6):
     """Vectorized Newton over many seeds; one stacked evaluation per sweep.
 
-    Returns (roots, converged_mask). Seeds are expected close to simple zeros
-    (asymptotic predictions); anything that fails here goes through the boxed
-    search instead.
+    The derivative is the mean of the central differences along the real and
+    imaginary directions with step step_rel max(1, |z|). A seed converges once
+    its step is below tol max(1, |z|). A seed whose step has failed to shrink
+    twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
+    evaluation noise floor and is accepted at the iterate of that smallest
+    step. A zero derivative stops a seed unconverged where it is. A seed
+    still unconverged after max_iter sweeps returns the iterate of its
+    smallest step.
+    Returns (roots, converged_mask).
     """
-    z = np.asarray(seeds, dtype=complex).copy()
-    active = np.ones(z.size, dtype=bool)
-    converged = np.zeros(z.size, dtype=bool)
+    roots = np.array(seeds, dtype=complex).ravel()
+    converged = np.zeros(roots.size, dtype=bool)
+    live = np.arange(roots.size)         # where in roots the seeds still iterating go
+    z, best = roots.copy(), roots.copy()
+    best_step = np.full(roots.size, math.inf)
+    grew = np.zeros(roots.size, dtype=int)
+    scale = np.maximum(1.0, np.abs(z))
     for _ in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if live.size == 0:
             break
-        zi = z[idx]
-        d = step_rel * np.maximum(1.0, np.abs(zi))
-        pts = np.concatenate([zi, zi + d, zi - d, zi + 1j * d, zi - 1j * d])
-        vals = np.asarray(f(pts), dtype=complex).reshape(5, idx.size)
-        deriv = 0.5 * ((vals[1] - vals[2]) / (2.0 * d) + (vals[3] - vals[4]) / (2j * d))
+        d = step_rel * scale
+        vals = np.asarray(f((z + d * _STENCIL).ravel()), dtype=complex).reshape(5, -1)
+        deriv = _DERIV_WEIGHTS @ vals / d
         dead = deriv == 0
-        deriv[dead] = 1.0
-        dz = np.where(dead, 0.0, -vals[0] / deriv)
-        z[idx] = zi + dz
-        done = np.abs(dz) < tol * np.maximum(1.0, np.abs(z[idx]))
-        converged[idx[done & ~dead]] = True
-        active[idx[done | dead]] = False
-    return z, converged
+        deriv[dead] = np.inf             # a zero step: the seed stops where it is
+        dz = -vals[0] / deriv
+        z = z + dz
+        step = np.abs(dz)
+        scale = np.maximum(1.0, np.abs(z))
+        shrank = step < best_step
+        best_step[shrank] = step[shrank]
+        best[shrank] = z[shrank]
+        grew += 1
+        grew[shrank] = 0
+        done = ~dead & (step < tol * scale)
+        stalled = (grew >= 2) & (best_step < _STALL_REL * scale)
+        stop = done | stalled | dead
+        if stop.any():
+            roots[live[stop]] = np.where(done, z, best)[stop]
+            converged[live[stop]] = (done | stalled)[stop]
+            keep = ~stop
+            live, z, best, best_step, grew, scale = (
+                live[keep], z[keep], best[keep], best_step[keep], grew[keep], scale[keep])
+    roots[live] = best
+    return roots, converged
 
 
 def _split_candidates(f, box: ContourBox):
@@ -378,9 +357,9 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
             continue
         small = max(box.width, box.height) < min_size
         if w == 1:
-            z, converged, _, _ = newton_refine(rf, box.center)
-            if converged and box.contains(z, pad=0.25 * max(box.width, box.height)):
-                raw.append((z, 1, True))
+            z, converged = newton_refine_many(rf, [box.center], max_iter=50)
+            if converged[0] and box.contains(z[0], pad=0.25 * max(box.width, box.height)):
+                raw.append((complex(z[0]), 1, True))
                 continue
             if small:
                 raw.append((box.center, 1, False))

@@ -132,6 +132,17 @@ class TestLeadingZeros:
         with pytest.raises(DomainError):
             leading_zeros(make_scalars(omega=1.0, q1=0.0), 3)
 
+    def test_far_newton_root_goes_to_box_search(self):
+        # At |q(1)/omega| = 74 the n = 5 formula seed is poor: Newton from it
+        # converges to a zero near 30.3, more than 2 away, which the box
+        # search around n*pi must replace.
+        s = make_scalars(omega=0.03115162197866943, q1=2.290732564957369)
+        lz = leading_zeros(s, 6)
+        for n, mu, ok in zip(lz.ns, lz.mu_n, lz.polished):
+            assert ok
+            assert n * math.pi <= mu.real <= (n + 1) * math.pi
+            assert abs(eval_g1(s, mu)) < 1e-12
+
 
 class TestLemma32LowerBound:
     def test_g1_lower_bound_on_contours(self, q_one):

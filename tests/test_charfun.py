@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tspec import Potential, derive_scalars, eval_D, sample_D_grid
+from tspec import Potential, charfun, derive_scalars, eval_D, sample_D_grid
 from tspec.charfun import eval_D_many, make_d_evaluator
 from tspec.errors import DomainError
 from tspec.jost import jost_at_zero_many
@@ -142,6 +142,34 @@ class TestGrid:
         assert errors and all("DomainError" in s.error for s in errors)
         ok = [s for s in samples if s.error is None]
         assert all(np.isfinite(s.value.real) for s in ok)
+
+    def test_capped_points_skip_the_batch(self, q_linear, monkeypatch):
+        # The 16 points at Im k = 60.5 are rejected up front; the other 112
+        # take one batched call and match the point-by-point reference. The
+        # Jost products round differently in a batch than alone: up to 3e-12
+        # relative at Im k = 52, where either value is 7e-12 from rtol = 1e-14.
+        region, nx, ny = (0.0, 10.0, 0.0, 60.5), 16, 8
+        points = (np.linspace(0.0, 10.0, nx)[:, None] + 1j * np.linspace(0.0, 60.5, ny)).ravel()
+        reference = []
+        for c in points:
+            try:
+                reference.append((eval_D_many(q_linear, [c])[0], None))
+            except DomainError as exc:
+                reference.append((None, f"DomainError: {exc}"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return eval_D_many(*args, **kwargs)
+
+        monkeypatch.setattr(charfun, "eval_D_many", counted)
+        samples = sample_D_grid(q_linear, "robin", region, nx, ny)
+        assert len(calls) == 1 and len(calls[0]) == 112
+        assert sum(error is not None for _, error in reference) == 16
+        for sample, (value, error) in zip(samples, reference):
+            assert sample.error == error
+            if error is None:
+                assert abs(sample.value - value) <= 1e-11 * abs(value)
 
 
 class TestEvaluatorCache:

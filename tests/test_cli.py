@@ -222,6 +222,18 @@ class TestMalformedConfig:
         ("region_empty", {"spectrum": {"region": [1.0, 1.0, 0.0, 2.0]}}),
         ("region_not_finite", {"spectrum": {"region": [0.0, float("inf"), 0.0, 2.0]}}),
         ("depth_zero", {"spectrum": {"depth": 0}}),
+        ("taus_not_a_list", {"gamma": {"taus": "abc"}}),
+        ("taus_one_rung", {"gamma": {"taus": [-4.0]}}),
+        ("taus_positive", {"gamma": {"taus": [-4.0, 6.0]}}),
+        ("k0_not_a_number", {"gamma": {"k0": "x"}}),
+        ("k0_negative", {"gamma": {"k0": -1.0}}),
+        ("contours_not_a_list", {"validate": {"contours": "x"}}),
+        ("contours_negative", {"validate": {"contours": [2, -1]}}),
+        ("gamma_tol_not_a_number", {"validate": {"gamma_tol": "x"}}),
+        ("charfun_region_not_numbers", {"charfun": {"region": [0, "a"]}}),
+        ("theorem_unknown", {"validate": {"theorem": "T99"}}),
+        ("validate_spectrum_not_a_string", {"validate": {"spectrum": 5}}),
+        ("out_not_a_string", {"out": 5}),
     ])
     def test_exit_1_without_traceback(self, workdir, case, patch, capsys):
         path = workdir / f"malformed_cfg_{case}.json"
@@ -233,6 +245,24 @@ class TestMalformedConfig:
         assert "config error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("patch", [
+        {"tolerances": {"rtol_winding": 1e-3}},
+        {"asymptotics": {"theorem": "T42i"}},
+        {"charfun": {"k": [1.0, 0.0]}},
+        {"charfun": {"nx": 8}},
+        {"charfun": {"ny": 8}},
+        {"gamma": {"route": "omega"}},
+        {"gamma": {"spectrum": "spec.json"}},
+        {"gamma": {"probe": 0.37}},
+    ])
+    def test_unread_keys_are_unknown(self, workdir, patch, capsys):
+        # No command reads these keys (the flags are their only source).
+        path = workdir / "unread_key_cfg.json"
+        path.write_text(json.dumps(dict(self.BASE, **patch)))
+        assert main(["--config", str(path), "charfun", "eval", "--k", "1.0,0.0"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: unknown" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [["--n", "3..1"], ["--depth", "-2"], ["--region", "0,0,0,1"]])
     def test_bad_spectrum_flags(self, config_path, flags, capsys):
@@ -261,6 +291,16 @@ class TestUsageErrors:
             main([flag])
         assert excinfo.value.code == 0
         assert "tspec" in capsys.readouterr().out
+
+
+class TestImportPath:
+    def test_cli_import_skips_crosscheck_and_scipy_integrate(self):
+        # Set-up time and peak memory of every run rest on these staying unloaded.
+        probe = ("import sys, tspec.cli; "
+                 "print([m for m in ('tspec.crosscheck', 'scipy.integrate') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleEntry:
