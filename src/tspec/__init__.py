@@ -9,8 +9,7 @@ from eigenvalue data.
 __version__ = "0.1.0"
 
 from .potential import Potential, PotentialScalars, derive_scalars, evaluate_q, q_constants
-from .jost import JostValue, jost_at_zero
-from .charfun import CharFunSample, DEvaluator, eval_D, make_d_evaluator, sample_D_grid
+from .charfun import CharFunSample, DEvaluator, sample_D_grid
 from .rootfind import ContourBox, Eigenvalue, find_zeros, index_eigenvalues, winding_count
 from .gamma_recovery import GammaEstimate, HadamardProduct, eval_E, gamma_direct, gamma_from_endpoint, gamma_from_omega, hadamard_product
 
@@ -20,12 +19,8 @@ __all__ = [
     "derive_scalars",
     "evaluate_q",
     "q_constants",
-    "JostValue",
-    "jost_at_zero",
     "CharFunSample",
     "DEvaluator",
-    "eval_D",
-    "make_d_evaluator",
     "sample_D_grid",
     "ContourBox",
     "Eigenvalue",

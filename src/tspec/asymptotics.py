@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,23 @@ THEOREM_TAGS = ("T41i_W21", "T41i_W22", "T41ii_W21", "T41ii_W22",
                 "T42i", "T42ii", "Dirichlet_i", "Dirichlet_ii")
 
 _ZERO_TOL = 1e-9
+_TRANSCENDENTAL_MAX_ITER = 50
+_TRANSCENDENTAL_TOL = 1e-12
+
+
+def vanishing(scalars: PotentialScalars):
+    """(omega = 0, q(1) = 0, q'(1) = 0): the tests that select the theorem case.
+
+    Each scalar counts as zero below 1e-9 max(|omega|, |q(1)|, |q'(1)|, 1e-12).
+    """
+    scale = max(abs(scalars.omega), abs(scalars.q_at_1), abs(scalars.dq_at_1), 1e-12)
+    return tuple(abs(v) < _ZERO_TOL * scale
+                 for v in (scalars.omega, scalars.q_at_1, scalars.dq_at_1))
+
+
+def _dirichlet_flip(scalars: PotentialScalars) -> PotentialScalars:
+    """The Dirichlet leading function flips the sign of q(1) and q'(1) against Robin."""
+    return replace(scalars, q_at_1=-scalars.q_at_1, dq_at_1=-scalars.dq_at_1)
 
 
 @dataclass
@@ -37,13 +54,13 @@ class TranscendentalProblem:
     seed: complex
 
 
-def solve_transcendental(kappa, w, max_iter: int = 50, tol: float = 1e-12) -> TranscendentalProblem:
+def solve_transcendental(kappa, w) -> TranscendentalProblem:
     """Solve z - kappa*log z = w for large |w|, seeded from the expansion
     z = w + kappa log w + kappa^2 log w / w.
 
     Unlike every other Newton polish in the package, this one does not go
     through :func:`tspec.rootfind.newton_refine_many`: it stops on the
-    residual |z - kappa log z - w| < tol, and it takes the analytic derivative
+    residual |z - kappa log z - w| < 1e-12, and it takes the analytic derivative
     1 - kappa/z, because a difference stencil could straddle the branch cut
     of the principal log.
     """
@@ -57,7 +74,8 @@ def solve_transcendental(kappa, w, max_iter: int = 50, tol: float = 1e-12) -> Tr
     logw = cmath.log(w)
     seed = w + kappa * logw + kappa * kappa * logw / w
     z = seed
-    for _ in range(max_iter):
+    tol = _TRANSCENDENTAL_TOL
+    for _ in range(_TRANSCENDENTAL_MAX_ITER):
         g = z - kappa * cmath.log(z) - w
         if abs(g) < tol:
             return TranscendentalProblem(kappa, w, z, abs(g), seed)
@@ -65,7 +83,8 @@ def solve_transcendental(kappa, w, max_iter: int = 50, tol: float = 1e-12) -> Tr
     g = z - kappa * cmath.log(z) - w
     if abs(g) < tol:
         return TranscendentalProblem(kappa, w, z, abs(g), seed)
-    raise UnstableLimitError(f"Newton did not reach residual {tol} in {max_iter} steps",
+    raise UnstableLimitError(f"Newton did not reach residual {tol} in "
+                             f"{_TRANSCENDENTAL_MAX_ITER} steps",
                              diagnostics={"kappa": kappa, "w": w, "z": z, "residual": abs(g)})
 
 
@@ -97,20 +116,19 @@ def _g1_over_k(scalars: PotentialScalars):
 
 @dataclass
 class LeadingZeros:
-    """First-quadrant zeros mu_n of g1(k)/k with their asymptotic inputs b_n."""
+    """First-quadrant zeros mu_n of g1(k)/k."""
 
     case_tag: str
     ns: List[int]
     mu_n: List[complex]
-    b_n: List[Optional[complex]]
     polished: List[bool]
 
 
 def _case_tag(scalars: PotentialScalars) -> str:
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), 1e-12)
-    if abs(scalars.q_at_1) < _ZERO_TOL * scale:
+    omega_zero, q1_zero, _ = vanishing(scalars)
+    if q1_zero:
         raise DomainError("leading-zero asymptotics require q(1) != 0")
-    if abs(scalars.omega) < _ZERO_TOL * scale:
+    if omega_zero:
         return "omega_zero"
     return "ratio_positive" if scalars.q_at_1 / scalars.omega > 0 else "ratio_negative"
 
@@ -129,14 +147,13 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
     only cover n >= 1). For omega = 0 the zeros are exactly n*pi/2.
     """
     tag = _case_tag(scalars)
-    ns, mus, bns, pol = [], [], [], []
+    ns, mus, pol = [], [], []
     if tag == "omega_zero":
         for n in range(1, n_max + 1):
             ns.append(n)
             mus.append(complex(n * math.pi / 2.0))
-            bns.append(None)
             pol.append(True)
-        return LeadingZeros(tag, ns, mus, bns, pol)
+        return LeadingZeros(tag, ns, mus, pol)
     w, q1 = scalars.omega, scalars.q_at_1
     if include_small:
         tau_cap = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
@@ -144,7 +161,6 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
         if smalls:
             ns.append(0)
             mus.append(smalls[0])
-            bns.append(None)
             pol.append(True)
     n_all = np.arange(1, n_max + 1)
     if tag == "ratio_negative":
@@ -155,8 +171,8 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
     roots, conv = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds, tol=1e-13,
                                      max_iter=40)
     conv &= np.abs(roots - seeds) <= 2.0
-    polished = zip(n_all.tolist(), b_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist())
-    for n, b, seed, z, ok in polished:
+    polished = zip(n_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist())
+    for n, seed, z, ok in polished:
         if not ok:
             box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
             try:
@@ -170,9 +186,8 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
                 z, ok = seed, False
         ns.append(n)
         mus.append(z)
-        bns.append(b)
         pol.append(ok)
-    return LeadingZeros(tag, ns, mus, bns, pol)
+    return LeadingZeros(tag, ns, mus, pol)
 
 
 @dataclass
@@ -191,8 +206,8 @@ def g1_degenerate_zeros(scalars: PotentialScalars) -> Optional[DegeneratePair]:
     imaginary pair. Candidates are checked against the double-zero system
     (sin and cos conditions) and flagged genuine/spurious.
     """
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), 1e-12)
-    if abs(scalars.omega) < _ZERO_TOL * scale or abs(scalars.q_at_1) < _ZERO_TOL * scale:
+    omega_zero, q1_zero, _ = vanishing(scalars)
+    if omega_zero or q1_zero:
         raise DomainError("degenerate-zero candidates need omega != 0 and q(1) != 0")
     w, q1 = scalars.omega, scalars.q_at_1
     ratio = w / q1
@@ -242,10 +257,7 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
     ns = [int(n) for n in n_range]
     if any(n < 1 for n in ns):
         raise DomainError("predictions are defined for n >= 1")
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), abs(scalars.dq_at_1), 1e-12)
-    omega_zero = abs(scalars.omega) < _ZERO_TOL * scale
-    q1_zero = abs(scalars.q_at_1) < _ZERO_TOL * scale
-    dq1_zero = abs(scalars.dq_at_1) < _ZERO_TOL * scale
+    omega_zero, q1_zero, dq1_zero = vanishing(scalars)
     q1no, q2no, q3no, q4no = q_constants(scalars)
     constants = {"Q1": q1no, "Q2": q2no, "Q3": q3no, "Q4": q4no, "q_at_1": scalars.q_at_1}
     w, q1, dq1 = scalars.omega, scalars.q_at_1, scalars.dq_at_1
@@ -305,11 +317,8 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
         ns = doubled
     elif theorem_tag == "Dirichlet_i":
         _require(not omega_zero and not q1_zero, theorem_tag, "needs omega != 0 and q(1) != 0")
-        # The Dirichlet leading function flips the sign of q(1): the mu_n case
-        # selection swaps relative to the Robin problem.
-        from dataclasses import replace as _replace
-
-        lz = leading_zeros(_replace(scalars, q_at_1=-q1, dq_at_1=-dq1), max(ns))
+        # The mu_n case selection swaps relative to the Robin problem.
+        lz = leading_zeros(_dirichlet_flip(scalars), max(ns))
         mu_by_n = dict(zip(lz.ns, lz.mu_n))
         mus = [mu_by_n[n] for n in ns]
         corr = [+q3no / (4 * n * math.pi * q1) for n in ns]
@@ -330,9 +339,7 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
     consecutive targets, n_min the smallest index the theorem assigns in the
     first quadrant. Used both to seed targeted searches and to index zeros.
     """
-    scale = max(abs(scalars.q_at_1), abs(scalars.omega), abs(scalars.dq_at_1), 1e-12)
-    omega_zero = abs(scalars.omega) < _ZERO_TOL * scale
-    q1_zero = abs(scalars.q_at_1) < _ZERO_TOL * scale
+    omega_zero, q1_zero, dq1_zero = vanishing(scalars)
 
     if not q1_zero:
         if omega_zero:
@@ -345,15 +352,13 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
             eff = scalars
             n_min = 0
         else:
-            from dataclasses import replace as _replace
-
-            eff = _replace(scalars, q_at_1=-scalars.q_at_1, dq_at_1=-scalars.dq_at_1)
+            eff = _dirichlet_flip(scalars)
             n_min = 1 if scalars.q_at_1 / scalars.omega > 0 else 0
         lz = leading_zeros(eff, n_hi, include_small=True)
         targets = [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)]
         return targets, math.pi, n_min
 
-    if abs(scalars.dq_at_1) > _ZERO_TOL * scale:
+    if not dq1_zero:
         n_hi = max(2, int(k_max / math.pi) + 2)
         if omega_zero:
             pred = predict_eigenvalues(scalars, "T42ii", range(1, n_hi))

@@ -18,18 +18,16 @@ from .jost import DEFAULT_RTOL, domain_error, jost_at_zero_many
 from .potential import Potential
 
 VARIANTS = ("robin", "dirichlet")
-K_SMALL_DEFAULT = 1e-3
+K_SMALL = 1e-3          # below this |k|, D takes the small-k extrapolation
 _RICHARDSON_FACTORS = (4.0, 2.0, 1.5, 1.0)
 
 
 @dataclass(frozen=True)
 class CharFunSample:
-    """One sample k -> D(k), tagged with the boundary-condition variant."""
+    """One grid sample k -> D(k), with the error text if the point failed."""
 
     k: complex
     value: complex
-    variant: str
-    h: float = 0.0
     error: Optional[str] = None
 
 
@@ -57,14 +55,14 @@ def _neville(zs, vals, z):
     return v[0]
 
 
-def _eval_d_small(p: Potential, k: complex, variant: str, rtol: float, k_small: float) -> complex:
-    """D(k) for |k| < k_small via extrapolation of the even function behind the 0/0.
+def _eval_d_small(p: Potential, k: complex, variant: str, rtol: float) -> complex:
+    """D(k) for |k| < K_SMALL via extrapolation of the even function behind the 0/0.
 
     The odd-difference/k terms are even analytic in k, so they are interpolated
-    in the variable k^2 from samples at |k| in {4,2,1.5,1}*k_small on the same ray.
+    in the variable k^2 from samples at |k| in {4,2,1.5,1}*K_SMALL on the same ray.
     """
     direction = k / abs(k) if abs(k) > 0 else 1.0 + 0j
-    nodes = np.array([c * k_small * direction for c in _RICHARDSON_FACTORS], dtype=complex)
+    nodes = np.array([c * K_SMALL * direction for c in _RICHARDSON_FACTORS], dtype=complex)
     stack = np.concatenate([nodes, -nodes, [k, -k]])
     f, fp = jost_at_zero_many(p, stack, rtol=rtol)
     nf, nfp = f[:4], fp[:4]
@@ -82,13 +80,12 @@ def _eval_d_small(p: Potential, k: complex, variant: str, rtol: float, k_small: 
     return complex(_neville(zs, d_nodes, k * k))
 
 
-def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_RTOL,
-                k_small: float = K_SMALL_DEFAULT) -> np.ndarray:
-    """Vectorized D over an array of k."""
+def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """D over an array of k, with the stable small-k path for the removable 1/k terms."""
     _check_variant(variant)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     out = np.empty(ks.shape, dtype=complex)
-    small = np.abs(ks) < k_small
+    small = np.abs(ks) < K_SMALL
     if np.any(~small):
         idx = np.nonzero(~small)[0]
         stack = np.concatenate([ks[idx], -ks[idx]])
@@ -96,15 +93,8 @@ def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_
         nsel = idx.size
         out[idx] = _d_from_jost(ks[idx], f[:nsel], fp[:nsel], f[nsel:], fp[nsel:], variant, p.h)
     for i in np.nonzero(small)[0]:
-        out[i] = _eval_d_small(p, complex(ks[i]), variant, rtol, k_small)
+        out[i] = _eval_d_small(p, complex(ks[i]), variant, rtol)
     return out
-
-
-def eval_D(p: Potential, k, variant: str = "robin", rtol: float = DEFAULT_RTOL,
-           k_small: float = K_SMALL_DEFAULT) -> CharFunSample:
-    """D(k) for one k, with the stable small-k path for the removable 1/k terms."""
-    value = eval_D_many(p, [k], variant=variant, rtol=rtol, k_small=k_small)[0]
-    return CharFunSample(k=complex(k), value=complex(value), variant=variant, h=p.h)
 
 
 def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
@@ -134,7 +124,7 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
                 values[i] = eval_D_many(p, points[i:i + 1], variant=variant, rtol=rtol)[0]
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
                 errors[i] = exc
-    return [CharFunSample(k=complex(c), value=complex(v), variant=variant, h=p.h,
+    return [CharFunSample(k=complex(c), value=complex(v),
                           error=None if e is None else f"{type(e).__name__}: {e}")
             for c, v, e in zip(points, values, errors)]
 
@@ -146,13 +136,11 @@ class DEvaluator:
     refinement and box subdivision do not re-integrate shared points.
     """
 
-    def __init__(self, p: Potential, variant: str = "robin", rtol: float = DEFAULT_RTOL,
-                 k_small: float = K_SMALL_DEFAULT):
+    def __init__(self, p: Potential, variant: str = "robin", rtol: float = DEFAULT_RTOL):
         _check_variant(variant)
         self.potential = p
         self.variant = variant
         self.rtol = rtol
-        self.k_small = k_small
         self._cache: dict = {}
 
     def __call__(self, ks):
@@ -170,16 +158,11 @@ class DEvaluator:
             else:
                 out[i] = hit
         if missing:
-            vals = eval_D_many(self.potential, missing, variant=self.variant,
-                               rtol=self.rtol, k_small=self.k_small)
+            vals = eval_D_many(self.potential, missing, variant=self.variant, rtol=self.rtol)
             for kk, v, i in zip(missing, vals, missing_idx):
                 self._cache[kk] = complex(v)
                 out[i] = v
         return complex(out[0]) if scalar else out
 
     def with_tolerance(self, rtol: float) -> "DEvaluator":
-        return DEvaluator(self.potential, self.variant, rtol=rtol, k_small=self.k_small)
-
-
-def make_d_evaluator(p: Potential, variant: str = "robin", rtol: float = DEFAULT_RTOL) -> DEvaluator:
-    return DEvaluator(p, variant, rtol=rtol)
+        return DEvaluator(self.potential, self.variant, rtol=rtol)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from . import asymptotics as asy
-from .charfun import DEvaluator, eval_D, sample_D_grid
+from .charfun import DEvaluator, eval_D_many, sample_D_grid
 from .config import RunConfig, check_values, env_overrides, load_config
 from .errors import ConfigError, TspecError, UnstableLimitError
 from .gamma_recovery import gamma_direct, gamma_from_endpoint, gamma_from_omega
@@ -169,9 +169,8 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
     if getattr(args, "dump_kernel", None):
         _dump_kernel_row(p, args.dump_kernel, args.kernel_mesh)
     if args.subcommand == "eval":
-        sample = eval_D(p, args.k, variant=cfg.variant, rtol=cfg.rtol)
-        _emit_json({"k": sample.k, "D": sample.value, "variant": sample.variant,
-                    "h": sample.h}, cfg.out)
+        value = eval_D_many(p, [args.k], variant=cfg.variant, rtol=cfg.rtol)[0]
+        _emit_json({"k": args.k, "D": complex(value), "variant": cfg.variant, "h": p.h}, cfg.out)
         return 0
     region = args.region or cfg.charfun.get("region") or [0.0, 10.0, 0.0, 3.0]
     samples = sample_D_grid(p, cfg.variant, region, args.nx, args.ny, rtol=cfg.rtol)

@@ -26,6 +26,8 @@ from .rootfind import orbit
 
 _CONJ_TOL = 1e-9
 _DEFAULT_UNSTABLE_TOL = 0.05
+_OMEGA_RUNGS = 5            # rungs of the omega route's doubling ladder
+_PROBE_MIN_DISTANCE = 0.1   # closest a direct-route probe may come to a listed root
 
 
 @dataclass(frozen=True)
@@ -187,12 +189,13 @@ def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str
     return limit_full, diagnostics
 
 
-def _omega_ladder(hp: HadamardProduct, rungs: int, k0: Optional[float]):
+def _omega_ladder(hp: HadamardProduct, k0: Optional[float]):
     """k_j = k0 * 2^j with k0 snapped to multiples of pi/2, dodging eigenvalues.
 
     Multiples of pi/2 null the universal sin(2k)/4k oscillation of the
     characteristic function, leaving clean 1/k^2-type corrections.
     """
+    rungs = _OMEGA_RUNGS
     mirrors = orbit(hp.sqrt_roots()).ravel()
     for m in range(1, 10):
         base = (m * math.pi / 2.0) if k0 is None else k0
@@ -205,7 +208,7 @@ def _omega_ladder(hp: HadamardProduct, rungs: int, k0: Optional[float]):
 
 
 def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: str = "robin",
-                     *, k0: Optional[float] = None, rungs: int = 5,
+                     *, k0: Optional[float] = None,
                      unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
     """gamma = (omega/2) / lim E(k) (Robin) or (omega/2) / lim k^2 E(k) (Dirichlet),
     the limit taken along a real-k doubling ladder with drift-compensated
@@ -215,7 +218,7 @@ def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: st
         raise DomainError("the omega route needs a nonzero mean of the potential")
     if hp.truncation < 2:
         raise DomainError("need at least a handful of eigenvalues")
-    ks = _omega_ladder(hp, rungs, k0)
+    ks = _omega_ladder(hp, k0)
     logs, signs = [], []
     for k in ks:
         le = log_E(hp, k)
@@ -254,6 +257,8 @@ def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant:
     if taus is None:
         taus = [-(4.0 + 2.0 * j) for j in range(5)]
     taus = np.asarray(taus, dtype=float)
+    if taus.size < 2:
+        raise DomainError("endpoint route needs at least two taus")
     if np.any(taus >= 0):
         raise DomainError("tau ladder must be negative")
     expo = m + 1 if variant == "robin" else m + 3
@@ -273,13 +278,12 @@ def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant:
                          probes=tuple(taus.tolist()), diagnostics=diagnostics)
 
 
-def gamma_direct(d_evaluator: Callable, hp: HadamardProduct, probe_k: float,
-                 *, min_distance: float = 0.1) -> GammaEstimate:
+def gamma_direct(d_evaluator: Callable, hp: HadamardProduct, probe_k: float) -> GammaEstimate:
     """Single-point ratio D(k0)/E(k0); ground truth for the limit routes."""
     probe = complex(probe_k)
     if hp.truncation:
         dist = float(np.min(np.abs(probe - orbit(hp.sqrt_roots()))))
-        if dist <= min_distance:
+        if dist <= _PROBE_MIN_DISTANCE:
             raise ProbeTooCloseError(f"probe {probe} is {dist:.3g} from a listed root")
     d_val = complex(np.asarray(d_evaluator(np.array([probe])), dtype=complex)[0])
     e_val = eval_E(hp, probe)

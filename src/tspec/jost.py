@@ -16,14 +16,13 @@ The independent representations that cross-check this path live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntegrationFailureError
 from .potential import Potential, aligned_cells
 
-IM_CAP_DEFAULT = 60.0   # |Im k| cap; e^{2|Im k|} factors overflow well beyond this
+IM_CAP = 60.0           # |Im k| cap; e^{2|Im k|} factors overflow well beyond this
 DEFAULT_RTOL = 1e-12
 
 # Gauss-Legendre nodes of order 3 on [0, 1].
@@ -33,15 +32,6 @@ _MAX_CELLS = 8192       # doubling past this raises IntegrationFailureError
 _BLOCK = 2048           # cells x k per block: 32 KiB per temporary, fastest of 1024-65536
 _RICHARDSON = 63.0      # 2^6 - 1
 _ROUNDING = 4.0 * np.finfo(float).eps   # per-cell rounding of the backward solve
-
-
-@dataclass(frozen=True)
-class JostValue:
-    """f(k,0) and f'(k,0) for one spectral wavenumber k (lambda = k^2)."""
-
-    k: complex
-    f: complex
-    fprime: complex
 
 
 def _magnus_generators(h: float, q1, q2, q3):
@@ -118,18 +108,18 @@ def _propagate(qfun, ks: np.ndarray, cells: int):
     return y[0], y[1]
 
 
-def domain_error(ks, im_cap: float = IM_CAP_DEFAULT):
+def domain_error(ks):
     """The DomainError that :func:`jost_at_zero_many` raises for ks, or None if it takes them."""
     ks = np.asarray(ks, dtype=complex)
     if not np.all(np.isfinite(ks)):
         return DomainError("k must be finite")
-    if np.any(np.abs(ks.imag) > im_cap):
-        return DomainError(f"|Im k| exceeds the integrator cap {im_cap}")
+    if np.any(np.abs(ks.imag) > IM_CAP):
+        return DomainError(f"|Im k| exceeds the integrator cap {IM_CAP}")
     return None
 
 
-def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL, im_cap: float = IM_CAP_DEFAULT):
-    """Vectorized f(k,0), f'(k,0) over an array of k.
+def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
+    """f(k,0), f'(k,0) over an array of k, by backward propagation from f(k,1) = e^{ik}.
 
     A constant q is exact in one cell. Otherwise, starting from the smallest
     knot-aligned count of at least 8 cells, the cell count doubles for every k
@@ -145,7 +135,7 @@ def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL, im_cap: floa
     raises IntegrationFailureError.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    error = domain_error(ks, im_cap)
+    error = domain_error(ks)
     if error is not None:
         raise error
     if ks.size == 0:
@@ -183,8 +173,3 @@ def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL, im_cap: floa
         active, f, fp = active[~done], f2[~done], fp2[~done]
     return out_f, out_fp
 
-
-def jost_at_zero(p: Potential, k, rtol: float = DEFAULT_RTOL, im_cap: float = IM_CAP_DEFAULT) -> JostValue:
-    """Jost solution at x=0 by backward integration from f(k,1)=e^{ik}."""
-    f, fp = jost_at_zero_many(p, [k], rtol=rtol, im_cap=im_cap)
-    return JostValue(k=complex(k), f=complex(f[0]), fprime=complex(fp[0]))

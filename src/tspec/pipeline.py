@@ -23,13 +23,16 @@ from .errors import (BoundaryTooCloseError, DomainError, HypothesisMismatchError
                      UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, _local_scale,
-                       find_zeros, gamma_contour_count, index_eigenvalues, newton_refine_many,
-                       orbit, origin_multiplicity, representative, winding_count)
+from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, find_zeros,
+                       gamma_contour_count, index_eigenvalues, newton_refine_many, orbit,
+                       origin_multiplicity, representative, winding_count)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
 _DIRECT_PROBE_CANDIDATES = (0.37, 0.71, 0.53, 1.13, 1.91)
+_RTOL_WINDING = 1e-8        # D tolerance of the winding count certifying a targeted root
+_SYMMETRY_TOL = 1e-9        # relative distance at which a record counts as a mirror image
+_SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the decay audit
 
 
 def is_degenerate(dev: DEvaluator) -> bool:
@@ -40,8 +43,7 @@ def is_degenerate(dev: DEvaluator) -> bool:
 
 def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                       n_lo: int, n_hi: int, *, rtol: float = 1e-12,
-                      rtol_refine: float = 1e-13, rtol_winding: float = 1e-8,
-                      verify: bool = True) -> List[Eigenvalue]:
+                      rtol_refine: float = 1e-13) -> List[Eigenvalue]:
     """Indexed eigenvalues n_lo..n_hi found from asymptotic seeds.
 
     Batched Newton from the predicted locations, polished at rtol_refine; each
@@ -51,7 +53,7 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     """
     dev = DEvaluator(p, variant, rtol=rtol)
     dev_fine = dev.with_tolerance(rtol_refine)
-    dev_wind = dev.with_tolerance(rtol_winding)
+    dev_wind = dev.with_tolerance(_RTOL_WINDING)
     k_max = (n_hi + 2) * math.pi
     targets, spacing, _ = asy.index_targets(scalars, variant, k_max)
     sel = [(n, val, br) for (n, val, br) in targets if n_lo <= n <= n_hi]
@@ -67,7 +69,7 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     for (n, target, br), root, ok in zip(sel, roots, good):
         if not ok or abs(root - target) > half:
             root, ok = _boxed_fallback(dev, dev_fine, target, half)
-        if verify and ok:
+        if ok:
             box = ContourBox(root.real - half, root.real + half,
                              root.imag - half, root.imag + half)
             try:
@@ -78,10 +80,8 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                 root, ok = _boxed_fallback(dev, dev_fine, target, half)
         rep = representative(root)
         residual = float(abs(complex(dev_fine(rep))))
-        local_scale = _local_scale(dev_fine, rep, 0.5 * min(1.0, spacing / 2.0))
-        out.append(Eigenvalue(k=rep, lam=rep * rep, index=n, multiplicity=1,
-                              residual=residual, cls=_classify(rep), copies=(complex(root),),
-                              local_scale=local_scale, refined=bool(ok), branch=br))
+        out.append(Eigenvalue(k=rep, index=n, multiplicity=1, residual=residual,
+                              cls=_classify(rep), refined=bool(ok), branch=br))
     return out
 
 
@@ -134,10 +134,8 @@ def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
         rep = representative(complex(r.re_k, r.im_k))
         key = (round(rep.real, 9), round(rep.imag, 9))
         if key not in seen:
-            seen[key] = Eigenvalue(k=rep, lam=rep * rep, index=r.index,
-                                   multiplicity=r.multiplicity, residual=r.residual,
-                                   cls=r.cls, copies=(complex(r.re_k, r.im_k),),
-                                   branch=r.branch)
+            seen[key] = Eigenvalue(k=rep, index=r.index, multiplicity=r.multiplicity,
+                                   residual=r.residual, cls=r.cls, branch=r.branch)
     return sorted(seen.values(), key=lambda e: (e.index if e.index is not None else 10 ** 9,
                                                 abs(e.k)))
 
@@ -219,17 +217,17 @@ class ValidationReport:
         self.entries.append(AuditEntry(name=name, status=status, detail=detail))
 
 
-def audit_symmetry(records: List[SpectrumRecord], tol: float = 1e-9) -> AuditEntry:
+def audit_symmetry(records: List[SpectrumRecord]) -> AuditEntry:
     """The record set must be closed under k -> -k and k -> k*.
 
     An image of k counts as present when its nearest record lies within
-    tol (1 + |k|).
+    1e-9 (1 + |k|).
     """
     ks = np.array([complex(r.re_k, r.im_k) for r in records], dtype=complex)
     images = orbit(ks)[:, 1:].ravel()     # record-major: -k, k*, -k* per record
     tree = cKDTree(np.column_stack([ks.real, ks.imag]))
     dist, _ = tree.query(np.column_stack([images.real, images.imag]))
-    missing = np.nonzero(dist > tol * (1.0 + np.abs(np.repeat(ks, 3))))[0]
+    missing = np.nonzero(dist > _SYMMETRY_TOL * (1.0 + np.abs(np.repeat(ks, 3))))[0]
     if missing.size:
         first = missing[0]
         return AuditEntry("symmetry-closure", "fail",
@@ -239,8 +237,8 @@ def audit_symmetry(records: List[SpectrumRecord], tol: float = 1e-9) -> AuditEnt
 
 
 def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry:
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), 1e-12)
-    if abs(scalars.omega) < 1e-9 * scale or abs(scalars.q_at_1) < 1e-9 * scale:
+    omega_zero, q1_zero, _ = asy.vanishing(scalars)
+    if omega_zero or q1_zero:
         return AuditEntry("contour-counts", "skipped",
                           "counting theorem needs omega != 0 and q(1) != 0")
     ratio = scalars.q_at_1 / scalars.omega
@@ -259,22 +257,20 @@ def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry
 
 
 def default_theorem_tag(scalars: PotentialScalars, variant: str) -> Optional[str]:
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), abs(scalars.dq_at_1), 1e-12)
-    omega_zero = abs(scalars.omega) < 1e-9 * scale
-    q1_zero = abs(scalars.q_at_1) < 1e-9 * scale
+    omega_zero, q1_zero, dq1_zero = asy.vanishing(scalars)
     if variant == "dirichlet":
         if q1_zero:
             return None
         return "Dirichlet_ii" if omega_zero else "Dirichlet_i"
     if not q1_zero:
         return "T41ii_W22" if omega_zero else "T41i_W22"
-    if abs(scalars.dq_at_1) > 1e-9 * scale:
+    if not dq1_zero:
         return "T42ii" if omega_zero else "T42i"
     return None
 
 
 def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, variant: str,
-                         theorem: Optional[str] = None, slope_tol: float = -0.3) -> AuditEntry:
+                         theorem: Optional[str] = None) -> AuditEntry:
     tag = theorem or default_theorem_tag(scalars, variant)
     if tag is None:
         return AuditEntry("residual-decay", "skipped", "no asymptotic theorem applies")
@@ -293,8 +289,8 @@ def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, var
         return AuditEntry("residual-decay", "fail", f"hypothesis mismatch: {exc}")
     except DomainError as exc:
         return AuditEntry("residual-decay", "skipped", str(exc))
-    ok = report.loglog_slope <= slope_tol and report.tails_decreasing
-    detail = (f"tag {tag}: slope {report.loglog_slope:.2f} (tol {slope_tol}), "
+    ok = report.loglog_slope <= _SLOPE_TOL and report.tails_decreasing
+    detail = (f"tag {tag}: slope {report.loglog_slope:.2f} (tol {_SLOPE_TOL}), "
               f"tail sums {report.tail_first:.3e} -> {report.tail_second:.3e}")
     return AuditEntry("residual-decay", "pass" if ok else "fail", detail)
 
@@ -319,9 +315,8 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
     if probe is None:
         return AuditEntry("gamma-consistency", "skipped", "no clear probe point")
     direct = gamma_direct(dev, hp, probe)
-    scale = max(abs(scalars.omega), abs(scalars.q_at_1), abs(scalars.dq_at_1), 1e-12)
     try:
-        if abs(scalars.omega) > 1e-9 * scale:
+        if not asy.vanishing(scalars)[0]:
             other = gamma_from_omega(hp, scalars, variant)
         elif scalars.m_order is not None:
             other = gamma_from_endpoint(hp, scalars, variant)

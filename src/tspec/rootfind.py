@@ -25,7 +25,10 @@ _SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59, 0.5)
 _CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
 _STENCIL = np.array([0, 1, -1, 1j, -1j])[:, None]              # Newton points z + d * offset
 _DERIV_WEIGHTS = np.array([0, 0.25, -0.25, -0.25j, 0.25j])    # f'(z) d from the stencil values
+_STEP_REL = 1e-6            # Newton stencil step, relative to max(1, |z|)
 _STALL_REL = 1e-8           # a step this small, relative, may end Newton on the noise floor
+_DEDUP_TOL = 1e-6           # relative distance at which two box roots are one root
+_ORIGIN_RADIUS = 0.3        # half-side of the square counted around k = 0
 
 
 @dataclass
@@ -57,18 +60,20 @@ class ContourBox:
 
 @dataclass
 class Eigenvalue:
-    """A zero of D with its first-quadrant representative k (lambda = k^2)."""
+    """A zero of D by its first-quadrant representative k."""
 
     k: complex
-    lam: complex
     index: Optional[int]
     multiplicity: int
     residual: float
     cls: str
-    copies: tuple = ()
-    local_scale: float = math.nan
     refined: bool = True
     branch: Optional[int] = None
+
+    @property
+    def lam(self) -> complex:
+        """The transmission eigenvalue lambda = k^2."""
+        return self.k * self.k
 
 
 @dataclass
@@ -76,7 +81,6 @@ class ZeroSearchResult:
     zeros: List[Eigenvalue]
     raw_zeros: list
     unresolved: List[ContourBox]
-    region: tuple
 
 
 def _boundary_points(box: ContourBox, spacing: float):
@@ -96,15 +100,15 @@ def _wrapped_jumps(vals: np.ndarray) -> np.ndarray:
     return np.angle(ratio)
 
 
-def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
-                  max_points: int = _MAX_BOUNDARY_POINTS, spacing: float = 0.2,
-                  perturb: bool = True) -> int:
+def winding_count(f: Callable, box: ContourBox, *, spacing: float = 0.2) -> int:
     """Number of zeros of f inside the box, counted with multiplicity.
 
     Total boundary argument variation divided by 2*pi, sampled adaptively
-    until successive-point phase jumps fall below jump_tol; the result must
+    until successive-point phase jumps fall below pi/2; the result must
     round to an integer with gap < 0.25. A boundary running too close to a
-    zero triggers up to three outward perturbations of the box.
+    zero triggers up to three outward perturbations of the box. Raises
+    BoundaryTooCloseError when the perturbations run out, and
+    PhaseResolutionError when the refinement needs more than 2^14 samples.
     """
     base = box
     exhausted = False
@@ -126,7 +130,7 @@ def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
                 ok = False
                 break
             jumps = _wrapped_jumps(vals)
-            bad = np.nonzero(np.abs(jumps) > jump_tol)[0]
+            bad = np.nonzero(np.abs(jumps) > _JUMP_TOL)[0]
             if bad.size == 0:
                 break
             nxt = np.roll(pts, -1)
@@ -136,7 +140,7 @@ def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
             if np.any(seg_len < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
                 ok = False
                 break
-            if pts.size + bad.size > max_points:
+            if pts.size + bad.size > _MAX_BOUNDARY_POINTS:
                 ok = False
                 exhausted = True
                 break
@@ -153,18 +157,11 @@ def winding_count(f: Callable, box: ContourBox, *, jump_tol: float = _JUMP_TOL,
                     f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
             base.winding = w
             return w
-        if not perturb:
-            if exhausted:
-                raise PhaseResolutionError(
-                    f"boundary refinement exceeded {max_points} points on box "
-                    f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
-            raise BoundaryTooCloseError(
-                f"zero too close to the boundary of [{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
         box = ContourBox(base.s0 - delta, base.s1 + delta, base.t0 - delta, base.t1 + delta)
     if exhausted:
         raise PhaseResolutionError(
-            f"boundary refinement exceeded {max_points} points near "
+            f"boundary refinement exceeded {_MAX_BOUNDARY_POINTS} points near "
             f"[{base.s0},{base.s1}]x[{base.t0},{base.t1}]")
     raise BoundaryTooCloseError(
         f"zero on the boundary of [{base.s0},{base.s1}]x[{base.t0},{base.t1}] "
@@ -193,12 +190,11 @@ def _line_clear(f, a: complex, b: complex) -> bool:
     return bool(np.all(np.abs(jumps) < 0.75 * math.pi))
 
 
-def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30,
-                       step_rel: float = 1e-6):
+def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30):
     """Vectorized Newton over many seeds; one stacked evaluation per sweep.
 
     The derivative is the mean of the central differences along the real and
-    imaginary directions with step step_rel max(1, |z|). A seed converges once
+    imaginary directions with step 1e-6 max(1, |z|). A seed converges once
     its step is below tol max(1, |z|). A seed whose step has failed to shrink
     twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
     evaluation noise floor and is accepted at the iterate of that smallest
@@ -217,7 +213,7 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     for _ in range(max_iter):
         if live.size == 0:
             break
-        d = step_rel * scale
+        d = _STEP_REL * scale
         vals = np.asarray(f((z + d * _STENCIL).ravel()), dtype=complex).reshape(5, -1)
         deriv = _DERIV_WEIGHTS @ vals / d
         dead = deriv == 0
@@ -324,14 +320,9 @@ def _classify(k: complex) -> str:
     return "quadrant"
 
 
-def _local_scale(f, k: complex, radius: float) -> float:
-    circle = k + radius * np.exp(2j * math.pi * np.arange(8) / 8)
-    return float(np.max(np.abs(np.asarray(f(circle), dtype=complex))))
-
-
 def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[Callable] = None,
-               min_size: float = 1e-7, dedup_tol: float = 1e-6,
-               spacing: float = 0.2, symmetry: bool = True) -> ZeroSearchResult:
+               min_size: float = 1e-7, spacing: float = 0.2,
+               symmetry: bool = True) -> ZeroSearchResult:
     """All zeros of f in region = (s0, s1, t0, t1), with multiplicities.
 
     Boxes are bisected (children must reproduce the parent winding) until each
@@ -380,7 +371,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     deduped = []
     for z, mult, refined in sorted(raw, key=lambda r: (r[0].real, r[0].imag)):
         for j, (z2, _m2, r2) in enumerate(deduped):
-            if abs(z - z2) < dedup_tol * max(1.0, abs(z)):
+            if abs(z - z2) < _DEDUP_TOL * max(1.0, abs(z)):
                 if refined and not r2:
                     deduped[j] = (z, mult, refined)
                 break
@@ -392,32 +383,23 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     for z, mult, refined in deduped:
         rep = representative(z) if symmetry else z
         for orb in orbits:
-            if symmetry and abs(rep - orb["rep"]) < 10 * dedup_tol * max(1.0, abs(rep)):
-                orb["copies"].append(z)
+            if symmetry and abs(rep - orb["rep"]) < 10 * _DEDUP_TOL * max(1.0, abs(rep)):
                 orb["refined"] &= refined
                 break
         else:
-            orbits.append({"rep": rep, "mult": mult, "copies": [z], "refined": refined})
+            orbits.append({"rep": rep, "mult": mult, "refined": refined})
 
     zeros = []
-    reps = [orb["rep"] for orb in orbits]
     for orb in orbits:
         rep = orb["rep"]
-        tol = _CLS_TOL * (1.0 + abs(rep))
-        others = [abs(rep - r) for r in reps if r is not rep and abs(rep - r) > tol]
-        radius = 0.5 * min(1.0, min(others) if others else 1.0)
         residual = float(abs(np.asarray(rf(np.array([rep])), dtype=complex)[0]))
-        zeros.append(Eigenvalue(
-            k=rep, lam=rep * rep, index=None, multiplicity=orb["mult"],
-            residual=residual, cls=_classify(rep), copies=tuple(orb["copies"]),
-            local_scale=_local_scale(rf, rep, radius), refined=orb["refined"],
-        ))
+        zeros.append(Eigenvalue(k=rep, index=None, multiplicity=orb["mult"], residual=residual,
+                                cls=_classify(rep), refined=orb["refined"]))
     zeros.sort(key=lambda e: (abs(e.k), e.k.real))
-    return ZeroSearchResult(zeros=zeros, raw_zeros=deduped, unresolved=unresolved,
-                            region=(s0, s1, t0, t1))
+    return ZeroSearchResult(zeros=zeros, raw_zeros=deduped, unresolved=unresolved)
 
 
-def gamma_contour_count(d_evaluator: Callable, n: int, *, spacing: float = 0.2) -> int:
+def gamma_contour_count(d_evaluator: Callable, n: int) -> int:
     """Zeros of k*D(k) inside the square contour with half-side (n+1)*pi.
 
     The k factor contributes the origin zero the counting theorem includes.
@@ -429,12 +411,12 @@ def gamma_contour_count(d_evaluator: Callable, n: int, *, spacing: float = 0.2) 
         arr = np.asarray(ks, dtype=complex)
         return arr * np.asarray(d_evaluator(arr), dtype=complex)
 
-    return winding_count(kd, box, spacing=spacing)
+    return winding_count(kd, box)
 
 
-def origin_multiplicity(d_evaluator: Callable, radius: float = 0.3) -> int:
-    """Multiplicity s of the zero eigenvalue: half the winding of D at the origin."""
-    box = ContourBox(-radius, radius, -radius, radius)
+def origin_multiplicity(d_evaluator: Callable) -> int:
+    """Multiplicity s of the zero eigenvalue: half the winding of D around the origin."""
+    box = ContourBox(-_ORIGIN_RADIUS, _ORIGIN_RADIUS, -_ORIGIN_RADIUS, _ORIGIN_RADIUS)
     w = winding_count(d_evaluator, box)
     if w % 2:
         raise PhaseResolutionError(f"odd origin winding {w} for an even function")

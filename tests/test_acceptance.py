@@ -15,7 +15,7 @@ import pytest
 
 from tspec import Potential, derive_scalars, q_constants
 from tspec.asymptotics import leading_zeros, solve_transcendental
-from tspec.charfun import make_d_evaluator
+from tspec.charfun import DEvaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
 from tspec.crosscheck import jost_via_kernel
@@ -63,7 +63,7 @@ def xm1_spectrum():
 
 
 def test_criterion_1_constant_potential_oracle(q1, rng):
-    desc = "jost_at_zero matches the closed form at 50 complex k, |k|<=30, 1e-9, <10 s"
+    desc = "jost_at_zero_many matches the closed form at 50 complex k, |k|<=30, 1e-9, <10 s"
     with criterion(1, desc):
         ks = 30 * rng.uniform(0.03, 1.0, 50) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
         t0 = time.time()
@@ -81,7 +81,7 @@ def test_criterion_1_constant_potential_oracle(q1, rng):
 def test_criterion_2_dirichlet_closed_form_spectrum(q1):
     desc = "Dirichlet q=1 spectrum on [0.1,30]x[-0.2,0.2] matches the 1-D bisection oracle"
     with criterion(2, desc):
-        dev = make_d_evaluator(q1, "dirichlet", rtol=1e-10)
+        dev = DEvaluator(q1, "dirichlet", rtol=1e-10)
         res = find_zeros(dev, (0.1, 30.0, -0.2, 0.2),
                          refine_f=dev.with_tolerance(1e-13))
         computed = sorted(z.k.real for z in res.zeros if z.cls == "real")
@@ -128,11 +128,11 @@ def test_criterion_2_dirichlet_closed_form_spectrum(q1):
 def test_criterion_3_contour_counting(q1):
     desc = "Gamma_n counts: 4n+5 for q=1 and 4n+3 for q=1-1.6x, n in {2,3,4}"
     with criterion(3, desc):
-        dev = make_d_evaluator(q1, "robin", rtol=1e-9)
+        dev = DEvaluator(q1, "robin", rtol=1e-9)
         for n in (2, 3, 4):
             assert gamma_contour_count(dev, n) == 4 * n + 5
         p = Potential.polynomial([1.0, -1.6])  # omega = 0.2, q(1) = -0.6
-        dev2 = make_d_evaluator(p, "robin", rtol=1e-9)
+        dev2 = DEvaluator(p, "robin", rtol=1e-9)
         for n in (2, 3, 4):
             assert gamma_contour_count(dev2, n) == 4 * n + 3
 
@@ -181,7 +181,7 @@ def test_criterion_5_transcendental_solver(rng):
 def test_criterion_6_symmetry_closure(q1):
     desc = "computed spectra are invariant under k -> -k and k -> k* within 1e-9"
     with criterion(6, desc):
-        dev = make_d_evaluator(q1, "robin", rtol=1e-9)
+        dev = DEvaluator(q1, "robin", rtol=1e-9)
         res = find_zeros(dev, (-7.5, 7.5, -2.6, 2.6),
                          refine_f=dev.with_tolerance(1e-13))
         raw = [z for z, _m, _r in res.raw_zeros]
@@ -198,7 +198,7 @@ def test_criterion_7_gamma_consistency_triangle(q1, q1_scalars, q1_spectrum, xm1
         evs, _ = q1_spectrum
         hp = from_eigenvalues(evs)
         assert hp.truncation == 60  # 30 conjugate pairs
-        dev = make_d_evaluator(q1, "robin", rtol=1e-12)
+        dev = DEvaluator(q1, "robin", rtol=1e-12)
         direct_a = gamma_direct(dev, hp, 0.37).gamma
         direct_b = gamma_direct(dev, hp, 0.71).gamma
         omega_est = gamma_from_omega(hp, q1_scalars).gamma
@@ -224,7 +224,7 @@ def test_criterion_7_gamma_consistency_triangle(q1, q1_scalars, q1_spectrum, xm1
         # Endpoint route on q = x - 1 (m = 1) against its own direct ratio.
         p, s, evs_x = xm1_spectrum
         hp_x = from_eigenvalues(evs_x)
-        dev_x = make_d_evaluator(p, "robin", rtol=1e-12)
+        dev_x = DEvaluator(p, "robin", rtol=1e-12)
         direct_x = gamma_direct(dev_x, hp_x, 0.37).gamma
         endpoint_x = gamma_from_endpoint(hp_x, s).gamma
         assert abs(endpoint_x - direct_x) <= 0.10 * abs(direct_x), \
@@ -236,7 +236,7 @@ def test_criterion_8_omega_zero_real_spectrum():
     with criterion(8, desc):
         p = Potential.polynomial([-0.5, 1.0])
         s = derive_scalars(p)
-        dev = make_d_evaluator(p, "robin", rtol=1e-10)
+        dev = DEvaluator(p, "robin", rtol=1e-10)
         res = find_zeros(dev, (7.2, 40.2, -0.6, 0.6),
                          refine_f=dev.with_tolerance(1e-13))
         indexed = index_eigenvalues(res.zeros, s, "robin")

@@ -6,8 +6,10 @@ import pytest
 
 from tspec import Potential, derive_scalars
 from tspec.asymptotics import (eval_g1, g1_degenerate_zeros, index_targets, leading_zeros,
-                               predict_eigenvalues, residual_report, solve_transcendental)
+                               predict_eigenvalues, residual_report, solve_transcendental,
+                               vanishing)
 from tspec.errors import DomainError, HypothesisMismatchError
+from tspec.pipeline import default_theorem_tag
 from tspec.potential import PotentialScalars
 from tspec.rootfind import Eigenvalue
 
@@ -172,6 +174,17 @@ class TestLemma32LowerBound:
             assert vals.min() > 0.1  # empirical positive floor
 
 
+class TestVanishing:
+    def test_scale_includes_endpoint_slope(self):
+        # q'(1) = 1e8 sets the scale: omega = q(1) = 1e-2 lie below 1e-9 * 1e8,
+        # for the degenerate-zero check as for the theorem tag.
+        s = make_scalars(omega=1e-2, q1=1e-2, dq1=1e8)
+        assert vanishing(s) == (True, True, False)
+        with pytest.raises(DomainError):
+            g1_degenerate_zeros(s)
+        assert default_theorem_tag(s, "robin") == "T42ii"
+
+
 class TestDegenerateZeros:
     def test_ratio_above_one_has_none(self):
         assert g1_degenerate_zeros(make_scalars(omega=2.0, q1=1.0)) is None
@@ -248,8 +261,8 @@ class TestResidualReport:
     def _zeros_from(self, pred):
         out = []
         for n, v, br in zip(pred.ns, pred.values, pred.branches):
-            out.append(Eigenvalue(k=v, lam=v * v, index=n, multiplicity=1, residual=0.0,
-                                  cls="quadrant", copies=(v,), branch=br))
+            out.append(Eigenvalue(k=v, index=n, multiplicity=1, residual=0.0,
+                                  cls="quadrant", branch=br))
         return out
 
     def test_exact_predictions_zero_residuals(self, q_one):
@@ -263,8 +276,7 @@ class TestResidualReport:
     def test_index_mismatch_raises(self, q_one):
         s = derive_scalars(q_one)
         pred = predict_eigenvalues(s, "T41i_W22", [3, 4])
-        zeros = [Eigenvalue(k=1.0, lam=1.0, index=99, multiplicity=1, residual=0.0,
-                            cls="real", copies=(1.0,))]
+        zeros = [Eigenvalue(k=1.0, index=99, multiplicity=1, residual=0.0, cls="real")]
         with pytest.raises(DomainError):
             residual_report(zeros, pred)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tspec import Potential, charfun, derive_scalars, eval_D, sample_D_grid
-from tspec.charfun import eval_D_many, make_d_evaluator
+from tspec import DEvaluator, Potential, charfun, derive_scalars, sample_D_grid
+from tspec.charfun import eval_D_many
 from tspec.errors import DomainError
 from tspec.jost import jost_at_zero_many
 
@@ -50,12 +50,12 @@ class TestEvalD:
             assert np.max(np.abs(vals)) < 1e-10
 
     def test_dirichlet_closed_form(self, q_one):
-        d = eval_D(q_one, 4.0, variant="dirichlet").value
+        d = eval_D_many(q_one, [4.0], variant="dirichlet")[0]
         assert d == pytest.approx(complex(dirichlet_d_const1(4.0)), abs=1e-10)
 
     def test_robin_leading_asymptotics(self, q_one):
         # D ~ omega/2 + q(1) sin(2k)/(4k) with an O(1/k^2) remainder.
-        d = eval_D(q_one, 10.0).value
+        d = eval_D_many(q_one, [10.0])[0]
         lead = 0.5 + np.sin(20.0) / 40.0
         assert abs(d - lead) < 5.0 / 100.0
 
@@ -78,20 +78,20 @@ class TestEvalD:
         p = Potential.constant(1.0, h=0.7)
         for variant in ("robin", "dirichlet"):
             ray = np.exp(0.4j)
-            inner = eval_D(p, 0.99e-3 * ray, variant=variant).value
-            outer = eval_D(p, 1.01e-3 * ray, variant=variant).value
+            inner = eval_D_many(p, [0.99e-3 * ray], variant=variant)[0]
+            outer = eval_D_many(p, [1.01e-3 * ray], variant=variant)[0]
             assert abs(inner - outer) < 1e-7
-            at_zero = eval_D(p, 0.0, variant=variant).value
+            at_zero = eval_D_many(p, [0.0], variant=variant)[0]
             assert np.isfinite(at_zero.real) and np.isfinite(at_zero.imag)
 
     def test_dirichlet_large_k(self, q_one):
         # k^2 D(k) -> omega/2 along real k.
-        d = eval_D(q_one, 200.0, variant="dirichlet").value
+        d = eval_D_many(q_one, [200.0], variant="dirichlet")[0]
         assert abs(200.0 ** 2 * d - 0.5) < 0.1
 
     def test_unknown_variant(self, q_one):
         with pytest.raises(DomainError):
-            eval_D(q_one, 1.0, variant="neumann")
+            eval_D_many(q_one, [1.0], variant="neumann")
 
 
 class TestLeadingFunctionBound:
@@ -174,12 +174,12 @@ class TestGrid:
 
 class TestEvaluatorCache:
     def test_cache_hit_identical(self, q_one):
-        dev = make_d_evaluator(q_one, "robin")
+        dev = DEvaluator(q_one, "robin")
         first = dev(np.array([2.0 + 1.0j, 3.0]))
         again = dev(np.array([2.0 + 1.0j, 3.0]))
         assert np.all(first == again)
 
     def test_scalar_call(self, q_one):
-        dev = make_d_evaluator(q_one, "robin")
+        dev = DEvaluator(q_one, "robin")
         val = dev(2.0 + 1.0j)
         assert isinstance(val, complex)

@@ -176,6 +176,15 @@ class TestEndpointRoute:
             # Unstable is acceptable at this depth; overflow/NaN is not.
             assert all(np.isfinite(v) for v in exc.diagnostics.get("log_values", []))
 
+    @pytest.mark.parametrize("taus", [[], [-4.0]])
+    def test_needs_two_taus(self, taus):
+        # The extrapolation refits without its last rung, so one tau leaves nothing.
+        hp = self._xm1_like_hp()
+        scalars = PotentialScalars(omega=-0.5, q_at_1=0.0, dq_at_1=1.0, q_at_0=-1.0,
+                                   dq_at_0=1.0, q_sq_integral=1.0 / 3.0, m_order=(1, 1.0))
+        with pytest.raises(DomainError, match="at least two taus"):
+            gamma_from_endpoint(hp, scalars, taus=taus)
+
     def test_requires_m_order(self):
         hp = self._xm1_like_hp()
         scalars = PotentialScalars(omega=-0.5, q_at_1=0.0, dq_at_1=1.0, q_at_0=-1.0,
@@ -188,8 +197,7 @@ class TestFromEigenvalues:
     def test_quadrant_orbit_expansion(self):
         from tspec.rootfind import Eigenvalue
 
-        ev = Eigenvalue(k=2 + 1j, lam=(2 + 1j) ** 2, index=0, multiplicity=1,
-                        residual=0.0, cls="quadrant", copies=(2 + 1j,))
+        ev = Eigenvalue(k=2 + 1j, index=0, multiplicity=1, residual=0.0, cls="quadrant")
         hp = from_eigenvalues([ev])
         assert hp.truncation == 2
         assert eval_E(hp, 1.0).imag == 0.0
@@ -197,8 +205,7 @@ class TestFromEigenvalues:
     def test_real_zero_single_factor(self):
         from tspec.rootfind import Eigenvalue
 
-        ev = Eigenvalue(k=3.0 + 0j, lam=9.0 + 0j, index=1, multiplicity=2,
-                        residual=0.0, cls="real", copies=(3.0,))
+        ev = Eigenvalue(k=3.0 + 0j, index=1, multiplicity=2, residual=0.0, cls="real")
         hp = from_eigenvalues([ev])
         assert hp.truncation == 2  # multiplicity 2 repeats the factor
         assert eval_E(hp, 1.5).real == pytest.approx((1 - 2.25 / 9.0) ** 2, abs=1e-12)

@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import airye
 
 import tspec.jost
-from tspec import Potential, jost_at_zero
+from tspec import Potential
 from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
 from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
 from tspec.jost import jost_at_zero_many
@@ -74,26 +74,26 @@ def scaled_rel(ks, f, fp, f_ref, fp_ref):
 
 class TestJostAtZero:
     def test_free_potential(self, q_zero):
-        jv = jost_at_zero(q_zero, 2.0)
-        assert jv.f == pytest.approx(1.0, abs=1e-11)
-        assert jv.fprime == pytest.approx(2j, abs=1e-11)
+        f, fp = jost_at_zero_many(q_zero, [2.0])
+        assert f[0] == pytest.approx(1.0, abs=1e-11)
+        assert fp[0] == pytest.approx(2j, abs=1e-11)
 
     def test_constant_real_k(self, q_one):
-        jv = jost_at_zero(q_one, 3.0)
+        jf, jfp = jost_at_zero_many(q_one, [3.0])
         f, fp = const_jost(1.0, 3.0)
-        assert abs(jv.f - f) <= 1e-10 * abs(f)
-        assert abs(jv.fprime - fp) <= 1e-10 * abs(fp)
+        assert abs(jf[0] - f) <= 1e-10 * abs(f)
+        assert abs(jfp[0] - fp) <= 1e-10 * abs(fp)
 
     def test_constant_complex_k(self, q_one):
         k = 0.5 + 2j
-        jv = jost_at_zero(q_one, k)
+        jf, jfp = jost_at_zero_many(q_one, [k])
         f, fp = const_jost(1.0, k)
-        assert abs(jv.f - f) <= 1e-9 * abs(f)
-        assert abs(jv.fprime - fp) <= 1e-9 * abs(fp)
+        assert abs(jf[0] - f) <= 1e-9 * abs(f)
+        assert abs(jfp[0] - fp) <= 1e-9 * abs(fp)
 
     def test_imaginary_cap(self, q_one):
         with pytest.raises(DomainError):
-            jost_at_zero(q_one, 70j)
+            jost_at_zero_many(q_one, [70j])
 
     def test_tolerance_consistency(self, q_one, rng):
         # Halving the tolerance moves f(k,0) by less than the coarser tolerance.
@@ -115,9 +115,9 @@ class TestJostAtZero:
     def test_wronskian(self, q_one):
         # W[f(k,.), f(-k,.)] = -2ik for real k != 0, evaluated at x=0.
         for k in (1.0, 4.5, 11.0):
-            a = jost_at_zero(q_one, k)
-            b = jost_at_zero(q_one, -k)
-            w = a.f * b.fprime - a.fprime * b.f
+            (fa,), (fpa,) = jost_at_zero_many(q_one, [k])
+            (fb,), (fpb,) = jost_at_zero_many(q_one, [-k])
+            w = fa * fpb - fpa * fb
             assert w == pytest.approx(-2j * k, rel=1e-10)
 
 
@@ -221,16 +221,16 @@ class TestKernel:
     def test_kernel_route_vs_ode_route(self, q_one, kg_one_128):
         for k in range(1, 11):
             f_kernel = jost_via_kernel(kg_one_128, float(k))
-            f_ode = jost_at_zero(q_one, float(k)).f
+            f_ode = jost_at_zero_many(q_one, [float(k)])[0][0]
             assert abs(f_kernel - f_ode) < 1e-5
 
     def test_kernel_route_fine_mesh(self, q_one, kg_one_256):
         f_kernel = jost_via_kernel(kg_one_256, 5.0)
-        f_ode = jost_at_zero(q_one, 5.0).f
+        f_ode = jost_at_zero_many(q_one, [5.0])[0][0]
         assert abs(f_kernel - f_ode) < 1e-6
 
     def test_kernel_route_k_zero(self, q_one, kg_one_256):
-        assert abs(jost_via_kernel(kg_one_256, 0.0) - jost_at_zero(q_one, 0.0).f) < 1e-6
+        assert abs(jost_via_kernel(kg_one_256, 0.0) - jost_at_zero_many(q_one, [0.0])[0][0]) < 1e-6
 
     def test_mesh_too_coarse(self, q_one):
         with pytest.raises(DomainError):
@@ -252,7 +252,7 @@ class TestSuccessiveApprox:
     def test_matches_ode_route(self, q_one):
         # f(i tau, 0) = p(i tau, 0); compare with backward integration at k = i tau.
         st = successive_approx(q_one, -10.0)
-        f_ode = jost_at_zero(q_one, -10j).f
+        f_ode = jost_at_zero_many(q_one, [-10j])[0][0]
         assert abs(st.p_at_0 - f_ode) / abs(f_ode) < 1e-8
 
     def test_derivative_matches_ode_route(self, q_one):
@@ -260,7 +260,7 @@ class TestSuccessiveApprox:
         tau = -8.0
         st = successive_approx(q_one, tau)
         fp_series = st.dp_at_0 - tau * st.p_at_0
-        fp_ode = jost_at_zero(q_one, 1j * tau).fprime
+        fp_ode = jost_at_zero_many(q_one, [1j * tau])[1][0]
         assert abs(fp_series - fp_ode) / abs(fp_ode) < 1e-8
 
     def test_endpoint_asymptotics(self, q_xm1):

@@ -64,13 +64,19 @@ class TestTargeted:
         evs = targeted_spectrum(q_one, s, "robin", 3, 5)
         assert [e.index for e in evs] == [3, 4, 5]
         assert all(e.refined for e in evs)
-        from tspec.asymptotics import leading_zeros
+        from tspec.asymptotics import index_targets, leading_zeros
 
         lz = leading_zeros(s, 5)
+        # |D| scale near each root: the maximum over 8 points on a circle of
+        # radius half the smaller of 1 and half the target spacing.
+        _, spacing, _ = index_targets(s, "robin", 7 * np.pi)
+        radius = 0.5 * min(1.0, spacing / 2.0)
+        dev_fine = DEvaluator(q_one, "robin", rtol=1e-13)
         for ev in evs:
             mu = dict(zip(lz.ns, lz.mu_n))[ev.index]
             assert abs(ev.k - mu) < 0.05
-            assert ev.residual < 1e-9 * ev.local_scale
+            circle = ev.k + radius * np.exp(2j * np.pi * np.arange(8) / 8)
+            assert ev.residual < 1e-9 * np.max(np.abs(dev_fine(circle)))
 
 
 class TestDirichletTheorem:
@@ -98,13 +104,11 @@ class TestDirichletTheorem:
 
 class TestOrbits:
     def test_expand_quadrant(self):
-        ev = Eigenvalue(k=2 + 1j, lam=(2 + 1j) ** 2, index=0, multiplicity=1,
-                        residual=0.0, cls="quadrant", copies=(2 + 1j,))
+        ev = Eigenvalue(k=2 + 1j, index=0, multiplicity=1, residual=0.0, cls="quadrant")
         assert len(expand_orbit(ev)) == 4
 
     def test_expand_real(self):
-        ev = Eigenvalue(k=3.0 + 0j, lam=9.0 + 0j, index=1, multiplicity=1,
-                        residual=0.0, cls="real", copies=(3.0,))
+        ev = Eigenvalue(k=3.0 + 0j, index=1, multiplicity=1, residual=0.0, cls="real")
         assert len(expand_orbit(ev)) == 2
 
     def test_records_round_trip(self, small_run):

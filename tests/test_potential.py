@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tspec import Potential, derive_scalars, evaluate_q, q_constants
+from tspec import Potential, derive_scalars, evaluate_q, potential, q_constants
 from tspec.errors import DomainError
 
 
@@ -107,6 +108,19 @@ class TestInvariants:
             qsq_ref = h / 3 * (qsq[0] + qsq[-1] + 4 * qsq[1:-1:2].sum() + 2 * qsq[2:-1:2].sum())
             assert abs(s.omega - omega_ref) <= 1e-10 * max(1.0, abs(omega_ref))
             assert abs(s.q_sq_integral - qsq_ref) <= 1e-10 * max(1.0, abs(qsq_ref))
+
+    SPLINE = (-0.586, -0.433, -0.395, -0.557, -0.597, -0.531, -0.416, -0.445, 0.86)
+
+    def test_spline_cross_check_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            derive_scalars(Potential.grid(self.SPLINE))
+
+    def test_low_order_rule_still_warns(self, monkeypatch):
+        # Two nodes per panel put the q^2 integral about 8e-7 off the cross-check.
+        monkeypatch.setattr(potential, "_QUAD_ORDER", 2)
+        with pytest.warns(UserWarning, match="quadrature cross-check disagreement"):
+            derive_scalars(Potential.grid(self.SPLINE))
 
     @pytest.mark.parametrize("c", [2.0, -1.0])
     def test_omega_scales_linearly(self, c):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from tspec import Potential, derive_scalars
-from tspec.charfun import make_d_evaluator
-from tspec.errors import IndexingConflictError, PhaseResolutionError
+from tspec import rootfind
+from tspec.charfun import DEvaluator
+from tspec.errors import BoundaryTooCloseError, IndexingConflictError, PhaseResolutionError
 from tspec.potential import PotentialScalars
 from tspec.rootfind import (ContourBox, Eigenvalue, find_zeros, gamma_contour_count,
                             index_eigenvalues, newton_refine_many, orbit, origin_multiplicity,
@@ -54,7 +55,7 @@ class TestWindingCount:
 
     def test_gamma_contour_q_one(self, q_one):
         # Counting theorem, ratio-positive case: 4n+5 zeros of kD inside.
-        dev = make_d_evaluator(q_one, "robin", rtol=1e-9)
+        dev = DEvaluator(q_one, "robin", rtol=1e-9)
         assert gamma_contour_count(dev, 2) == 13
 
     def test_additivity_random_boxes(self, rng):
@@ -80,6 +81,20 @@ class TestWindingCount:
         f = poly_with_roots([1.0 + 0.0j, -2.0 + 0.5j])
         w = winding_count(f, ContourBox(0.0, 1.0, -0.5, 0.5))
         assert w in (0, 1)  # lands on one side after perturbation
+
+    def test_zero_everywhere_exhausts_perturbations(self):
+        f = lambda k: np.zeros(np.shape(k), dtype=complex)
+        with pytest.raises(BoundaryTooCloseError):
+            winding_count(f, ContourBox(-1.0, 1.0, -1.0, 1.0))
+
+    def test_refinement_past_point_cap(self, monkeypatch):
+        # z^20 needs more than 64 boundary samples to keep phase jumps below pi/2.
+        f = lambda k: np.asarray(k, complex) ** 20
+        box = ContourBox(-1.0, 1.0, -1.0, 1.0)
+        assert winding_count(f, box) == 20
+        monkeypatch.setattr(rootfind, "_MAX_BOUNDARY_POINTS", 64)
+        with pytest.raises(PhaseResolutionError, match="exceeded 64 points"):
+            winding_count(f, box)
 
 
 class TestNewton:
@@ -156,14 +171,19 @@ class TestFindZeros:
         f = poly_with_roots(roots)
         res = find_zeros(f, (-2.5, 2.5, -2.0, 2.0), symmetry=False)
         assert len(res.raw_zeros) == 3
+        reps = [ev.k for ev in res.zeros]
         for ev, root in zip(sorted(res.zeros, key=lambda e: e.k.real),
                             sorted(roots, key=lambda r: r.real)):
             assert abs(ev.k - root) < 1e-9
-            assert ev.residual < 1e-9 * ev.local_scale
+            # |f| scale near the root: the maximum over 8 points on a circle of
+            # radius half the smaller of 1 and the distance to the nearest other root.
+            radius = 0.5 * min(1.0, min(abs(ev.k - r) for r in reps if r != ev.k))
+            circle = ev.k + radius * np.exp(2j * math.pi * np.arange(8) / 8)
+            assert ev.residual < 1e-9 * np.max(np.abs(f(circle)))
 
     def test_symmetry_closure_on_symmetric_region(self, q_one):
         # Zeros of D come in full orbits when the region is symmetric.
-        dev = make_d_evaluator(q_one, "robin", rtol=1e-9)
+        dev = DEvaluator(q_one, "robin", rtol=1e-9)
         devf = dev.with_tolerance(1e-12)
         res = find_zeros(dev, (-7.0, 7.0, -2.2, 2.2), refine_f=devf)
         raw = [r[0] for r in res.raw_zeros]
@@ -182,7 +202,7 @@ class TestFindZeros:
 
 class TestOriginMultiplicity:
     def test_no_zero_at_origin(self, q_one):
-        dev = make_d_evaluator(q_one, "robin", rtol=1e-10)
+        dev = DEvaluator(q_one, "robin", rtol=1e-10)
         assert origin_multiplicity(dev) == 0
 
     def test_synthetic_double_origin(self):
@@ -192,8 +212,7 @@ class TestOriginMultiplicity:
 
 def _ev(k, index=None, mult=1, cls="quadrant"):
     k = complex(k)
-    return Eigenvalue(k=k, lam=k * k, index=index, multiplicity=mult, residual=0.0,
-                      cls=cls, copies=(k,))
+    return Eigenvalue(k=k, index=index, multiplicity=mult, residual=0.0, cls=cls)
 
 
 class TestIndexing:
