@@ -45,7 +45,7 @@ def _dirichlet_flip(scalars: PotentialScalars) -> PotentialScalars:
 
 @dataclass
 class TranscendentalProblem:
-    """One solved instance of z - kappa*log z = w (principal log branch)."""
+    """One solved instance of z - kappa*log z = w (log z continued from Log w)."""
 
     kappa: complex
     w: complex
@@ -58,11 +58,13 @@ def solve_transcendental(kappa, w) -> TranscendentalProblem:
     """Solve z - kappa*log z = w for large |w|, seeded from the expansion
     z = w + kappa log w + kappa^2 log w / w.
 
+    log z is continued from the seed's branch, log z = Log w + Log(z / w):
+    z / w stays near 1, whereas the principal Log z jumps by 2 pi i where z
+    and w straddle the negative real axis.
     Unlike every other Newton polish in the package, this one does not go
     through :func:`tspec.rootfind.newton_refine_many`: it stops on the
-    residual |z - kappa log z - w| < 1e-12, and it takes the analytic derivative
-    1 - kappa/z, because a difference stencil could straddle the branch cut
-    of the principal log.
+    residual |z - kappa log z - w| < 1e-12, and it takes the analytic
+    derivative 1 - kappa/z.
     """
     kappa = complex(kappa)
     w = complex(w)
@@ -76,11 +78,11 @@ def solve_transcendental(kappa, w) -> TranscendentalProblem:
     z = seed
     tol = _TRANSCENDENTAL_TOL
     for _ in range(_TRANSCENDENTAL_MAX_ITER):
-        g = z - kappa * cmath.log(z) - w
+        g = z - kappa * (logw + cmath.log(z / w)) - w
         if abs(g) < tol:
             return TranscendentalProblem(kappa, w, z, abs(g), seed)
         z = z - g / (1.0 - kappa / z)
-    g = z - kappa * cmath.log(z) - w
+    g = z - kappa * (logw + cmath.log(z / w)) - w
     if abs(g) < tol:
         return TranscendentalProblem(kappa, w, z, abs(g), seed)
     raise UnstableLimitError(f"Newton did not reach residual {tol} in "

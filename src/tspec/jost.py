@@ -93,11 +93,22 @@ def _chain(m):
     return m[:, :, 0]
 
 
-def _propagate(qfun, ks: np.ndarray, cells: int):
+def _cell_generators(p: Potential, cells: int):
+    """The k-free generators of `cells` uniform cells, computed once per potential and count."""
+    gens = p._magnus_cells.get(cells)
+    if gens is None:
+        h = 1.0 / cells
+        q = p._eval(((np.arange(cells)[:, None] + _GAUSS) * h).ravel()).reshape(cells, 3)
+        gens = _magnus_generators(h, q[:, 0], q[:, 1], q[:, 2])
+        for g in gens:
+            g.flags.writeable = False
+        p._magnus_cells[cells] = gens
+    return gens
+
+
+def _propagate(p: Potential, ks: np.ndarray, cells: int):
     """(f(k,0), f'(k,0)) from `cells` uniform Magnus cells, backward from x=1."""
-    h = 1.0 / cells
-    q = qfun(((np.arange(cells)[:, None] + _GAUSS) * h).ravel()).reshape(cells, 3)
-    gens = _magnus_generators(h, q[:, 0], q[:, 1], q[:, 2])
+    gens = _cell_generators(p, cells)
     kk = ks * ks
     y = np.exp(1j * ks) * np.array([np.ones_like(ks), 1j * ks])
     block = max(1, _BLOCK // ks.size)
@@ -140,12 +151,11 @@ def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
         raise error
     if ks.size == 0:
         return ks.copy(), ks.copy()
-    qfun = p._eval
     if p.kind == "constant":
-        return _propagate(qfun, ks, 1)
+        return _propagate(p, ks, 1)
     cells = aligned_cells(p, _MIN_CELLS)
     limit = max(_MAX_CELLS, 2 * cells)
-    f, fp = _propagate(qfun, ks, cells)
+    f, fp = _propagate(p, ks, cells)
     out_f, out_fp = np.empty_like(f), np.empty_like(fp)
     weight = 1.0 / np.maximum(1.0, np.abs(ks))
     # Rounding at x carries into the growing mode and is amplified by
@@ -162,7 +172,7 @@ def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
             raise IntegrationFailureError(
                 f"{active.size} of {ks.size} k values still short of rtol={rtol:.1e} "
                 f"at {cells // 2} cells")
-        f2, fp2 = _propagate(qfun, ks[active], cells)
+        f2, fp2 = _propagate(p, ks[active], cells)
         df, dfp = f2 - f, fp2 - fp
         w = weight[active]
         diff = np.abs(df) + w * np.abs(dfp)

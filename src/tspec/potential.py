@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -90,9 +89,13 @@ class Potential:
         return cls.polynomial(values, h=h) if kind == "polynomial" else cls.grid(values, h=h)
 
     @cached_property
-    def _spline(self) -> CubicSpline:
-        x = np.linspace(0.0, 1.0, len(self.samples))
-        return CubicSpline(x, np.asarray(self.samples), bc_type="natural")
+    def _spline(self) -> "_NaturalSpline":
+        return _NaturalSpline(self.samples)
+
+    @cached_property
+    def _magnus_cells(self) -> dict:
+        """Jost cell data by cell count, filled by :mod:`tspec.jost`; one dict per instance."""
+        return {}
 
     @cached_property
     def _eval(self) -> Callable:
@@ -103,8 +106,7 @@ class Potential:
         if self.kind == "polynomial":
             c = np.asarray(self.coeffs)
             return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
-        spline = self._spline
-        return lambda x: spline(np.asarray(x, dtype=float))
+        return self._spline
 
     def derivative_at(self, x: float, order: int = 1) -> float:
         """q^(order)(x) from the analytic form (polynomial/constant) or the spline."""
@@ -115,7 +117,52 @@ class Potential:
             if c.size == 0:
                 return 0.0
             return float(np.polynomial.polynomial.polyval(x, c))
-        return float(self._spline(x, nu=order)) if order <= 3 else 0.0
+        return float(self._spline(x, nu=order))
+
+
+class _NaturalSpline:
+    """Natural cubic spline through samples at uniform knots on [0, 1].
+
+    The knot second derivatives solve the (1, 4, 1) tridiagonal system by one
+    O(n) elimination sweep. Each interval keeps its cubic in the local
+    coordinate t = x - x_i. An interior knot belongs to the interval on its
+    right, the last interval is closed at x = 1, and points outside [0, 1]
+    extrapolate the end cubics.
+    """
+
+    def __init__(self, samples):
+        y = np.asarray(samples, dtype=float)
+        n = y.size - 1
+        h = 1.0 / n
+        rhs = (6.0 / (h * h) * (y[:-2] - 2.0 * y[1:-1] + y[2:])).tolist()
+        m = [0.0] * (n + 1)
+        upper, acc = [0.0] * n, [0.0] * n
+        for i in range(1, n):
+            pivot = 4.0 - upper[i - 1]
+            upper[i] = 1.0 / pivot
+            acc[i] = (rhs[i - 1] - acc[i - 1]) / pivot
+        for i in range(n - 1, 0, -1):
+            m[i] = acc[i] - upper[i] * m[i + 1]
+        m = np.array(m)
+        self.knots = np.linspace(0.0, 1.0, n + 1)
+        # Ascending powers of t on each interval.
+        self.coef = np.array([
+            y[:-1],
+            (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0,
+            0.5 * m[:-1],
+            (m[1:] - m[:-1]) / (6.0 * h),
+        ])
+
+    def __call__(self, x, nu: int = 0):
+        """The nu-th derivative at x (0 for nu > 3)."""
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, self.knots.size - 2)
+        t = x - self.knots[i]
+        c = self.coef[:, i]
+        out = np.zeros_like(t)
+        for power in range(3, nu - 1, -1):
+            out = out * t + math.perm(power, nu) * c[power]
+        return out
 
 
 def finite_real(value) -> bool:
@@ -200,7 +247,7 @@ def _detect_m_order(p: Potential) -> Optional[tuple]:
     # Spline derivatives are approximate; only orders 0..3 are meaningful.
     scale = max(1.0, float(np.max(np.abs(p.samples))))
     for m in range(4):
-        val = float(p._spline(1.0, nu=m)) if m else float(p._eval(1.0))
+        val = float(p._spline(1.0, nu=m))
         if abs(val) > 1e-7 * scale:
             return (m, val)
     return None

@@ -162,9 +162,10 @@ def test_criterion_4_t41i_residual_decay(q1_scalars, q1_spectrum):
         assert np.max(np.abs(beta)) < 1.0
 
 
-def test_criterion_5_transcendental_solver(rng):
+def test_criterion_5_transcendental_solver():
     desc = "z - kappa log z = w: 100 residuals < 1e-12; expansion-gap C <= 10 on [20,1e4]"
     with criterion(5, desc):
+        rng = np.random.default_rng(20240817)
         for _ in range(100):
             kappa = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
             wmag = rng.uniform(20 * abs(kappa) + 10, 300)

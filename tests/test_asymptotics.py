@@ -44,13 +44,27 @@ class TestTranscendental:
         bound = 10.0 * math.log(50.0) ** 2 / 50.0 ** 2
         assert abs(tp.seed - tp.z) < bound
 
-    def test_random_instances_residual(self, rng):
+    def test_random_instances_residual(self):
+        rng = np.random.default_rng(20240817)
         for _ in range(100):
             kappa = (rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3))
             wmag = rng.uniform(20 * abs(kappa) + 10, 300)
             w = wmag * np.exp(1j * rng.uniform(0, 2 * np.pi))
             tp = solve_transcendental(kappa, w)
             assert tp.residual < 1e-12
+
+    def test_root_across_principal_cut(self):
+        # w just above the negative real axis, z just below it: the principal
+        # Log z sits 2 pi i away from the branch the seed starts on.
+        kappa, w = -1.337 + 0.302j, -183.78 + 1.17j
+        tp = solve_transcendental(kappa, w)
+        assert tp.residual < 1e-12
+        assert tp.z.imag < 0.0 < w.imag
+        z = complex(w)
+        for _ in range(200):
+            z = w + kappa * (cmath.log(w) + cmath.log(z / w))
+        assert abs(tp.z - z) < 1e-12
+        assert abs(tp.seed - tp.z) < 10.0 * math.log(abs(w)) ** 2 / abs(w) ** 2
 
     def test_expansion_gap_fitted_constant(self):
         # One C <= 10 covers |w| from 20 to 1e4 at kappa = 1.

@@ -293,14 +293,85 @@ class TestUsageErrors:
         assert "tspec" in capsys.readouterr().out
 
 
+# Runs tspec.cli.main on each argv of a JSON list, with every scipy import
+# refused when the first argument is "block", and prints the exit codes and the
+# scipy modules loaded at the end.
+_JOB_RUNNER = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, RefuseScipy())
+from tspec.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[2]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
 class TestImportPath:
     def test_cli_import_skips_crosscheck_and_scipy_integrate(self):
-        # Set-up time and peak memory of every run rest on these staying unloaded.
-        probe = ("import sys, tspec.cli; "
-                 "print([m for m in ('tspec.crosscheck', 'scipy.integrate') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # Set-up time and peak memory of every run rest on these staying
+        # unloaded: tspec.crosscheck and every scipy module, not only scipy.integrate.
+        for module in ("tspec", "tspec.cli"):
+            probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                     "if m == 'tspec.crosscheck' or m.split('.')[0] == 'scipy'))")
+            proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
+
+    def test_commands_run_without_scipy(self, workdir):
+        # Every command except --dump-kernel (tspec.crosscheck), which is the
+        # one production path that needs scipy.
+        cfgs = {
+            "grid": {"kind": "grid", "h": 0.1,
+                     "samples": [0.45, 0.52, 0.61, 0.48, 0.39, 0.55, 0.62, 0.71, 0.9]},
+            "poly": {"kind": "polynomial", "coeffs": [0.2, 1.0], "h": 0.0},
+            "const": {"kind": "constant", "value": 1.0, "h": 0.0},
+        }
+        paths = {}
+        for name, pot in cfgs.items():
+            paths[name] = str(workdir / f"noscipy-{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump({"potential": pot, "variant": "robin",
+                           "validate": {"contours": [2]}}, fh)
+
+        def out(mode, name):
+            return str(workdir / f"noscipy-{mode}-{name}")
+
+        def jobs(mode):
+            spec = out(mode, "const-spectrum.json")
+            return [
+                ["--config", paths["grid"], "--out", out(mode, "grid.json"), "spectrum", "--n", "1..2"],
+                ["--config", paths["poly"], "--out", out(mode, "poly.json"),
+                 "spectrum", "--region", "1.5,4.0,0.5,2.0"],
+                ["--config", paths["const"], "--out", spec, "spectrum", "--region", "1.5,4.0,0.5,2.0"],
+                ["--config", paths["const"], "--out", out(mode, "validate.json"), "validate",
+                 "--spectrum", spec],
+                ["--config", paths["const"], "--out", out(mode, "gamma.json"), "gamma",
+                 "--route", "direct", "--spectrum", spec],
+                ["--config", paths["const"], "charfun", "eval", "--k", "2.0,0.5"],
+                ["--config", paths["const"], "--out", out(mode, "grid.csv"), "charfun", "grid",
+                 "--region", "0.5,3.0,0.0,1.0", "--nx", "4", "--ny", "3"],
+            ]
+
+        results = {}
+        for mode in ("block", "open"):
+            proc = subprocess.run([sys.executable, "-c", _JOB_RUNNER, mode, json.dumps(jobs(mode))],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            results[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert results["block"] == results["open"] == [[0] * 7, []]
 
 
 class TestConsoleEntry:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -164,9 +166,9 @@ class TestNonConstantPotentials:
         used = []
         propagate = tspec.jost._propagate
 
-        def spy(qfun, ks, cells):
+        def spy(p, ks, cells):
             used.append(cells)
-            return propagate(qfun, ks, cells)
+            return propagate(p, ks, cells)
 
         monkeypatch.setattr(tspec.jost, "_propagate", spy)
         ks = np.array([a - 1j * tau for a in (0.0, 1.0, 3.0) for tau in (12.0, 16.0, 20.0, 25.0, 30.0)])
@@ -187,6 +189,46 @@ class TestNonConstantPotentials:
         monkeypatch.setattr(tspec.jost, "_MAX_CELLS", 16)
         with pytest.raises(IntegrationFailureError):
             jost_at_zero_many(NONCONSTANT[name], [30.0 + 1.0j], rtol=1e-13)
+
+
+class TestCellDataCache:
+    KS = np.array([0.7, 3.0 + 0.4j, 12.0 - 2.0j, 31.0 + 1.5j])
+
+    @pytest.mark.parametrize("name", ["cubic", "spline"])
+    def test_warm_equals_cold(self, name):
+        p = replace(NONCONSTANT[name])     # a fresh instance, with nothing cached
+        cold = jost_at_zero_many(p, self.KS, rtol=1e-13)
+        jost_at_zero_many(p, [5.0 + 0.2j, 40.0], rtol=1e-13)
+        warm = jost_at_zero_many(p, self.KS, rtol=1e-13)
+        for a, b in zip(cold, warm):
+            assert np.array_equal(a, b)
+
+    def test_not_shared_between_equal_potentials(self):
+        p1 = Potential.grid(SPLINE_SAMPLES)
+        p2 = Potential.grid(SPLINE_SAMPLES)
+        assert p1 == p2 and hash(p1) == hash(p2)
+        jost_at_zero_many(p1, self.KS)
+        assert p1._magnus_cells and not p2._magnus_cells
+
+    def test_one_entry_per_cell_count(self, monkeypatch):
+        used, built = [], []
+        propagate, generators = tspec.jost._propagate, tspec.jost._magnus_generators
+
+        def spy_propagate(p, ks, cells):
+            used.append(cells)
+            return propagate(p, ks, cells)
+
+        def spy_generators(h, *q):
+            built.append(round(1.0 / h))
+            return generators(h, *q)
+
+        monkeypatch.setattr(tspec.jost, "_propagate", spy_propagate)
+        monkeypatch.setattr(tspec.jost, "_magnus_generators", spy_generators)
+        p = Potential.polynomial([0.3, 1.0])
+        for rtol in (1e-9, 1e-13, 1e-11):
+            jost_at_zero_many(p, self.KS, rtol=rtol)
+        assert sorted(p._magnus_cells) == sorted(built) == sorted(set(used))
+        assert len(used) > len(built)
 
 
 class TestKernel:

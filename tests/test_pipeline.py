@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
@@ -152,6 +153,45 @@ class TestAudits:
             ref = AuditEntry("symmetry-closure", "pass", f"{len(ks)} records closed under +-k, conj")
         assert audit_symmetry(records) == ref
         assert (ref.status == "pass") == (damage == "none")
+
+    @staticmethod
+    def _kdtree_audit(ks):
+        """The audit's rule by a k-d tree: nearest record to each mirror within 1e-9 (1 + |k|)."""
+        ks = np.asarray(ks, dtype=complex)
+        images = np.stack([-ks, ks.conj(), -ks.conj()], axis=1).ravel()
+        dist, _ = cKDTree(np.column_stack([ks.real, ks.imag])).query(
+            np.column_stack([images.real, images.imag]))
+        missing = np.nonzero(dist > 1e-9 * (1.0 + np.abs(np.repeat(ks, 3))))[0]
+        if missing.size:
+            return AuditEntry("symmetry-closure", "fail",
+                              f"{missing.size} missing mirrors, e.g. {complex(images[missing[0]])} "
+                              f"of {complex(ks[missing[0] // 3])}")
+        return AuditEntry("symmetry-closure", "pass", f"{ks.size} records closed under +-k, conj")
+
+    @pytest.mark.parametrize("case", ["moved-0.3", "moved-3", "axes", "duplicates", "single"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_symmetry_matches_kdtree_oracle(self, case, seed):
+        rng = np.random.default_rng(seed)
+        reps = rng.uniform(0.5, 40.0, 30) + 1j * rng.uniform(0.1, 4.0, 30)
+        if case == "axes":
+            # k = conj(k) on the real axis, k = -conj(k) on the imaginary one.
+            reps[:8] = reps[:8].real
+            reps[8:16] = 1j * reps[8:16].imag
+        ks = [complex(m) for k in reps
+              for m in dict.fromkeys(complex(v) for v in (k, -k, np.conj(k), -np.conj(k)))]
+        if case.startswith("moved"):
+            i = int(rng.integers(len(ks)))
+            step = float(case.split("-")[1]) * 1e-9 * (1.0 + abs(ks[i]))
+            ks[i] += step * np.exp(2j * np.pi * rng.uniform())
+        elif case == "duplicates":
+            ks += [ks[i] for i in rng.integers(len(ks), size=10)]
+        elif case == "single":
+            ks = ks[:1]
+        records = [SpectrumRecord(index=0, re_k=k.real, im_k=k.imag, multiplicity=1,
+                                  residual=0.0, cls="quadrant") for k in ks]
+        ref = self._kdtree_audit(ks)
+        assert audit_symmetry(records) == ref
+        assert (ref.status == "pass") == (case in ("moved-0.3", "axes", "duplicates"))
 
     def test_validate_fresh_run(self, small_run):
         cfg = _cfg({"kind": "constant", "value": 1.0, "h": 0.0},

@@ -1,8 +1,10 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tspec import Potential, derive_scalars, evaluate_q, potential, q_constants
 from tspec.errors import DomainError
@@ -31,6 +33,32 @@ class TestEvaluateQ:
     def test_grid_needs_four_samples(self):
         with pytest.raises(DomainError):
             Potential.grid([1.0, 2.0, 3.0])
+
+
+class TestNaturalSpline:
+    @pytest.mark.parametrize("n", [4, 5, 9, 65, 401, 2001])
+    def test_matches_scipy_cubic_spline(self, n):
+        # Reference: scipy's natural CubicSpline, whose PPoly takes an interior
+        # knot into the interval on its right and closes the last one at x = 1.
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=n)
+        knots = np.linspace(0.0, 1.0, n)
+        ref = CubicSpline(knots, samples, bc_type="natural")
+        spline = Potential.grid(samples)._spline
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 500), knots, [0.0, 1.0]])
+        for nu in range(4):
+            want = ref(xs, nu)
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(spline(xs, nu) - want)) <= bound, nu
+
+    def test_large_grid_builds_fast(self):
+        samples = np.random.default_rng(1).normal(size=10_001)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            Potential.grid(samples)._spline
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.1
 
 
 class TestDeriveScalars:
