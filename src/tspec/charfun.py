@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TspecError
 from .jost import DEFAULT_RTOL, domain_error, jost_at_zero_many
 from .potential import Potential
 
@@ -81,7 +81,11 @@ def _eval_d_small(p: Potential, k: complex, variant: str, rtol: float) -> comple
 
 
 def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """D over an array of k, with the stable small-k path for the removable 1/k terms."""
+    """D over an array of k, with the stable small-k path for the removable 1/k terms.
+
+    rtol bounds each Jost value, not D: far from the real axis D is a small
+    difference of large Jost terms, and its relative error can exceed rtol.
+    """
     _check_variant(variant)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     out = np.empty(ks.shape, dtype=complex)
@@ -101,11 +105,11 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
                   rtol: float = DEFAULT_RTOL):
     """Evaluate D on an n x m grid over region = (sigma0, sigma1, tau0, tau1).
 
-    Per-point failures are recorded on the sample rather than raised; used by
-    root-finder seeding and the CLI field export. Points the Jost layer
-    rejects (non-finite, or |Im k| above its cap) get their error without
-    being evaluated; the rest go in one batch, point by point only if that
-    batch fails.
+    Per-point failures (TspecError) are recorded on the sample rather than
+    raised; used by the CLI field export. Points the Jost layer rejects
+    (non-finite, or |Im k| above its cap) get their error without being
+    evaluated; the rest go in one batch, point by point only if that batch
+    fails.
     """
     _check_variant(variant)
     s0, s1, t0, t1 = (float(v) for v in region)
@@ -118,11 +122,11 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
     values = np.full(points.size, complex(np.nan, np.nan))
     try:
         values[ok] = eval_D_many(p, points[ok], variant=variant, rtol=rtol)
-    except Exception:
+    except TspecError:
         for i in np.nonzero(ok)[0]:
             try:
                 values[i] = eval_D_many(p, points[i:i + 1], variant=variant, rtol=rtol)[0]
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            except TspecError as exc:
                 errors[i] = exc
     return [CharFunSample(k=complex(c), value=complex(v),
                           error=None if e is None else f"{type(e).__name__}: {e}")
@@ -133,7 +137,9 @@ class DEvaluator:
     """Cached vectorized D(k) evaluator at a fixed tolerance.
 
     Pure and reentrant: repeated k hit the cache, so adaptive boundary
-    refinement and box subdivision do not re-integrate shared points.
+    refinement and box subdivision do not re-integrate shared points. The
+    cache lives as long as the evaluator; only region scans repeat k (about
+    a tenth of their points), targeted runs and validate do not.
     """
 
     def __init__(self, p: Potential, variant: str = "robin", rtol: float = DEFAULT_RTOL):

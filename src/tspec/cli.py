@@ -20,7 +20,7 @@ from . import asymptotics as asy
 from .charfun import DEvaluator, eval_D_many, sample_D_grid
 from .config import RunConfig, check_values, env_overrides, load_config
 from .errors import ConfigError, TspecError, UnstableLimitError
-from .gamma_recovery import gamma_direct, gamma_from_endpoint, gamma_from_omega
+from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .pipeline import (eigenvalues_from_records, run_spectrum, run_validate)
 from .potential import Potential, derive_scalars
 from .spectrumfile import read_spectrum, write_spectrum, write_spectrum_csv
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gm = sub.add_parser("gamma", help="recover the normalization constant")
     gm.add_argument("--route", required=True, choices=["omega", "endpoint", "direct"])
     gm.add_argument("--spectrum", required=True)
-    gm.add_argument("--probe", type=float, default=0.37)
+    gm.add_argument("--probe", type=float, help="direct-route probe k (default: first clear one)")
 
     va = sub.add_parser("validate", help="audit a spectrum file")
     va.add_argument("--spectrum")
@@ -239,17 +239,12 @@ def _cmd_gamma(cfg: RunConfig, args) -> int:
     p = Potential.from_dict(cfg.potential)
     scalars = derive_scalars(p)
     header, records = _load_spectrum_eigentuple(args.spectrum)
-    zeros = eigenvalues_from_records(records)
-    from .gamma_recovery import from_eigenvalues
-
-    hp = from_eigenvalues(zeros, s=header.s)
+    hp = from_eigenvalues(eigenvalues_from_records(records), s=header.s)
     try:
         if args.route == "omega":
-            est = gamma_from_omega(hp, scalars, cfg.variant,
-                                   k0=cfg.gamma.get("k0"))
+            est = gamma_from_omega(hp, scalars, cfg.variant)
         elif args.route == "endpoint":
-            est = gamma_from_endpoint(hp, scalars, cfg.variant,
-                                      taus=cfg.gamma.get("taus"))
+            est = gamma_from_endpoint(hp, scalars, cfg.variant)
         else:
             dev = DEvaluator(p, cfg.variant, rtol=cfg.rtol)
             est = gamma_direct(dev, hp, args.probe)

@@ -29,16 +29,12 @@ def _list_of(value, check) -> bool:
     return isinstance(value, (list, tuple)) and all(map(check, value))
 
 
-def _positive(value) -> bool:
-    return finite_real(value) and value > 0
-
-
 def _region(r) -> bool:
     return _list_of(r, finite_real) and len(r) == 4 and r[0] < r[1] and r[2] < r[3]
 
 
 _REGION = (_region, "four finite numbers with sigma0 < sigma1 and tau0 < tau1")
-_POSITIVE = (_positive, "a positive finite number")
+_POSITIVE = (lambda v: finite_real(v) and v > 0, "a positive finite number")
 
 # The keys each section accepts, each with its value check and the check's wording.
 _SECTIONS = {
@@ -49,17 +45,10 @@ _SECTIONS = {
         "depth": (lambda d: _is_int(d) and d > 0, "a positive integer"),
     },
     "charfun": {"region": _REGION},
-    "gamma": {
-        "k0": _POSITIVE,
-        # The extrapolation refits without the last rung, so it needs two.
-        "taus": (lambda t: _list_of(t, lambda tau: finite_real(tau) and tau < 0) and len(t) >= 2,
-                 "a list of at least two negative finite numbers"),
-    },
     "validate": {
         "spectrum": (lambda path: isinstance(path, str), "a string"),
         "contours": (lambda c: _list_of(c, lambda n: _is_int(n) and n >= 0),
                      "a list of non-negative integers"),
-        "gamma_tol": _POSITIVE,
         "theorem": (lambda tag: tag in THEOREM_TAGS, f"one of {', '.join(THEOREM_TAGS)}"),
     },
     "tolerances": {"rtol": _POSITIVE, "rtol_refine": _POSITIVE},
@@ -73,7 +62,6 @@ class RunConfig:
     variant: str
     spectrum: dict = field(default_factory=dict)
     charfun: dict = field(default_factory=dict)
-    gamma: dict = field(default_factory=dict)
     validate: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     out: Optional[str] = None
@@ -134,7 +122,6 @@ def validate_config(raw: dict) -> RunConfig:
         variant=variant,
         spectrum=raw.get("spectrum", {}),
         charfun=raw.get("charfun", {}),
-        gamma=raw.get("gamma", {}),
         validate=raw.get("validate", {}),
         tolerances=raw.get("tolerances", {}),
         out=raw.get("out"),

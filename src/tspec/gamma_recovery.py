@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .rootfind import orbit
 
 _CONJ_TOL = 1e-9
 _DEFAULT_UNSTABLE_TOL = 0.05
-_OMEGA_RUNGS = 5            # rungs of the omega route's doubling ladder
+_ENDPOINT_TAUS = (-4.0, -6.0, -8.0, -10.0, -12.0)
+_DIRECT_PROBE_CANDIDATES = (0.37, 0.71, 0.53, 1.13, 1.91)
 _PROBE_MIN_DISTANCE = 0.1   # closest a direct-route probe may come to a listed root
 
 
@@ -189,27 +190,35 @@ def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str
     return limit_full, diagnostics
 
 
-def _omega_ladder(hp: HadamardProduct, k0: Optional[float]):
-    """k_j = k0 * 2^j with k0 snapped to multiples of pi/2, dodging eigenvalues.
+def _omega_ladder(hp: HadamardProduct, variant: str) -> np.ndarray:
+    """k = m pi 2^j up to 8 m pi, from m pi (Robin) or m pi/2 (Dirichlet).
 
-    Multiples of pi/2 null the universal sin(2k)/4k oscillation of the
-    characteristic function, leaving clean 1/k^2-type corrections.
+    Multiples of pi/2 null the universal sin(2k)/4k oscillation of D; Robin
+    skips pi/2, where cos 2k = -1 flips its h cos(2k)/k term. m is the
+    smallest whose rungs all stay 0.2 clear of the roots.
     """
-    rungs = _OMEGA_RUNGS
+    powers = 2.0 ** np.arange(0 if variant == "robin" else -1, 4)
     mirrors = orbit(hp.sqrt_roots()).ravel()
     for m in range(1, 10):
-        base = (m * math.pi / 2.0) if k0 is None else k0
-        ks = np.array([base * 2 ** j for j in range(rungs)])
-        if k0 is not None:
+        ks = m * math.pi * powers
+        if np.min(np.abs(ks[:, None] - mirrors)) > 0.2:
             return ks
-        if mirrors.size == 0 or min(np.min(np.abs(ks[j] - mirrors)) for j in range(rungs)) > 0.2:
-            return ks
-    return np.array([(math.pi / 2.0) * 2 ** j for j in range(rungs)])
+    raise UnstableLimitError("omega route: no ladder m pi 2^j with m < 10 clears the roots by 0.2")
+
+
+def _log_abs_sign(hp: HadamardProduct, k: complex):
+    """(log|E(k)|, sign E(k)) on an axis, where conjugate closure makes E real
+    and Im log E a multiple of pi."""
+    le = log_E(hp, k)
+    half_turns = le.imag / math.pi
+    if abs(half_turns - round(half_turns)) > 1e-6:
+        raise UnstableLimitError("E(k) not real on the axes; list not conjugate-closed?",
+                                 diagnostics={"k": k, "log_E": le})
+    return le.real, (-1.0) ** (round(half_turns) % 2)
 
 
 def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: str = "robin",
-                     *, k0: Optional[float] = None,
-                     unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
+                     *, unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
     """gamma = (omega/2) / lim E(k) (Robin) or (omega/2) / lim k^2 E(k) (Dirichlet),
     the limit taken along a real-k doubling ladder with drift-compensated
     extrapolation.
@@ -218,59 +227,43 @@ def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: st
         raise DomainError("the omega route needs a nonzero mean of the potential")
     if hp.truncation < 2:
         raise DomainError("need at least a handful of eigenvalues")
-    ks = _omega_ladder(hp, k0)
+    ks = _omega_ladder(hp, variant)
     logs, signs = [], []
     for k in ks:
-        le = log_E(hp, k)
-        # Conjugate closure makes E real on the real axis; the imaginary part
-        # of log E is then a multiple of pi fixing the sign.
-        half_turns = le.imag / math.pi
-        if abs(half_turns - round(half_turns)) > 1e-6:
-            raise UnstableLimitError("E(k) not real on the real axis; list not conjugate-closed?",
-                                     diagnostics={"k": k, "log_E": le})
-        mag = le.real
+        log_abs, sign = _log_abs_sign(hp, k)
         if variant == "dirichlet":
-            mag += 2.0 * math.log(abs(k))
-        logs.append(mag)
-        signs.append((-1.0) ** (round(half_turns) % 2))
+            log_abs += 2.0 * math.log(k)
+        logs.append(log_abs)
+        signs.append(sign)
     route = "omega_limit" if variant == "robin" else "dirichlet_omega"
-    limit, diagnostics = _extrapolate(np.asarray(ks), np.asarray(logs), np.asarray(signs),
-                                      route, unstable_tol)
+    limit, diagnostics = _extrapolate(ks, np.asarray(logs), np.asarray(signs), route,
+                                      unstable_tol)
     gamma = 0.5 * scalars.omega / limit
     return GammaEstimate(gamma=float(gamma), route=route, truncation=hp.truncation,
                          probes=tuple(ks.tolist()), diagnostics=diagnostics)
 
 
 def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant: str = "robin",
-                        *, taus: Optional[Sequence[float]] = None,
-                        unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
+                        *, unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
     """gamma from the imaginary-axis decay rate set by the first nonvanishing
     endpoint derivative q^(m)(1).
 
     The ratio -q^(m)(1) e^{-2 tau} / (4 E(i tau) (2 tau)^{m+1}) (Robin; the
     Dirichlet variant drops the 1/4 and uses exponent m+3) is evaluated in log
-    space along tau_j = -(4 + 2j) and extrapolated in 1/|tau|.
+    space along _ENDPOINT_TAUS and extrapolated in 1/|tau|.
     """
     if scalars.m_order is None:
         raise DomainError("endpoint route needs a known nonzero q^(m)(1)")
     m, qm = scalars.m_order
-    if taus is None:
-        taus = [-(4.0 + 2.0 * j) for j in range(5)]
-    taus = np.asarray(taus, dtype=float)
-    if taus.size < 2:
-        raise DomainError("endpoint route needs at least two taus")
-    if np.any(taus >= 0):
-        raise DomainError("tau ladder must be negative")
+    taus = np.asarray(_ENDPOINT_TAUS, dtype=float)
     expo = m + 1 if variant == "robin" else m + 3
     quarter = math.log(4.0) if variant == "robin" else 0.0
     logs, signs = [], []
     for tau in taus:
-        le = log_E(hp, 1j * tau)
+        log_abs, sign = _log_abs_sign(hp, 1j * tau)
         logs.append(math.log(abs(qm)) - 2.0 * tau - quarter
-                    - expo * math.log(abs(2.0 * tau)) - le.real)
-        sign = -math.copysign(1.0, qm) * math.copysign(1.0, math.cos(le.imag))
-        sign *= (-1.0) ** expo  # (2 tau)^expo with tau < 0
-        signs.append(sign)
+                    - expo * math.log(abs(2.0 * tau)) - log_abs)
+        signs.append(-math.copysign(1.0, qm) * sign * (-1.0) ** expo)  # (2 tau)^expo, tau < 0
     route = "endpoint_limit" if variant == "robin" else "dirichlet_endpoint"
     limit, diagnostics = _extrapolate(np.abs(taus), np.asarray(logs), np.asarray(signs),
                                       route, unstable_tol)
@@ -278,16 +271,24 @@ def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant:
                          probes=tuple(taus.tolist()), diagnostics=diagnostics)
 
 
-def gamma_direct(d_evaluator: Callable, hp: HadamardProduct, probe_k: float) -> GammaEstimate:
-    """Single-point ratio D(k0)/E(k0); ground truth for the limit routes."""
-    probe = complex(probe_k)
-    if hp.truncation:
-        dist = float(np.min(np.abs(probe - orbit(hp.sqrt_roots()))))
-        if dist <= _PROBE_MIN_DISTANCE:
-            raise ProbeTooCloseError(f"probe {probe} is {dist:.3g} from a listed root")
+def gamma_direct(d_evaluator: Callable, hp: HadamardProduct,
+                 probe_k: Optional[float] = None) -> GammaEstimate:
+    """Single-point ratio D(k0)/E(k0); ground truth for the limit routes.
+
+    k0 must lie farther than _PROBE_MIN_DISTANCE from every root mirror; by
+    default it is the first of _DIRECT_PROBE_CANDIDATES that does.
+    """
+    mirrors = orbit(hp.sqrt_roots()).ravel()
+    for k0 in (_DIRECT_PROBE_CANDIDATES if probe_k is None else (probe_k,)):
+        dist = float(np.min(np.abs(k0 - mirrors), initial=math.inf))
+        if dist > _PROBE_MIN_DISTANCE:
+            break
+    else:
+        raise ProbeTooCloseError(f"probe {k0} is {dist:.3g} from a listed root")
+    probe = complex(k0)
     d_val = complex(np.asarray(d_evaluator(np.array([probe])), dtype=complex)[0])
     e_val = eval_E(hp, probe)
     ratio = d_val / e_val
     return GammaEstimate(gamma=float(ratio.real), route="direct", truncation=hp.truncation,
-                         probes=(probe_k,),
+                         probes=(k0,),
                          diagnostics={"D": d_val, "E": e_val, "imag_part": ratio.imag})

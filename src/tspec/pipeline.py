@@ -18,8 +18,8 @@ import numpy as np
 from . import asymptotics as asy
 from .charfun import DEvaluator
 from .errors import (BoundaryTooCloseError, DomainError, HypothesisMismatchError,
-                     IndexingConflictError, PhaseResolutionError, TspecError,
-                     UnstableLimitError)
+                     IndexingConflictError, PhaseResolutionError, ProbeTooCloseError,
+                     TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
 from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, find_zeros,
@@ -28,7 +28,7 @@ from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, find
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
-_DIRECT_PROBE_CANDIDATES = (0.37, 0.71, 0.53, 1.13, 1.91)
+_GAMMA_REL_TOL = 0.25       # largest relative gap between the direct and a limit route
 _RTOL_WINDING = 1e-8        # D tolerance of the winding count certifying a targeted root
 _SYMMETRY_TOL = 1e-9        # relative distance at which a record counts as a mirror image
 _SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the decay audit
@@ -163,11 +163,12 @@ def run_spectrum(cfg) -> SpectrumRun:
                                 s=0, warnings=warnings_list)
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
-    unresolved = []
+    unresolved, uncertified = [], []
     if "n" in cfg.spectrum:
         n_lo, n_hi = cfg.spectrum["n"]
         zeros = targeted_spectrum(p, scalars, cfg.variant, int(n_lo), int(n_hi),
                                   rtol=cfg.rtol, rtol_refine=cfg.rtol_refine)
+        uncertified = [ev.index for ev in zeros if not ev.refined]
     else:
         result = scan_spectrum(p, scalars, cfg.variant, region,
                                depth=int(cfg.spectrum.get("depth", 14)),
@@ -185,12 +186,14 @@ def run_spectrum(cfg) -> SpectrumRun:
         s = 0
     if unresolved:
         warnings_list.append(f"{len(unresolved)} unresolved cluster boxes")
+    if uncertified:
+        warnings_list.append(f"targeted roots at indices {uncertified} not certified")
     header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
                             tolerances={"rtol": cfg.rtol, "rtol_refine": cfg.rtol_refine},
                             s=s, warnings=warnings_list)
     return SpectrumRun(header=header, records=records_from_eigenvalues(zeros),
                        eigenvalues=zeros, unresolved=unresolved,
-                       exit_code=2 if unresolved else 0)
+                       exit_code=2 if unresolved or uncertified else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, var
 
 
 def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScalars,
-                variant: str, s: int = 0, rel_tol: float = 0.25) -> AuditEntry:
+                variant: str, s: int = 0) -> AuditEntry:
     if not zeros:
         return AuditEntry("gamma-consistency", "skipped", "empty spectrum")
     try:
@@ -314,15 +317,10 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
     if hp.truncation < 20:
         return AuditEntry("gamma-consistency", "skipped",
                           f"only {hp.truncation} eigenvalues; limit routes need >= 20")
-    probe = None
-    mirrors = orbit(hp.sqrt_roots()).ravel()
-    for cand in _DIRECT_PROBE_CANDIDATES:
-        if np.min(np.abs(cand - mirrors)) > 0.1:
-            probe = cand
-            break
-    if probe is None:
-        return AuditEntry("gamma-consistency", "skipped", "no clear probe point")
-    direct = gamma_direct(dev, hp, probe)
+    try:
+        direct = gamma_direct(dev, hp)
+    except ProbeTooCloseError as exc:
+        return AuditEntry("gamma-consistency", "skipped", f"no clear probe point: {exc}")
     try:
         if not asy.vanishing(scalars)[0]:
             other = gamma_from_omega(hp, scalars, variant)
@@ -334,8 +332,8 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
         return AuditEntry("gamma-consistency", "fail", f"{exc}")
     rel = abs(other.gamma - direct.gamma) / max(abs(direct.gamma), 1e-300)
     detail = (f"direct {direct.gamma:.5g} vs {other.route} {other.gamma:.5g} "
-              f"({100 * rel:.1f}% apart, tol {100 * rel_tol:.0f}%)")
-    return AuditEntry("gamma-consistency", "pass" if rel <= rel_tol else "fail", detail)
+              f"({100 * rel:.1f}% apart, tol {100 * _GAMMA_REL_TOL:.0f}%)")
+    return AuditEntry("gamma-consistency", "pass" if rel <= _GAMMA_REL_TOL else "fail", detail)
 
 
 def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
@@ -361,6 +359,5 @@ def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
     zeros = eigenvalues_from_records(records)
     theorem = cfg.validate.get("theorem")
     report.entries.append(audit_residual_decay(zeros, scalars, header.variant, theorem))
-    report.entries.append(audit_gamma(dev, zeros, scalars, header.variant, s=header.s,
-                                      rel_tol=float(cfg.validate.get("gamma_tol", 0.25))))
+    report.entries.append(audit_gamma(dev, zeros, scalars, header.variant, s=header.s))
     return report

@@ -17,8 +17,10 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError
+from .potential import finite_real
 
 _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "branch")
+_CLASSES = ("real", "imaginary", "quadrant")
 
 
 @dataclass
@@ -84,8 +86,10 @@ def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) 
 def read_spectrum(path):
     """Read a spectrum file back losslessly; verifies the content hash.
 
-    A file that cannot be read, is not JSON or does not have the spectrum
-    layout raises ConfigError.
+    A file that cannot be read, is not JSON or lacks the spectrum layout raises
+    ConfigError, as does a malformed value: s must be an int >= 0, variant
+    robin or dirichlet, index and branch an int or null, re_k, im_k and
+    residual finite, multiplicity an int >= 1 and cls one of _CLASSES.
     """
     try:
         with open(path) as fh:
@@ -101,6 +105,14 @@ def read_spectrum(path):
         records = [SpectrumRecord(**{k: r.get(k) for k in _RECORD_FIELDS}) for r in rdicts]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
+    if not (type(header.s) is int and header.s >= 0 and header.variant in ("robin", "dirichlet")):
+        raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
+    for i, r in enumerate(records):
+        if not ((r.index is None or type(r.index) is int)
+                and (r.branch is None or type(r.branch) is int)
+                and finite_real(r.re_k) and finite_real(r.im_k) and finite_real(r.residual)
+                and type(r.multiplicity) is int and r.multiplicity > 0 and r.cls in _CLASSES):
+            raise ConfigError(f"{path}: record {i} has a malformed value: {asdict(r)}")
     return header, records, hdict.get("content_hash", "") == _content_hash(hdict, rdicts)
 
 

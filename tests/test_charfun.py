@@ -143,6 +143,14 @@ class TestGrid:
         ok = [s for s in samples if s.error is None]
         assert all(np.isfinite(s.value.real) for s in ok)
 
+    def test_programming_errors_propagate(self, q_one, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a D evaluation failure")
+
+        monkeypatch.setattr(charfun, "eval_D_many", broken)
+        with pytest.raises(TypeError, match="not a D evaluation failure"):
+            sample_D_grid(q_one, "robin", (0.0, 1.0, 0.0, 1.0), 2, 2)
+
     def test_capped_points_skip_the_batch(self, q_linear, monkeypatch):
         # The 16 points at Im k = 60.5 are rejected up front; the other 112
         # take one batched call and match the point-by-point reference. The

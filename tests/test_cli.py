@@ -81,6 +81,20 @@ class TestSpectrumCommand:
         _, records, _ = read_spectrum(str(out))
         assert {r.index for r in records} == {1}
 
+    def test_uncertified_targeted_root_exits_2(self, workdir, capsys):
+        # q = a + b x with q(1)/omega near -2: the n = 0 zero is purely imaginary,
+        # out of reach of the window around its real-axis seed.
+        cfg = workdir / "uncertified.json"
+        cfg.write_text(json.dumps({"potential": {
+            "kind": "polynomial", "coeffs": [-1.6685632173450171, 2.528261446027842],
+            "h": -0.20404202893245155}, "variant": "robin"}))
+        out = workdir / "uncertified_spec.json"
+        code = main(["--config", str(cfg), "--out", str(out), "spectrum", "--n", "0..1"])
+        assert code == 2
+        header, _, _ = read_spectrum(str(out))
+        assert [w for w in header.warnings if "indices [0] not certified" in w]
+        assert "indices [0] not certified" in capsys.readouterr().err
+
     def test_degenerate_potential_warns(self, workdir, capsys):
         cfg = workdir / "zero.json"
         cfg.write_text(json.dumps({"potential": {"kind": "constant", "value": 0.0, "h": 0.0},
@@ -173,6 +187,23 @@ class TestValidateCommand:
 
 
 class TestMalformedSpectrumFile:
+    # (case, section, key, value): the value replaces the header key or the
+    # key of the first record.
+    VALUES = [
+        ("re_k_string", "record", "re_k", "abc"),
+        ("re_k_null", "record", "re_k", None),
+        ("im_k_infinite", "record", "im_k", float("inf")),
+        ("residual_string", "record", "residual", "0"),
+        ("multiplicity_string", "record", "multiplicity", "x"),
+        ("multiplicity_zero", "record", "multiplicity", 0),
+        ("index_fraction", "record", "index", 1.5),
+        ("branch_string", "record", "branch", "b"),
+        ("cls_unknown", "record", "cls", "complex"),
+        ("s_string", "header", "s", "two"),
+        ("s_negative", "header", "s", -1),
+        ("variant_unknown", "header", "variant", "neumann"),
+    ]
+
     @pytest.mark.parametrize("case", ["missing", "not_json", "unknown_header_key"])
     def test_exit_1_without_traceback(self, workdir, config_path, spectrum_path, case, capsys):
         path = workdir / f"malformed_{case}.json"
@@ -187,6 +218,19 @@ class TestMalformedSpectrumFile:
         assert code == 1
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case, section, key, value", VALUES, ids=[v[0] for v in VALUES])
+    @pytest.mark.parametrize("command", [["validate"], ["gamma", "--route", "omega"]])
+    def test_malformed_value_exit_1(self, workdir, config_path, spectrum_path, case, section,
+                                    key, value, command, capsys):
+        doc = json.loads(open(spectrum_path).read())
+        (doc["header"] if section == "header" else doc["records"][0])[key] = value
+        path = workdir / f"malformed_value_{case}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--config", config_path] + command + ["--spectrum", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"config error: {path}" in err and "Traceback" not in err
 
 
 class TestEnvOverrides:
@@ -222,6 +266,8 @@ class TestMalformedConfig:
         ("region_empty", {"spectrum": {"region": [1.0, 1.0, 0.0, 2.0]}}),
         ("region_not_finite", {"spectrum": {"region": [0.0, float("inf"), 0.0, 2.0]}}),
         ("depth_zero", {"spectrum": {"depth": 0}}),
+        # The gamma section and validate.gamma_tol are gone: these now exit 1
+        # as unknown keys (test_unread_keys_are_unknown holds well-formed values).
         ("taus_not_a_list", {"gamma": {"taus": "abc"}}),
         ("taus_one_rung", {"gamma": {"taus": [-4.0]}}),
         ("taus_positive", {"gamma": {"taus": [-4.0, 6.0]}}),
@@ -255,9 +301,13 @@ class TestMalformedConfig:
         {"gamma": {"route": "omega"}},
         {"gamma": {"spectrum": "spec.json"}},
         {"gamma": {"probe": 0.37}},
+        {"gamma": {"k0": 1.5707963267948966}},
+        {"gamma": {"taus": [-4.0, -6.0, -8.0]}},
+        {"validate": {"gamma_tol": 0.25}},
     ])
     def test_unread_keys_are_unknown(self, workdir, patch, capsys):
-        # No command reads these keys (the flags are their only source).
+        # No command reads these keys (the flags or the gamma routes' own
+        # constants are their only source).
         path = workdir / "unread_key_cfg.json"
         path.write_text(json.dumps(dict(self.BASE, **patch)))
         assert main(["--config", str(path), "charfun", "eval", "--k", "1.0,0.0"]) == 1

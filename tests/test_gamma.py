@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from tspec import Potential, derive_scalars
+from tspec import Potential, derive_scalars, gamma_recovery
 from tspec.asymptotics import leading_zeros
 from tspec.errors import DomainError, ProbeTooCloseError, UnstableLimitError
 from tspec.gamma_recovery import (eval_E, from_eigenvalues, gamma_direct,
                                   gamma_from_endpoint, gamma_from_omega,
                                   hadamard_product, log_E)
 from tspec.potential import PotentialScalars
+from tspec.rootfind import newton_refine_many
+
+from conftest import const_jost
 
 
 def synthetic_mu_product(n_terms=50):
@@ -24,6 +27,22 @@ def synthetic_mu_product(n_terms=50):
     mus = np.array(lz.mu_n[:n_terms], dtype=complex)
     lams = np.concatenate([mus ** 2, np.conj(mus) ** 2])
     return hadamard_product(lams)
+
+
+def robin_constant_d(c: float, h: float):
+    """Closed-form Robin D(k) = [F(k) + F(-k)]/(2i) - (h/2k)[F(k) - F(-k)] for q = c,
+    with F(k) = -i[f'(k,0) - h f(k,0)] from conftest.const_jost."""
+    def big_f(k):
+        f, fp = const_jost(c, k)
+        return -1j * (fp - h * f)
+
+    def d(ks):
+        out = []
+        for k in np.atleast_1d(ks):
+            fk, fmk = big_f(k), big_f(-k)
+            out.append((fk + fmk) / 2j - (h / (2.0 * k)) * (fk - fmk))
+        return np.array(out)
+    return d
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +124,13 @@ class TestGammaDirect:
         b = gamma_direct(dev, synthetic_hp, 0.71).gamma
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_default_probe_is_first_clear_candidate(self):
+        dev = lambda ks: np.asarray(ks, complex)
+        assert gamma_direct(dev, hadamard_product([0.37 ** 2])).probes == (0.71,)
+        every = hadamard_product([c * c for c in gamma_recovery._DIRECT_PROBE_CANDIDATES])
+        with pytest.raises(ProbeTooCloseError):
+            gamma_direct(dev, every)
+
     def test_probe_too_close(self):
         hp = hadamard_product([9.0])  # sqrt root at 3
         dev = lambda ks: np.asarray(ks, complex)
@@ -130,6 +156,25 @@ class TestOmegaRoute:
             est = gamma_from_omega(hp, scalars, unstable_tol=1.0)
             errs.append(abs(est.gamma - 2.0))
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("c", [0.9, 1.1, 1.3])
+    @pytest.mark.parametrize("h", [-0.25, 0.0, 0.1, 0.2, 0.3, 0.4])
+    def test_robin_constant_potential_closed_form(self, c, h):
+        # E(0) = 1, so gamma is D(0) exactly. Rungs at odd multiples of pi/2
+        # (cos 2k = -1) flip the sign of D's h cos(2k)/k term against the rest.
+        d = robin_constant_d(c, h)
+        scalars = derive_scalars(Potential.constant(c, h=h))
+        seeds = np.array(leading_zeros(scalars, 401, include_small=True).mu_n[:401])
+        roots, ok = newton_refine_many(d, seeds)
+        assert ok.all()
+        ns = np.arange(roots.size)
+        assert np.all((ns * math.pi < roots.real) & (roots.real < (ns + 1) * math.pi))
+        d0 = ((4.0 * d(1e-3) - d(2e-3)) / 3.0)[0].real   # D is even: Richardson in k^2
+        for n in (30, 401):
+            hp = hadamard_product(np.concatenate([roots[:n] ** 2, np.conj(roots[:n]) ** 2]))
+            est = gamma_from_omega(hp, scalars)
+            assert est.gamma == pytest.approx(d0, rel=0.02), n
+            assert est.diagnostics["gap"] < 0.05, n
 
     def test_omega_zero_precondition(self, synthetic_hp):
         scalars = PotentialScalars(omega=0.0, q_at_1=1.0, dq_at_1=0.0, q_at_0=0.0,
@@ -163,27 +208,18 @@ class TestEndpointRoute:
         with pytest.raises(UnstableLimitError):
             gamma_from_endpoint(hp, scalars)
 
-    def test_log_space_no_overflow(self):
+    def test_log_space_no_overflow(self, monkeypatch):
         # tau down to -300 must stay finite end to end (log-space evaluation).
+        monkeypatch.setattr(gamma_recovery, "_ENDPOINT_TAUS", (-280.0, -290.0, -300.0))
         hp = self._xm1_like_hp()
         scalars = PotentialScalars(omega=-0.5, q_at_1=0.0, dq_at_1=1.0, q_at_0=-1.0,
                                    dq_at_0=1.0, q_sq_integral=1.0 / 3.0, m_order=(1, 1.0))
         try:
-            est = gamma_from_endpoint(hp, scalars, taus=[-280.0, -290.0, -300.0],
-                                      unstable_tol=math.inf)
+            est = gamma_from_endpoint(hp, scalars, unstable_tol=math.inf)
             assert np.isfinite(est.gamma)
         except UnstableLimitError as exc:
             # Unstable is acceptable at this depth; overflow/NaN is not.
             assert all(np.isfinite(v) for v in exc.diagnostics.get("log_values", []))
-
-    @pytest.mark.parametrize("taus", [[], [-4.0]])
-    def test_needs_two_taus(self, taus):
-        # The extrapolation refits without its last rung, so one tau leaves nothing.
-        hp = self._xm1_like_hp()
-        scalars = PotentialScalars(omega=-0.5, q_at_1=0.0, dq_at_1=1.0, q_at_0=-1.0,
-                                   dq_at_0=1.0, q_sq_integral=1.0 / 3.0, m_order=(1, 1.0))
-        with pytest.raises(DomainError, match="at least two taus"):
-            gamma_from_endpoint(hp, scalars, taus=taus)
 
     def test_requires_m_order(self):
         hp = self._xm1_like_hp()
