@@ -5,7 +5,9 @@ at x=1 to x=0 through uniform cells, batched over k. Each cell takes one
 6th-order Magnus step with three Gauss-Legendre nodes; the cell's exponential
 is the closed form for a traceless 2x2 matrix, so the -k^2 part of the
 coefficient matrix is treated exactly and the cell count depends on how
-smooth q is, not on |k|. A constant q is exact in one cell. Otherwise the
+smooth q is, not on |k|. The cell matrices depend on k only through k^2, so
+each is built and chained once per distinct k^2 in a batch: the +k and -k
+of every D sample share them. A constant q is exact in one cell. Otherwise the
 cell count doubles per k until the difference from half as many cells,
 divided by 63 (the 6th-order Richardson factor), meets the tolerance, and the
 Richardson-extrapolated value is returned.
@@ -107,15 +109,19 @@ def _cell_generators(p: Potential, cells: int):
 
 
 def _propagate(p: Potential, ks: np.ndarray, cells: int):
-    """(f(k,0), f'(k,0)) from `cells` uniform Magnus cells, backward from x=1."""
+    """(f(k,0), f'(k,0)) from `cells` uniform Magnus cells, backward from x=1.
+
+    Cells are built and chained once per distinct k^2, then applied to each
+    k's own start vector.
+    """
     gens = _cell_generators(p, cells)
-    kk = ks * ks
+    kk, col = np.unique(ks * ks, return_inverse=True)
     y = np.exp(1j * ks) * np.array([np.ones_like(ks), 1j * ks])
-    block = max(1, _BLOCK // ks.size)
+    block = max(1, _BLOCK // kk.size)
     for hi in range(cells, 0, -block):
         lo = max(0, hi - block)
         t = _chain(_cell_matrices(*(g[lo:hi] for g in gens), kk))
-        y = (t * y).sum(axis=1)
+        y = (t[:, :, col] * y).sum(axis=1)
     return y[0], y[1]
 
 

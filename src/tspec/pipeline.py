@@ -30,6 +30,7 @@ from .spectrumfile import SpectrumHeader, SpectrumRecord
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
 _GAMMA_REL_TOL = 0.25       # largest relative gap between the direct and a limit route
 _RTOL_WINDING = 1e-8        # D tolerance of the winding count certifying a targeted root
+_NEWTON_COARSE_TOL = 1e-7   # Newton step tolerance of the targeted stage on the winding evaluator
 _SYMMETRY_TOL = 1e-9        # relative distance at which a record counts as a mirror image
 _SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the decay audit
 
@@ -45,10 +46,13 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                       rtol_refine: float = 1e-13) -> List[Eigenvalue]:
     """Indexed eigenvalues n_lo..n_hi found from asymptotic seeds.
 
-    Batched Newton from the predicted locations, polished at rtol_refine; each
-    root is then certified unique in its window by a winding count (the small
-    contours the counting argument uses). Misbehaving indices fall back to a
-    boxed search around the seed.
+    Batched Newton runs in two stages: from the predicted locations to a step
+    of 1e-7 on D at the winding tolerance 1e-8, which is as far as the coarse
+    evaluations carry, then polished at rtol_refine. Each root is then
+    certified unique in its window by a winding count (the small contours the
+    counting argument uses), and the residuals of all roots come from one
+    stacked evaluation at rtol_refine. Misbehaving indices fall back to a
+    boxed search around the seed; rtol is the tolerance of that search only.
     """
     dev = DEvaluator(p, variant, rtol=rtol)
     dev_fine = dev.with_tolerance(rtol_refine)
@@ -59,11 +63,11 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     if not sel:
         return []
     seeds = np.array([val for (_n, val, _b) in sel], dtype=complex)
-    roots, conv = newton_refine_many(dev, seeds)
+    roots, conv = newton_refine_many(dev_wind, seeds, tol=_NEWTON_COARSE_TOL)
     polished, conv2 = newton_refine_many(dev_fine, roots, max_iter=6)
     good = conv & conv2
     roots = np.where(good, polished, roots)
-    out = []
+    reps, refined = [], []
     half = 0.45 * spacing
     for (n, target, br), root, ok in zip(sel, roots, good):
         if not ok or abs(root - target) > half:
@@ -77,11 +81,12 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                 w = -1
             if w != 1:
                 root, ok = _boxed_fallback(dev, dev_fine, target, half)
-        rep = representative(root)
-        residual = float(abs(complex(dev_fine(rep))))
-        out.append(Eigenvalue(k=rep, index=n, multiplicity=1, residual=residual,
-                              cls=_classify(rep), refined=bool(ok), branch=br))
-    return out
+        reps.append(representative(root))
+        refined.append(bool(ok))
+    residuals = np.abs(dev_fine(np.array(reps)))
+    return [Eigenvalue(k=rep, index=n, multiplicity=1, residual=float(res), cls=_classify(rep),
+                       refined=ok, branch=br)
+            for (n, _t, br), rep, res, ok in zip(sel, reps, residuals, refined)]
 
 
 def _boxed_fallback(dev, dev_fine, target: complex, half: float):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -223,8 +223,16 @@ def _quad_panels(p: Potential) -> int:
     return aligned_cells(p, _QUAD_PANELS)
 
 
-def _gauss_composite(f, panels: int, order: int) -> float:
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int):
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built once per order (read-only)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_composite(f, panels: int, order: int) -> float:
+    nodes, weights = _gauss_rule(order)
     edges = np.linspace(0.0, 1.0, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import airye
 
 import tspec.jost
 from tspec import Potential
+from tspec.charfun import eval_D_many
 from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
 from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
 from tspec.jost import jost_at_zero_many
@@ -229,6 +232,54 @@ class TestCellDataCache:
             jost_at_zero_many(p, self.KS, rtol=rtol)
         assert sorted(p._magnus_cells) == sorted(built) == sorted(set(used))
         assert len(used) > len(built)
+
+
+def _ks_in_disc(k_abs=40.0, im_abs=10.0):
+    """k with |k| <= k_abs and |Im k| <= im_abs."""
+    return st.builds(complex, st.floats(-k_abs, k_abs), st.floats(-im_abs, im_abs)).filter(
+        lambda k: abs(k) <= k_abs)
+
+
+def _jost_distance(f, fp, f_ref, fp_ref, k):
+    w = 1.0 / max(1.0, abs(k))
+    return (abs(f - f_ref) + w * abs(fp - fp_ref)) / (abs(f_ref) + w * abs(fp_ref))
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestSharedTransfer:
+    """k and -k share their Magnus cell matrices, which depend on k only through k^2."""
+
+    @_PROPERTY
+    @given(name=st.sampled_from(sorted(NONCONSTANT)), k=_ks_in_disc(), j=_ks_in_disc())
+    def test_batch_matches_single_calls(self, name, k, j):
+        p = NONCONSTANT[name]
+        batch = np.array([k, -k, k, j, np.conj(k)])
+        seen = []
+        cell_matrices = tspec.jost._cell_matrices
+
+        def spy(*gens_and_kk):
+            seen.append(gens_and_kk[-1])
+            return cell_matrices(*gens_and_kk)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tspec.jost, "_cell_matrices", spy)
+            f, fp = jost_at_zero_many(p, batch)
+        assert seen and all(np.unique(kk).size == kk.size for kk in seen)
+        for i, kb in enumerate(batch):
+            f1, fp1 = jost_at_zero_many(p, [kb])
+            assert _jost_distance(f[i], fp[i], f1[0], fp1[0], kb) <= 1e-11
+
+    @_PROPERTY
+    @given(name=st.sampled_from(sorted(NONCONSTANT)), k=_ks_in_disc(),
+           variant=st.sampled_from(["robin", "dirichlet"]))
+    def test_d_even_and_conjugate_symmetric(self, name, k, variant):
+        p = replace(NONCONSTANT[name], h=0.3)
+        d, d_minus, d_conj = (eval_D_many(p, [c], variant=variant)[0] for c in (k, -k, np.conj(k)))
+        scale = abs(d)
+        assert abs(d_minus - d) <= 1e-12 * scale
+        assert abs(d_conj - np.conj(d)) <= 1e-12 * scale
 
 
 class TestKernel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import tspec.charfun
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
 from tspec.errors import ConfigError
@@ -78,6 +79,46 @@ class TestTargeted:
             assert abs(ev.k - mu) < 0.05
             circle = ev.k + radius * np.exp(2j * np.pi * np.arange(8) / 8)
             assert ev.residual < 1e-9 * np.max(np.abs(dev_fine(circle)))
+
+
+def _spy_evaluations(monkeypatch):
+    """Record (rtol, ks) of every D batch an evaluator computes."""
+    calls = []
+    evaluate = tspec.charfun.eval_D_many
+
+    def spy(p, ks, variant="robin", rtol=1e-12):
+        calls.append((rtol, list(ks)))
+        return evaluate(p, ks, variant=variant, rtol=rtol)
+
+    monkeypatch.setattr(tspec.charfun, "eval_D_many", spy)
+    return calls
+
+
+class TestTargetedCost:
+    @pytest.mark.parametrize("n_hi", range(1, 7))
+    def test_one_residual_call(self, n_hi, monkeypatch):
+        p = Potential.polynomial([1.0, 1.0])
+        calls = _spy_evaluations(monkeypatch)
+        evs = targeted_spectrum(p, derive_scalars(p), "robin", 1, n_hi)
+        assert [e.index for e in evs] == list(range(1, n_hi + 1))
+        assert all(e.refined for e in evs)
+        reps = [e.k for e in evs]
+        assert [ks for rtol, ks in calls if rtol == 1e-13 and set(ks) & set(reps)] == [reps]
+        monkeypatch.undo()
+        for ev in evs:
+            single = abs(tspec.charfun.eval_D_many(p, [ev.k], rtol=1e-13)[0])
+            assert abs(ev.residual - single) <= 1e-11 * single
+
+    def test_newton_budget_at_fine_tolerance(self, monkeypatch):
+        # Only the polish and the residuals may run tighter than the winding
+        # tolerance: seeds O(0.1) off take their coarse sweeps at 1e-8.
+        p = Potential.from_dict({"kind": "polynomial",
+                                 "coeffs": [2.018163552678391, -3.0078934421058396],
+                                 "h": -0.0383367})
+        calls = _spy_evaluations(monkeypatch)
+        evs = targeted_spectrum(p, derive_scalars(p), "robin", 3, 3)
+        assert [e.index for e in evs] == [3] and evs[0].refined
+        assert sum(1 for rtol, _ks in calls if rtol < 1e-8) <= 3
 
 
 class TestDirichletTheorem:

@@ -96,6 +96,33 @@ class TestDeriveScalars:
         # natural-spline endpoint derivatives are only O(h^2) accurate
         assert s.dq_at_1 == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("p", [
+        Potential.polynomial([0.3, 1.0]),
+        Potential.polynomial([0.5, -1.0, 2.0, 1.5]),
+        Potential.grid((0.4, -1.1, 0.7, 1.9, -0.3, 0.8, -1.6, 0.2, 1.3)),
+    ], ids=["linear", "cubic", "spline"])
+    def test_rules_built_once(self, p, monkeypatch):
+        # The reference rebuilds each rule per call; the cached rules must give the same bits,
+        # and once any potential has built them, derive_scalars builds none.
+        def composite(f, panels, order):
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            edges = np.linspace(0.0, 1.0, panels + 1)
+            half = 0.5 * (edges[1] - edges[0])
+            xs = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes[None, :]).ravel()
+            return float(np.tile(weights * half, panels) @ f(xs))
+
+        panels = potential._quad_panels(p)
+        omega = composite(p._eval, panels, potential._QUAD_ORDER)
+        q_sq = composite(lambda x: p._eval(x) ** 2, panels, potential._QUAD_ORDER)
+        derive_scalars(Potential.polynomial([1.0, 2.0]))
+
+        def no_rebuild(order):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rebuild)
+        s = derive_scalars(p)
+        assert (s.omega, s.q_sq_integral) == (omega, q_sq)
+
 
 class TestQConstants:
     def test_constant_one_robin(self, q_one):
