@@ -65,26 +65,27 @@ def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
     arr = np.asarray(list(lambdas), dtype=complex)
     if not np.all(np.isfinite(arr)) or np.any(arr == 0):
         raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
-    arr = arr[np.argsort(np.abs(arr), kind="stable")]
+    lams = arr[np.argsort(np.abs(arr), kind="stable")].tolist()
     first, second = [], []
-    used = np.zeros(arr.size, dtype=bool)
-    for i in range(arr.size):
+    used = [False] * len(lams)
+    for i, lam in enumerate(lams):
         if used[i]:
             continue
         used[i] = True
         first.append(i)
         second.append(-1)
-        if abs(arr[i].imag) <= _CONJ_TOL * abs(arr[i]):
+        if abs(lam.imag) <= _CONJ_TOL * abs(lam):
             continue
-        target = np.conj(arr[i])
-        for j in range(i + 1, arr.size):
-            if not used[j] and abs(arr[j] - target) <= _CONJ_TOL * max(1.0, abs(target)):
+        target = lam.conjugate()
+        tol = _CONJ_TOL * max(1.0, abs(target))
+        for j in range(i + 1, len(lams)):
+            if not used[j] and abs(lams[j] - target) <= tol:
                 used[j] = True
                 second[-1] = j
                 break
         else:
-            raise DomainError(f"eigenvalue list not closed under conjugation: {arr[i]} unpaired")
-    return HadamardProduct(s=int(s), lambdas=tuple(complex(v) for v in arr),
+            raise DomainError(f"eigenvalue list not closed under conjugation: {lam} unpaired")
+    return HadamardProduct(s=int(s), lambdas=tuple(lams),
                            first=np.array(first, dtype=int), second=np.array(second, dtype=int))
 
 
@@ -99,7 +100,7 @@ def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
         lam = complex(ev.k) ** 2
         for _ in range(ev.multiplicity):
             if ev.cls == "quadrant":
-                lams.extend([lam, np.conj(lam)])
+                lams.extend([lam, lam.conjugate()])
             else:
                 lams.append(complex(lam.real, 0.0))
     return hadamard_product(lams, s=s)

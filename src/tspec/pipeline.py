@@ -17,7 +17,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .charfun import DEvaluator
-from .errors import (BoundaryTooCloseError, DomainError, HypothesisMismatchError,
+from .errors import (BoundaryTooCloseError, ConfigError, DomainError, HypothesisMismatchError,
                      IndexingConflictError, PhaseResolutionError, ProbeTooCloseError,
                      TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
@@ -132,14 +132,22 @@ def records_from_eigenvalues(zeros: List[Eigenvalue]) -> List[SpectrumRecord]:
 
 
 def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
-    """First-quadrant representatives with indices, one per orbit."""
-    seen = {}
+    """First-quadrant representatives with indices, one per orbit.
+
+    The mirrors of a zero share its exact (|Re k|, |Im k|), so they collapse
+    first; the 9-digit key then merges images that differ by rounding. Both
+    keep the first record seen.
+    """
+    firsts = {}
     for r in records:
-        rep = representative(complex(r.re_k, r.im_k))
-        key = (round(rep.real, 9), round(rep.imag, 9))
+        firsts.setdefault((abs(r.re_k), abs(r.im_k)), r)
+    seen = {}
+    for (re_k, im_k), r in firsts.items():
+        key = (round(re_k, 9), round(im_k, 9))
         if key not in seen:
-            seen[key] = Eigenvalue(k=rep, index=r.index, multiplicity=r.multiplicity,
-                                   residual=r.residual, cls=r.cls, branch=r.branch)
+            seen[key] = Eigenvalue(k=complex(re_k, im_k), index=r.index,
+                                   multiplicity=r.multiplicity, residual=r.residual,
+                                   cls=r.cls, branch=r.branch)
     return sorted(seen.values(), key=lambda e: (e.index if e.index is not None else 10 ** 9,
                                                 abs(e.k)))
 
@@ -356,7 +364,10 @@ def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
             report.add("empty-spectrum", "fail", "no records and no degeneracy warning")
         return report
     report.entries.append(audit_symmetry(records))
-    p = Potential.from_dict(header.potential)
+    try:
+        p = Potential.from_dict(header.potential)
+    except DomainError as exc:  # a malformed input file, as for the config's potential
+        raise ConfigError(f"spectrum header potential: {exc}") from None
     scalars = derive_scalars(p)
     dev = DEvaluator(p, header.variant, rtol=cfg.rtol)
     contours = cfg.validate.get("contours", [2, 3])

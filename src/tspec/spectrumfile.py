@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from typing import List, Optional
 
@@ -20,6 +20,11 @@ from .errors import ConfigError
 from .potential import finite_real
 
 _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "branch")
+# One record as _canonical writes asdict(record): keys sorted, no spaces. Exact
+# for the values read_spectrum accepts (Python ints and floats, cls from
+# _CLASSES); index and branch go through %s so that None can become null.
+_RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
+                '"multiplicity":%r,"re_k":%r,"residual":%r}')
 _CLASSES = ("real", "imaginary", "quadrant")
 
 
@@ -60,23 +65,34 @@ def potential_hash(potential: dict) -> str:
     return hashlib.sha256(_canonical(potential).encode()).hexdigest()[:16]
 
 
-def _content_hash(header_dict: dict, records: List[dict]) -> str:
+def _content_hash(header_dict: dict, records: List[SpectrumRecord]) -> str:
+    """sha256 of _canonical({"header": header without created and content_hash,
+    "records": [asdict(r) for r in records]}), with each record encoded by
+    _RECORD_JSON instead of a dict and json.dumps."""
     body = {k: v for k, v in header_dict.items() if k not in ("created", "content_hash")}
-    return hashlib.sha256(_canonical({"header": body, "records": records}).encode()).hexdigest()
+    rows = ",".join([_RECORD_JSON % ("null" if r.branch is None else r.branch, r.cls, r.im_k,
+                                     "null" if r.index is None else r.index, r.multiplicity,
+                                     r.re_k, r.residual) for r in records])
+    text = '{"header":' + _canonical(body) + ',"records":[' + rows + "]}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _plain_float(value):
+    """A numpy float as the Python float json writes for it; anything else unchanged."""
+    return float(value) if isinstance(value, float) else value
 
 
 def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) -> dict:
     """Serialize to JSON; returns the document written (for tests)."""
-    records = sorted(records, key=lambda r: (
-        r.index if r.index is not None else 10 ** 9,
-        abs(r.k), r.re_k, r.im_k,
-    ))
+    records = sorted((replace(r, re_k=_plain_float(r.re_k), im_k=_plain_float(r.im_k),
+                              residual=_plain_float(r.residual)) for r in records),
+                     key=lambda r: (r.index if r.index is not None else 10 ** 9,
+                                    abs(r.k), r.re_k, r.im_k))
     header.potential_hash = potential_hash(header.potential)
     header.created = header.created or datetime.now(timezone.utc).isoformat()
     hdict = asdict(header)
-    rdicts = [asdict(r) for r in records]
-    hdict["content_hash"] = _content_hash(hdict, rdicts)
-    doc = {"header": hdict, "records": rdicts}
+    hdict["content_hash"] = _content_hash(hdict, records)
+    doc = {"header": hdict, "records": [asdict(r) for r in records]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -87,9 +103,11 @@ def read_spectrum(path):
     """Read a spectrum file back losslessly; verifies the content hash.
 
     A file that cannot be read, is not JSON or lacks the spectrum layout raises
-    ConfigError, as does a malformed value: s must be an int >= 0, variant
-    robin or dirichlet, index and branch an int or null, re_k, im_k and
-    residual finite, multiplicity an int >= 1 and cls one of _CLASSES.
+    ConfigError, as does a header key outside SpectrumHeader, a record whose
+    keys are not exactly _RECORD_FIELDS, or a malformed value: s must be an
+    int >= 0, variant robin or dirichlet, index and branch an int or null,
+    re_k, im_k and residual finite, multiplicity an int >= 1 and cls one of
+    _CLASSES.
     """
     try:
         with open(path) as fh:
@@ -102,18 +120,22 @@ def read_spectrum(path):
         hdict = dict(doc["header"])
         rdicts = doc["records"]
         header = SpectrumHeader(**hdict)
-        records = [SpectrumRecord(**{k: r.get(k) for k in _RECORD_FIELDS}) for r in rdicts]
+        records = [SpectrumRecord(**r) for r in rdicts]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
     if not (type(header.s) is int and header.s >= 0 and header.variant in ("robin", "dirichlet")):
         raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
     for i, r in enumerate(records):
+        # An unknown key already failed above; branch is the one field with a default.
+        if len(rdicts[i]) != len(_RECORD_FIELDS):
+            raise ConfigError(f"{path}: record {i} lacks a field; records hold exactly "
+                              f"{', '.join(_RECORD_FIELDS)}")
         if not ((r.index is None or type(r.index) is int)
                 and (r.branch is None or type(r.branch) is int)
                 and finite_real(r.re_k) and finite_real(r.im_k) and finite_real(r.residual)
                 and type(r.multiplicity) is int and r.multiplicity > 0 and r.cls in _CLASSES):
             raise ConfigError(f"{path}: record {i} has a malformed value: {asdict(r)}")
-    return header, records, hdict.get("content_hash", "") == _content_hash(hdict, rdicts)
+    return header, records, hdict.get("content_hash", "") == _content_hash(hdict, records)
 
 
 def write_spectrum_csv(path, records: List[SpectrumRecord]):

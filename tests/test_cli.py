@@ -1,12 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspec.cli import main
-from tspec.spectrumfile import read_spectrum
+from tspec.errors import ConfigError
+from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
 
 
 @pytest.fixture(scope="module")
@@ -204,20 +215,67 @@ class TestMalformedSpectrumFile:
         ("variant_unknown", "header", "variant", "neumann"),
     ]
 
-    @pytest.mark.parametrize("case", ["missing", "not_json", "unknown_header_key"])
+    @pytest.mark.parametrize("case", ["missing", "not_json", "unknown_header_key",
+                                      "record_unknown_key", "record_missing_branch"])
     def test_exit_1_without_traceback(self, workdir, config_path, spectrum_path, case, capsys):
         path = workdir / f"malformed_{case}.json"
+        doc = json.loads(open(spectrum_path).read())
         if case == "not_json":
             path.write_text("this is not JSON\n")
         elif case == "unknown_header_key":
-            doc = json.loads(open(spectrum_path).read())
             doc["header"]["colour"] = "blue"
+        elif case == "record_unknown_key":
+            doc["records"][0]["colour"] = "blue"
+        elif case == "record_missing_branch":
+            del doc["records"][-1]["branch"]
+        if case not in ("missing", "not_json"):
             path.write_text(json.dumps(doc))
+        for command in (["validate"], ["gamma", "--route", "omega"]):
+            code = main(["--config", config_path] + command + ["--spectrum", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "config error" in err
+            assert "Traceback" not in err
+
+    def test_header_potential_not_a_potential_exit_1(self, workdir, config_path, spectrum_path,
+                                                     capsys):
+        doc = json.loads(open(spectrum_path).read())
+        doc["header"]["potential"] = {"kind": "cosine"}
+        path = workdir / "malformed_header_potential.json"
+        path.write_text(json.dumps(doc))
         code = main(["--config", config_path, "validate", "--spectrum", str(path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "config error" in err
-        assert "Traceback" not in err
+        assert "config error: spectrum header potential" in err and "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_file_loads_or_exits_cleanly(self, workdir, config_path, spectrum_path, data):
+        # One header or record value becomes arbitrary JSON, or a record gains
+        # or loses a key.
+        doc = json.loads(open(spectrum_path).read())
+        edit = data.draw(st.sampled_from(["header", "record", "add_key", "drop_key"]))
+        record = doc["records"][data.draw(st.integers(0, len(doc["records"]) - 1))]
+        if edit == "header":
+            doc["header"][data.draw(st.sampled_from(sorted(doc["header"])))] = data.draw(_JSON)
+        elif edit == "record":
+            record[data.draw(st.sampled_from(_RECORD_FIELDS))] = data.draw(_JSON)
+        elif edit == "add_key":
+            record[data.draw(st.text(max_size=6).filter(lambda k: k not in record))] = \
+                data.draw(_JSON)
+        else:
+            del record[data.draw(st.sampled_from(_RECORD_FIELDS))]
+        path = workdir / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        try:
+            read_spectrum(path)
+        except ConfigError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", config_path, "validate", "--spectrum", str(path)])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("case, section, key, value", VALUES, ids=[v[0] for v in VALUES])
     @pytest.mark.parametrize("command", [["validate"], ["gamma", "--route", "omega"]])

@@ -69,6 +69,22 @@ class TestHadamardProduct:
         with pytest.raises(DomainError):
             hadamard_product([2 + 1j, 3.0])
 
+    def test_missing_conjugate_among_equal_moduli(self):
+        with pytest.raises(DomainError, match="not closed under conjugation"):
+            hadamard_product([3 + 4j, 4 + 3j, 4 - 3j, -3 + 4j, -3 - 4j])
+
+    def test_equal_modulus_non_conjugates_pair_correctly(self, rng):
+        # Every lambda has modulus 5; the conjugate of each sits behind
+        # non-conjugates of the same modulus in the stable sort.
+        lams = [3 + 4j, 4 + 3j, -3 + 4j, 5.0, 4 - 3j, -3 - 4j, 3 - 4j, -4 + 3j, -4 - 3j]
+        for order in (lams, list(rng.permutation(lams))):
+            hp = hadamard_product(order)
+            assert sorted(hp.first.tolist() + [j for j in hp.second if j >= 0]) == list(range(9))
+            for i, j in zip(hp.first, hp.second):
+                lam = hp.lambdas[i]
+                assert (j < 0) if lam.imag == 0 else (hp.lambdas[j] == lam.conjugate())
+            assert eval_E(hp, 1.7).imag == 0.0
+
     def test_stored_pairing_matches_pairing_loop(self, synthetic_hp, rng):
         # Reference: pair each complex factor with the first later unused
         # factor at its conjugate, in ascending |lambda|, on every call.

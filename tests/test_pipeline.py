@@ -159,6 +159,51 @@ class TestOrbits:
         assert abs(back[0].k - small_run.eigenvalues[0].k) < 1e-12
         assert back[0].index == 0
 
+    @staticmethod
+    def _collapse_per_record(records):
+        # Reference: the 9-digit key of every record's representative, first seen wins.
+        seen = {}
+        for r in records:
+            rep = complex(abs(r.re_k), abs(r.im_k))
+            seen.setdefault((round(rep.real, 9), round(rep.imag, 9)),
+                            Eigenvalue(k=rep, index=r.index, multiplicity=r.multiplicity,
+                                       residual=r.residual, cls=r.cls, branch=r.branch))
+        return sorted(seen.values(), key=lambda e: (e.index if e.index is not None else 10 ** 9,
+                                                    abs(e.k)))
+
+    def test_images_within_rounding_give_one_representative(self):
+        k = 2.1958123 + 1.0732456j
+        images = [k, -k + 4e-11, np.conj(k) - 3e-11j, -np.conj(k) + (2e-11 - 5e-11j)]
+        records = [SpectrumRecord(index=0, re_k=m.real, im_k=m.imag, multiplicity=1,
+                                  residual=1e-14 * (i + 1), cls="quadrant")
+                   for i, m in enumerate(images)]
+        back = eigenvalues_from_records(records)
+        assert len(back) == 1
+        assert back[0].k == complex(k) and back[0].residual == 1e-14
+
+    def test_order_of_records_does_not_matter(self, small_run):
+        rng = np.random.default_rng(3)
+        ref = eigenvalues_from_records(small_run.records)
+        for _ in range(5):
+            shuffled = [small_run.records[i] for i in rng.permutation(len(small_run.records))]
+            assert eigenvalues_from_records(shuffled) == ref
+
+    def test_matches_per_record_collapse(self):
+        # Orbits with exact and with rounding-level mirrors, duplicated rows,
+        # a real and an imaginary zero, shuffled: the exact-value pass first
+        # must keep the same first record per 9-digit key.
+        rng = np.random.default_rng(11)
+        records = []
+        for n, k in enumerate([2.5 + 1.25j, 5.75 + 0.5j, 3.0 + 0j, 1.5j, 9.125 + 2.0j]):
+            for m in (k, -k, np.conj(k), -np.conj(k), k):
+                m = complex(m) + complex(*rng.choice([0.0, 1e-12, -2e-12], 2))
+                records.append(SpectrumRecord(index=n, re_k=m.real, im_k=m.imag,
+                                              multiplicity=1 + n % 2, residual=rng.uniform(),
+                                              cls="quadrant", branch=n - 2))
+        for _ in range(5):
+            records = [records[i] for i in rng.permutation(len(records))]
+            assert eigenvalues_from_records(records) == self._collapse_per_record(records)
+
 
 class TestAudits:
     def test_symmetry_pass(self, small_run):

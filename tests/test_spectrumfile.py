@@ -1,0 +1,118 @@
+import hashlib
+import json
+import math
+from collections import Counter
+from dataclasses import asdict
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tspec.spectrumfile import (_CLASSES, SpectrumHeader, SpectrumRecord, _content_hash,
+                                read_spectrum, write_spectrum)
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _golden_header():
+    header = SpectrumHeader(potential={"kind": "grid", "samples": [0.0, -1.5, 2.25], "h": 0.0},
+                            variant="robin", region=[0.0, 20.0, -4.0, 4.0],
+                            tolerances={"rtol": 1e-12, "rtol_refine": 1e-13}, s=2,
+                            warnings=["targeted roots at indices [0] not certified"],
+                            tool_version="0.0.0", created="2020-01-01T00:00:00+00:00",
+                            potential_hash="0123456789abcdef")
+    return asdict(header)
+
+
+# Every record kind and every value shape the encoder must write as json does:
+# -0.0 parts, null index and branch, an int and an integer-valued float
+# residual, and floats either side of where repr switches to exponent form
+# (1e-05 against 0.0001, 1e+16 against 999...8.0) or goes subnormal.
+GOLDEN_RECORDS = [
+    SpectrumRecord(index=0, re_k=1.5, im_k=0.0, multiplicity=1, residual=0, cls="real",
+                   branch=0),
+    SpectrumRecord(index=0, re_k=-1.5, im_k=-0.0, multiplicity=1, residual=2.0, cls="real",
+                   branch=-1),
+    SpectrumRecord(index=None, re_k=-0.0, im_k=2.25, multiplicity=2, residual=1e-300,
+                   cls="imaginary", branch=None),
+    SpectrumRecord(index=7, re_k=1e16, im_k=9999999999999998.0, multiplicity=1,
+                   residual=1e-05, cls="quadrant", branch=None),
+    SpectrumRecord(index=12345678901, re_k=0.0001, im_k=-5e-324, multiplicity=3,
+                   residual=2.2871419549188834e-15, cls="quadrant", branch=3),
+    SpectrumRecord(index=None, re_k=-0.30000000000000004, im_k=1.7976931348623157e308,
+                   multiplicity=1, residual=123456789.125, cls="quadrant", branch=None),
+]
+# _content_hash(_golden_header(), GOLDEN_RECORDS) as computed by json.dumps on
+# asdict records, before the record encoder existed.
+GOLDEN_DIGEST = "11a459fa01e895cb2c47596ad82f4aeab5c0b5267c692dbf1f52a71a83ee60f2"
+
+
+class TestContentHash:
+    def test_record_encoder_matches_json(self):
+        hdict = _golden_header()
+        body = {k: v for k, v in hdict.items() if k not in ("created", "content_hash")}
+        text = json.dumps({"header": body, "records": [asdict(r) for r in GOLDEN_RECORDS]},
+                          sort_keys=True, separators=(",", ":"))
+        assert _content_hash(hdict, GOLDEN_RECORDS) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_golden_digest(self):
+        assert _content_hash(_golden_header(), GOLDEN_RECORDS) == GOLDEN_DIGEST
+
+    def test_numpy_floats_hash_as_written(self, tmp_path):
+        records = [SpectrumRecord(index=0, re_k=np.float64(2.5), im_k=np.float64(-0.0),
+                                  multiplicity=1, residual=np.float64(1e-16), cls="real")]
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[], tolerances={})
+        path = tmp_path / "np.json"
+        write_spectrum(path, header, records)
+        _, back, hash_ok = read_spectrum(path)
+        assert hash_ok and type(back[0].re_k) is float and repr(back[0].im_k) == "-0.0"
+
+
+_FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+_INDEX = st.none() | st.integers(-10 ** 12, 10 ** 12)
+_RECORDS = st.lists(st.builds(SpectrumRecord, index=_INDEX, re_k=_FLOATS, im_k=_FLOATS,
+                              multiplicity=st.integers(1, 10 ** 6), residual=_FLOATS,
+                              cls=st.sampled_from(_CLASSES), branch=_INDEX),
+                    max_size=8)
+
+
+def _changed_last_digit(value: float) -> float:
+    """value with the last significant digit of its repr replaced, nearest change
+    first, by the first digit that gives another float."""
+    text = repr(value)
+    mantissa = text.split("e")[0].removesuffix(".0")
+    pos = max(i for i, c in enumerate(mantissa) if c.isdigit())
+    d = int(text[pos])
+    for step in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8, 9, -9):
+        if 0 <= d + step <= 9:
+            other = float(text[:pos] + str(d + step) + text[pos + 1:])
+            if other != value:
+                return other
+    raise AssertionError(f"no digit change moves {text}")
+
+
+class TestRoundTrip:
+    @_PROPERTY
+    @given(records=_RECORDS, data=st.data())
+    def test_write_read_round_trip(self, tmp_path_factory, records, data):
+        path = tmp_path_factory.mktemp("rt") / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        doc = write_spectrum(path, header, records)
+        _, back, hash_ok = read_spectrum(path)
+        assert hash_ok
+        # repr tells -0.0 from 0.0, which == does not.
+        assert Counter(map(repr, back)) == Counter(map(repr, records))
+        assert [repr(r) for r in back] == [repr(SpectrumRecord(**d)) for d in doc["records"]]
+        if not records:
+            return
+        i = data.draw(st.integers(0, len(records) - 1), label="record")
+        key = data.draw(st.sampled_from(["re_k", "im_k", "residual"]), label="field")
+        doc["records"][i][key] = _changed_last_digit(doc["records"][i][key])
+        path.write_text(json.dumps(doc, indent=2))
+        assert read_spectrum(path)[2] is False
+
+    def test_changed_last_digit_moves_the_value(self):
+        for v in (0.30000000000000004, 1e-05, 9.999999999999999e22, 2.0 ** 53, 5e-324):
+            assert math.isfinite(_changed_last_digit(v)) and _changed_last_digit(v) != v
