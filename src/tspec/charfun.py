@@ -1,9 +1,10 @@
 """The entire characteristic function D(k) for the Robin and Dirichlet problems.
 
-D is assembled from the Jost data F(k) = -i[f'(k,0) - h f(k,0)]; its zeros are
-the square roots of the transmission eigenvalues. Near k = 0 the odd-difference
-terms divided by k are removable 0/0 forms and are evaluated by 4-point
-Richardson extrapolation along the ray through k.
+With F(k) = -i[f'(k,0) - h f(k,0)], D is (F(k) + F(-k))/2i - h (F(k) - F(-k))/2k
+(Robin) or (f(k,0) - f(-k,0))/2ik (Dirichlet); its zeros are the square roots
+of the transmission eigenvalues. Both are read from the backward transfer
+matrix M(k^2) of :mod:`tspec.jost`, in which the 1/k cancels in closed form,
+so one expression serves every k, k = 0 included.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, TspecError
-from .jost import DEFAULT_RTOL, domain_error, jost_at_zero_many
+from .jost import DEFAULT_RTOL, domain_error, transfer_many
 from .potential import Potential
 
 VARIANTS = ("robin", "dirichlet")
-K_SMALL = 1e-3          # below this |k|, D takes the small-k extrapolation
-_RICHARDSON_FACTORS = (4.0, 2.0, 1.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -36,69 +35,27 @@ def _check_variant(variant: str):
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _d_from_jost(ks, f_pos, fp_pos, f_neg, fp_neg, variant, h):
-    """Assemble D from Jost data at +k and -k. ks must stay away from 0."""
-    if variant == "robin":
-        big_f_pos = -1j * (fp_pos - h * f_pos)
-        big_f_neg = -1j * (fp_neg - h * f_neg)
-        return (big_f_pos + big_f_neg) / 2j - (h / (2.0 * ks)) * (big_f_pos - big_f_neg)
-    return (f_pos - f_neg) / (2j * ks)
-
-
-def _neville(zs, vals, z):
-    """Polynomial interpolation through (zs, vals) evaluated at z."""
-    v = list(vals)
-    n = len(v)
-    for m in range(1, n):
-        for i in range(n - m):
-            v[i] = ((z - zs[i + m]) * v[i] + (zs[i] - z) * v[i + 1]) / (zs[i] - zs[i + m])
-    return v[0]
-
-
-def _eval_d_small(p: Potential, k: complex, variant: str, rtol: float) -> complex:
-    """D(k) for |k| < K_SMALL via extrapolation of the even function behind the 0/0.
-
-    The odd-difference/k terms are even analytic in k, so they are interpolated
-    in the variable k^2 from samples at |k| in {4,2,1.5,1}*K_SMALL on the same ray.
-    """
-    direction = k / abs(k) if abs(k) > 0 else 1.0 + 0j
-    nodes = np.array([c * K_SMALL * direction for c in _RICHARDSON_FACTORS], dtype=complex)
-    stack = np.concatenate([nodes, -nodes, [k, -k]])
-    f, fp = jost_at_zero_many(p, stack, rtol=rtol)
-    nf, nfp = f[:4], fp[:4]
-    mf, mfp = f[4:8], fp[4:8]
-    zs = nodes ** 2
-    if variant == "robin":
-        big_f_pos = -1j * (nfp - p.h * nf)
-        big_f_neg = -1j * (mfp - p.h * mf)
-        odd_over_k = (big_f_pos - big_f_neg) / nodes
-        fk = -1j * (fp[8] - p.h * f[8])
-        fmk = -1j * (fp[9] - p.h * f[9])
-        even = (fk + fmk) / 2j
-        return complex(even - (p.h / 2.0) * _neville(zs, odd_over_k, k * k))
-    d_nodes = (nf - mf) / (2j * nodes)
-    return complex(_neville(zs, d_nodes, k * k))
-
-
 def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """D over an array of k, with the stable small-k path for the removable 1/k terms.
+    """D over an array of k, read from M(k^2) by one closed form.
+
+    With a = m10 - h m00, b = m11 - h m01 and sinc k = sin(k)/k (1 at 0),
+    Robin D = -a cos k + k b sin k - h (a sinc k + b cos k) and Dirichlet
+    D = m00 sinc k + m01 cos k: the definitions with the 1/k divided out.
 
     rtol bounds each Jost value, not D: far from the real axis D is a small
     difference of large Jost terms, and its relative error can exceed rtol.
     """
     _check_variant(variant)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    out = np.empty(ks.shape, dtype=complex)
-    small = np.abs(ks) < K_SMALL
-    if np.any(~small):
-        idx = np.nonzero(~small)[0]
-        stack = np.concatenate([ks[idx], -ks[idx]])
-        f, fp = jost_at_zero_many(p, stack, rtol=rtol)
-        nsel = idx.size
-        out[idx] = _d_from_jost(ks[idx], f[:nsel], fp[:nsel], f[nsel:], fp[nsel:], variant, p.h)
-    for i in np.nonzero(small)[0]:
-        out[i] = _eval_d_small(p, complex(ks[i]), variant, rtol)
-    return out
+    m00, m01, m10, m11 = transfer_many(p, ks, rtol=rtol)
+    sin, cos = np.sin(ks), np.cos(ks)
+    sinc = np.ones_like(ks)
+    np.divide(sin, ks, out=sinc, where=ks != 0)
+    if variant == "dirichlet":
+        return m00 * sinc + m01 * cos
+    a = m10 - p.h * m00
+    b = m11 - p.h * m01
+    return -a * cos + ks * sin * b - p.h * (a * sinc + b * cos)
 
 
 def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,

@@ -156,8 +156,7 @@ def _drift_fit(xs: np.ndarray, logvals: np.ndarray):
     return float(coef[0]), resid
 
 
-def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str,
-                 unstable_tol: float):
+def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str):
     """Drift-compensated limit of sign*exp(logv) over the ladder xs.
 
     The raw sequence carries an exp(c x^2) truncation drift, so plain
@@ -184,9 +183,9 @@ def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str
         "gap": gap,
         "fit_residual": resid_full,
     }
-    if gap > unstable_tol:
+    if gap > _DEFAULT_UNSTABLE_TOL:
         raise UnstableLimitError(
-            f"{route}: extrapolant gap {gap:.3g} exceeds {unstable_tol:.3g}",
+            f"{route}: extrapolant gap {gap:.3g} exceeds {_DEFAULT_UNSTABLE_TOL:.3g}",
             diagnostics=diagnostics)
     return limit_full, diagnostics
 
@@ -218,8 +217,8 @@ def _log_abs_sign(hp: HadamardProduct, k: complex):
     return le.real, (-1.0) ** (round(half_turns) % 2)
 
 
-def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: str = "robin",
-                     *, unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
+def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars,
+                     variant: str = "robin") -> GammaEstimate:
     """gamma = (omega/2) / lim E(k) (Robin) or (omega/2) / lim k^2 E(k) (Dirichlet),
     the limit taken along a real-k doubling ladder with drift-compensated
     extrapolation.
@@ -237,15 +236,14 @@ def gamma_from_omega(hp: HadamardProduct, scalars: PotentialScalars, variant: st
         logs.append(log_abs)
         signs.append(sign)
     route = "omega_limit" if variant == "robin" else "dirichlet_omega"
-    limit, diagnostics = _extrapolate(ks, np.asarray(logs), np.asarray(signs), route,
-                                      unstable_tol)
+    limit, diagnostics = _extrapolate(ks, np.asarray(logs), np.asarray(signs), route)
     gamma = 0.5 * scalars.omega / limit
     return GammaEstimate(gamma=float(gamma), route=route, truncation=hp.truncation,
                          probes=tuple(ks.tolist()), diagnostics=diagnostics)
 
 
-def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant: str = "robin",
-                        *, unstable_tol: float = _DEFAULT_UNSTABLE_TOL) -> GammaEstimate:
+def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars,
+                        variant: str = "robin") -> GammaEstimate:
     """gamma from the imaginary-axis decay rate set by the first nonvanishing
     endpoint derivative q^(m)(1).
 
@@ -266,8 +264,7 @@ def gamma_from_endpoint(hp: HadamardProduct, scalars: PotentialScalars, variant:
                     - expo * math.log(abs(2.0 * tau)) - log_abs)
         signs.append(-math.copysign(1.0, qm) * sign * (-1.0) ** expo)  # (2 tau)^expo, tau < 0
     route = "endpoint_limit" if variant == "robin" else "dirichlet_endpoint"
-    limit, diagnostics = _extrapolate(np.abs(taus), np.asarray(logs), np.asarray(signs),
-                                      route, unstable_tol)
+    limit, diagnostics = _extrapolate(np.abs(taus), np.asarray(logs), np.asarray(signs), route)
     return GammaEstimate(gamma=float(limit), route=route, truncation=hp.truncation,
                          probes=tuple(taus.tolist()), diagnostics=diagnostics)
 

@@ -1,16 +1,15 @@
 """Jost solutions of -psi'' + q(x) psi = k^2 psi on [0,1].
 
-The production path propagates (psi, psi') backward from (e^{ik}, ik e^{ik})
-at x=1 to x=0 through uniform cells, batched over k. Each cell takes one
-6th-order Magnus step with three Gauss-Legendre nodes; the cell's exponential
-is the closed form for a traceless 2x2 matrix, so the -k^2 part of the
-coefficient matrix is treated exactly and the cell count depends on how
-smooth q is, not on |k|. The cell matrices depend on k only through k^2, so
-each is built and chained once per distinct k^2 in a batch: the +k and -k
-of every D sample share them. A constant q is exact in one cell. Otherwise the
-cell count doubles per k until the difference from half as many cells,
-divided by 63 (the 6th-order Richardson factor), meets the tolerance, and the
-Richardson-extrapolated value is returned.
+The production path builds the backward transfer matrix M(k^2), which maps
+(psi, psi') at x=1 to x=0, from uniform cells, batched over k. Each cell takes
+one 6th-order Magnus step with three Gauss-Legendre nodes; the cell's
+exponential is the closed form for a traceless 2x2 matrix, so the -k^2 part of
+the coefficient matrix is treated exactly and the cell count depends on how
+smooth q is, not on |k|. M is entire in k^2 and built once per distinct k^2;
+the Jost values at +k and -k both follow from it, f(+-k,0) = e^{+-ik} M (1, +-ik).
+A constant q is exact in one cell. Otherwise the cell count doubles per k until
+the change from half as many cells, divided by 63 (the 6th-order Richardson
+factor), meets the tolerance at both signs, and the extrapolated M is returned.
 The independent representations that cross-check this path live in
 :mod:`tspec.crosscheck`.
 """
@@ -108,25 +107,21 @@ def _cell_generators(p: Potential, cells: int):
     return gens
 
 
-def _propagate(p: Potential, ks: np.ndarray, cells: int):
-    """(f(k,0), f'(k,0)) from `cells` uniform Magnus cells, backward from x=1.
-
-    Cells are built and chained once per distinct k^2, then applied to each
-    k's own start vector.
-    """
+def _transfer(p: Potential, ks: np.ndarray, cells: int):
+    """M = m_0 m_1 ... m_{N-1} over `cells` uniform cells, as rows (m00, m01, m10, m11) x k;
+    the cells are built and chained once per distinct k^2."""
     gens = _cell_generators(p, cells)
     kk, col = np.unique(ks * ks, return_inverse=True)
-    y = np.exp(1j * ks) * np.array([np.ones_like(ks), 1j * ks])
     block = max(1, _BLOCK // kk.size)
-    for hi in range(cells, 0, -block):
-        lo = max(0, hi - block)
-        t = _chain(_cell_matrices(*(g[lo:hi] for g in gens), kk))
-        y = (t[:, :, col] * y).sum(axis=1)
-    return y[0], y[1]
+    m = None
+    for lo in range(0, cells, block):
+        t = _chain(_cell_matrices(*(g[lo:lo + block] for g in gens), kk))
+        m = t if m is None else (m[:, :, None] * t[None]).sum(axis=1)
+    return m.reshape(4, -1)[:, col]
 
 
 def domain_error(ks):
-    """The DomainError that :func:`jost_at_zero_many` raises for ks, or None if it takes them."""
+    """The DomainError that :func:`transfer_many` raises for ks, or None if it takes them."""
     ks = np.asarray(ks, dtype=complex)
     if not np.all(np.isfinite(ks)):
         return DomainError("k must be finite")
@@ -135,57 +130,67 @@ def domain_error(ks):
     return None
 
 
-def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
-    """f(k,0), f'(k,0) over an array of k, by backward propagation from f(k,1) = e^{ik}.
+def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """M(k^2) over an array of k, as rows (m00, m01, m10, m11); M maps (psi, psi') at x=1 to x=0.
 
-    A constant q is exact in one cell. Otherwise, starting from the smallest
-    knot-aligned count of at least 8 cells, the cell count doubles for every k
-    whose change from the previous count, measured as
-    |df| + |df'|/max(1,|k|) and divided by 63, still exceeds rtol times
-    |f| + |f'|/max(1,|k|). A change below the rounding floor of the backward
-    solve, 4 eps * cells * int_0^1 e^{2 max(0, -Im k) x} dx in the same measure,
-    also ends the doubling: for Im k < 0 the start at x=1 is recessive, so
-    rounding grows like e^{2|Im k|} and a small rtol can be out of reach in
-    floating point. The returned value is the Richardson extrapolation
-    (64 f_N - f_{N/2}) / 63 of the last two counts. Doubling past 8192 cells
-    (or past twice the starting count, for grids with more knots than that)
-    raises IntegrationFailureError.
+    The Jost values at +-k are f = e^{+-ik} (m00 +- ik m01), f' = e^{+-ik} (m10 +- ik m11).
+    A constant q is exact in one cell. Otherwise, from the smallest knot-aligned
+    count of at least 8 cells, the count doubles for every k whose Jost values at
+    +k or -k still change, in |df| + |df'|/max(1,|k|) divided by 63, by more than
+    rtol times |f| + |f'|/max(1,|k|) plus the rounding floor of the backward
+    solve, 4 eps * cells * int_0^1 e^{2 max(0, -Im(+-k)) x} dx: where the start at
+    x=1 is recessive, rounding grows like e^{2|Im k|} and a small rtol can be out
+    of reach. The test runs on u = M (1, +-ik), with e^{+-ik} moved into the
+    floor. Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the
+    last two counts. Doubling past 8192 cells (or past twice the starting count,
+    for grids with more knots than that) raises IntegrationFailureError.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     error = domain_error(ks)
     if error is not None:
         raise error
     if ks.size == 0:
-        return ks.copy(), ks.copy()
+        return np.empty((4, 0), dtype=complex)
     if p.kind == "constant":
-        return _propagate(p, ks, 1)
+        return _transfer(p, ks, 1)
     cells = aligned_cells(p, _MIN_CELLS)
     limit = max(_MAX_CELLS, 2 * cells)
-    f, fp = _propagate(p, ks, cells)
-    out_f, out_fp = np.empty_like(f), np.empty_like(fp)
+    sign_ik = np.array([[1j], [-1j]]) * ks          # +ik and -ik, one row each
     weight = 1.0 / np.maximum(1.0, np.abs(ks))
-    # Rounding at x carries into the growing mode and is amplified by
-    # e^{2 max(0, -Im k) x} by x=0; integrated over the cells this is the floor.
-    two_tau = 2.0 * np.maximum(0.0, -ks.imag)
-    growth = np.ones(ks.shape)
-    pos = two_tau > 0.0
-    growth[pos] = np.expm1(two_tau[pos]) / two_tau[pos]
-    floor = _ROUNDING * growth
+    decay = sign_ik.real                             # -Im(+-k); |f| = e^{decay} |u|
+    two_tau = np.maximum(2.0 * decay, 1e-300)        # expm1(t)/t is exactly 1 at 1e-300
+    floor = _ROUNDING * np.expm1(two_tau) / two_tau * np.exp(-decay)
+    scale = _RICHARDSON * rtol
+    m = _transfer(p, ks, cells)
+    out = np.empty_like(m)
     active = np.arange(ks.size)
-    while active.size:
+    while True:
         cells *= 2
         if cells > limit:
             raise IntegrationFailureError(
                 f"{active.size} of {ks.size} k values still short of rtol={rtol:.1e} "
                 f"at {cells // 2} cells")
-        f2, fp2 = _propagate(p, ks[active], cells)
-        df, dfp = f2 - f, fp2 - fp
-        w = weight[active]
-        diff = np.abs(df) + w * np.abs(dfp)
-        bound = _RICHARDSON * rtol * (np.abs(f2) + w * np.abs(fp2)) + cells * floor[active]
-        done = diff <= bound
-        out_f[active[done]] = f2[done] + df[done] / _RICHARDSON
-        out_fp[active[done]] = fp2[done] + dfp[done] / _RICHARDSON
-        active, f, fp = active[~done], f2[~done], fp2[~done]
-    return out_f, out_fp
+        m2 = _transfer(p, ks[active], cells)
+        dm = m2 - m
+        diff = np.abs(dm[0] + sign_ik * dm[1]) + weight * np.abs(dm[2] + sign_ik * dm[3])
+        size = np.abs(m2[0] + sign_ik * m2[1]) + weight * np.abs(m2[2] + sign_ik * m2[3])
+        ok = diff <= scale * size + cells * floor
+        done = ok[0] & ok[1]
+        if done.all():
+            out[:, active] = m2 + dm / _RICHARDSON
+            return out
+        if done.any():
+            out[:, active[done]] = m2[:, done] + dm[:, done] / _RICHARDSON
+            keep = ~done
+            active, m2, sign_ik, weight, floor = (active[keep], m2[:, keep], sign_ik[:, keep],
+                                                  weight[keep], floor[:, keep])
+        m = m2
 
+
+def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
+    """f(k,0), f'(k,0) over an array of k: M(k^2) from :func:`transfer_many` applied
+    to the start (psi, psi')(1) = e^{ik} (1, ik)."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    m00, m01, m10, m11 = transfer_many(p, ks, rtol)
+    e = np.exp(1j * ks)
+    return e * (m00 + 1j * ks * m01), e * (m10 + 1j * ks * m11)

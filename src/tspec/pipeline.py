@@ -48,11 +48,12 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
 
     Batched Newton runs in two stages: from the predicted locations to a step
     of 1e-7 on D at the winding tolerance 1e-8, which is as far as the coarse
-    evaluations carry, then polished at rtol_refine. Each root is then
+    evaluations carry, then polished at rtol_refine. Each Newton root is then
     certified unique in its window by a winding count (the small contours the
     counting argument uses), and the residuals of all roots come from one
-    stacked evaluation at rtol_refine. Misbehaving indices fall back to a
-    boxed search around the seed; rtol is the tolerance of that search only.
+    stacked evaluation at rtol_refine. An index whose Newton root fails falls
+    back, once, to a boxed search around the seed, whose own winding counts
+    certify what it finds; rtol is the tolerance of that search only.
     """
     dev = DEvaluator(p, variant, rtol=rtol)
     dev_fine = dev.with_tolerance(rtol_refine)
@@ -70,17 +71,8 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     reps, refined = [], []
     half = 0.45 * spacing
     for (n, target, br), root, ok in zip(sel, roots, good):
-        if not ok or abs(root - target) > half:
+        if not (ok and abs(root - target) <= half and _alone_in_window(dev_wind, root, half)):
             root, ok = _boxed_fallback(dev, dev_fine, target, half)
-        if ok:
-            box = ContourBox(root.real - half, root.real + half,
-                             root.imag - half, root.imag + half)
-            try:
-                w = winding_count(dev_wind, box)
-            except (BoundaryTooCloseError, PhaseResolutionError):
-                w = -1
-            if w != 1:
-                root, ok = _boxed_fallback(dev, dev_fine, target, half)
         reps.append(representative(root))
         refined.append(bool(ok))
     residuals = np.abs(dev_fine(np.array(reps)))
@@ -89,7 +81,17 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
             for (n, _t, br), rep, res, ok in zip(sel, reps, residuals, refined)]
 
 
+def _alone_in_window(dev_wind, root: complex, half: float) -> bool:
+    """True when the square of half-side `half` around a Newton root winds exactly once."""
+    box = ContourBox(root.real - half, root.real + half, root.imag - half, root.imag + half)
+    try:
+        return winding_count(dev_wind, box) == 1
+    except (BoundaryTooCloseError, PhaseResolutionError):
+        return False
+
+
 def _boxed_fallback(dev, dev_fine, target: complex, half: float):
+    """The zero nearest the target from a winding-certified search of its window, if any."""
     try:
         res = find_zeros(dev, (target.real - half, target.real + half,
                                target.imag - half, target.imag + half),

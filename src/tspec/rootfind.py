@@ -15,7 +15,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import BoundaryTooCloseError, DomainError, IndexingConflictError, PhaseResolutionError
+from .errors import (BoundaryTooCloseError, DomainError, IndexingConflictError,
+                     IntegrationFailureError, PhaseResolutionError)
 
 _JUMP_TOL = math.pi / 2
 _MAX_BOUNDARY_POINTS = 2 ** 14
@@ -199,8 +200,9 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
     evaluation noise floor and is accepted at the iterate of that smallest
     step. A zero derivative stops a seed unconverged where it is. A seed
-    still unconverged after max_iter sweeps returns the iterate of its
-    smallest step.
+    still unconverged after max_iter sweeps, or when a sweep's evaluation
+    fails (an iterate out of the Jost layer's reach raises DomainError or
+    IntegrationFailureError), returns the iterate of its smallest step.
     Returns (roots, converged_mask).
     """
     roots = np.array(seeds, dtype=complex).ravel()
@@ -214,7 +216,10 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
         if live.size == 0:
             break
         d = _STEP_REL * scale
-        vals = np.asarray(f((z + d * _STENCIL).ravel()), dtype=complex).reshape(5, -1)
+        try:
+            vals = np.asarray(f((z + d * _STENCIL).ravel()), dtype=complex).reshape(5, -1)
+        except (DomainError, IntegrationFailureError):
+            break
         deriv = _DERIV_WEIGHTS @ vals / d
         dead = deriv == 0
         deriv[dead] = np.inf             # a zero step: the seed stops where it is
@@ -389,12 +394,11 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         else:
             orbits.append({"rep": rep, "mult": mult, "refined": refined})
 
-    zeros = []
-    for orb in orbits:
-        rep = orb["rep"]
-        residual = float(abs(np.asarray(rf(np.array([rep])), dtype=complex)[0]))
-        zeros.append(Eigenvalue(k=rep, index=None, multiplicity=orb["mult"], residual=residual,
-                                cls=_classify(rep), refined=orb["refined"]))
+    reps = [orb["rep"] for orb in orbits]
+    residuals = np.abs(np.asarray(rf(np.array(reps)), dtype=complex)) if reps else []
+    zeros = [Eigenvalue(k=rep, index=None, multiplicity=orb["mult"], residual=float(res),
+                        cls=_classify(rep), refined=orb["refined"])
+             for orb, rep, res in zip(orbits, reps, residuals)]
     zeros.sort(key=lambda e: (abs(e.k), e.k.real))
     return ZeroSearchResult(zeros=zeros, raw_zeros=deduped, unresolved=unresolved)
 

@@ -18,6 +18,7 @@ from typing import List, Optional
 from . import __version__
 from .errors import ConfigError
 from .potential import finite_real
+from .rootfind import _MAX_BOUNDARY_POINTS
 
 _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "branch")
 # One record as _canonical writes asdict(record): keys sorted, no spaces. Exact
@@ -26,6 +27,9 @@ _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "b
 _RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
                 '"multiplicity":%r,"re_k":%r,"residual":%r}')
 _CLASSES = ("real", "imaginary", "quadrant")
+# A winding count accepts only wrapped phase jumps <= pi/2 between boundary
+# samples, so no count tspec makes, and no multiplicity it writes, exceeds this.
+_MAX_MULTIPLICITY = _MAX_BOUNDARY_POINTS // 4
 
 
 @dataclass
@@ -106,8 +110,8 @@ def read_spectrum(path):
     ConfigError, as does a header key outside SpectrumHeader, a record whose
     keys are not exactly _RECORD_FIELDS, or a malformed value: s must be an
     int >= 0, variant robin or dirichlet, index and branch an int or null,
-    re_k, im_k and residual finite, multiplicity an int >= 1 and cls one of
-    _CLASSES.
+    re_k, im_k and residual finite, multiplicity an int from 1 to
+    _MAX_MULTIPLICITY and cls one of _CLASSES.
     """
     try:
         with open(path) as fh:
@@ -133,7 +137,8 @@ def read_spectrum(path):
         if not ((r.index is None or type(r.index) is int)
                 and (r.branch is None or type(r.branch) is int)
                 and finite_real(r.re_k) and finite_real(r.im_k) and finite_real(r.residual)
-                and type(r.multiplicity) is int and r.multiplicity > 0 and r.cls in _CLASSES):
+                and type(r.multiplicity) is int and 0 < r.multiplicity <= _MAX_MULTIPLICITY
+                and r.cls in _CLASSES):
             raise ConfigError(f"{path}: record {i} has a malformed value: {asdict(r)}")
     return header, records, hdict.get("content_hash", "") == _content_hash(hdict, records)
 

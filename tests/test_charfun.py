@@ -9,6 +9,27 @@ from tspec.jost import jost_at_zero_many
 from conftest import const_jost, dirichlet_d_const1
 
 
+def const_d(c, h, k, variant):
+    """D for q = c in closed form, from cos kp and sin(kp)/kp with kp^2 = k^2 - c.
+
+    For q = c, (psi, psi')(1) = (u, v) gives psi(0) = C u - S v and
+    psi'(0) = kp^2 S u + C v with C = cos kp, S = sin(kp)/kp. Put into D's
+    definition, with a = kp^2 S - h C and b = C + h S, the 1/k divides out:
+    Robin D = -a cos k + b k sin k - h (a sinc k + b cos k), Dirichlet
+    D = C sinc k - S cos k, sinc k = sin(k)/k.
+    """
+    k = np.asarray(k, dtype=complex)
+    kp = np.sqrt(k * k - c)
+    cos_p = np.cos(kp)
+    sinc_p = np.sin(kp) / np.where(kp == 0, 1.0, kp) + (kp == 0)
+    sinc = np.sin(k) / np.where(k == 0, 1.0, k) + (k == 0)
+    if variant == "dirichlet":
+        return cos_p * sinc - sinc_p * np.cos(k)
+    a = kp * kp * sinc_p - h * cos_p
+    b = cos_p + h * sinc_p
+    return -a * np.cos(k) + b * k * np.sin(k) - h * (a * sinc + b * np.cos(k))
+
+
 def big_f(p, k):
     """F(k) = -i[f'(k,0) - h f(k,0)], the Jost data D is assembled from."""
     f, fp = jost_at_zero_many(p, [k])
@@ -73,16 +94,45 @@ class TestEvalD:
         assert np.max(np.abs(np.conj(d) - d_conj) / np.abs(d)) < 1e-10
 
     def test_small_k_continuity(self):
-        # The Richardson path below 1e-3 must join the direct path smoothly;
-        # the odd-difference cancellation noise caps the match near 1e-8.
-        p = Potential.constant(1.0, h=0.7)
+        # D near and at k = 0, across the |k| = 1e-3 that once split two
+        # evaluation paths, against the q = c closed form at rounding level.
+        ray = np.exp(0.4j)
+        ks = np.array([0.0, 1e-8, 1e-6, 2e-4, 0.99e-3, 1.01e-3, 1e-2]) * ray
+        for c in (1.0, -2.5, 0.3):
+            for h in (0.7, 0.0, -0.4):
+                p = Potential.constant(c, h=h)
+                for variant in ("robin", "dirichlet"):
+                    d = eval_D_many(p, ks, variant=variant)
+                    expect = const_d(c, h, ks, variant)
+                    assert np.max(np.abs(d - expect) / np.abs(expect)) <= 1e-14, (c, h, variant)
+
+    def test_const_d_matches_definition(self):
+        # The oracle against D's definition from the Jost data at +-k, where
+        # the 1/k costs nothing.
+        for c, h, k in ((1.0, 0.7, 1.3 + 0.4j), (-2.5, -0.4, 0.6 - 0.2j), (0.3, 0.0, 2.2 + 0.1j)):
+            f_pos, fp_pos = const_jost(c, k)
+            f_neg, fp_neg = const_jost(c, -k)
+            big_pos, big_neg = -1j * (fp_pos - h * f_pos), -1j * (fp_neg - h * f_neg)
+            robin = (big_pos + big_neg) / 2j - h * (big_pos - big_neg) / (2 * k)
+            dirichlet = (f_pos - f_neg) / (2j * k)
+            assert const_d(c, h, k, "robin") == pytest.approx(robin, rel=1e-13)
+            assert const_d(c, h, k, "dirichlet") == pytest.approx(dirichlet, rel=1e-13)
+
+    def test_one_jost_call_per_batch(self, q_linear, monkeypatch):
+        # Points below |k| = 1e-3 take the same single Jost-layer call as the rest.
+        calls = []
+        transfer_many = charfun.transfer_many
+
+        def counted(p, ks, rtol):
+            calls.append(len(ks))
+            return transfer_many(p, ks, rtol)
+
+        monkeypatch.setattr(charfun, "transfer_many", counted)
+        ks = np.array([0.0, 2e-4j, 5e-4 + 1e-4j, 0.5, 3.0 - 1.0j, 12.0 + 2.0j])
         for variant in ("robin", "dirichlet"):
-            ray = np.exp(0.4j)
-            inner = eval_D_many(p, [0.99e-3 * ray], variant=variant)[0]
-            outer = eval_D_many(p, [1.01e-3 * ray], variant=variant)[0]
-            assert abs(inner - outer) < 1e-7
-            at_zero = eval_D_many(p, [0.0], variant=variant)[0]
-            assert np.isfinite(at_zero.real) and np.isfinite(at_zero.imag)
+            calls.clear()
+            d = eval_D_many(q_linear, ks, variant=variant)
+            assert calls == [ks.size] and np.all(np.isfinite(d))
 
     def test_dirichlet_large_k(self, q_one):
         # k^2 D(k) -> omega/2 along real k.

@@ -207,6 +207,7 @@ class TestMalformedSpectrumFile:
         ("residual_string", "record", "residual", "0"),
         ("multiplicity_string", "record", "multiplicity", "x"),
         ("multiplicity_zero", "record", "multiplicity", 0),
+        ("multiplicity_too_large", "record", "multiplicity", 4097),
         ("index_fraction", "record", "index", 1.5),
         ("branch_string", "record", "branch", "b"),
         ("cls_unknown", "record", "cls", "complex"),

@@ -162,14 +162,15 @@ class TestOmegaRoute:
         assert est.gamma == pytest.approx(2.0, rel=0.01)
         assert "extrapolants" in est.diagnostics and "gap" in est.diagnostics
 
-    def test_truncation_monotonicity(self):
+    def test_truncation_monotonicity(self, monkeypatch):
         # |gamma_N - gamma_true| falls as the truncation grows 10 -> 20 -> 30.
         scalars = PotentialScalars(omega=2.0, q_at_1=0.0, dq_at_1=0.0, q_at_0=0.0,
                                    dq_at_0=0.0, q_sq_integral=0.0, m_order=None)
         errs = []
+        monkeypatch.setattr(gamma_recovery, "_DEFAULT_UNSTABLE_TOL", 1.0)
         for n in (10, 20, 30):
             hp = synthetic_mu_product(n)
-            est = gamma_from_omega(hp, scalars, unstable_tol=1.0)
+            est = gamma_from_omega(hp, scalars)
             errs.append(abs(est.gamma - 2.0))
         assert errs[0] > errs[1] > errs[2]
 
@@ -227,11 +228,12 @@ class TestEndpointRoute:
     def test_log_space_no_overflow(self, monkeypatch):
         # tau down to -300 must stay finite end to end (log-space evaluation).
         monkeypatch.setattr(gamma_recovery, "_ENDPOINT_TAUS", (-280.0, -290.0, -300.0))
+        monkeypatch.setattr(gamma_recovery, "_DEFAULT_UNSTABLE_TOL", math.inf)
         hp = self._xm1_like_hp()
         scalars = PotentialScalars(omega=-0.5, q_at_1=0.0, dq_at_1=1.0, q_at_0=-1.0,
                                    dq_at_0=1.0, q_sq_integral=1.0 / 3.0, m_order=(1, 1.0))
         try:
-            est = gamma_from_endpoint(hp, scalars, unstable_tol=math.inf)
+            est = gamma_from_endpoint(hp, scalars)
             assert np.isfinite(est.gamma)
         except UnstableLimitError as exc:
             # Unstable is acceptable at this depth; overflow/NaN is not.

@@ -167,13 +167,13 @@ class TestNonConstantPotentials:
         # within the floor's own estimate, 2 eps * cells * int_0^1 e^{2 tau x} dx,
         # of the closed form.
         used = []
-        propagate = tspec.jost._propagate
+        transfer = tspec.jost._transfer
 
         def spy(p, ks, cells):
             used.append(cells)
-            return propagate(p, ks, cells)
+            return transfer(p, ks, cells)
 
-        monkeypatch.setattr(tspec.jost, "_propagate", spy)
+        monkeypatch.setattr(tspec.jost, "_transfer", spy)
         ks = np.array([a - 1j * tau for a in (0.0, 1.0, 3.0) for tau in (12.0, 16.0, 20.0, 25.0, 30.0)])
         f_ref, fp_ref = airy_jost_xm1(ks)
         w = 1.0 / np.maximum(1.0, np.abs(ks))
@@ -215,17 +215,17 @@ class TestCellDataCache:
 
     def test_one_entry_per_cell_count(self, monkeypatch):
         used, built = [], []
-        propagate, generators = tspec.jost._propagate, tspec.jost._magnus_generators
+        transfer, generators = tspec.jost._transfer, tspec.jost._magnus_generators
 
-        def spy_propagate(p, ks, cells):
+        def spy_transfer(p, ks, cells):
             used.append(cells)
-            return propagate(p, ks, cells)
+            return transfer(p, ks, cells)
 
         def spy_generators(h, *q):
             built.append(round(1.0 / h))
             return generators(h, *q)
 
-        monkeypatch.setattr(tspec.jost, "_propagate", spy_propagate)
+        monkeypatch.setattr(tspec.jost, "_transfer", spy_transfer)
         monkeypatch.setattr(tspec.jost, "_magnus_generators", spy_generators)
         p = Potential.polynomial([0.3, 1.0])
         for rtol in (1e-9, 1e-13, 1e-11):

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import tspec.charfun
+from tspec import pipeline
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
 from tspec.errors import ConfigError
@@ -119,6 +120,32 @@ class TestTargetedCost:
         evs = targeted_spectrum(p, derive_scalars(p), "robin", 3, 3)
         assert [e.index for e in evs] == [3] and evs[0].refined
         assert sum(1 for rtol, _ks in calls if rtol < 1e-8) <= 3
+
+
+class TestTargetedFallback:
+    def test_one_fallback_per_index(self, q_one, monkeypatch):
+        # Newton reports no convergence and every window count comes out 2:
+        # each index takes the boxed search once, and its root is not window
+        # counted again.
+        s = derive_scalars(q_one)
+        reference = targeted_spectrum(q_one, s, "robin", 1, 3)
+        calls = []
+        fallback = pipeline._boxed_fallback
+
+        def counted(dev, dev_fine, target, half):
+            calls.append(target)
+            return fallback(dev, dev_fine, target, half)
+
+        monkeypatch.setattr(pipeline, "newton_refine_many",
+                            lambda f, seeds, **kw: (np.array(seeds, dtype=complex),
+                                                    np.zeros(len(seeds), dtype=bool)))
+        monkeypatch.setattr(pipeline, "winding_count", lambda f, box, **kw: 2)
+        monkeypatch.setattr(pipeline, "_boxed_fallback", counted)
+        evs = targeted_spectrum(q_one, s, "robin", 1, 3)
+        assert len(calls) == 3
+        assert [e.index for e in evs] == [1, 2, 3] and all(e.refined for e in evs)
+        for ev, ref in zip(evs, reference):
+            assert abs(ev.k - ref.k) <= 1e-12 * abs(ref.k)
 
 
 class TestDirichletTheorem:

@@ -7,7 +7,8 @@ import pytest
 from tspec import Potential, derive_scalars
 from tspec import rootfind
 from tspec.charfun import DEvaluator
-from tspec.errors import BoundaryTooCloseError, IndexingConflictError, PhaseResolutionError
+from tspec.errors import (BoundaryTooCloseError, DomainError, IndexingConflictError,
+                          PhaseResolutionError)
 from tspec.potential import PotentialScalars
 from tspec.rootfind import (ContourBox, Eigenvalue, find_zeros, gamma_contour_count,
                             index_eigenvalues, newton_refine_many, orbit, origin_multiplicity,
@@ -144,6 +145,21 @@ class TestNewton:
         assert z[0] == 0.3 + 0.4j
 
 
+    def test_evaluation_failure_stops_live_seeds(self):
+        # From -0.6, Newton on (k - 1/2) e^k runs off towards -infinity, about
+        # one unit per sweep, to where f raises; that seed stops unconverged at
+        # its best iterate, and the seed converged before then keeps its root.
+        def f(k):
+            k = np.asarray(k, complex)
+            if np.any(np.abs(k) > 20.0):
+                raise DomainError("out of reach")
+            return (k - 0.5) * np.exp(k)
+
+        z, converged = newton_refine_many(f, [0.6, -0.6], max_iter=40)
+        assert converged.tolist() == [True, False]
+        assert abs(z[0] - 0.5) < 1e-12 and z[1].real < -10.0
+
+
 class TestFindZeros:
     def test_two_square_roots_of_1_plus_i(self):
         f = lambda k: np.asarray(k, complex) ** 2 - (1 + 1j)
@@ -191,6 +207,22 @@ class TestFindZeros:
         for z in raw:
             for image in (-z, np.conj(z), -np.conj(z)):
                 assert min(abs(image - w) for w in raw) < 1e-9 * (1 + abs(z))
+
+    def test_residuals_in_one_call(self):
+        # The residuals of all representatives come from one stacked call.
+        roots = np.array([0.9 + 0.7j, -1.2 + 1.5j, 1.8 - 0.9j])
+        poly = poly_with_roots(roots)
+        calls = []
+
+        def rf(ks):
+            calls.append(np.array(ks, dtype=complex))
+            return poly(ks)
+
+        res = find_zeros(poly, (-2.5, 2.5, -2.0, 2.0), refine_f=rf, symmetry=False)
+        reps = {ev.k for ev in res.zeros}
+        assert len(reps) == 3
+        carrying = [c for c in calls if reps <= set(c.tolist())]
+        assert len(carrying) == 1 and len(carrying[0]) == 3
 
     def test_unresolved_cluster_reported(self):
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2

@@ -5,9 +5,11 @@ from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspec.errors import ConfigError
 from tspec.spectrumfile import (_CLASSES, SpectrumHeader, SpectrumRecord, _content_hash,
                                 read_spectrum, write_spectrum)
 
@@ -72,7 +74,7 @@ class TestContentHash:
 _FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 _INDEX = st.none() | st.integers(-10 ** 12, 10 ** 12)
 _RECORDS = st.lists(st.builds(SpectrumRecord, index=_INDEX, re_k=_FLOATS, im_k=_FLOATS,
-                              multiplicity=st.integers(1, 10 ** 6), residual=_FLOATS,
+                              multiplicity=st.integers(1, 4096), residual=_FLOATS,
                               cls=st.sampled_from(_CLASSES), branch=_INDEX),
                     max_size=8)
 
@@ -116,3 +118,19 @@ class TestRoundTrip:
     def test_changed_last_digit_moves_the_value(self):
         for v in (0.30000000000000004, 1e-05, 9.999999999999999e22, 2.0 ** 53, 5e-324):
             assert math.isfinite(_changed_last_digit(v)) and _changed_last_digit(v) != v
+
+    def test_largest_multiplicity_loads(self, tmp_path):
+        # 4096 is the most a winding count can report; one more is refused.
+        path = tmp_path / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        record = SpectrumRecord(index=None, re_k=0.0, im_k=0.0, multiplicity=4096,
+                                residual=0.0, cls="real")
+        write_spectrum(path, header, [record])
+        _, back, hash_ok = read_spectrum(path)
+        assert hash_ok and back == [record]
+        doc = json.loads(path.read_text())
+        doc["records"][0]["multiplicity"] = 4097
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="malformed value"):
+            read_spectrum(path)
