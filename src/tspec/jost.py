@@ -7,9 +7,8 @@ exponential is the closed form for a traceless 2x2 matrix, so the -k^2 part of
 the coefficient matrix is treated exactly and the cell count depends on how
 smooth q is, not on |k|. M is entire in k^2 and built once per distinct k^2;
 the Jost values at +k and -k both follow from it, f(+-k,0) = e^{+-ik} M (1, +-ik).
-A constant q is exact in one cell. Otherwise the cell count doubles per k until
-the change from half as many cells, divided by 63 (the 6th-order Richardson
-factor), meets the tolerance at both signs, and the extrapolated M is returned.
+A constant q is exact in one cell; otherwise :func:`transfer_many` doubles the
+cells per k until both signs meet the tolerance and Richardson-extrapolates M.
 The independent representations that cross-check this path live in
 :mod:`tspec.crosscheck`.
 """
@@ -133,15 +132,14 @@ def domain_error(ks):
 def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """M(k^2) over an array of k, as rows (m00, m01, m10, m11); M maps (psi, psi') at x=1 to x=0.
 
-    The Jost values at +-k are f = e^{+-ik} (m00 +- ik m01), f' = e^{+-ik} (m10 +- ik m11).
     A constant q is exact in one cell. Otherwise, from the smallest knot-aligned
-    count of at least 8 cells, the count doubles for every k whose Jost values at
-    +k or -k still change, in |df| + |df'|/max(1,|k|) divided by 63, by more than
-    rtol times |f| + |f'|/max(1,|k|) plus the rounding floor of the backward
-    solve, 4 eps * cells * int_0^1 e^{2 max(0, -Im(+-k)) x} dx: where the start at
-    x=1 is recessive, rounding grows like e^{2|Im k|} and a small rtol can be out
-    of reach. The test runs on u = M (1, +-ik), with e^{+-ik} moved into the
-    floor. Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the
+    count of at least 8 cells, the count doubles for every k whose Jost values
+    (f, f')(+-k, 0) = e^{+-ik} M (1, +-ik) still change, in |df| + |df'|/max(1,|k|)
+    divided by 63, by more than rtol times |f| + |f'|/max(1,|k|) plus the rounding
+    floor of the backward solve, 4 eps * cells * int_0^1 e^{2 max(0, -Im(+-k)) x} dx:
+    where the start at x=1 is recessive, rounding grows like e^{2|Im k|} and a small
+    rtol can be out of reach. The test runs on u = M (1, +-ik), with the floor
+    divided by |e^{+-ik}|. Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the
     last two counts. Doubling past 8192 cells (or past twice the starting count,
     for grids with more knots than that) raises IntegrationFailureError.
     """
@@ -188,8 +186,8 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
 
 
 def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
-    """f(k,0), f'(k,0) over an array of k: M(k^2) from :func:`transfer_many` applied
-    to the start (psi, psi')(1) = e^{ik} (1, ik)."""
+    """f(k,0), f'(k,0) = e^{ik} M(k^2) (1, ik) over an array of k, for the tests that hold the
+    Jost values against DOP853, Airy and closed forms; D reads M directly."""
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     m00, m01, m10, m11 = transfer_many(p, ks, rtol)
     e = np.exp(1j * ks)

@@ -9,6 +9,7 @@ symmetry group of the characteristic function.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
@@ -199,11 +200,11 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     its step is below tol max(1, |z|). A seed whose step has failed to shrink
     twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
     evaluation noise floor and is accepted at the iterate of that smallest
-    step. A zero derivative stops a seed unconverged where it is. A seed
-    still unconverged after max_iter sweeps, or when a sweep's evaluation
-    fails (an iterate out of the Jost layer's reach raises DomainError or
-    IntegrationFailureError), returns the iterate of its smallest step.
-    Returns (roots, converged_mask).
+    step. A zero derivative stops a seed unconverged where it is; so does an
+    evaluation that raises DomainError or IntegrationFailureError (an iterate
+    out of the Jost layer's reach), found by evaluating a failed sweep one
+    seed per call. A seed still unconverged after max_iter sweeps returns the
+    iterate of its smallest step. Returns (roots, converged_mask).
     """
     roots = np.array(seeds, dtype=complex).ravel()
     converged = np.zeros(roots.size, dtype=bool)
@@ -216,10 +217,14 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
         if live.size == 0:
             break
         d = _STEP_REL * scale
+        pts = z + d * _STENCIL
         try:
-            vals = np.asarray(f((z + d * _STENCIL).ravel()), dtype=complex).reshape(5, -1)
+            vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(5, -1)
         except (DomainError, IntegrationFailureError):
-            break
+            vals = np.zeros(pts.shape, dtype=complex)   # a seed that raises keeps f' = 0
+            for j in range(live.size):
+                with contextlib.suppress(DomainError, IntegrationFailureError):
+                    vals[:, j] = f(pts[:, j])
         deriv = _DERIV_WEIGHTS @ vals / d
         dead = deriv == 0
         deriv[dead] = np.inf             # a zero step: the seed stops where it is

@@ -145,19 +145,20 @@ class TestNewton:
         assert z[0] == 0.3 + 0.4j
 
 
-    def test_evaluation_failure_stops_live_seeds(self):
-        # From -0.6, Newton on (k - 1/2) e^k runs off towards -infinity, about
-        # one unit per sweep, to where f raises; that seed stops unconverged at
-        # its best iterate, and the seed converged before then keeps its root.
+    def test_evaluation_failure_stops_only_the_failing_seed(self):
+        # Newton on (k - 1/2) e^k sends the seed -0.6 to about -11.6 in one
+        # sweep, where f raises; that seed stops there unconverged, and the
+        # two seeds still iterating in the same batch go on to the root.
         def f(k):
             k = np.asarray(k, complex)
-            if np.any(np.abs(k) > 20.0):
+            if np.any(np.abs(k) > 10.0):
                 raise DomainError("out of reach")
             return (k - 0.5) * np.exp(k)
 
-        z, converged = newton_refine_many(f, [0.6, -0.6], max_iter=40)
-        assert converged.tolist() == [True, False]
-        assert abs(z[0] - 0.5) < 1e-12 and z[1].real < -10.0
+        z, converged = newton_refine_many(f, [3.0, -0.6, 1.5 + 0.5j])
+        assert converged.tolist() == [True, False, True]
+        assert abs(z[0] - 0.5) < 1e-12 and abs(z[2] - 0.5) < 1e-12
+        assert abs(z[1] + 11.6) < 1e-6
 
 
 class TestFindZeros:
