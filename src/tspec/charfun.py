@@ -91,41 +91,18 @@ def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,
 
 
 class DEvaluator:
-    """Cached vectorized D(k) evaluator at a fixed tolerance.
-
-    Pure and reentrant: repeated k hit the cache, so adaptive boundary
-    refinement and box subdivision do not re-integrate shared points. The
-    cache lives as long as the evaluator; only region scans repeat k (about
-    a tenth of their points), targeted runs and validate do not.
-    """
+    """Vectorized D(k) evaluator at a fixed tolerance: a scalar k gives a complex, an
+    array gives an array. Pure and reentrant; each call is one :func:`eval_D_many`."""
 
     def __init__(self, p: Potential, variant: str = "robin", rtol: float = DEFAULT_RTOL):
         _check_variant(variant)
         self.potential = p
         self.variant = variant
         self.rtol = rtol
-        self._cache: dict = {}
 
     def __call__(self, ks):
-        scalar = np.isscalar(ks) or getattr(ks, "ndim", 1) == 0
-        arr = np.atleast_1d(np.asarray(ks, dtype=complex))
-        out = np.empty(arr.shape, dtype=complex)
-        missing = []
-        missing_idx = []
-        for i, k in enumerate(arr):
-            kk = complex(k)
-            hit = self._cache.get(kk)
-            if hit is None:
-                missing.append(kk)
-                missing_idx.append(i)
-            else:
-                out[i] = hit
-        if missing:
-            vals = eval_D_many(self.potential, missing, variant=self.variant, rtol=self.rtol)
-            for kk, v, i in zip(missing, vals, missing_idx):
-                self._cache[kk] = complex(v)
-                out[i] = v
-        return complex(out[0]) if scalar else out
+        vals = eval_D_many(self.potential, ks, variant=self.variant, rtol=self.rtol)
+        return complex(vals[0]) if np.ndim(ks) == 0 else vals
 
     def with_tolerance(self, rtol: float) -> "DEvaluator":
         return DEvaluator(self.potential, self.variant, rtol=rtol)

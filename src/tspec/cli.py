@@ -1,14 +1,15 @@
 """Batch command-line driver: config in, structured JSON/CSV out.
 
-Exit codes: 0 success, 1 configuration/schema or usage error, 2 unresolved
-clusters or failed validation audits (partial results still written), 3
-computation failure.
+Exit codes: 0 success, 1 configuration/schema or usage error (an output path
+that cannot be written included), 2 unresolved clusters or failed validation
+audits (partial results still written), 3 computation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -55,7 +56,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then shared: parse_args does not change it."""
     parser = _Parser(prog="tspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tspec {__version__}")
     parser.add_argument("--config", help="run-config JSON path")
@@ -297,6 +300,9 @@ def main(argv=None) -> int:
     except TspecError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -33,7 +33,12 @@ def _region(r) -> bool:
     return _list_of(r, finite_real) and len(r) == 4 and r[0] < r[1] and r[2] < r[3]
 
 
+def _path(value) -> bool:
+    return isinstance(value, str) and "\0" not in value
+
+
 _REGION = (_region, "four finite numbers with sigma0 < sigma1 and tau0 < tau1")
+_PATH = (_path, "a file path string")
 _POSITIVE = (lambda v: finite_real(v) and v > 0, "a positive finite number")
 
 # The keys each section accepts, each with its value check and the check's wording.
@@ -46,7 +51,7 @@ _SECTIONS = {
     },
     "charfun": {"region": _REGION},
     "validate": {
-        "spectrum": (lambda path: isinstance(path, str), "a string"),
+        "spectrum": _PATH,
         "contours": (lambda c: _list_of(c, lambda n: _is_int(n) and n >= 0),
                      "a list of non-negative integers"),
         "theorem": (lambda tag: tag in THEOREM_TAGS, f"one of {', '.join(THEOREM_TAGS)}"),
@@ -84,7 +89,7 @@ def _check_keys(name: str, mapping: dict, allowed):
 
 
 def check_values(cfg: RunConfig):
-    """Reject malformed section values and a non-string out with ConfigError.
+    """Reject malformed section values and a malformed out path with ConfigError.
 
     Run on every config and again after command-line overrides.
     """
@@ -93,8 +98,8 @@ def check_values(cfg: RunConfig):
             check, wording = rules[key]
             if not check(value):
                 raise ConfigError(f"{section}.{key} must be {wording}, got {value!r}")
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        raise ConfigError(f"out must be a string, got {cfg.out!r}")
+    if cfg.out is not None and not _path(cfg.out):
+        raise ConfigError(f"out must be a file path string, got {cfg.out!r}")
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -136,6 +141,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(raw)

@@ -102,7 +102,7 @@ def kernel_iterate(p: Potential, mesh_n: int, tol: float = 1e-10, max_iter: int 
 def jost_via_kernel(kg: KernelGrid, k) -> complex:
     """f(k,0) = 1 + int_0^2 K(0,t) e^{ikt} dt by Simpson over the mesh.
 
-    Cross-check of :func:`tspec.jost.jost_at_zero` only; accuracy is mesh-limited.
+    Cross-check of f(k,0) from :func:`tspec.jost.transfer_many`; accuracy is mesh-limited.
     """
     t = np.arange(2 * kg.mesh_n + 1) * kg.h
     integrand = kg.values[0] * np.exp(1j * complex(k) * t)

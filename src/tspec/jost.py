@@ -4,11 +4,14 @@ The production path builds the backward transfer matrix M(k^2), which maps
 (psi, psi') at x=1 to x=0, from uniform cells, batched over k. Each cell takes
 one 6th-order Magnus step with three Gauss-Legendre nodes; the cell's
 exponential is the closed form for a traceless 2x2 matrix, so the -k^2 part of
-the coefficient matrix is treated exactly and the cell count depends on how
-smooth q is, not on |k|. M is entire in k^2 and built once per distinct k^2;
-the Jost values at +k and -k both follow from it, f(+-k,0) = e^{+-ik} M (1, +-ik).
+the leading Magnus term is exact. The commutator terms still carry k^2 against q', so at a fixed
+cell count the error of M grows with |k|, and so does the count the tolerance
+needs: at rtol 1e-13 on q = -0.5 + x, Im k = 0.5, it is 128 cells at |k| = 3,
+512 at 100, 2,048 at 1,000 and 4,096 at 3,000. M is entire in k^2 and built
+once per distinct k^2; the Jost values at +k and -k both follow from it,
+f(+-k,0) = e^{+-ik} M (1, +-ik).
 A constant q is exact in one cell; otherwise :func:`transfer_many` doubles the
-cells per k until both signs meet the tolerance and Richardson-extrapolates M.
+cells per k^2 until both signs meet the tolerance and Richardson-extrapolates M.
 The independent representations that cross-check this path live in
 :mod:`tspec.crosscheck`.
 """
@@ -106,17 +109,16 @@ def _cell_generators(p: Potential, cells: int):
     return gens
 
 
-def _transfer(p: Potential, ks: np.ndarray, cells: int):
-    """M = m_0 m_1 ... m_{N-1} over `cells` uniform cells, as rows (m00, m01, m10, m11) x k;
-    the cells are built and chained once per distinct k^2."""
+def _transfer(p: Potential, kk: np.ndarray, cells: int):
+    """M = m_0 m_1 ... m_{N-1} over `cells` uniform cells, as rows (m00, m01, m10, m11) x k^2,
+    for distinct values kk of k^2."""
     gens = _cell_generators(p, cells)
-    kk, col = np.unique(ks * ks, return_inverse=True)
     block = max(1, _BLOCK // kk.size)
     m = None
     for lo in range(0, cells, block):
         t = _chain(_cell_matrices(*(g[lo:lo + block] for g in gens), kk))
         m = t if m is None else (m[:, :, None] * t[None]).sum(axis=1)
-    return m.reshape(4, -1)[:, col]
+    return m.reshape(4, -1)
 
 
 def domain_error(ks):
@@ -132,16 +134,18 @@ def domain_error(ks):
 def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """M(k^2) over an array of k, as rows (m00, m01, m10, m11); M maps (psi, psi') at x=1 to x=0.
 
-    A constant q is exact in one cell. Otherwise, from the smallest knot-aligned
-    count of at least 8 cells, the count doubles for every k whose Jost values
-    (f, f')(+-k, 0) = e^{+-ik} M (1, +-ik) still change, in |df| + |df'|/max(1,|k|)
-    divided by 63, by more than rtol times |f| + |f'|/max(1,|k|) plus the rounding
-    floor of the backward solve, 4 eps * cells * int_0^1 e^{2 max(0, -Im(+-k)) x} dx:
-    where the start at x=1 is recessive, rounding grows like e^{2|Im k|} and a small
-    rtol can be out of reach. The test runs on u = M (1, +-ik), with the floor
-    divided by |e^{+-ik}|. Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the
-    last two counts. Doubling past 8192 cells (or past twice the starting count,
-    for grids with more knots than that) raises IntegrationFailureError.
+    M is built once per distinct k^2. A constant q is exact in one cell. Otherwise,
+    from the smallest knot-aligned count of at least 8 cells, the count doubles for
+    every k^2 whose Jost values (f, f')(+-k, 0) = e^{+-ik} M (1, +-ik) still change,
+    in |df| + |df'|/max(1,|k|) divided by 63, by more than rtol times
+    |f| + |f'|/max(1,|k|) plus the rounding floor of the backward solve,
+    4 eps * cells * int_0^1 e^{2 max(0, -Im(+-k)) x} dx: where the start at x=1 is
+    recessive, rounding grows like e^{2|Im k|} and a small rtol can be out of reach.
+    The test runs on u = M (1, +-ik), with the floor divided by |e^{+-ik}|; the test
+    at -k is the test at k with its two rows swapped, so one k per k^2 decides.
+    Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the last two
+    counts. Doubling past 8192 cells (or past twice the starting count, for grids
+    with more knots than that) raises IntegrationFailureError.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     error = domain_error(ks)
@@ -149,8 +153,10 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
         raise error
     if ks.size == 0:
         return np.empty((4, 0), dtype=complex)
+    kk, first, col = np.unique(ks * ks, return_index=True, return_inverse=True)
     if p.kind == "constant":
-        return _transfer(p, ks, 1)
+        return _transfer(p, kk, 1)[:, col]
+    ks = ks[first]
     cells = aligned_cells(p, _MIN_CELLS)
     limit = max(_MAX_CELLS, 2 * cells)
     sign_ik = np.array([[1j], [-1j]]) * ks          # +ik and -ik, one row each
@@ -159,16 +165,16 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     two_tau = np.maximum(2.0 * decay, 1e-300)        # expm1(t)/t is exactly 1 at 1e-300
     floor = _ROUNDING * np.expm1(two_tau) / two_tau * np.exp(-decay)
     scale = _RICHARDSON * rtol
-    m = _transfer(p, ks, cells)
+    m = _transfer(p, kk, cells)
     out = np.empty_like(m)
-    active = np.arange(ks.size)
+    active = np.arange(kk.size)
     while True:
         cells *= 2
         if cells > limit:
             raise IntegrationFailureError(
-                f"{active.size} of {ks.size} k values still short of rtol={rtol:.1e} "
+                f"{active.size} of {kk.size} k^2 values still short of rtol={rtol:.1e} "
                 f"at {cells // 2} cells")
-        m2 = _transfer(p, ks[active], cells)
+        m2 = _transfer(p, kk[active], cells)
         dm = m2 - m
         diff = np.abs(dm[0] + sign_ik * dm[1]) + weight * np.abs(dm[2] + sign_ik * dm[3])
         size = np.abs(m2[0] + sign_ik * m2[1]) + weight * np.abs(m2[2] + sign_ik * m2[3])
@@ -176,19 +182,10 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
         done = ok[0] & ok[1]
         if done.all():
             out[:, active] = m2 + dm / _RICHARDSON
-            return out
+            return out[:, col]
         if done.any():
             out[:, active[done]] = m2[:, done] + dm[:, done] / _RICHARDSON
             keep = ~done
             active, m2, sign_ik, weight, floor = (active[keep], m2[:, keep], sign_ik[:, keep],
                                                   weight[keep], floor[:, keep])
         m = m2
-
-
-def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
-    """f(k,0), f'(k,0) = e^{ik} M(k^2) (1, ik) over an array of k, for the tests that hold the
-    Jost values against DOP853, Airy and closed forms; D reads M directly."""
-    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    m00, m01, m10, m11 = transfer_many(p, ks, rtol)
-    e = np.exp(1j * ks)
-    return e * (m00 + 1j * ks * m01), e * (m10 + 1j * ks * m11)

@@ -48,7 +48,9 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
 
     Batched Newton runs in two stages: from the predicted locations to a step
     of 1e-7 on D at the winding tolerance 1e-8, which is as far as the coarse
-    evaluations carry, then polished at rtol_refine. Each Newton root is then
+    evaluations carry, then, for the seeds that converged, polished at
+    rtol_refine. A coarse iterate beyond |k| = (n_hi + 2) pi, past every window
+    the indices allow, stops its seed unconverged. Each Newton root is then
     certified unique in its window by a winding count (the small contours the
     counting argument uses), and the residuals of all roots come from one
     stacked evaluation at rtol_refine. An index whose Newton root fails falls
@@ -63,11 +65,18 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     sel = [(n, val, br) for (n, val, br) in targets if n_lo <= n <= n_hi]
     if not sel:
         return []
+
+    def dev_coarse(ks):
+        if np.any(np.abs(ks) > k_max):
+            raise DomainError(f"|k| exceeds {k_max:.6g}, beyond the targeted indices")
+        return dev_wind(ks)
+
     seeds = np.array([val for (_n, val, _b) in sel], dtype=complex)
-    roots, conv = newton_refine_many(dev_wind, seeds, tol=_NEWTON_COARSE_TOL)
-    polished, conv2 = newton_refine_many(dev_fine, roots, max_iter=6)
-    good = conv & conv2
-    roots = np.where(good, polished, roots)
+    roots, good = newton_refine_many(dev_coarse, seeds, tol=_NEWTON_COARSE_TOL)
+    coarse = np.flatnonzero(good)
+    polished, conv = newton_refine_many(dev_fine, roots[coarse], max_iter=6)
+    roots[coarse[conv]] = polished[conv]
+    good[coarse] = conv
     reps, refined = [], []
     half = 0.45 * spacing
     for (n, target, br), root, ok in zip(sel, roots, good):

@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from tspec import Potential
+from tspec.jost import DEFAULT_RTOL, transfer_many
+
+
+def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):
+    """f(k,0), f'(k,0) = e^{ik} M(k^2) (1, ik) over an array of k, from the production
+    transfer matrix, for the tests that hold Jost values against DOP853, Airy and
+    closed forms."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    m00, m01, m10, m11 = transfer_many(p, ks, rtol)
+    e = np.exp(1j * ks)
+    return e * (m00 + 1j * ks * m01), e * (m10 + 1j * ks * m11)
 
 
 def const_jost(c: float, k: complex):

@@ -19,11 +19,10 @@ from tspec.charfun import DEvaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
 from tspec.crosscheck import jost_via_kernel
-from tspec.jost import jost_at_zero_many
 from tspec.pipeline import targeted_spectrum
 from tspec.rootfind import find_zeros, gamma_contour_count, index_eigenvalues
 
-from conftest import const_jost, dirichlet_d_const1
+from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many
 
 
 @contextmanager

@@ -4,9 +4,8 @@ import pytest
 from tspec import DEvaluator, Potential, charfun, derive_scalars, sample_D_grid
 from tspec.charfun import eval_D_many
 from tspec.errors import DomainError
-from tspec.jost import jost_at_zero_many
 
-from conftest import const_jost, dirichlet_d_const1
+from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many
 
 
 def const_d(c, h, k, variant):
@@ -230,8 +229,8 @@ class TestGrid:
                 assert abs(sample.value - value) <= 1e-11 * abs(value)
 
 
-class TestEvaluatorCache:
-    def test_cache_hit_identical(self, q_one):
+class TestEvaluator:
+    def test_repeated_calls_identical(self, q_one):
         dev = DEvaluator(q_one, "robin")
         first = dev(np.array([2.0 + 1.0j, 3.0]))
         again = dev(np.array([2.0 + 1.0j, 3.0]))

@@ -2,13 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tspec.charfun
 from tspec.cli import main
 from tspec.errors import ConfigError
 from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
@@ -18,6 +22,17 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=6)
+
+
+@contextlib.contextmanager
+def _inside(path):
+    """Run the block with `path` as the working directory, where a relative "out" lands."""
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.fixture(scope="module")
@@ -92,19 +107,39 @@ class TestSpectrumCommand:
         _, records, _ = read_spectrum(str(out))
         assert {r.index for r in records} == {1}
 
+    # q = a + b x with q(1)/omega near -2: the n = 0 zero is purely imaginary,
+    # out of reach of the window around its real-axis seed.
+    UNCERTIFIED = {"potential": {"kind": "polynomial",
+                                 "coeffs": [-1.6685632173450171, 2.528261446027842],
+                                 "h": -0.20404202893245155}, "variant": "robin"}
+
     def test_uncertified_targeted_root_exits_2(self, workdir, capsys):
-        # q = a + b x with q(1)/omega near -2: the n = 0 zero is purely imaginary,
-        # out of reach of the window around its real-axis seed.
         cfg = workdir / "uncertified.json"
-        cfg.write_text(json.dumps({"potential": {
-            "kind": "polynomial", "coeffs": [-1.6685632173450171, 2.528261446027842],
-            "h": -0.20404202893245155}, "variant": "robin"}))
+        cfg.write_text(json.dumps(self.UNCERTIFIED))
         out = workdir / "uncertified_spec.json"
         code = main(["--config", str(cfg), "--out", str(out), "spectrum", "--n", "0..1"])
         assert code == 2
         header, _, _ = read_spectrum(str(out))
         assert [w for w in header.warnings if "indices [0] not certified" in w]
         assert "indices [0] not certified" in capsys.readouterr().err
+
+    def test_targeted_newton_stays_near_the_indices(self, workdir, monkeypatch):
+        # The index-0 seed has no zero nearby; its Newton iterates once walked
+        # out to |k| = 23,581. Nothing targeted at n <= 1 needs |k| > 3 pi.
+        seen = []
+        eval_d = tspec.charfun.eval_D_many
+
+        def spy(p, ks, *args, **kwargs):
+            seen.append(np.abs(np.asarray(ks, dtype=complex)).max(initial=0.0))
+            return eval_d(p, ks, *args, **kwargs)
+
+        monkeypatch.setattr(tspec.charfun, "eval_D_many", spy)
+        cfg = workdir / "uncertified.json"
+        cfg.write_text(json.dumps(self.UNCERTIFIED))
+        out = workdir / "uncertified_bounded.json"
+        code = main(["--config", str(cfg), "--out", str(out), "spectrum", "--n", "0..1"])
+        assert code == 2
+        assert seen and max(seen) <= 3 * math.pi
 
     def test_degenerate_potential_warns(self, workdir, capsys):
         cfg = workdir / "zero.json"
@@ -378,6 +413,71 @@ class TestMalformedConfig:
         assert main(["--config", config_path, "spectrum"] + flags) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_config_path_is_a_directory_exit_1(self, workdir, capsys):
+        assert main(["--config", str(workdir), "charfun", "eval", "--k", "1,0"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: cannot read config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", [".", "no_such_dir/eval.json", "\0"])
+    def test_unwritable_out_exit_1(self, workdir, out, capsys):
+        path = workdir / "unwritable_out_cfg.json"
+        path.write_text(json.dumps(dict(self.BASE, out=out)))
+        with _inside(workdir):
+            code = main(["--config", str(path), "charfun", "eval", "--k", "1,0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
+
+    VALID = [
+        {"potential": {"kind": kind, payload: value, "h": 0.2}, "variant": variant,
+         "spectrum": {"n": [0, 2], "region": [0.0, 6.0, 0.0, 3.0], "depth": 8},
+         "charfun": {"region": [0.0, 10.0, 0.0, 3.0]},
+         "validate": {"spectrum": "spec.json", "contours": [2], "theorem": "T42i"},
+         "tolerances": {"rtol": 1e-10, "rtol_refine": 1e-13}, "out": "eval.json"}
+        for kind, payload, value in (("constant", "value", 1.0),
+                                     ("polynomial", "coeffs", [0.3, 1.0]),
+                                     ("grid", "samples", [0.4, -1.1, 0.7, 1.9, -0.3]))
+        for variant in ("robin", "dirichlet")]
+
+    @staticmethod
+    def _places(node, path=()):
+        """(path, container) for every dict key and list item at any depth."""
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,), node
+            if isinstance(value, (dict, list)):
+                yield from TestMalformedConfig._places(value, path + (key,))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_cleanly(self, workdir, data):
+        # One key, at any depth, becomes arbitrary JSON, or a mapping gains or
+        # loses a key.
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(self.VALID))))
+        edit = data.draw(st.sampled_from(["set", "add_key", "drop_key"]))
+        if edit == "set":
+            where, node = data.draw(st.sampled_from(list(self._places(cfg))))
+            node[where[-1]] = data.draw(_JSON)
+        else:
+            mappings = [cfg] + [node[where[-1]] for where, node in self._places(cfg)
+                                if isinstance(node[where[-1]], dict)]
+            node = data.draw(st.sampled_from(mappings))
+            if edit == "add_key":
+                node[data.draw(st.text(max_size=6).filter(lambda k: k not in node))] = \
+                    data.draw(_JSON)
+            else:
+                del node[data.draw(st.sampled_from(sorted(node)))]
+        run_dir = workdir / "fuzzed_cfg"
+        run_dir.mkdir(exist_ok=True)
+        path = run_dir / "fuzzed_cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with _inside(run_dir), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(path), "charfun", "eval", "--k", "1,0"])
+        assert code in (0, 1, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -416,6 +516,7 @@ class RefuseScipy:
 
 if sys.argv[1] == "block":
     sys.meta_path.insert(0, RefuseScipy())
+import tspec.charfun
 from tspec.cli import main
 
 codes = []

@@ -13,9 +13,8 @@ from tspec import Potential
 from tspec.charfun import eval_D_many
 from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
 from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
-from tspec.jost import jost_at_zero_many
 
-from conftest import const_jost
+from conftest import const_jost, jost_at_zero_many
 
 SPLINE_SAMPLES = (0.4, -1.1, 0.7, 1.9, -0.3, 0.8, -1.6, 0.2, 1.3)
 NONCONSTANT = {

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tspec import Potential, derive_scalars
 from tspec import rootfind
@@ -76,6 +78,39 @@ class TestWindingCount:
                         ContourBox(box.s0, sm, tm, box.t1), ContourBox(sm, box.s1, tm, box.t1)]
             total = sum(winding_count(f, c) for c in children)
             assert total == parent
+
+    _D_LINEAR = DEvaluator(Potential.polynomial([1.0, 1.0], h=0.3), "robin", rtol=1e-9)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(re=st.lists(st.floats(-15.0, 15.0), min_size=2, max_size=2, unique=True),
+           im=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2, unique=True),
+           frac=st.floats(0.05, 0.95), vertical=st.booleans())
+    def test_additivity_of_d_counts(self, re, im, frac, vertical):
+        # D for q = 1 + x: a box's count is the sum of its two halves' counts.
+        (s0, s1), (t0, t1) = sorted(re), sorted(im)
+        assume(s1 - s0 >= 0.1 and t1 - t0 >= 0.1)
+        box = ContourBox(s0, s1, t0, t1)
+        if vertical:
+            cut = s0 + frac * (s1 - s0)
+            halves = [ContourBox(s0, cut, t0, t1), ContourBox(cut, s1, t0, t1)]
+        else:
+            cut = t0 + frac * (t1 - t0)
+            halves = [ContourBox(s0, s1, t0, cut), ContourBox(s0, s1, cut, t1)]
+
+        def count(b):
+            # A count that perturbed its box outward counted another box.
+            seen = []
+            try:
+                w = winding_count(lambda ks: seen.append(ks) or self._D_LINEAR(ks), b)
+            except (BoundaryTooCloseError, PhaseResolutionError):
+                assume(False)
+            ks = np.concatenate(seen)
+            pad = 1e-6 * max(b.width, b.height)     # perturbations move by 1e-4 of this
+            assume(ks.real.min() >= b.s0 - pad and ks.real.max() <= b.s1 + pad
+                   and ks.imag.min() >= b.t0 - pad and ks.imag.max() <= b.t1 + pad)
+            return w
+
+        assert count(box) == sum(count(h) for h in halves)
 
     def test_boundary_zero_perturbation(self):
         # A zero exactly on the requested boundary is absorbed by perturbing.
