@@ -137,8 +137,7 @@ def _case_tag(scalars: PotentialScalars) -> str:
 
 def _small_leading_zeros(scalars: PotentialScalars, tau_hi: float):
     """Zeros of g1/k with 0 <= Re k < pi, found by box search (no formula seed)."""
-    res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, tau_hi), max_depth=24,
-                     min_size=1e-9, spacing=0.1)
+    res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, tau_hi), max_depth=24)
     return sorted((ev.k for ev in res.zeros), key=abs)
 
 
@@ -178,7 +177,7 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
         if not ok:
             box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
             try:
-                res = find_zeros(_g1_over_k(scalars), box, max_depth=18, spacing=0.1)
+                res = find_zeros(_g1_over_k(scalars), box, max_depth=18)
                 near = min((ev.k for ev in res.zeros), key=lambda kk: abs(kk - seed), default=None)
             except TspecError:
                 near = None

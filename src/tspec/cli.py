@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import asymptotics as asy
 from .charfun import DEvaluator, eval_D_many, sample_D_grid
-from .config import RunConfig, check_values, env_overrides, load_config
+from .config import RunConfig, check_values, load_config
 from .errors import ConfigError, TspecError, UnstableLimitError
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .pipeline import (eigenvalues_from_records, run_spectrum, run_validate)
@@ -75,16 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cfsub = cf.add_subparsers(dest="subcommand", required=True)
     cfe = cfsub.add_parser("eval", help="print D(k) at one point")
     cfe.add_argument("--k", type=_parse_pair, required=True, metavar="RE,IM")
-    cfe.add_argument("--dump-kernel", metavar="PATH",
-                     help="also write the kernel row K(0, t) as CSV (debugging)")
-    cfe.add_argument("--kernel-mesh", type=int, default=128)
     cfg_ = cfsub.add_parser("grid", help="export D over a grid as CSV")
     cfg_.add_argument("--region", type=_parse_region)
     cfg_.add_argument("--nx", type=int, default=32)
     cfg_.add_argument("--ny", type=int, default=16)
-    cfg_.add_argument("--dump-kernel", metavar="PATH",
-                      help="also write the kernel row K(0, t) as CSV (debugging)")
-    cfg_.add_argument("--kernel-mesh", type=int, default=128)
 
     ap = sub.add_parser("asymptotics", help="asymptotic predictions and residuals")
     apsub = ap.add_subparsers(dest="subcommand", required=True)
@@ -106,17 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args) -> RunConfig:
-    env = env_overrides()
-    path = args.config or env.get("config")
-    if not path:
-        raise ConfigError("a --config file (or TSPEC_CONFIG) is required")
-    cfg = load_config(path)
-    tol = args.tol if args.tol is not None else env.get("tol")
-    if tol is not None:
-        cfg.tolerances = dict(cfg.tolerances, rtol=float(tol))
-    out = args.out if args.out is not None else env.get("out")
-    if out is not None:
-        cfg.out = out
+    if not args.config:
+        raise ConfigError("a --config file is required")
+    cfg = load_config(args.config)
+    if args.tol is not None:
+        cfg.tolerances = dict(cfg.tolerances, rtol=args.tol)
+    if args.out is not None:
+        cfg.out = args.out
     if args.command == "spectrum":
         flags = {"region": args.region, "depth": args.depth, "n": args.n}
         cfg.spectrum = dict(cfg.spectrum, **{k: v for k, v in flags.items() if v is not None})
@@ -155,22 +145,8 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     return run.exit_code
 
 
-def _dump_kernel_row(p: Potential, path: str, mesh: int):
-    from .crosscheck import kernel_iterate
-
-    kg = kernel_iterate(p, mesh)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "K_0_t"])
-        for j, val in enumerate(kg.values[0]):
-            writer.writerow([repr(j * kg.h), repr(float(val))])
-    print(f"wrote kernel row to {path}", file=sys.stderr)
-
-
 def _cmd_charfun(cfg: RunConfig, args) -> int:
     p = Potential.from_dict(cfg.potential)
-    if getattr(args, "dump_kernel", None):
-        _dump_kernel_row(p, args.dump_kernel, args.kernel_mesh)
     if args.subcommand == "eval":
         value = eval_D_many(p, [args.k], variant=cfg.variant, rtol=cfg.rtol)[0]
         _emit_json({"k": args.k, "D": complex(value), "variant": cfg.variant, "h": p.h}, cfg.out)

@@ -1,4 +1,4 @@
-"""Run configuration: schema validation and environment overrides.
+"""Run configuration: schema validation.
 
 The config file is JSON. Unknown keys are rejected at every level so typos
 fail fast instead of silently running defaults, and every key that is
@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .asymptotics import THEOREM_TAGS
 from .errors import ConfigError, DomainError
 from .potential import Potential, finite_real
-
-ENV_PREFIX = "TSPEC_"
 
 
 def _is_int(value) -> bool:
@@ -147,18 +144,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(raw)
 
-
-def env_overrides(environ=None) -> dict:
-    """TSPEC_-prefixed environment overrides for the global CLI flags."""
-    environ = os.environ if environ is None else environ
-    out = {}
-    if ENV_PREFIX + "TOL" in environ:
-        try:
-            out["tol"] = float(environ[ENV_PREFIX + "TOL"])
-        except ValueError:
-            raise ConfigError("TSPEC_TOL must be a float") from None
-    if ENV_PREFIX + "OUT" in environ:
-        out["out"] = environ[ENV_PREFIX + "OUT"]
-    if ENV_PREFIX + "CONFIG" in environ:
-        out["config"] = environ[ENV_PREFIX + "CONFIG"]
-    return out

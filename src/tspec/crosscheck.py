@@ -1,8 +1,9 @@
 """Two representations of the Jost solution that share no code with :mod:`tspec.jost`.
 
 A triangular kernel grid and a successive-approximation series, used only to
-cross-check the production propagator (tests, and ``--dump-kernel`` in the
-CLI). The package import does not load this module.
+cross-check the production propagator in the tests. Neither the package import
+nor any CLI command loads this module; the kernel row K(0, t) is
+``kernel_iterate(p, mesh).values[0]``.
 """
 
 from __future__ import annotations

@@ -145,7 +145,9 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     at -k is the test at k with its two rows swapped, so one k per k^2 decides.
     Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the last two
     counts. Doubling past 8192 cells (or past twice the starting count, for grids
-    with more knots than that) raises IntegrationFailureError.
+    with more knots than that) raises IntegrationFailureError, and so does an M
+    at the starting count that overflows (in k^2 or in the cells) to a non-finite
+    value.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     error = domain_error(ks)
@@ -153,11 +155,16 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
         raise error
     if ks.size == 0:
         return np.empty((4, 0), dtype=complex)
-    kk, first, col = np.unique(ks * ks, return_index=True, return_inverse=True)
+    cells = 1 if p.kind == "constant" else aligned_cells(p, _MIN_CELLS)
+    # Overflow, in k^2 or in M, shows as a non-finite M, which no cell count mends.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kk, first, col = np.unique(ks * ks, return_index=True, return_inverse=True)
+        m = _transfer(p, kk, cells)
+    if not np.isfinite(m).all():
+        raise IntegrationFailureError("M(k^2) is not finite")
     if p.kind == "constant":
-        return _transfer(p, kk, 1)[:, col]
+        return m[:, col]
     ks = ks[first]
-    cells = aligned_cells(p, _MIN_CELLS)
     limit = max(_MAX_CELLS, 2 * cells)
     sign_ik = np.array([[1j], [-1j]]) * ks          # +ik and -ik, one row each
     weight = 1.0 / np.maximum(1.0, np.abs(ks))
@@ -165,7 +172,6 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     two_tau = np.maximum(2.0 * decay, 1e-300)        # expm1(t)/t is exactly 1 at 1e-300
     floor = _ROUNDING * np.expm1(two_tau) / two_tau * np.exp(-decay)
     scale = _RICHARDSON * rtol
-    m = _transfer(p, kk, cells)
     out = np.empty_like(m)
     active = np.arange(kk.size)
     while True:

@@ -100,7 +100,8 @@ def _alone_in_window(dev_wind, root: complex, half: float) -> bool:
 
 
 def _boxed_fallback(dev, dev_fine, target: complex, half: float):
-    """The zero nearest the target from a winding-certified search of its window, if any."""
+    """The zero nearest the target from a winding-certified search of its window, if any,
+    and whether it is refined."""
     try:
         res = find_zeros(dev, (target.real - half, target.real + half,
                                target.imag - half, target.imag + half),
@@ -110,12 +111,11 @@ def _boxed_fallback(dev, dev_fine, target: complex, half: float):
     if not res.zeros:
         return complex(target), False
     best = min(res.zeros, key=lambda e: abs(e.k - representative(target)))
-    return complex(best.k), True
+    return complex(best.k), best.refined
 
 
-def scan_spectrum(p: Potential, scalars: PotentialScalars, variant: str, region,
-                  depth: int = 14, *, rtol_winding: float = 1e-9,
-                  rtol_refine: float = 1e-13) -> ZeroSearchResult:
+def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
+                  rtol_winding: float = 1e-9, rtol_refine: float = 1e-13) -> ZeroSearchResult:
     dev = DEvaluator(p, variant, rtol=rtol_winding)
     dev_fine = dev.with_tolerance(rtol_refine)
     return find_zeros(dev, region, max_depth=depth, refine_f=dev_fine)
@@ -194,7 +194,7 @@ def run_spectrum(cfg) -> SpectrumRun:
                                   rtol=cfg.rtol, rtol_refine=cfg.rtol_refine)
         uncertified = [ev.index for ev in zeros if not ev.refined]
     else:
-        result = scan_spectrum(p, scalars, cfg.variant, region,
+        result = scan_spectrum(p, cfg.variant, region,
                                depth=int(cfg.spectrum.get("depth", 14)),
                                rtol_winding=max(cfg.rtol, 1e-10), rtol_refine=cfg.rtol_refine)
         unresolved = result.unresolved

@@ -23,7 +23,7 @@ _JUMP_TOL = math.pi / 2
 _MAX_BOUNDARY_POINTS = 2 ** 14
 _MODULUS_FLOOR_REL = 1e-4   # local dip vs neighbors marking a boundary zero
 _STUCK_SEGMENT = 1e-9       # unresolvable phase jump across a segment this short
-_SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59, 0.5)
+_SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59)   # the midpoint comes last, unvalidated
 _CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
 _STENCIL = np.array([0, 1, -1, 1j, -1j])[:, None]              # Newton points z + d * offset
 _DERIV_WEIGHTS = np.array([0, 0.25, -0.25, -0.25j, 0.25j])    # f'(z) d from the stencil values
@@ -31,17 +31,18 @@ _STEP_REL = 1e-6            # Newton stencil step, relative to max(1, |z|)
 _STALL_REL = 1e-8           # a step this small, relative, may end Newton on the noise floor
 _DEDUP_TOL = 1e-6           # relative distance at which two box roots are one root
 _ORIGIN_RADIUS = 0.3        # half-side of the square counted around k = 0
+_SPACING = 0.2              # first boundary sample spacing of a winding count
+_MIN_SIZE = 1e-7            # box side below which find_zeros reports a cluster
 
 
 @dataclass
 class ContourBox:
-    """A rectangle in the k-plane with its winding count once computed."""
+    """A rectangle in the k-plane."""
 
     s0: float
     s1: float
     t0: float
     t1: float
-    winding: Optional[int] = None
 
     @property
     def width(self) -> float:
@@ -85,13 +86,13 @@ class ZeroSearchResult:
     unresolved: List[ContourBox]
 
 
-def _boundary_points(box: ContourBox, spacing: float):
-    """Counterclockwise boundary samples including all four corners."""
+def _boundary_points(box: ContourBox):
+    """Counterclockwise boundary samples, at most _SPACING apart, including all four corners."""
     pts = []
     corners = [complex(box.s0, box.t0), complex(box.s1, box.t0),
                complex(box.s1, box.t1), complex(box.s0, box.t1)]
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(8, int(math.ceil(abs(b - a) / spacing)))
+        n = max(8, int(math.ceil(abs(b - a) / _SPACING)))
         seg = a + (b - a) * np.arange(n) / n
         pts.append(seg)
     return np.concatenate(pts)
@@ -102,10 +103,11 @@ def _wrapped_jumps(vals: np.ndarray) -> np.ndarray:
     return np.angle(ratio)
 
 
-def winding_count(f: Callable, box: ContourBox, *, spacing: float = 0.2) -> int:
+def winding_count(f: Callable, box: ContourBox) -> int:
     """Number of zeros of f inside the box, counted with multiplicity.
 
-    Total boundary argument variation divided by 2*pi, sampled adaptively
+    Total boundary argument variation divided by 2*pi, sampled from a
+    spacing of 0.2 (at least 8 samples per side) and bisected adaptively
     until successive-point phase jumps fall below pi/2; the result must
     round to an integer with gap < 0.25. A boundary running too close to a
     zero triggers up to three outward perturbations of the box. Raises
@@ -116,7 +118,7 @@ def winding_count(f: Callable, box: ContourBox, *, spacing: float = 0.2) -> int:
     exhausted = False
     for attempt in range(4):
         exhausted = False
-        pts = _boundary_points(box, spacing)
+        pts = _boundary_points(box)
         vals = np.asarray(f(pts), dtype=complex)
         ok = True
         while True:
@@ -157,7 +159,6 @@ def winding_count(f: Callable, box: ContourBox, *, spacing: float = 0.2) -> int:
                 raise PhaseResolutionError(
                     f"winding {total:.4f} does not round cleanly on box "
                     f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
-            base.winding = w
             return w
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
         box = ContourBox(base.s0 - delta, base.s1 + delta, base.t0 - delta, base.t1 + delta)
@@ -289,7 +290,7 @@ def _split_candidates(f, box: ContourBox):
     yield children_for(box.s0 + 0.5 * box.width, box.t0 + 0.5 * box.height)
 
 
-def _subdivide(f, box: ContourBox, w_parent: int, spacing: float):
+def _subdivide(f, box: ContourBox, w_parent: int):
     """Children with windings, accepted only when they sum to the parent.
 
     A mismatch means a zero straddles a shared edge (counted half on each
@@ -298,7 +299,7 @@ def _subdivide(f, box: ContourBox, w_parent: int, spacing: float):
     """
     for children in _split_candidates(f, box):
         try:
-            ws = [winding_count(f, c, spacing=spacing) for c in children]
+            ws = [winding_count(f, c) for c in children]
         except (PhaseResolutionError, BoundaryTooCloseError):
             continue
         if sum(ws) == w_parent:
@@ -331,14 +332,16 @@ def _classify(k: complex) -> str:
 
 
 def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[Callable] = None,
-               min_size: float = 1e-7, spacing: float = 0.2,
                symmetry: bool = True) -> ZeroSearchResult:
     """All zeros of f in region = (s0, s1, t0, t1), with multiplicities.
 
     Boxes are bisected (children must reproduce the parent winding) until each
-    holds at most one zero (Newton-refined) or shrinks below min_size (then a
-    multiplicity-m cluster is reported). Boxes still holding several zeros at
-    max_depth land in the unresolved list. refine_f, when given, is a
+    holds at most one zero (Newton-refined) or its longer side drops below
+    1e-7 (then a multiplicity-m cluster is reported, unrefined). Boxes still
+    holding several zeros at max_depth land in the unresolved list. Roots of
+    different boxes within 1e-6 relative of each other merge into one
+    unrefined entry with the sum of their multiplicities: sibling counts add
+    up to their parent's, so no count is lost. refine_f, when given, is a
     higher-accuracy evaluator used for Newton polish and residuals. With
     symmetry=True results are deduplicated under k -> -k, k -> k* into
     first-quadrant representatives (the symmetry group of the characteristic
@@ -351,12 +354,12 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     root = ContourBox(s0, s1, t0, t1)
     raw = []
     unresolved: List[ContourBox] = []
-    stack = [(root, 0, winding_count(f, root, spacing=spacing))]
+    stack = [(root, 0, winding_count(f, root))]
     while stack:
         box, depth, w = stack.pop()
         if w == 0:
             continue
-        small = max(box.width, box.height) < min_size
+        small = max(box.width, box.height) < _MIN_SIZE
         if w == 1:
             z, converged = newton_refine_many(rf, [box.center], max_iter=50)
             if converged[0] and box.contains(z[0], pad=0.25 * max(box.width, box.height)):
@@ -371,19 +374,18 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         if depth >= max_depth:
             unresolved.append(box)
             continue
-        children = _subdivide(f, box, w, spacing)
+        children = _subdivide(f, box, w)
         if children is None:
             unresolved.append(box)
             continue
         stack.extend((child, depth + 1, wc) for child, wc in children if wc > 0)
 
-    # Deduplicate identical roots found from adjacent boxes.
+    # Merge coinciding roots of different boxes, keeping every box's count.
     deduped = []
     for z, mult, refined in sorted(raw, key=lambda r: (r[0].real, r[0].imag)):
-        for j, (z2, _m2, r2) in enumerate(deduped):
+        for j, (z2, m2, r2) in enumerate(deduped):
             if abs(z - z2) < _DEDUP_TOL * max(1.0, abs(z)):
-                if refined and not r2:
-                    deduped[j] = (z, mult, refined)
+                deduped[j] = (z if refined and not r2 else z2, m2 + mult, False)
                 break
         else:
             deduped.append((z, mult, refined))

@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspec.charfun
-from tspec.cli import main
+from tspec.cli import _build_parser, main
 from tspec.errors import ConfigError
 from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
 
@@ -169,17 +172,19 @@ class TestCharfunCommand:
         assert rows[0] == ["re_k", "im_k", "re_D", "im_D"]
         assert len(rows) == 16
 
-    def test_kernel_dump_flag(self, workdir, config_path, capsys):
-        dump = workdir / "kernel.csv"
-        code = main(["--config", config_path, "charfun", "eval", "--k", "1.0,0.0",
-                     "--dump-kernel", str(dump), "--kernel-mesh", "32"])
-        assert code == 0
-        capsys.readouterr()
-        rows = list(csv.reader(open(dump)))
-        assert rows[0] == ["t", "K_0_t"]
-        assert len(rows) == 2 + 2 * 32  # header + 2*mesh+1 nodes
-        # K(0,0) = (1/2) int_0^1 q = 1/2 for q = 1
-        assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-9)
+    @pytest.mark.parametrize("coeffs, k", [([1e300, 1e300], "1,0"), ([1.0, 1.0], "1e200,0")],
+                             ids=["M-overflows", "k2-overflows"])
+    def test_overflow_exits_3_at_once(self, workdir, coeffs, k, capsys):
+        path = workdir / "overflow.json"
+        path.write_text(json.dumps({"potential": {"kind": "polynomial", "coeffs": coeffs,
+                                                  "h": 0.0}, "variant": "robin"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "charfun", "eval", "--k", k])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("computation failed: ") and "is not finite" in err
+        assert "RuntimeWarning" not in err and "short of rtol" not in err
 
 
 class TestAsymptoticsCommand:
@@ -327,20 +332,20 @@ class TestMalformedSpectrumFile:
         assert f"config error: {path}" in err and "Traceback" not in err
 
 
-class TestEnvOverrides:
-    def test_tol_env(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("TSPEC_TOL", "1e-10")
-        assert main(["--config", config_path, "charfun", "eval", "--k", "1.0,0.0"]) == 0
-        capsys.readouterr()
-
-    def test_config_env(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("TSPEC_CONFIG", config_path)
-        assert main(["charfun", "eval", "--k", "1.0,0.0"]) == 0
-        capsys.readouterr()
-
-    def test_bad_env_value(self, config_path, monkeypatch):
+class TestEnvironment:
+    # A run reads only its argv and its config file.
+    def test_tspec_variables_are_ignored(self, config_path, monkeypatch, capsys):
         monkeypatch.setenv("TSPEC_TOL", "abc")
-        assert main(["--config", config_path, "charfun", "eval", "--k", "1.0,0.0"]) == 1
+        monkeypatch.setenv("TSPEC_OUT", "/nonexistent/out.json")
+        assert main(["--config", config_path, "charfun", "eval", "--k", "1.0,0.0"]) == 0
+        assert "D" in json.loads(capsys.readouterr().out)
+
+    def test_config_flag_is_required(self, config_path, monkeypatch, capsys):
+        monkeypatch.setenv("TSPEC_CONFIG", config_path)
+        assert main(["charfun", "eval", "--k", "1.0,0.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: a --config file is required\n"
+        assert captured.out == ""
 
 
 class TestMalformedConfig:
@@ -517,7 +522,7 @@ class RefuseScipy:
 if sys.argv[1] == "block":
     sys.meta_path.insert(0, RefuseScipy())
 import tspec.charfun
-from tspec.cli import main
+from tspec.cli import _build_parser, main
 
 codes = []
 for argv in json.loads(sys.argv[2]):
@@ -541,8 +546,7 @@ class TestImportPath:
             assert proc.stdout.strip() == "[]", module
 
     def test_commands_run_without_scipy(self, workdir):
-        # Every command except --dump-kernel (tspec.crosscheck), which is the
-        # one production path that needs scipy.
+        # Every command: no CLI path imports tspec.crosscheck or scipy.
         cfgs = {
             "grid": {"kind": "grid", "h": 0.1,
                      "samples": [0.45, 0.52, 0.61, 0.48, 0.39, 0.55, 0.62, 0.71, 0.9]},
@@ -590,3 +594,24 @@ class TestConsoleEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "tspec" in proc.stdout
+
+
+def _parser_options(parser):
+    """Every option string of an argparse parser and of its subparsers, recursively."""
+    opts = set()
+    for action in parser._actions:
+        opts.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _parser_options(sub)
+    return opts
+
+
+class TestDocumentedOptions:
+    def test_readme_cli_section_matches_parser(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        options = _parser_options(_build_parser())
+        named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", section))
+        assert sorted(options - named) == []
+        assert sorted(o for o in named - options if o.startswith("--")) == []

@@ -12,7 +12,7 @@ from tspec.errors import ConfigError
 from tspec.pipeline import (AuditEntry, audit_symmetry, eigenvalues_from_records, expand_orbit,
                             is_degenerate, run_spectrum, run_validate, targeted_spectrum)
 from tspec.charfun import DEvaluator
-from tspec.rootfind import Eigenvalue
+from tspec.rootfind import Eigenvalue, ZeroSearchResult
 from tspec.spectrumfile import SpectrumRecord
 
 
@@ -146,6 +146,20 @@ class TestTargetedFallback:
         assert [e.index for e in evs] == [1, 2, 3] and all(e.refined for e in evs)
         for ev, ref in zip(evs, reference):
             assert abs(ev.k - ref.k) <= 1e-12 * abs(ref.k)
+
+    def test_unrefined_fallback_root_is_not_certified(self, q_one, monkeypatch):
+        # The boxed search finds only an unrefined cluster: the index stays uncertified.
+        def cluster(f, region, **kw):
+            k = complex(0.5 * (region[0] + region[1]), 0.5 * (region[2] + region[3]))
+            return ZeroSearchResult([Eigenvalue(k=k, index=None, multiplicity=2, residual=1.0,
+                                                cls="quadrant", refined=False)], [], [])
+
+        monkeypatch.setattr(pipeline, "newton_refine_many",
+                            lambda f, seeds, **kw: (np.array(seeds, dtype=complex),
+                                                    np.zeros(len(seeds), dtype=bool)))
+        monkeypatch.setattr(pipeline, "find_zeros", cluster)
+        evs = targeted_spectrum(q_one, derive_scalars(q_one), "robin", 1, 1)
+        assert [(e.index, e.refined) for e in evs] == [(1, False)]
 
 
 class TestDirichletTheorem:

@@ -211,12 +211,19 @@ class TestFindZeros:
 
     def test_multiplicity_cluster(self):
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
-        res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=40, min_size=1e-6,
-                         symmetry=False)
+        res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=40, symmetry=False)
         assert len(res.zeros) == 1
         ev = res.zeros[0]
-        assert ev.multiplicity == 2
+        assert ev.multiplicity == 2 and not ev.refined
         assert abs(ev.k - (0.4 + 0.3j)) < 1e-4
+
+    def test_cluster_below_min_size(self, monkeypatch):
+        # A box that shrinks below the cluster size reports its whole count.
+        monkeypatch.setattr(rootfind, "_MIN_SIZE", 1e-3)
+        f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
+        res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=40, symmetry=False)
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(2, False)]
+        assert abs(res.zeros[0].k - (0.4 + 0.3j)) < 1e-3
 
     def test_residual_against_local_scale(self, rng):
         roots = np.array([0.9 + 0.7j, -1.2 + 1.5j, 1.8 - 0.9j])
@@ -262,8 +269,7 @@ class TestFindZeros:
 
     def test_unresolved_cluster_reported(self):
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
-        res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=3, min_size=1e-12,
-                         symmetry=False)
+        res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=3, symmetry=False)
         assert res.unresolved
         assert res.zeros == []
 
