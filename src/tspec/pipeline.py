@@ -177,7 +177,11 @@ def run_spectrum(cfg) -> SpectrumRun:
     p = Potential.from_dict(cfg.potential)
     scalars = derive_scalars(p)
     warnings_list = []
-    dev = DEvaluator(p, cfg.variant, rtol=cfg.rtol)
+    targeted = "n" in cfg.spectrum
+    # The yes/no checks (degeneracy, origin multiplicity) need only the
+    # tolerance the run counts windings with.
+    rtol_winding = _RTOL_WINDING if targeted else max(cfg.rtol, 1e-10)
+    dev = DEvaluator(p, cfg.variant, rtol=rtol_winding)
     region = list(cfg.spectrum.get("region", (0.0, 20.0, 0.0, 4.0)))
     if is_degenerate(dev):
         warnings_list.append("degenerate characteristic function: D == 0 identically "
@@ -188,7 +192,7 @@ def run_spectrum(cfg) -> SpectrumRun:
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
     unresolved, uncertified = [], []
-    if "n" in cfg.spectrum:
+    if targeted:
         n_lo, n_hi = cfg.spectrum["n"]
         zeros = targeted_spectrum(p, scalars, cfg.variant, int(n_lo), int(n_hi),
                                   rtol=cfg.rtol, rtol_refine=cfg.rtol_refine)
@@ -196,7 +200,7 @@ def run_spectrum(cfg) -> SpectrumRun:
     else:
         result = scan_spectrum(p, cfg.variant, region,
                                depth=int(cfg.spectrum.get("depth", 14)),
-                               rtol_winding=max(cfg.rtol, 1e-10), rtol_refine=cfg.rtol_refine)
+                               rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine)
         unresolved = result.unresolved
         try:
             zeros = index_eigenvalues(result.zeros, scalars, cfg.variant)

@@ -266,7 +266,8 @@ def derive_scalars(p: Potential) -> PotentialScalars:
 
     omega and the q^2 integral come from a fixed composite Gauss-Legendre rule
     and are cross-checked against a Gauss-Legendre rule of another order on
-    twice the knot-aligned panels; a disagreement above 1e-10 warns.
+    twice the knot-aligned panels; a disagreement above 1e-10 warns. Raises
+    DomainError when the q^2 integral overflows.
     """
     if p.kind == "constant":
         c = p.value
@@ -277,9 +278,12 @@ def derive_scalars(p: Potential) -> PotentialScalars:
     q = p._eval
     panels = _quad_panels(p)
     omega = _gauss_composite(q, panels, _QUAD_ORDER)
-    q_sq = _gauss_composite(lambda x: q(x) ** 2, panels, _QUAD_ORDER)
+    with np.errstate(over="ignore"):
+        q_sq = _gauss_composite(lambda x: q(x) ** 2, panels, _QUAD_ORDER)
+        q_sq_check = _gauss_composite(lambda x: q(x) ** 2, 2 * panels, _CHECK_ORDER)
+    if not math.isfinite(q_sq):
+        raise DomainError("the q^2 integral overflows: the potential is too large")
     omega_check = _gauss_composite(q, 2 * panels, _CHECK_ORDER)
-    q_sq_check = _gauss_composite(lambda x: q(x) ** 2, 2 * panels, _CHECK_ORDER)
     scale = max(1.0, abs(omega), q_sq)
     if abs(omega - omega_check) > _CROSSCHECK_RTOL * scale or abs(q_sq - q_sq_check) > _CROSSCHECK_RTOL * scale:
         warnings.warn(

@@ -1,15 +1,18 @@
 """Zeros of analytic functions in rectangles via argument-principle winding counts.
 
 Boxes are counted by accumulating boundary phase with adaptive bisection of
-segments whose phase jump exceeds pi/2, subdivided until each holds at most
-one zero, then refined by Newton iteration with derivatives from central
-complex differences. Results are deduplicated under the k -> -k, k -> k*
-symmetry group of the characteristic function.
+segments whose phase jump exceeds pi/2. A box holding at most four zeros
+takes its zeros from the contour moments of those boundary samples (the
+eigenvalues of a Hankel pencil), refined by Newton iteration with
+derivatives from central complex differences; a box that fails this is
+subdivided. Results are deduplicated under the k -> -k, k -> k* symmetry
+group of the characteristic function.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
@@ -33,6 +36,8 @@ _DEDUP_TOL = 1e-6           # relative distance at which two box roots are one r
 _ORIGIN_RADIUS = 0.3        # half-side of the square counted around k = 0
 _SPACING = 0.2              # first boundary sample spacing of a winding count
 _MIN_SIZE = 1e-7            # box side below which find_zeros reports a cluster
+_MOMENT_MAX_W = 4           # largest count whose zeros find_zeros takes from contour moments
+_NEWTON_PAD = 0.25          # how far, per longer box side, a box's Newton iterates may stray
 
 
 @dataclass
@@ -56,9 +61,11 @@ class ContourBox:
     def center(self) -> complex:
         return complex(0.5 * (self.s0 + self.s1), 0.5 * (self.t0 + self.t1))
 
-    def contains(self, k: complex, pad: float = 0.0) -> bool:
-        return (self.s0 - pad <= k.real <= self.s1 + pad
-                and self.t0 - pad <= k.imag <= self.t1 + pad)
+    def contains(self, k, pad: float = 0.0) -> bool:
+        """True when k, or every point of an array k, lies in the box grown by pad."""
+        k = np.asarray(k, dtype=complex)
+        return bool(np.all((self.s0 - pad <= k.real) & (k.real <= self.s1 + pad)
+                           & (self.t0 - pad <= k.imag) & (k.imag <= self.t1 + pad)))
 
 
 @dataclass
@@ -114,6 +121,12 @@ def winding_count(f: Callable, box: ContourBox) -> int:
     BoundaryTooCloseError when the perturbations run out, and
     PhaseResolutionError when the refinement needs more than 2^14 samples.
     """
+    return _winding(f, box)[0]
+
+
+def _winding(f: Callable, box: ContourBox):
+    """winding_count's count as (w, counted box, pts, vals): the box it was taken on
+    (perturbed when the count had to move it) and its final boundary samples."""
     base = box
     exhausted = False
     for attempt in range(4):
@@ -159,7 +172,7 @@ def winding_count(f: Callable, box: ContourBox) -> int:
                 raise PhaseResolutionError(
                     f"winding {total:.4f} does not round cleanly on box "
                     f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
-            return w
+            return w, box, pts, vals
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
         box = ContourBox(base.s0 - delta, base.s1 + delta, base.t0 - delta, base.t1 + delta)
     if exhausted:
@@ -299,12 +312,60 @@ def _subdivide(f, box: ContourBox, w_parent: int):
     """
     for children in _split_candidates(f, box):
         try:
-            ws = [winding_count(f, c) for c in children]
+            counts = [_winding(f, c) for c in children]
         except (PhaseResolutionError, BoundaryTooCloseError):
             continue
-        if sum(ws) == w_parent:
-            return list(zip(children, ws))
+        if sum(count[0] for count in counts) == w_parent:
+            return list(zip(children, counts))
     return None
+
+
+def _pencil_seeds(w: int, box: ContourBox, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Estimates of the w zeros inside a counted box from its boundary samples.
+
+    The moments s_p = (1/2 pi i) sum_i zeta_i^p dlog_i, p < 2w, approximate
+    the power sums of the zeros in zeta = (z - c)/r (c the box centre, r its
+    half-size): zeta_i is the midpoint of boundary segment i and dlog_i =
+    log(v_i+1 / v_i) the change of log f along it, whose imaginary part is
+    the wrapped phase jump the count summed. The zeros are the eigenvalues
+    of the Hankel pencil (H1, H0), H0 = [s_i+j], H1 = [s_i+j+1]; for w = 1
+    that is s_1 / s_0. Raises numpy.linalg.LinAlgError on a singular H0.
+    """
+    c = box.center
+    r = 0.5 * max(box.width, box.height)
+    dlog = np.log(np.roll(vals, -1) / vals)
+    zeta = (0.5 * (pts + np.roll(pts, -1)) - c) / r
+    s = zeta ** np.arange(2 * w)[:, None] @ dlog / (2j * math.pi)
+    hankel = np.add.outer(np.arange(w), np.arange(w))
+    return c + r * np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
+
+
+def _moment_zeros(rf: Callable, w: int, box: ContourBox, pts, vals) -> Optional[list]:
+    """The w zeros inside `box`, the box a count of w was taken on, or None.
+
+    The pencil seeds go to one Newton call on rf, whose iterates may not
+    leave the box grown by _NEWTON_PAD of its longer side: an evaluation out
+    there raises DomainError, which stops that seed. The zeros stand only if
+    every seed converges inside the box and no two roots are one root.
+    """
+    try:
+        seeds = _pencil_seeds(w, box, pts, vals)
+    except np.linalg.LinAlgError:      # also a non-finite pencil
+        return None
+    pad = _NEWTON_PAD * max(box.width, box.height)
+
+    def bounded(ks):
+        if not box.contains(ks, pad):
+            raise DomainError("Newton iterate left its box")
+        return rf(ks)
+
+    roots, converged = newton_refine_many(bounded, seeds, max_iter=50)
+    if not (converged.all() and box.contains(roots)):
+        return None
+    zs = [complex(z) for z in roots]
+    if any(abs(a - b) <= _DEDUP_TOL * max(1.0, abs(a)) for a, b in itertools.combinations(zs, 2)):
+        return None
+    return zs
 
 
 def orbit(ks) -> np.ndarray:
@@ -335,10 +396,13 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
                symmetry: bool = True) -> ZeroSearchResult:
     """All zeros of f in region = (s0, s1, t0, t1), with multiplicities.
 
-    Boxes are bisected (children must reproduce the parent winding) until each
-    holds at most one zero (Newton-refined) or its longer side drops below
-    1e-7 (then a multiplicity-m cluster is reported, unrefined). Boxes still
-    holding several zeros at max_depth land in the unresolved list. Roots of
+    A box whose winding count w is 1..4 takes w Newton-refined simple zeros
+    from the contour moments of its count's boundary samples, when every
+    seed converges inside the box and no two coincide. Other boxes are
+    bisected (children must reproduce the parent winding) until that holds
+    or the longer side drops below 1e-7 (then a multiplicity-w cluster is
+    reported, unrefined). Boxes still unresolved at max_depth land in the
+    unresolved list. Roots of
     different boxes within 1e-6 relative of each other merge into one
     unrefined entry with the sum of their multiplicities: sibling counts add
     up to their parent's, so no count is lost. refine_f, when given, is a
@@ -354,21 +418,17 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     root = ContourBox(s0, s1, t0, t1)
     raw = []
     unresolved: List[ContourBox] = []
-    stack = [(root, 0, winding_count(f, root))]
+    stack = [(root, 0, _winding(f, root))]
     while stack:
-        box, depth, w = stack.pop()
+        box, depth, (w, counted, pts, vals) = stack.pop()
         if w == 0:
             continue
-        small = max(box.width, box.height) < _MIN_SIZE
-        if w == 1:
-            z, converged = newton_refine_many(rf, [box.center], max_iter=50)
-            if converged[0] and box.contains(z[0], pad=0.25 * max(box.width, box.height)):
-                raw.append((complex(z[0]), 1, True))
+        if w <= _MOMENT_MAX_W:
+            zs = _moment_zeros(rf, w, counted, pts, vals)
+            if zs is not None:
+                raw.extend((z, 1, True) for z in zs)
                 continue
-            if small:
-                raw.append((box.center, 1, False))
-                continue
-        elif small:
+        if max(box.width, box.height) < _MIN_SIZE:
             raw.append((box.center, w, False))
             continue
         if depth >= max_depth:
@@ -378,7 +438,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         if children is None:
             unresolved.append(box)
             continue
-        stack.extend((child, depth + 1, wc) for child, wc in children if wc > 0)
+        stack.extend((child, depth + 1, count) for child, count in children if count[0] > 0)
 
     # Merge coinciding roots of different boxes, keeping every box's count.
     deduped = []

@@ -144,6 +144,25 @@ class TestSpectrumCommand:
         assert code == 2
         assert seen and max(seen) <= 3 * math.pi
 
+    @pytest.mark.parametrize("config, argv, code, needle", [
+        # q(1)/omega ~ 0.017: the box search for the leading zeros of g1/k
+        # runs a few box sides from where exp(2ik) overflows.
+        ({"potential": {"kind": "polynomial", "coeffs": [4.52975068683921, -4.4907773853206105],
+                        "h": 0.0}, "variant": "dirichlet"}, ["--n", "0..4"], 2, "not certified"),
+        ({"potential": {"kind": "polynomial", "coeffs": [1e300, 1e300], "h": 0.0},
+          "variant": "robin"}, ["--n", "1..2"], 3, "q^2 integral overflows"),
+    ], ids=["dirichlet-small-ratio", "q-squared-overflows"])
+    def test_no_runtime_warning(self, workdir, capsys, config, argv, code, needle):
+        cfg = workdir / "quiet.json"
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = main(["--config", str(cfg), "--out", str(workdir / "quiet_spec.json"),
+                        "spectrum"] + argv)
+        err = capsys.readouterr().err
+        assert got == code and needle in err
+        assert "RuntimeWarning" not in err
+
     def test_degenerate_potential_warns(self, workdir, capsys):
         cfg = workdir / "zero.json"
         cfg.write_text(json.dumps({"potential": {"kind": "constant", "value": 0.0, "h": 0.0},

@@ -30,6 +30,19 @@ def poly_with_roots(roots):
     return f
 
 
+def _spy(monkeypatch, name):
+    """Count the calls find_zeros makes to the rootfind function `name`."""
+    calls = []
+    real = getattr(rootfind, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rootfind, name, spy)
+    return calls
+
+
 class TestSymmetryGroup:
     def test_orbit_order_and_shape(self):
         assert orbit(2 + 1j).tolist() == [2 + 1j, -2 - 1j, 2 - 1j, -2 + 1j]
@@ -209,9 +222,13 @@ class TestFindZeros:
         assert min(abs(r[0] - expect) for r in res.raw_zeros) < 1e-9
         assert min(abs(r[0] + expect) for r in res.raw_zeros) < 1e-9
 
-    def test_multiplicity_cluster(self):
+    def test_multiplicity_cluster(self, monkeypatch):
+        # The two pencil seeds of a double zero converge to one root, so the
+        # box splits down to the cluster size.
+        splits = _spy(monkeypatch, "_subdivide")
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
         res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=40, symmetry=False)
+        assert splits
         assert len(res.zeros) == 1
         ev = res.zeros[0]
         assert ev.multiplicity == 2 and not ev.refined
@@ -264,14 +281,71 @@ class TestFindZeros:
         res = find_zeros(poly, (-2.5, 2.5, -2.0, 2.0), refine_f=rf, symmetry=False)
         reps = {ev.k for ev in res.zeros}
         assert len(reps) == 3
-        carrying = [c for c in calls if reps <= set(c.tolist())]
-        assert len(carrying) == 1 and len(carrying[0]) == 3
+        # Newton's last sweep may evaluate at the converged roots themselves,
+        # so the residual call is the one made of the representatives alone.
+        carrying = [c for c in calls if sorted(c.tolist(), key=abs) == sorted(reps, key=abs)]
+        assert len(carrying) == 1
 
     def test_unresolved_cluster_reported(self):
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
         res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=3, symmetry=False)
         assert res.unresolved
         assert res.zeros == []
+
+
+class TestMomentZeros:
+    BOX = (-1.0, 1.0, -1.0, 1.0)
+    ROOTS = [0.45 + 0.3j, -0.4 + 0.55j, -0.25 - 0.5j, 0.6 - 0.45j]
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_simple_zeros_from_one_newton_call(self, monkeypatch, w):
+        newton = _spy(monkeypatch, "newton_refine_many")
+        splits = _spy(monkeypatch, "_subdivide")
+        res = find_zeros(poly_with_roots(self.ROOTS[:w]), self.BOX, symmetry=False)
+        assert len(newton) == 1 and splits == []
+        assert res.unresolved == []
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(1, True)] * w
+        for root in self.ROOTS[:w]:
+            assert min(abs(ev.k - root) for ev in res.zeros) < 1e-12
+
+    def test_root_outside_the_box_splits(self, monkeypatch):
+        # Newton on refine_f converges to 1.2 + 0.2i: within the old pad of a
+        # quarter side, but not inside the counted box.
+        splits = _spy(monkeypatch, "_subdivide")
+        res = find_zeros(poly_with_roots([0.3 + 0.2j]), self.BOX, max_depth=1,
+                         refine_f=poly_with_roots([1.2 + 0.2j]), symmetry=False)
+        assert len(splits) == 1
+        assert res.zeros == [] and len(res.unresolved) == 1
+
+    def test_newton_never_evaluates_outside_the_padded_box(self):
+        # Newton on refine_f heads for its zero at 5; the first step out of
+        # the box grown by a quarter of its side stops the seed unevaluated.
+        seen = []
+        far = poly_with_roots([5.0])
+
+        def rf(ks):
+            seen.append(np.array(ks, dtype=complex))
+            return far(ks)
+
+        res = find_zeros(poly_with_roots([0.3 + 0.2j]), self.BOX, max_depth=0, refine_f=rf,
+                         symmetry=False)
+        assert res.zeros == [] and len(res.unresolved) == 1
+        pts = np.concatenate(seen)
+        assert pts.size and np.all(np.abs(pts.real) <= 1.5) and np.all(np.abs(pts.imag) <= 1.5)
+
+    def test_moments_on_the_perturbed_box(self, monkeypatch):
+        # A zero a hair beyond the region's right edge makes the count move
+        # the box outward; the zero is resolved on that box, without a split.
+        zero = complex(1.0 + 1e-12, 0.3)
+        counts = _spy(monkeypatch, "_winding")
+        newton = _spy(monkeypatch, "newton_refine_many")
+        splits = _spy(monkeypatch, "_subdivide")
+        f = poly_with_roots([zero])
+        res = find_zeros(f, self.BOX, symmetry=False)
+        assert len(counts) == 1 and len(newton) == 1 and splits == []
+        assert rootfind._winding(f, ContourBox(*self.BOX))[1].s1 > 1.0
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(1, True)]
+        assert abs(res.zeros[0].k - zero) < 1e-12
 
 
 class TestOriginMultiplicity:
