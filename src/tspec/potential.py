@@ -261,6 +261,12 @@ def _detect_m_order(p: Potential) -> Optional[tuple]:
     return None
 
 
+def _check_q_sq(*integrals: float) -> None:
+    """Raise DomainError unless every q^2 integral is finite."""
+    if not math.isfinite(sum(integrals)):
+        raise DomainError("the q^2 integral overflows: the potential is too large")
+
+
 def derive_scalars(p: Potential) -> PotentialScalars:
     """Compute the scalar bundle (omega, endpoint values/derivatives, smoothness order).
 
@@ -271,6 +277,7 @@ def derive_scalars(p: Potential) -> PotentialScalars:
     """
     if p.kind == "constant":
         c = p.value
+        _check_q_sq(c * c)
         return PotentialScalars(
             omega=c, q_at_1=c, dq_at_1=0.0, q_at_0=c, dq_at_0=0.0,
             q_sq_integral=c * c, m_order=(0, c) if c != 0.0 else None, h=p.h,
@@ -281,8 +288,7 @@ def derive_scalars(p: Potential) -> PotentialScalars:
     with np.errstate(over="ignore"):
         q_sq = _gauss_composite(lambda x: q(x) ** 2, panels, _QUAD_ORDER)
         q_sq_check = _gauss_composite(lambda x: q(x) ** 2, 2 * panels, _CHECK_ORDER)
-    if not math.isfinite(q_sq):
-        raise DomainError("the q^2 integral overflows: the potential is too large")
+    _check_q_sq(q_sq, q_sq_check)
     omega_check = _gauss_composite(q, 2 * panels, _CHECK_ORDER)
     scale = max(1.0, abs(omega), q_sq)
     if abs(omega - omega_check) > _CROSSCHECK_RTOL * scale or abs(q_sq - q_sq_check) > _CROSSCHECK_RTOL * scale:

@@ -345,14 +345,17 @@ def _moment_zeros(rf: Callable, w: int, box: ContourBox, pts, vals) -> Optional[
 
     The pencil seeds go to one Newton call on rf, whose iterates may not
     leave the box grown by _NEWTON_PAD of its longer side: an evaluation out
-    there raises DomainError, which stops that seed. The zeros stand only if
-    every seed converges inside the box and no two roots are one root.
+    there raises DomainError, which stops that seed, so a seed already out
+    there fails the box before Newton runs. The zeros stand only if every
+    seed converges inside the box and no two roots are one root.
     """
     try:
         seeds = _pencil_seeds(w, box, pts, vals)
     except np.linalg.LinAlgError:      # also a non-finite pencil
         return None
     pad = _NEWTON_PAD * max(box.width, box.height)
+    if not box.contains(seeds, pad):
+        return None
 
     def bounded(ks):
         if not box.contains(ks, pad):
@@ -401,8 +404,9 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     seed converges inside the box and no two coincide. Other boxes are
     bisected (children must reproduce the parent winding) until that holds
     or the longer side drops below 1e-7 (then a multiplicity-w cluster is
-    reported, unrefined). Boxes still unresolved at max_depth land in the
-    unresolved list. Roots of
+    reported, unrefined). A child that keeps its parent's count w >= 2 holds
+    the zeros whose moments just failed and is bisected without trying them.
+    Boxes still unresolved at max_depth land in the unresolved list. Roots of
     different boxes within 1e-6 relative of each other merge into one
     unrefined entry with the sum of their multiplicities: sibling counts add
     up to their parent's, so no count is lost. refine_f, when given, is a
@@ -418,12 +422,14 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     root = ContourBox(s0, s1, t0, t1)
     raw = []
     unresolved: List[ContourBox] = []
-    stack = [(root, 0, _winding(f, root))]
+    stack = [(root, 0, _winding(f, root), 0)]
     while stack:
-        box, depth, (w, counted, pts, vals) = stack.pop()
+        box, depth, (w, counted, pts, vals), w_parent = stack.pop()
         if w == 0:
             continue
-        if w <= _MOMENT_MAX_W:
+        # A box that kept its parent's count of several zeros holds the zeros
+        # whose moments already failed (a cluster, as a rule): it splits on.
+        if w <= _MOMENT_MAX_W and (w == 1 or w != w_parent):
             zs = _moment_zeros(rf, w, counted, pts, vals)
             if zs is not None:
                 raw.extend((z, 1, True) for z in zs)
@@ -438,7 +444,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         if children is None:
             unresolved.append(box)
             continue
-        stack.extend((child, depth + 1, count) for child, count in children if count[0] > 0)
+        stack.extend((child, depth + 1, count, w) for child, count in children if count[0] > 0)
 
     # Merge coinciding roots of different boxes, keeping every box's count.
     deduped = []

@@ -151,7 +151,9 @@ class TestSpectrumCommand:
                         "h": 0.0}, "variant": "dirichlet"}, ["--n", "0..4"], 2, "not certified"),
         ({"potential": {"kind": "polynomial", "coeffs": [1e300, 1e300], "h": 0.0},
           "variant": "robin"}, ["--n", "1..2"], 3, "q^2 integral overflows"),
-    ], ids=["dirichlet-small-ratio", "q-squared-overflows"])
+        ({"potential": {"kind": "constant", "value": 1e200, "h": 0.0}, "variant": "robin"},
+         ["--n", "1..2"], 3, "q^2 integral overflows"),
+    ], ids=["dirichlet-small-ratio", "q-squared-overflows", "constant-q-squared-overflows"])
     def test_no_runtime_warning(self, workdir, capsys, config, argv, code, needle):
         cfg = workdir / "quiet.json"
         cfg.write_text(json.dumps(config))

@@ -333,6 +333,27 @@ class TestMomentZeros:
         pts = np.concatenate(seen)
         assert pts.size and np.all(np.abs(pts.real) <= 1.5) and np.all(np.abs(pts.imag) <= 1.5)
 
+    def test_cluster_tries_the_moments_once(self, monkeypatch):
+        # The children that keep the double zero's count of 2 split on without
+        # trying its moments again, down to the cluster size. (Near 1e-7 a
+        # split line can pass within rounding of the zero and count it 1 + 1;
+        # those boxes hold a new count and try theirs.)
+        moments = _spy(monkeypatch, "_moment_zeros")
+        splits = _spy(monkeypatch, "_subdivide")
+        f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
+        res = find_zeros(f, self.BOX, max_depth=40, symmetry=False)
+        assert [w for _rf, w, *_ in moments].count(2) == 1 and len(splits) > 10
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(2, False)]
+
+    def test_seed_outside_the_padded_box_skips_newton(self, monkeypatch):
+        # Newton would stop such a seed at its first evaluation, so the box
+        # fails without the call.
+        monkeypatch.setattr(rootfind, "_pencil_seeds", lambda w, box, pts, vals: np.array([3.0]))
+        newton = _spy(monkeypatch, "newton_refine_many")
+        res = find_zeros(poly_with_roots([0.3 + 0.2j]), self.BOX, max_depth=0, symmetry=False)
+        assert newton == []
+        assert res.zeros == [] and len(res.unresolved) == 1
+
     def test_moments_on_the_perturbed_box(self, monkeypatch):
         # A zero a hair beyond the region's right edge makes the count move
         # the box outward; the zero is resolved on that box, without a split.
