@@ -142,6 +142,11 @@ def records_from_eigenvalues(zeros: List[Eigenvalue]) -> List[SpectrumRecord]:
     return records
 
 
+def _first_of_each(keys, positions) -> List[int]:
+    """The position of the first of each key, in the order the keys first appear."""
+    return sorted(dict(zip(reversed(keys), reversed(positions))).values())
+
+
 def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
     """First-quadrant representatives with indices, one per orbit.
 
@@ -149,18 +154,17 @@ def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
     first; the 9-digit key then merges images that differ by rounding. Both
     keep the first record seen.
     """
-    firsts = {}
-    for r in records:
-        firsts.setdefault((abs(r.re_k), abs(r.im_k)), r)
-    seen = {}
-    for (re_k, im_k), r in firsts.items():
-        key = (round(re_k, 9), round(im_k, 9))
-        if key not in seen:
-            seen[key] = Eigenvalue(k=complex(re_k, im_k), index=r.index,
-                                   multiplicity=r.multiplicity, residual=r.residual,
-                                   cls=r.cls, branch=r.branch)
-    return sorted(seen.values(), key=lambda e: (e.index if e.index is not None else 10 ** 9,
-                                                abs(e.k)))
+    re_k = list(map(abs, [r.re_k for r in records]))
+    im_k = list(map(abs, [r.im_k for r in records]))
+    firsts = _first_of_each(list(zip(re_k, im_k)), range(len(records)))
+    rounded = [(round(re_k[i], 9), round(im_k[i], 9)) for i in firsts]
+    zeros = []
+    for i in _first_of_each(rounded, firsts):
+        r = records[i]
+        zeros.append(Eigenvalue(k=complex(re_k[i], im_k[i]), index=r.index,
+                                multiplicity=r.multiplicity, residual=r.residual, cls=r.cls,
+                                branch=r.branch))
+    return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9, abs(e.k)))
 
 
 @dataclass

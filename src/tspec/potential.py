@@ -312,11 +312,19 @@ def derive_scalars(p: Potential) -> PotentialScalars:
 def q_constants(s: PotentialScalars):
     """The four correction constants entering the refined eigenvalue asymptotics.
 
-    Q1, Q2 drive the Robin expansions; Q3, Q4 the Dirichlet ones.
+    Q1, Q2 drive the Robin expansions; Q3, Q4 the Dirichlet ones. Raises
+    DomainError when one of them overflows.
     """
     h, w = s.h, s.omega
+    try:
+        # Not w * w * w, which rounds twice: the constants keep their last bit.
+        w3 = w ** 3 / 6.0
+    except OverflowError:
+        w3 = math.inf
     q1 = s.dq_at_1 - s.q_at_1 * w - 4.0 * h * s.q_at_1
-    q2 = -s.dq_at_0 + s.q_sq_integral + s.q_at_0 * w - w ** 3 / 6.0 + 4.0 * h * (s.q_at_0 + w * h)
+    q2 = -s.dq_at_0 + s.q_sq_integral + s.q_at_0 * w - w3 + 4.0 * h * (s.q_at_0 + w * h)
     q3 = -s.dq_at_1 + s.q_at_1 * w
-    q4 = -s.dq_at_0 + s.q_at_0 * w - s.q_sq_integral + w ** 3 / 6.0
+    q4 = -s.dq_at_0 + s.q_at_0 * w - s.q_sq_integral + w3
+    if not all(map(math.isfinite, (q1, q2, q3, q4))):
+        raise DomainError("the correction constants Q1-Q4 overflow: the potential is too large")
     return q1, q2, q3, q4

@@ -217,6 +217,19 @@ class TestAsymptoticsCommand:
         assert [r["n"] for r in doc["rows"]] == [3, 4, 5, 6]
         assert doc["constants"]["Q1"] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("theorem", ["T42i", "T41i_W22"])
+    def test_correction_constant_overflow_exits_3(self, workdir, theorem, capsys):
+        # q^2 integrates finitely, but omega ** 3 is beyond float range.
+        path = workdir / "omega_cubed.json"
+        path.write_text(json.dumps({"potential": {"kind": "polynomial", "coeffs": [1e120, 1e120],
+                                                  "h": 0.0}, "variant": "robin"}))
+        code = main(["--config", str(path), "asymptotics", "predict", "--theorem", theorem,
+                     "--n", "1..2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "computation failed: the correction constants Q1-Q4 overflow" in err
+        assert "Traceback" not in err
+
     def test_residuals_csv(self, workdir, config_path, spectrum_path):
         out = workdir / "resid.csv"
         code = main(["--config", config_path, "--out", str(out),
@@ -260,21 +273,26 @@ class TestValidateCommand:
 
 class TestMalformedSpectrumFile:
     # (case, section, key, value): the value replaces the header key or the
-    # key of the first record.
+    # key of the record with that number.
     VALUES = [
-        ("re_k_string", "record", "re_k", "abc"),
-        ("re_k_null", "record", "re_k", None),
-        ("im_k_infinite", "record", "im_k", float("inf")),
-        ("residual_string", "record", "residual", "0"),
-        ("multiplicity_string", "record", "multiplicity", "x"),
-        ("multiplicity_zero", "record", "multiplicity", 0),
-        ("multiplicity_too_large", "record", "multiplicity", 4097),
-        ("index_fraction", "record", "index", 1.5),
-        ("branch_string", "record", "branch", "b"),
-        ("cls_unknown", "record", "cls", "complex"),
+        ("re_k_string", 0, "re_k", "abc"),
+        ("re_k_null", 0, "re_k", None),
+        ("im_k_infinite", 0, "im_k", float("inf")),
+        ("residual_string", 0, "residual", "0"),
+        ("multiplicity_string", 0, "multiplicity", "x"),
+        ("multiplicity_zero", 0, "multiplicity", 0),
+        ("multiplicity_too_large", 0, "multiplicity", 4097),
+        ("index_fraction", 0, "index", 1.5),
+        ("branch_string", 0, "branch", "b"),
+        ("cls_unknown", 0, "cls", "complex"),
         ("s_string", "header", "s", "two"),
         ("s_negative", "header", "s", -1),
         ("variant_unknown", "header", "variant", "neumann"),
+        ("last_record_re_k_string", 3, "re_k", "abc"),
+        ("re_k_beyond_float_range", 0, "re_k", 10 ** 400),
+        ("residual_true", 0, "residual", True),
+        ("cls_unhashable", 0, "cls", ["real"]),
+        ("multiplicity_float", 0, "multiplicity", 1.0),
     ]
 
     @pytest.mark.parametrize("case", ["missing", "not_json", "unknown_header_key",
@@ -344,13 +362,28 @@ class TestMalformedSpectrumFile:
     def test_malformed_value_exit_1(self, workdir, config_path, spectrum_path, case, section,
                                     key, value, command, capsys):
         doc = json.loads(open(spectrum_path).read())
-        (doc["header"] if section == "header" else doc["records"][0])[key] = value
+        (doc["header"] if section == "header" else doc["records"][section])[key] = value
         path = workdir / f"malformed_value_{case}.json"
         path.write_text(json.dumps(doc))
         code = main(["--config", config_path] + command + ["--spectrum", str(path)])
         err = capsys.readouterr().err
         assert code == 1
         assert f"config error: {path}" in err and "Traceback" not in err
+        if section != "header":
+            assert f"record {section} has a malformed value" in err
+
+    def test_first_malformed_record_is_named(self, workdir, config_path, spectrum_path, capsys):
+        doc = json.loads(open(spectrum_path).read())
+        doc["records"] = doc["records"] * 2
+        doc["records"][5] = dict(doc["records"][5], cls="complex")
+        doc["records"][3] = dict(doc["records"][3], re_k="abc")
+        path = workdir / "malformed_two_records.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--config", config_path, "validate", "--spectrum", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: {path}: record 3 has a malformed value: ")
+        assert "Traceback" not in err
 
 
 class TestEnvironment:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tspec import spectrumfile
 from tspec.errors import ConfigError
 from tspec.spectrumfile import (_CLASSES, SpectrumHeader, SpectrumRecord, _content_hash,
                                 read_spectrum, write_spectrum)
@@ -118,6 +119,66 @@ class TestRoundTrip:
     def test_changed_last_digit_moves_the_value(self):
         for v in (0.30000000000000004, 1e-05, 9.999999999999999e22, 2.0 ** 53, 5e-324):
             assert math.isfinite(_changed_last_digit(v)) and _changed_last_digit(v) != v
+
+    @pytest.mark.parametrize("value", [None, True, 0, 3, 4097, -1, 1.0, 2.5, float("inf"),
+                                       10 ** 400, "real", "1.5", ["real"], {}, "unchanged",
+                                       "1e400 unquoted"])
+    @pytest.mark.parametrize("field", spectrumfile._RECORD_FIELDS)
+    def test_column_checks_match_the_per_record_reader(self, tmp_path, field, value):
+        # Record 2 of a float-only file takes a value of another type, or one
+        # out of range; both readers give the same result or the same error.
+        path = tmp_path / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        doc = write_spectrum(path, header, GOLDEN_RECORDS[1:])
+        if value != "unchanged":
+            doc["records"][2][field] = value
+            # A number json.dumps never writes: its text reads as inf.
+            path.write_text(json.dumps(doc, indent=2).replace('"1e400 unquoted"', "1e400"))
+
+        def outcome(read):
+            try:
+                header, back, hash_ok = read()
+            except ConfigError as exc:
+                return str(exc)
+            return repr(header), [repr(r) for r in back], hash_ok
+
+        assert outcome(lambda: read_spectrum(path)) == outcome(
+            lambda: spectrumfile._read_by_record(path, json.loads(path.read_text())))
+
+    def test_respelled_numbers_keep_the_hash(self, tmp_path):
+        # The text check fails on another spelling of the same value; the
+        # values still match, so the file verifies.
+        path = tmp_path / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        records = [SpectrumRecord(index=0, re_k=1.5, im_k=1e16, multiplicity=1,
+                                  residual=0.0001, cls="quadrant")]
+        write_spectrum(path, header, records)
+        text = path.read_text()
+        respelled = (text.replace('"re_k": 1.5,', '"re_k": 1.50,')
+                     .replace('"im_k": 1e+16,', '"im_k": 1E+16,')
+                     .replace('"residual": 0.0001,', '"residual": 1e-4,'))
+        assert respelled.count("1.50,") == respelled.count("1E+16,") == 1
+        assert respelled.count("1e-4,") == 1
+        path.write_text(respelled)
+        _, back, hash_ok = read_spectrum(path)
+        assert hash_ok is True
+        assert [repr(r) for r in back] == [repr(r) for r in records]
+
+    def test_matching_text_skips_the_value_encoder(self, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        # Record 0's int residual would take the per-record path.
+        write_spectrum(path, header, GOLDEN_RECORDS[1:])
+
+        def refuse(*args):
+            raise AssertionError("_content_hash called on a file whose text matches")
+
+        monkeypatch.setattr(spectrumfile, "_content_hash", refuse)
+        _, back, hash_ok = read_spectrum(path)
+        assert hash_ok is True and len(back) == len(GOLDEN_RECORDS) - 1
 
     def test_largest_multiplicity_loads(self, tmp_path):
         # 4096 is the most a winding count can report; one more is refused.
