@@ -195,7 +195,7 @@ def run_spectrum(cfg) -> SpectrumRun:
                                 s=0, warnings=warnings_list)
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
-    unresolved, uncertified = [], []
+    unresolved, uncertified, unrefined = [], [], []
     if targeted:
         n_lo, n_hi = cfg.spectrum["n"]
         zeros = targeted_spectrum(p, scalars, cfg.variant, int(n_lo), int(n_hi),
@@ -206,6 +206,8 @@ def run_spectrum(cfg) -> SpectrumRun:
                                depth=int(cfg.spectrum.get("depth", 14)),
                                rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine)
         unresolved = result.unresolved
+        unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
+                     for ev in result.zeros if not ev.refined]
         try:
             zeros = index_eigenvalues(result.zeros, scalars, cfg.variant)
         except (IndexingConflictError, DomainError) as exc:
@@ -220,12 +222,15 @@ def run_spectrum(cfg) -> SpectrumRun:
         warnings_list.append(f"{len(unresolved)} unresolved cluster boxes")
     if uncertified:
         warnings_list.append(f"targeted roots at indices {uncertified} not certified")
+    if unrefined:
+        warnings_list.append(f"region-scan zeros not refined (clusters or merged roots): "
+                             f"{', '.join(unrefined)}")
     header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
                             tolerances={"rtol": cfg.rtol, "rtol_refine": cfg.rtol_refine},
                             s=s, warnings=warnings_list)
     return SpectrumRun(header=header, records=records_from_eigenvalues(zeros),
                        eigenvalues=zeros, unresolved=unresolved,
-                       exit_code=2 if unresolved or uncertified else 0)
+                       exit_code=2 if unresolved or uncertified or unrefined else 0)
 
 
 # ---------------------------------------------------------------------------

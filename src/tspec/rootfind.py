@@ -5,8 +5,9 @@ segments whose phase jump exceeds pi/2. A box holding at most four zeros
 takes its zeros from the contour moments of those boundary samples (the
 eigenvalues of a Hankel pencil), refined by Newton iteration with
 derivatives from central complex differences; a box that fails this is
-subdivided. Results are deduplicated under the k -> -k, k -> k* symmetry
-group of the characteristic function.
+split along lines sampled once and shared by the children, so their counts
+add up to the box's. Results are deduplicated under the k -> -k, k -> k*
+symmetry group of the characteristic function.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import (BoundaryTooCloseError, DomainError, IndexingConflictError,
 
 _JUMP_TOL = math.pi / 2
 _MAX_BOUNDARY_POINTS = 2 ** 14
-_MODULUS_FLOOR_REL = 1e-4   # local dip vs neighbors marking a boundary zero
+_MODULUS_FLOOR_REL = 1e-4   # |f| ratio along one segment that marks a zero touching it
 _STUCK_SEGMENT = 1e-9       # unresolvable phase jump across a segment this short
-_SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59)   # the midpoint comes last, unvalidated
+_SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59)   # where a split's lines cross, in turn
 _CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
 _STENCIL = np.array([0, 1, -1, 1j, -1j])[:, None]              # Newton points z + d * offset
 _DERIV_WEIGHTS = np.array([0, 0.25, -0.25, -0.25j, 0.25j])    # f'(z) d from the stencil values
@@ -93,21 +94,72 @@ class ZeroSearchResult:
     unresolved: List[ContourBox]
 
 
-def _boundary_points(box: ContourBox):
-    """Counterclockwise boundary samples, at most _SPACING apart, including all four corners."""
-    pts = []
-    corners = [complex(box.s0, box.t0), complex(box.s1, box.t0),
-               complex(box.s1, box.t1), complex(box.s0, box.t1)]
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(8, int(math.ceil(abs(b - a) / _SPACING)))
-        seg = a + (b - a) * np.arange(n) / n
-        pts.append(seg)
-    return np.concatenate(pts)
+def _samples(a: complex, b: complex, n_min: int) -> np.ndarray:
+    """Points from a towards b, at most _SPACING apart and at least n_min of them, b excluded."""
+    n = max(n_min, int(math.ceil(abs(b - a) / _SPACING)))
+    return a + (b - a) * np.arange(n) / n
+
+
+def _edges(box: ContourBox) -> list:
+    """The sides of a box as (start, end) corners, counterclockwise from (s0, t0)."""
+    c = [complex(box.s0, box.t0), complex(box.s1, box.t0),
+         complex(box.s1, box.t1), complex(box.s0, box.t1)]
+    return list(zip(c, c[1:] + c[:1]))
 
 
 def _wrapped_jumps(vals: np.ndarray) -> np.ndarray:
-    ratio = np.roll(vals, -1) / vals
-    return np.angle(ratio)
+    return np.angle(np.roll(vals, -1) / vals)
+
+
+def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Optional[np.ndarray]:
+    """poly (row 0 the points, row 1 f there; closed for a box boundary, open for a
+    split line) bisected until every segment is resolved, or None when a zero
+    touches it. A segment is resolved when its wrapped phase jump is at most pi/2
+    and, with lipschitz, when its end moduli sum to more than its length times the
+    largest |delta f / delta k| of it and its neighbours, which keeps zeros off it
+    (a double zero by it turns the phase by nearly 2 pi, which wraps to nearly 0).
+    A zero touches where f is zero or not finite, where |f| changes by over 1e4
+    along a segment (a local test: |f| spans e^{2|Im k|} along a big contour), or
+    where an unresolved segment is below 1e-9 relative (no bisection resolves a
+    zero on it). Raises PhaseResolutionError past 2^14 points.
+    """
+    while True:
+        pts, vals = poly
+        segs = pts.size if closed else pts.size - 1
+        mods, nxt = np.abs(vals), np.roll(pts, -1)
+        ends = np.roll(mods, -1)
+        if (not np.all(np.isfinite(mods)) or float(mods.min(initial=math.inf)) == 0.0
+                or float((np.minimum(mods, ends) / np.maximum(mods, ends))[:segs].min(initial=1.0))
+                < _MODULUS_FLOOR_REL):
+            return None
+        bad = np.abs(_wrapped_jumps(vals)[:segs]) > _JUMP_TOL
+        if lipschitz:
+            h = np.abs(nxt - pts)[:segs]
+            slope = np.abs(np.roll(vals, -1) - vals)[:segs] / h
+            wrap = slope[[-1, 0]] if closed else (0.0, 0.0)      # an open end has one neighbour
+            lip = np.maximum.reduce([slope, np.r_[wrap[0], slope[:-1]], np.r_[slope[1:], wrap[1]]])
+            bad |= (mods + ends)[:segs] <= lip * h
+        bad = np.flatnonzero(bad)
+        if bad.size == 0:
+            return poly
+        if np.any(np.abs(nxt[bad] - pts[bad]) < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
+            return None
+        if pts.size + bad.size > _MAX_BOUNDARY_POINTS:
+            raise PhaseResolutionError(
+                f"boundary refinement exceeded {_MAX_BOUNDARY_POINTS} points near "
+                f"[{pts.real.min()},{pts.real.max()}]x[{pts.imag.min()},{pts.imag.max()}]")
+        mids = 0.5 * (pts[bad] + nxt[bad])
+        poly = np.insert(poly, bad + 1, [mids, np.asarray(f(mids), dtype=complex)], axis=1)
+
+
+def _count(box: ContourBox, ring: np.ndarray) -> int:
+    """The winding number of the values of a refined closed polyline on box."""
+    total = float(_wrapped_jumps(ring[1]).sum()) / (2.0 * math.pi)
+    w = int(round(total))
+    if abs(total - w) >= 0.25:
+        raise PhaseResolutionError(f"winding {total:.4f} does not round cleanly on box "
+                                   f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
+    return w
 
 
 def winding_count(f: Callable, box: ContourBox) -> int:
@@ -125,85 +177,21 @@ def winding_count(f: Callable, box: ContourBox) -> int:
 
 
 def _winding(f: Callable, box: ContourBox):
-    """winding_count's count as (w, counted box, pts, vals): the box it was taken on
-    (perturbed when the count had to move it) and its final boundary samples."""
+    """winding_count's count as (w, counted box, ring): the box it was taken on
+    (perturbed when the count had to move it) and its refined boundary polyline,
+    counterclockwise from (s0, t0), points in row 0 and values of f in row 1."""
     base = box
-    exhausted = False
     for attempt in range(4):
-        exhausted = False
-        pts = _boundary_points(box)
-        vals = np.asarray(f(pts), dtype=complex)
-        ok = True
-        while True:
-            mods = np.abs(vals)
-            if not np.all(np.isfinite(mods)) or float(mods.min(initial=math.inf)) == 0.0:
-                ok = False
-                break
-            # A zero hugging the boundary shows as a deep dip relative to its
-            # neighbors; the global dynamic range along big contours is huge
-            # (e^{2|Im k|} growth), so the test must be local.
-            neighbor = np.maximum(np.roll(mods, 1), np.roll(mods, -1))
-            if float((mods / neighbor).min()) < _MODULUS_FLOOR_REL:
-                ok = False
-                break
-            jumps = _wrapped_jumps(vals)
-            bad = np.nonzero(np.abs(jumps) > _JUMP_TOL)[0]
-            if bad.size == 0:
-                break
-            nxt = np.roll(pts, -1)
-            # A jump that stays ~pi while its segment shrinks to nothing is a
-            # zero sitting on the boundary: bisection can never resolve it.
-            seg_len = np.abs(nxt[bad] - pts[bad])
-            if np.any(seg_len < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
-                ok = False
-                break
-            if pts.size + bad.size > _MAX_BOUNDARY_POINTS:
-                ok = False
-                exhausted = True
-                break
-            mids = 0.5 * (pts[bad] + nxt[bad])
-            new_vals = np.asarray(f(mids), dtype=complex)
-            pts = np.insert(pts, bad + 1, mids)
-            vals = np.insert(vals, bad + 1, new_vals)
-        if ok:
-            total = float(_wrapped_jumps(vals).sum()) / (2.0 * math.pi)
-            w = int(round(total))
-            if abs(total - w) >= 0.25:
-                raise PhaseResolutionError(
-                    f"winding {total:.4f} does not round cleanly on box "
-                    f"[{box.s0},{box.s1}]x[{box.t0},{box.t1}]")
-            return w, box, pts, vals
+        pts = np.concatenate([_samples(a, b, 8) for a, b in _edges(box)])
+        ring = _refine(f, np.stack([pts, np.asarray(f(pts), dtype=complex)]), closed=True,
+                       lipschitz=False)
+        if ring is not None:
+            return _count(box, ring), box, ring
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
         box = ContourBox(base.s0 - delta, base.s1 + delta, base.t0 - delta, base.t1 + delta)
-    if exhausted:
-        raise PhaseResolutionError(
-            f"boundary refinement exceeded {_MAX_BOUNDARY_POINTS} points near "
-            f"[{base.s0},{base.s1}]x[{base.t0},{base.t1}]")
     raise BoundaryTooCloseError(
         f"zero on the boundary of [{base.s0},{base.s1}]x[{base.t0},{base.t1}] "
         "after 3 perturbations")
-
-
-def _line_clear(f, a: complex, b: complex) -> bool:
-    """True when no zero of f sits on or hugs the segment [a, b].
-
-    A zero on the line flips the phase by ~pi between the flanking probes no
-    matter how coarse the probing is, so a phase-jump criterion is decisive
-    where a modulus-only probe is blind.
-    """
-    n = max(9, int(math.ceil(abs(b - a) / 0.15)))
-    pts = a + (b - a) * np.arange(n + 1) / n
-    vals = np.asarray(f(pts), dtype=complex)
-    mods = np.abs(vals)
-    if not np.all(np.isfinite(mods)) or mods.min() == 0.0:
-        return False
-    # Even-order zeros hide from the wrapped phase (their pi-flip doubles to
-    # 2 pi = 0) but dent the log-convexity of |f| along the line.
-    dip = mods[1:-1] / np.sqrt(mods[:-2] * mods[2:])
-    if dip.size and float(dip.min()) < 0.4:
-        return False
-    jumps = np.angle(vals[1:] / vals[:-1])
-    return bool(np.all(np.abs(jumps) < 0.75 * math.pi))
 
 
 def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30):
@@ -264,59 +252,72 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     return roots, converged
 
 
-def _split_candidates(f, box: ContourBox):
-    """Candidate child partitions along jittered lines, best-validated first.
+def _spoke(hub: complex, end: complex, step: float) -> np.ndarray:
+    """Samples from the hub to end, both included: at most _SPACING apart, at least
+    8 intervals, and closing in on end at step, 2 step, 4 step, ... if finer."""
+    pts = _samples(hub, end, 8)
+    near = step * 2.0 ** np.arange(max(0, math.ceil(math.log2(abs(end - pts[-1]) / step))))
+    return np.concatenate([pts, end + (hub - end) / abs(hub - end) * near[::-1], [end]])
 
-    Yields line-validated partitions per jitter fraction, then the plain
-    midpoint bisection as a last resort; the caller checks winding additivity
-    either way.
+
+def _path(ring: np.ndarray, lines: list, a: complex, b: complex) -> np.ndarray:
+    """The samples from a to b along a split line that holds both, else forward
+    along ring (a closed polyline with its first point repeated at the end)."""
+    for line in lines:
+        i, j = np.nonzero(line[0] == a)[0], np.nonzero(line[0] == b)[0]
+        if i.size and j.size:
+            i, j = i[0], j[0]
+            return line[:, i:j + 1] if i <= j else line[:, j:i + 1][:, ::-1]
+    return ring[:, np.nonzero(ring[0] == a)[0][0]:np.nonzero(ring[0] == b)[0][-1] + 1]
+
+
+def _split(f: Callable, box: ContourBox, ring: np.ndarray):
+    """The children of a box, with ring its refined boundary, as (child, count,
+    ring) triples, or None. The split lines cross at the hub (s0 + frac w, t0 +
+    frac h): a vertical line unless the box is over 4 times as tall as wide, a
+    horizontal one unless it is over 4 times as wide as tall. Each line is
+    sampled once, in one call of f, closing in on its ends at half the ring
+    segment each end splits, and refined. A child's boundary is its arc of the
+    ring and the lines between its corners, which its neighbours traverse the
+    other way, so the children's counts add up to the box's, unless refining a
+    child's boundary corrects a count the box took without the Lipschitz test.
+    A line that a zero touches moves to the next fraction of _SPLIT_FRACTIONS;
+    None when none clears. Points are matched by equality: the samples of a side
+    or a line share its coordinate exactly.
     """
-    thin = box.width / box.height if box.height > 0 else math.inf
-    mode = "both"
-    if thin > 4.0:
-        mode = "s"
-    elif thin < 0.25:
-        mode = "t"
-
-    def children_for(sm, tm):
-        if mode == "s":
-            return [ContourBox(box.s0, sm, box.t0, box.t1),
-                    ContourBox(sm, box.s1, box.t0, box.t1)]
-        if mode == "t":
-            return [ContourBox(box.s0, box.s1, box.t0, tm),
-                    ContourBox(box.s0, box.s1, tm, box.t1)]
-        return [ContourBox(box.s0, sm, box.t0, tm),
-                ContourBox(sm, box.s1, box.t0, tm),
-                ContourBox(box.s0, sm, tm, box.t1),
-                ContourBox(sm, box.s1, tm, box.t1)]
-
+    ring = np.concatenate([ring, ring[:, :1]], axis=1)     # its first point again at the end
+    gaps = np.abs(np.diff(ring[0]))
     for frac in _SPLIT_FRACTIONS:
-        sm = box.s0 + frac * box.width
-        tm = box.t0 + frac * box.height
-        clear = True
-        if mode in ("s", "both"):
-            clear &= _line_clear(f, complex(sm, box.t0), complex(sm, box.t1))
-        if clear and mode in ("t", "both"):
-            clear &= _line_clear(f, complex(box.s0, tm), complex(box.s1, tm))
-        if clear:
-            yield children_for(sm, tm)
-    yield children_for(box.s0 + 0.5 * box.width, box.t0 + 0.5 * box.height)
-
-
-def _subdivide(f, box: ContourBox, w_parent: int):
-    """Children with windings, accepted only when they sum to the parent.
-
-    A mismatch means a zero straddles a shared edge (counted half on each
-    side, or half-pairs rounding to integers); the next jitter fraction moves
-    the line off it. Returns None if no candidate partition balances.
-    """
-    for children in _split_candidates(f, box):
-        try:
-            counts = [_winding(f, c) for c in children]
-        except (PhaseResolutionError, BoundaryTooCloseError):
+        hub = complex(box.s0 + frac * box.width, box.t0 + frac * box.height)
+        xs, ys, ends = [box.s0, box.s1], [box.t0, box.t1], []
+        if box.width >= 0.25 * box.height:
+            xs.insert(1, hub.real)
+            ends += [complex(hub.real, box.t0), complex(hub.real, box.t1)]
+        if box.height >= 0.25 * box.width:
+            ys.insert(1, hub.imag)
+            ends += [complex(box.s0, hub.imag), complex(box.s1, hub.imag)]
+        # Each end lies strictly inside ring segment (ring[i], ring[i + 1]), on its line.
+        d = ring[0][:, None] - np.array(ends)
+        cross = d[:-1] * d[1:].conj()
+        inside = (cross.imag == 0) & (cross.real < 0)
+        if not inside.any(axis=0).all():
             continue
-        if sum(count[0] for count in counts) == w_parent:
-            return list(zip(children, counts))
+        seats = inside.argmax(axis=0)
+        spokes = [_spoke(hub, end, 0.5 * gaps[i]) for end, i in zip(ends, seats)]
+        lines = [np.concatenate([a[::-1], b[1:]]) for a, b in zip(spokes[::2], spokes[1::2])]
+        pts, at = np.unique(np.concatenate(lines), return_inverse=True)   # the hub once
+        vals = np.split(np.asarray(f(pts), dtype=complex)[at], np.cumsum([p.size for p in lines]))
+        lines = [_refine(f, np.stack([p, v]), closed=False) for p, v in zip(lines, vals)]
+        if any(line is None for line in lines):
+            continue
+        joined = np.insert(ring, seats + 1,
+                           np.concatenate([line[:, [0, -1]] for line in lines], axis=1), axis=1)
+        boxes = [ContourBox(a, b, c, d) for c, d in zip(ys, ys[1:]) for a, b in zip(xs, xs[1:])]
+        rings = [_refine(f, np.concatenate([_path(joined, lines, a, b)[:, :-1]
+                                            for a, b in _edges(child)], axis=1), closed=True)
+                 for child in boxes]
+        if all(r is not None for r in rings):
+            return [(child, _count(child, r), r) for child, r in zip(boxes, rings)]
     return None
 
 
@@ -400,37 +401,35 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     """All zeros of f in region = (s0, s1, t0, t1), with multiplicities.
 
     A box whose winding count w is 1..4 takes w Newton-refined simple zeros
-    from the contour moments of its count's boundary samples, when every
-    seed converges inside the box and no two coincide. Other boxes are
-    bisected (children must reproduce the parent winding) until that holds
-    or the longer side drops below 1e-7 (then a multiplicity-w cluster is
-    reported, unrefined). A child that keeps its parent's count w >= 2 holds
-    the zeros whose moments just failed and is bisected without trying them.
-    Boxes still unresolved at max_depth land in the unresolved list. Roots of
-    different boxes within 1e-6 relative of each other merge into one
-    unrefined entry with the sum of their multiplicities: sibling counts add
-    up to their parent's, so no count is lost. refine_f, when given, is a
-    higher-accuracy evaluator used for Newton polish and residuals. With
-    symmetry=True results are deduplicated under k -> -k, k -> k* into
-    first-quadrant representatives (the symmetry group of the characteristic
-    function); pass False for functions without it.
+    from the contour moments of its boundary samples, when every seed
+    converges inside the box and no two coincide. Other boxes split along
+    lines their children share (_split) until that holds or the longer side
+    drops below 1e-7 (a multiplicity-w cluster, reported unrefined). A child
+    that keeps its parent's count w >= 2 holds the zeros whose moments just
+    failed and splits on without trying them. A box at max_depth, or one no
+    split line clears, is unresolved. Roots of different boxes within 1e-6
+    relative merge into one unrefined entry with the sum of their
+    multiplicities. refine_f, when given, is a higher-accuracy evaluator for
+    Newton polish and residuals. With symmetry=True results are deduplicated
+    under k -> -k, k -> k* into first-quadrant representatives (the symmetry
+    group of the characteristic function); pass False for other functions.
     """
     s0, s1, t0, t1 = (float(v) for v in region)
     if not (s1 > s0 and t1 > t0):
         raise DomainError("region must have positive width and height")
     rf = refine_f or f
-    root = ContourBox(s0, s1, t0, t1)
+    w, box, ring = _winding(f, ContourBox(s0, s1, t0, t1))
     raw = []
     unresolved: List[ContourBox] = []
-    stack = [(root, 0, _winding(f, root), 0)]
+    stack = [(box, 0, w, ring, 0)]
     while stack:
-        box, depth, (w, counted, pts, vals), w_parent = stack.pop()
+        box, depth, w, ring, w_parent = stack.pop()
         if w == 0:
             continue
         # A box that kept its parent's count of several zeros holds the zeros
         # whose moments already failed (a cluster, as a rule): it splits on.
         if w <= _MOMENT_MAX_W and (w == 1 or w != w_parent):
-            zs = _moment_zeros(rf, w, counted, pts, vals)
+            zs = _moment_zeros(rf, w, box, *ring)
             if zs is not None:
                 raw.extend((z, 1, True) for z in zs)
                 continue
@@ -440,11 +439,11 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         if depth >= max_depth:
             unresolved.append(box)
             continue
-        children = _subdivide(f, box, w)
+        children = _split(f, box, ring)
         if children is None:
             unresolved.append(box)
             continue
-        stack.extend((child, depth + 1, count, w) for child, count in children if count[0] > 0)
+        stack.extend((child, depth + 1, cw, cring, w) for child, cw, cring in children if cw > 0)
 
     # Merge coinciding roots of different boxes, keeping every box's count.
     deduped = []

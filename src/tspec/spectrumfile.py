@@ -189,12 +189,16 @@ def _read_by_record(path, doc):
         if len(rdicts[i]) != len(_RECORD_FIELDS):
             raise ConfigError(f"{path}: record {i} lacks a field; records hold exactly "
                               f"{', '.join(_RECORD_FIELDS)}")
-        if not ((r.index is None or type(r.index) is int)
-                and (r.branch is None or type(r.branch) is int)
-                and finite_real(r.re_k) and finite_real(r.im_k) and finite_real(r.residual)
-                and type(r.multiplicity) is int and 0 < r.multiplicity <= _MAX_MULTIPLICITY
-                and r.cls in _CLASSES):
-            raise ConfigError(f"{path}: record {i} has a malformed value: {asdict(r)}")
+        ok = {"index": r.index is None or type(r.index) is int,
+              "re_k": finite_real(r.re_k), "im_k": finite_real(r.im_k),
+              "multiplicity": (type(r.multiplicity) is int
+                               and 0 < r.multiplicity <= _MAX_MULTIPLICITY),
+              "residual": finite_real(r.residual), "cls": r.cls in _CLASSES,
+              "branch": r.branch is None or type(r.branch) is int}
+        if not all(ok.values()):
+            # Named, not copied: a value may nest too deeply to copy or print.
+            raise ConfigError(f"{path}: record {i} has a malformed value: "
+                              + ", ".join(name for name in ok if not ok[name]))
     return header, records, hdict.get("content_hash", "") == _content_hash(hdict, records)
 
 
@@ -214,8 +218,16 @@ def read_spectrum(path):
     whose text does not match (a number spelled another way, a changed value)
     has its values re-encoded by _content_hash. A file that fails a column
     check, or holds an integer where a float belongs, takes the per-record
-    path, which gives the same answer and names the first fault.
+    path, which gives the same answer and names the first fault. A file
+    nested too deeply to parse or check raises ConfigError as well.
     """
+    try:
+        return _read_spectrum(path)
+    except RecursionError:
+        raise ConfigError(f"{path}: not a spectrum file (values nested too deeply)") from None
+
+
+def _read_spectrum(path):
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=_Number)

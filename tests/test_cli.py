@@ -372,6 +372,22 @@ class TestMalformedSpectrumFile:
         if section != "header":
             assert f"record {section} has a malformed value" in err
 
+    @pytest.mark.parametrize("section, key, depth", [(3, "cls", 600), ("header", "warnings", 995)])
+    def test_deeply_nested_value_exit_1(self, workdir, config_path, spectrum_path, section, key,
+                                        depth, capsys):
+        # Too deep to copy into a message (600 lists) or to parse (995).
+        doc = json.loads(open(spectrum_path).read())
+        (doc["header"] if section == "header" else doc["records"][section])[key] = "@nested@"
+        path = workdir / f"nested_{key}.json"
+        path.write_text(json.dumps(doc).replace('"@nested@"', "[" * depth + "0" + "]" * depth))
+        for command in (["validate"], ["gamma", "--route", "omega"]):
+            code = main(["--config", config_path] + command + ["--spectrum", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"config error: {path}" in err and "Traceback" not in err
+            if section != "header":
+                assert f"record {section} has a malformed value: {key}" in err
+
     def test_first_malformed_record_is_named(self, workdir, config_path, spectrum_path, capsys):
         doc = json.loads(open(spectrum_path).read())
         doc["records"] = doc["records"] * 2

@@ -60,6 +60,28 @@ class TestRunSpectrum:
         assert len(run.records) >= 10
         assert {e.index for e in run.eigenvalues} == set(range(6))
 
+    def test_real_pair_collision_gives_two_simple_zeros(self):
+        # Two simple real zeros 9.4e-4 apart. A split line along the real
+        # axis once counted them as one double zero, exiting 0 unwarned.
+        res = pipeline.scan_spectrum(Potential.constant(9.27019472424975, h=0.0), "robin",
+                                     (2.3, 3.3, -0.4, 0.4))
+        assert [(e.multiplicity, e.refined, e.cls) for e in res.zeros] == [(1, True, "real")] * 2
+        for ev, k in zip(res.zeros, (2.797916088, 2.798856182)):
+            assert abs(ev.k - k) < 1e-9
+
+    def test_unrefined_scan_zero_warns_and_exits_2(self, monkeypatch):
+        # A merged entry of the region search is named in a warning, as an
+        # uncertified targeted root is.
+        merged = Eigenvalue(k=2.5 + 1.0j, index=None, multiplicity=2, residual=1e-3,
+                            cls="quadrant", refined=False)
+        monkeypatch.setattr(pipeline, "find_zeros",
+                            lambda f, region, **kw: ZeroSearchResult([merged], [], []))
+        run = run_spectrum(_cfg({"kind": "constant", "value": 1.0, "h": 0.0},
+                                spectrum={"region": [1.5, 4.0, 0.5, 2.0]}))
+        assert run.exit_code == 2
+        assert [w for w in run.header.warnings if "not refined" in w] == [
+            "region-scan zeros not refined (clusters or merged roots): 2.5+1j (multiplicity 2)"]
+
 
 class TestTargeted:
     def test_indices_and_location(self, q_one):

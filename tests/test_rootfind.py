@@ -225,7 +225,7 @@ class TestFindZeros:
     def test_multiplicity_cluster(self, monkeypatch):
         # The two pencil seeds of a double zero converge to one root, so the
         # box splits down to the cluster size.
-        splits = _spy(monkeypatch, "_subdivide")
+        splits = _spy(monkeypatch, "_split")
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
         res = find_zeros(f, (-1.0, 1.0, -1.0, 1.0), max_depth=40, symmetry=False)
         assert splits
@@ -293,6 +293,52 @@ class TestFindZeros:
         assert res.zeros == []
 
 
+class TestSplit:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(re=st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=8),
+           im=st.lists(st.floats(-0.8, 0.8), min_size=8, max_size=8),
+           extra=st.sampled_from(["none", "double", "pair"]), gap=st.floats(1e-6, 1e-2))
+    def test_children_count_their_own_zeros(self, re, im, extra, gap):
+        # One split of [-1, 1]^2: each child counts the zeros inside it, so
+        # the children's counts add up to the box's, with a double zero or a
+        # close pair among them.
+        roots = [complex(x, y) for x, y in zip(re, im)]
+        roots += {"none": [], "double": roots[:1], "pair": [roots[0] + gap * (1 + 1j)]}[extra]
+        f = poly_with_roots(roots)
+        w, box, ring = rootfind._winding(f, ContourBox(-1.0, 1.0, -1.0, 1.0))
+        assert w == len(roots)
+        children = rootfind._split(f, box, ring)
+        assume(children is not None)
+        assert sum(count for _child, count, _ring in children) == w
+        for child, count, _ring in children:
+            assert count == sum(child.contains(r) for r in roots)
+
+    def test_double_zero_beside_a_line_stays_on_its_side(self):
+        # 0.004 west of the first vertical line (s = -0.06), (k - z)^2 turns
+        # the phase by nearly 2 pi between two line samples, which wraps to
+        # nearly 0: the phase jumps alone count it 1 + 1 across the line.
+        z = complex(-0.064, 0.37)
+        f = lambda k: (np.asarray(k, complex) - z) ** 2
+        w, box, ring = rootfind._winding(f, ContourBox(-1.0, 1.0, -1.0, 1.0))
+        counts = [(child.contains(z), count) for child, count, _ring in rootfind._split(f, box, ring)]
+        assert sorted(counts) == [(False, 0)] * 3 + [(True, 2)]
+
+    def test_split_lines_are_sampled_once(self):
+        # Twelve zeros: lines sampled once and shared by the children take
+        # the search to under half the 850 points of counting every child's
+        # whole boundary (refine_f is another function, so only counts and
+        # split lines evaluate f).
+        rng = np.random.default_rng(0)
+        roots = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
+        f, points = poly_with_roots(roots), []
+        res = find_zeros(lambda ks: points.append(np.size(ks)) or f(ks), (-1.1, 1.1, -1.1, 1.1),
+                         refine_f=poly_with_roots(roots), symmetry=False)
+        assert sum(points) <= 425
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(1, True)] * 12
+        for root in roots:
+            assert min(abs(ev.k - root) for ev in res.zeros) < 1e-12
+
+
 class TestMomentZeros:
     BOX = (-1.0, 1.0, -1.0, 1.0)
     ROOTS = [0.45 + 0.3j, -0.4 + 0.55j, -0.25 - 0.5j, 0.6 - 0.45j]
@@ -300,7 +346,7 @@ class TestMomentZeros:
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
     def test_simple_zeros_from_one_newton_call(self, monkeypatch, w):
         newton = _spy(monkeypatch, "newton_refine_many")
-        splits = _spy(monkeypatch, "_subdivide")
+        splits = _spy(monkeypatch, "_split")
         res = find_zeros(poly_with_roots(self.ROOTS[:w]), self.BOX, symmetry=False)
         assert len(newton) == 1 and splits == []
         assert res.unresolved == []
@@ -311,7 +357,7 @@ class TestMomentZeros:
     def test_root_outside_the_box_splits(self, monkeypatch):
         # Newton on refine_f converges to 1.2 + 0.2i: within the old pad of a
         # quarter side, but not inside the counted box.
-        splits = _spy(monkeypatch, "_subdivide")
+        splits = _spy(monkeypatch, "_split")
         res = find_zeros(poly_with_roots([0.3 + 0.2j]), self.BOX, max_depth=1,
                          refine_f=poly_with_roots([1.2 + 0.2j]), symmetry=False)
         assert len(splits) == 1
@@ -339,7 +385,7 @@ class TestMomentZeros:
         # split line can pass within rounding of the zero and count it 1 + 1;
         # those boxes hold a new count and try theirs.)
         moments = _spy(monkeypatch, "_moment_zeros")
-        splits = _spy(monkeypatch, "_subdivide")
+        splits = _spy(monkeypatch, "_split")
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
         res = find_zeros(f, self.BOX, max_depth=40, symmetry=False)
         assert [w for _rf, w, *_ in moments].count(2) == 1 and len(splits) > 10
@@ -360,7 +406,7 @@ class TestMomentZeros:
         zero = complex(1.0 + 1e-12, 0.3)
         counts = _spy(monkeypatch, "_winding")
         newton = _spy(monkeypatch, "newton_refine_many")
-        splits = _spy(monkeypatch, "_subdivide")
+        splits = _spy(monkeypatch, "_split")
         f = poly_with_roots([zero])
         res = find_zeros(f, self.BOX, symmetry=False)
         assert len(counts) == 1 and len(newton) == 1 and splits == []
