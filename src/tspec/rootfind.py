@@ -124,31 +124,31 @@ def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Option
     zero on it). Raises PhaseResolutionError past 2^14 points.
     """
     while True:
-        pts, vals = poly
-        segs = pts.size if closed else pts.size - 1
-        mods, nxt = np.abs(vals), np.roll(pts, -1)
-        ends = np.roll(mods, -1)
+        # Segment i runs from point i to point i + 1; a closed poly repeats its first point.
+        pts, vals = np.concatenate([poly, poly[:, :1]], axis=1) if closed else poly
+        mods = np.abs(vals)
+        a, b = mods[:-1], mods[1:]
         if (not np.all(np.isfinite(mods)) or float(mods.min(initial=math.inf)) == 0.0
-                or float((np.minimum(mods, ends) / np.maximum(mods, ends))[:segs].min(initial=1.0))
+                or float((np.minimum(a, b) / np.maximum(a, b)).min(initial=1.0))
                 < _MODULUS_FLOOR_REL):
             return None
-        bad = np.abs(_wrapped_jumps(vals)[:segs]) > _JUMP_TOL
+        bad = np.abs(np.angle(vals[1:] / vals[:-1])) > _JUMP_TOL
         if lipschitz:
-            h = np.abs(nxt - pts)[:segs]
-            slope = np.abs(np.roll(vals, -1) - vals)[:segs] / h
-            wrap = slope[[-1, 0]] if closed else (0.0, 0.0)      # an open end has one neighbour
-            lip = np.maximum.reduce([slope, np.r_[wrap[0], slope[:-1]], np.r_[slope[1:], wrap[1]]])
-            bad |= (mods + ends)[:segs] <= lip * h
+            h = np.abs(np.diff(pts))
+            slope = np.abs(np.diff(vals)) / h
+            pad = slope[[-1, 0]] if closed else np.zeros(2)     # an open end has one neighbour
+            near = np.concatenate([pad[:1], slope, pad[1:]])
+            bad |= a + b <= np.maximum.reduce([near[:-2], near[1:-1], near[2:]]) * h
         bad = np.flatnonzero(bad)
         if bad.size == 0:
             return poly
-        if np.any(np.abs(nxt[bad] - pts[bad]) < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
+        if np.any(np.abs(pts[bad + 1] - pts[bad]) < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
             return None
-        if pts.size + bad.size > _MAX_BOUNDARY_POINTS:
+        if poly.shape[1] + bad.size > _MAX_BOUNDARY_POINTS:
             raise PhaseResolutionError(
                 f"boundary refinement exceeded {_MAX_BOUNDARY_POINTS} points near "
                 f"[{pts.real.min()},{pts.real.max()}]x[{pts.imag.min()},{pts.imag.max()}]")
-        mids = 0.5 * (pts[bad] + nxt[bad])
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
         poly = np.insert(poly, bad + 1, [mids, np.asarray(f(mids), dtype=complex)], axis=1)
 
 
@@ -252,14 +252,6 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     return roots, converged
 
 
-def _spoke(hub: complex, end: complex, step: float) -> np.ndarray:
-    """Samples from the hub to end, both included: at most _SPACING apart, at least
-    8 intervals, and closing in on end at step, 2 step, 4 step, ... if finer."""
-    pts = _samples(hub, end, 8)
-    near = step * 2.0 ** np.arange(max(0, math.ceil(math.log2(abs(end - pts[-1]) / step))))
-    return np.concatenate([pts, end + (hub - end) / abs(hub - end) * near[::-1], [end]])
-
-
 def _path(ring: np.ndarray, lines: list, a: complex, b: complex) -> np.ndarray:
     """The samples from a to b along a split line that holds both, else forward
     along ring (a closed polyline with its first point repeated at the end)."""
@@ -276,8 +268,8 @@ def _split(f: Callable, box: ContourBox, ring: np.ndarray):
     ring) triples, or None. The split lines cross at the hub (s0 + frac w, t0 +
     frac h): a vertical line unless the box is over 4 times as tall as wide, a
     horizontal one unless it is over 4 times as wide as tall. Each line is
-    sampled once, in one call of f, closing in on its ends at half the ring
-    segment each end splits, and refined. A child's boundary is its arc of the
+    sampled once, from the hub out in one call of f, and refined. Its ends join
+    the ring, in the segments that hold them. A child's boundary is its arc of the
     ring and the lines between its corners, which its neighbours traverse the
     other way, so the children's counts add up to the box's, unless refining a
     child's boundary corrects a count the box took without the Lipschitz test.
@@ -286,7 +278,6 @@ def _split(f: Callable, box: ContourBox, ring: np.ndarray):
     or a line share its coordinate exactly.
     """
     ring = np.concatenate([ring, ring[:, :1]], axis=1)     # its first point again at the end
-    gaps = np.abs(np.diff(ring[0]))
     for frac in _SPLIT_FRACTIONS:
         hub = complex(box.s0 + frac * box.width, box.t0 + frac * box.height)
         xs, ys, ends = [box.s0, box.s1], [box.t0, box.t1], []
@@ -297,13 +288,13 @@ def _split(f: Callable, box: ContourBox, ring: np.ndarray):
             ys.insert(1, hub.imag)
             ends += [complex(box.s0, hub.imag), complex(box.s1, hub.imag)]
         # Each end lies strictly inside ring segment (ring[i], ring[i + 1]), on its line.
-        d = ring[0][:, None] - np.array(ends)
-        cross = d[:-1] * d[1:].conj()
+        off = ring[0][:, None] - np.array(ends)
+        cross = off[:-1] * off[1:].conj()
         inside = (cross.imag == 0) & (cross.real < 0)
         if not inside.any(axis=0).all():
             continue
         seats = inside.argmax(axis=0)
-        spokes = [_spoke(hub, end, 0.5 * gaps[i]) for end, i in zip(ends, seats)]
+        spokes = [np.append(_samples(hub, end, 8), end) for end in ends]     # hub to end
         lines = [np.concatenate([a[::-1], b[1:]]) for a, b in zip(spokes[::2], spokes[1::2])]
         pts, at = np.unique(np.concatenate(lines), return_inverse=True)   # the hub once
         vals = np.split(np.asarray(f(pts), dtype=complex)[at], np.cumsum([p.size for p in lines]))
@@ -312,7 +303,7 @@ def _split(f: Callable, box: ContourBox, ring: np.ndarray):
             continue
         joined = np.insert(ring, seats + 1,
                            np.concatenate([line[:, [0, -1]] for line in lines], axis=1), axis=1)
-        boxes = [ContourBox(a, b, c, d) for c, d in zip(ys, ys[1:]) for a, b in zip(xs, xs[1:])]
+        boxes = [ContourBox(*s, *t) for t in zip(ys, ys[1:]) for s in zip(xs, xs[1:])]
         rings = [_refine(f, np.concatenate([_path(joined, lines, a, b)[:, :-1]
                                             for a, b in _edges(child)], axis=1), closed=True)
                  for child in boxes]
