@@ -107,10 +107,6 @@ def _edges(box: ContourBox) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
-def _wrapped_jumps(vals: np.ndarray) -> np.ndarray:
-    return np.angle(np.roll(vals, -1) / vals)
-
-
 def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Optional[np.ndarray]:
     """poly (row 0 the points, row 1 f there; closed for a box boundary, open for a
     split line) bisected until every segment is resolved, or None when a zero
@@ -154,7 +150,7 @@ def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Option
 
 def _count(box: ContourBox, ring: np.ndarray) -> int:
     """The winding number of the values of a refined closed polyline on box."""
-    total = float(_wrapped_jumps(ring[1]).sum()) / (2.0 * math.pi)
+    total = float(np.angle(np.roll(ring[1], -1) / ring[1]).sum()) / (2.0 * math.pi)
     w = int(round(total))
     if abs(total - w) >= 0.25:
         raise PhaseResolutionError(f"winding {total:.4f} does not round cleanly on box "
