@@ -338,7 +338,7 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
 
     Returns (targets, spacing, n_min): spacing is the asymptotic gap between
     consecutive targets, n_min the smallest index the theorem assigns in the
-    first quadrant. Used both to seed targeted searches and to index zeros.
+    first quadrant. Used both to place a targeted window's strip and to index zeros.
     """
     omega_zero, q1_zero, dq1_zero = vanishing(scalars)
 

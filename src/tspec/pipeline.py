@@ -1,10 +1,10 @@
 """Orchestration from validated config to structured outputs.
 
-Two spectrum paths: a generic region scan (argument-principle subdivision) and
-a targeted per-index search seeded by the asymptotic predictions, each ending
-in Newton polish at a tighter tolerance. Validation replays the paper-level
-audits (symmetry closure, contour counts, residual decay, gamma consistency)
-against a spectrum file.
+One spectrum path: a region scan (argument-principle subdivision with Newton
+polish at a tighter tolerance) whose zeros are numbered against the asymptotic
+targets. A targeted index window is the scan of the strip its targets span.
+Validation replays the paper-level audits (symmetry closure, contour counts,
+residual decay, gamma consistency) against a spectrum file.
 """
 
 from __future__ import annotations
@@ -17,20 +17,17 @@ import numpy as np
 
 from . import asymptotics as asy
 from .charfun import DEvaluator
-from .errors import (BoundaryTooCloseError, ConfigError, DomainError, HypothesisMismatchError,
-                     IndexingConflictError, PhaseResolutionError, ProbeTooCloseError,
-                     TspecError, UnstableLimitError)
+from .errors import (ConfigError, DomainError, HypothesisMismatchError, IndexingConflictError,
+                     ProbeTooCloseError, TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (ContourBox, Eigenvalue, ZeroSearchResult, _classify, find_zeros,
-                       gamma_contour_count, index_eigenvalues, newton_refine_many, orbit,
-                       origin_multiplicity, representative, winding_count)
+from .rootfind import (Eigenvalue, ZeroSearchResult, _match_targets, find_zeros,
+                       gamma_contour_count, index_eigenvalues, orbit, origin_multiplicity)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
 _GAMMA_REL_TOL = 0.25       # largest relative gap between the direct and a limit route
-_RTOL_WINDING = 1e-8        # D tolerance of the winding count certifying a targeted root
-_NEWTON_COARSE_TOL = 1e-7   # Newton step tolerance of the targeted stage on the winding evaluator
+_RTOL_WINDING = 1e-8        # D tolerance of a targeted spectrum's winding counts
 _SYMMETRY_TOL = 1e-9        # relative distance at which a record counts as a mirror image
 _SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the decay audit
 
@@ -42,76 +39,28 @@ def is_degenerate(dev: DEvaluator) -> bool:
 
 
 def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
-                      n_lo: int, n_hi: int, *, rtol: float = 1e-12,
-                      rtol_refine: float = 1e-13) -> List[Eigenvalue]:
-    """Indexed eigenvalues n_lo..n_hi found from asymptotic seeds.
+                      n_lo: int, n_hi: int, *, rtol_refine: float = 1e-13) -> List[Eigenvalue]:
+    """Indexed eigenvalues n_lo..n_hi: the region scan of the strip their targets span.
 
-    Batched Newton runs in two stages: from the predicted locations to a step
-    of 1e-7 on D at the winding tolerance 1e-8, which is as far as the coarse
-    evaluations carry, then, for the seeds that converged, polished at
-    rtol_refine. A coarse iterate beyond |k| = (n_hi + 2) pi, past every window
-    the indices allow, stops its seed unconverged. Each Newton root is then
-    certified unique in its window by a winding count (the small contours the
-    counting argument uses), and the residuals of all roots come from one
-    stacked evaluation at rtol_refine. An index whose Newton root fails falls
-    back, once, to a boxed search around the seed, whose own winding counts
-    certify what it finds; rtol is the tolerance of that search only.
+    The strip reaches half a target spacing past the real parts of the
+    asymptotic targets of the window (from Re k = 0 when the window reaches
+    the first index the theorem assigns) and runs from Im k = 0 to
+    max(3, max Im + spacing / 2). It is scanned with winding counts at 1e-8
+    and Newton polish at rtol_refine, and its zeros are numbered against the
+    same targets, as a region scan numbers its zeros. An index with no zero
+    in the strip is absent; IndexingConflictError when two zeros contend for
+    one index.
     """
-    dev = DEvaluator(p, variant, rtol=rtol)
-    dev_fine = dev.with_tolerance(rtol_refine)
-    dev_wind = dev.with_tolerance(_RTOL_WINDING)
-    k_max = (n_hi + 2) * math.pi
-    targets, spacing, _ = asy.index_targets(scalars, variant, k_max)
-    sel = [(n, val, br) for (n, val, br) in targets if n_lo <= n <= n_hi]
-    if not sel:
+    targets, spacing, n_min = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi)
+    sel = np.array([val for (n, val, _b) in targets if n_lo <= n <= n_hi], dtype=complex)
+    if not sel.size:
         return []
-
-    def dev_coarse(ks):
-        if np.any(np.abs(ks) > k_max):
-            raise DomainError(f"|k| exceeds {k_max:.6g}, beyond the targeted indices")
-        return dev_wind(ks)
-
-    seeds = np.array([val for (_n, val, _b) in sel], dtype=complex)
-    roots, good = newton_refine_many(dev_coarse, seeds, tol=_NEWTON_COARSE_TOL)
-    coarse = np.flatnonzero(good)
-    polished, conv = newton_refine_many(dev_fine, roots[coarse], max_iter=6)
-    roots[coarse[conv]] = polished[conv]
-    good[coarse] = conv
-    reps, refined = [], []
-    half = 0.45 * spacing
-    for (n, target, br), root, ok in zip(sel, roots, good):
-        if not (ok and abs(root - target) <= half and _alone_in_window(dev_wind, root, half)):
-            root, ok = _boxed_fallback(dev, dev_fine, target, half)
-        reps.append(representative(root))
-        refined.append(bool(ok))
-    residuals = np.abs(dev_fine(np.array(reps)))
-    return [Eigenvalue(k=rep, index=n, multiplicity=1, residual=float(res), cls=_classify(rep),
-                       refined=ok, branch=br)
-            for (n, _t, br), rep, res, ok in zip(sel, reps, residuals, refined)]
-
-
-def _alone_in_window(dev_wind, root: complex, half: float) -> bool:
-    """True when the square of half-side `half` around a Newton root winds exactly once."""
-    box = ContourBox(root.real - half, root.real + half, root.imag - half, root.imag + half)
-    try:
-        return winding_count(dev_wind, box) == 1
-    except (BoundaryTooCloseError, PhaseResolutionError):
-        return False
-
-
-def _boxed_fallback(dev, dev_fine, target: complex, half: float):
-    """The zero nearest the target from a winding-certified search of its window, if any,
-    and whether it is refined."""
-    try:
-        res = find_zeros(dev, (target.real - half, target.real + half,
-                               target.imag - half, target.imag + half),
-                         refine_f=dev_fine, max_depth=10)
-    except TspecError:
-        return complex(target), False
-    if not res.zeros:
-        return complex(target), False
-    best = min(res.zeros, key=lambda e: abs(e.k - representative(target)))
-    return complex(best.k), best.refined
+    half = 0.5 * spacing
+    strip = (0.0 if n_lo <= n_min else sel.real.min() - half, sel.real.max() + half,
+             0.0, max(3.0, sel.imag.max() + half))
+    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine)
+    zeros = _match_targets(res.zeros, targets, spacing, n_min)
+    return [ev for ev in zeros if n_lo <= ev.index <= n_hi]
 
 
 def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
@@ -195,12 +144,18 @@ def run_spectrum(cfg) -> SpectrumRun:
                                 s=0, warnings=warnings_list)
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
-    unresolved, uncertified, unrefined = [], [], []
+    unresolved, uncertified, unrefined, conflict = [], [], [], False
     if targeted:
-        n_lo, n_hi = cfg.spectrum["n"]
-        zeros = targeted_spectrum(p, scalars, cfg.variant, int(n_lo), int(n_hi),
-                                  rtol=cfg.rtol, rtol_refine=cfg.rtol_refine)
-        uncertified = [ev.index for ev in zeros if not ev.refined]
+        n_lo, n_hi = (int(n) for n in cfg.spectrum["n"])
+        try:
+            zeros = targeted_spectrum(p, scalars, cfg.variant, n_lo, n_hi,
+                                      rtol_refine=cfg.rtol_refine)
+        except IndexingConflictError as exc:
+            warnings_list.append(f"indexing: {exc}")
+            zeros, conflict = [], True
+        found = {ev.index for ev in zeros}
+        uncertified = sorted({ev.index for ev in zeros if not ev.refined}
+                             | set(range(n_lo, n_hi + 1)) - found)
     else:
         result = scan_spectrum(p, cfg.variant, region,
                                depth=int(cfg.spectrum.get("depth", 14)),
@@ -212,7 +167,7 @@ def run_spectrum(cfg) -> SpectrumRun:
             zeros = index_eigenvalues(result.zeros, scalars, cfg.variant)
         except (IndexingConflictError, DomainError) as exc:
             warnings_list.append(f"indexing: {exc}")
-            zeros = result.zeros
+            zeros, conflict = result.zeros, isinstance(exc, IndexingConflictError)
     try:
         s = origin_multiplicity(dev)
     except TspecError as exc:
@@ -230,7 +185,7 @@ def run_spectrum(cfg) -> SpectrumRun:
                             s=s, warnings=warnings_list)
     return SpectrumRun(header=header, records=records_from_eigenvalues(zeros),
                        eigenvalues=zeros, unresolved=unresolved,
-                       exit_code=2 if unresolved or uncertified or unrefined else 0)
+                       exit_code=2 if unresolved or uncertified or unrefined or conflict else 0)
 
 
 # ---------------------------------------------------------------------------

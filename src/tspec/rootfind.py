@@ -39,6 +39,8 @@ _SPACING = 0.2              # first boundary sample spacing of a winding count
 _MIN_SIZE = 1e-7            # box side below which find_zeros reports a cluster
 _MOMENT_MAX_W = 4           # largest count whose zeros find_zeros takes from contour moments
 _NEWTON_PAD = 0.25          # how far, per longer box side, a box's Newton iterates may stray
+_COARSE_TOL = 1e-7          # Newton step tolerance on the counting evaluator before refine_f
+_POLISH_SWEEPS = 6          # most Newton sweeps on refine_f
 
 
 @dataclass
@@ -107,13 +109,13 @@ def _edges(box: ContourBox) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
-def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Optional[np.ndarray]:
+def _refine(f, poly: np.ndarray, closed: bool) -> Optional[np.ndarray]:
     """poly (row 0 the points, row 1 f there; closed for a box boundary, open for a
     split line) bisected until every segment is resolved, or None when a zero
     touches it. A segment is resolved when its wrapped phase jump is at most pi/2
-    and, with lipschitz, when its end moduli sum to more than its length times the
-    largest |delta f / delta k| of it and its neighbours, which keeps zeros off it
-    (a double zero by it turns the phase by nearly 2 pi, which wraps to nearly 0).
+    and its end moduli sum to more than its length times the largest
+    |delta f / delta k| of it and its neighbours, which keeps zeros off it (a
+    double zero by it turns the phase by nearly 2 pi, which wraps to nearly 0).
     A zero touches where f is zero or not finite, where |f| changes by over 1e4
     along a segment (a local test: |f| spans e^{2|Im k|} along a big contour), or
     where an unresolved segment is below 1e-9 relative (no bisection resolves a
@@ -128,14 +130,12 @@ def _refine(f, poly: np.ndarray, closed: bool, lipschitz: bool = True) -> Option
                 or float((np.minimum(a, b) / np.maximum(a, b)).min(initial=1.0))
                 < _MODULUS_FLOOR_REL):
             return None
-        bad = np.abs(np.angle(vals[1:] / vals[:-1])) > _JUMP_TOL
-        if lipschitz:
-            h = np.abs(np.diff(pts))
-            slope = np.abs(np.diff(vals)) / h
-            pad = slope[[-1, 0]] if closed else np.zeros(2)     # an open end has one neighbour
-            near = np.concatenate([pad[:1], slope, pad[1:]])
-            bad |= a + b <= np.maximum.reduce([near[:-2], near[1:-1], near[2:]]) * h
-        bad = np.flatnonzero(bad)
+        h = np.abs(np.diff(pts))
+        slope = np.abs(np.diff(vals)) / h
+        pad = slope[[-1, 0]] if closed else np.zeros(2)     # an open end has one neighbour
+        near = np.concatenate([pad[:1], slope, pad[1:]])
+        bad = np.flatnonzero((np.abs(np.angle(vals[1:] / vals[:-1])) > _JUMP_TOL)
+                             | (a + b <= np.maximum.reduce([near[:-2], near[1:-1], near[2:]]) * h))
         if bad.size == 0:
             return poly
         if np.any(np.abs(pts[bad + 1] - pts[bad]) < _STUCK_SEGMENT * (1.0 + np.abs(pts[bad]))):
@@ -163,8 +163,8 @@ def winding_count(f: Callable, box: ContourBox) -> int:
 
     Total boundary argument variation divided by 2*pi, sampled from a
     spacing of 0.2 (at least 8 samples per side) and bisected adaptively
-    until successive-point phase jumps fall below pi/2; the result must
-    round to an integer with gap < 0.25. A boundary running too close to a
+    until every segment passes the phase and Lipschitz tests of _refine; the
+    result must round to an integer with gap < 0.25. A boundary running too close to a
     zero triggers up to three outward perturbations of the box. Raises
     BoundaryTooCloseError when the perturbations run out, and
     PhaseResolutionError when the refinement needs more than 2^14 samples.
@@ -179,8 +179,7 @@ def _winding(f: Callable, box: ContourBox):
     base = box
     for attempt in range(4):
         pts = np.concatenate([_samples(a, b, 8) for a, b in _edges(box)])
-        ring = _refine(f, np.stack([pts, np.asarray(f(pts), dtype=complex)]), closed=True,
-                       lipschitz=False)
+        ring = _refine(f, np.stack([pts, np.asarray(f(pts), dtype=complex)]), closed=True)
         if ring is not None:
             return _count(box, ring), box, ring
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
@@ -267,11 +266,10 @@ def _split(f: Callable, box: ContourBox, ring: np.ndarray):
     sampled once, from the hub out in one call of f, and refined. Its ends join
     the ring, in the segments that hold them. A child's boundary is its arc of the
     ring and the lines between its corners, which its neighbours traverse the
-    other way, so the children's counts add up to the box's, unless refining a
-    child's boundary corrects a count the box took without the Lipschitz test.
-    A line that a zero touches moves to the next fraction of _SPLIT_FRACTIONS;
-    None when none clears. Points are matched by equality: the samples of a side
-    or a line share its coordinate exactly.
+    other way, so the children's counts add up to the box's. A line that a zero
+    touches moves to the next fraction of _SPLIT_FRACTIONS; None when none
+    clears. Points are matched by equality: the samples of a side or a line
+    share its coordinate exactly.
     """
     ring = np.concatenate([ring, ring[:, :1]], axis=1)     # its first point again at the end
     for frac in _SPLIT_FRACTIONS:
@@ -328,10 +326,13 @@ def _pencil_seeds(w: int, box: ContourBox, pts: np.ndarray, vals: np.ndarray) ->
     return c + r * np.linalg.eigvals(np.linalg.solve(s[hankel], s[hankel + 1]))
 
 
-def _moment_zeros(rf: Callable, w: int, box: ContourBox, pts, vals) -> Optional[list]:
+def _moment_zeros(f: Callable, refine_f: Optional[Callable], w: int, box: ContourBox,
+                  pts, vals) -> Optional[list]:
     """The w zeros inside `box`, the box a count of w was taken on, or None.
 
-    The pencil seeds go to one Newton call on rf, whose iterates may not
+    The pencil seeds go to Newton on f, the counting evaluator: to the end
+    with no refine_f, else to a step of 1e-7 and then at most 6 sweeps on
+    refine_f, so only the last sweeps pay for its tolerance. No iterate may
     leave the box grown by _NEWTON_PAD of its longer side: an evaluation out
     there raises DomainError, which stops that seed, so a seed already out
     there fails the box before Newton runs. The zeros stand only if every
@@ -345,12 +346,19 @@ def _moment_zeros(rf: Callable, w: int, box: ContourBox, pts, vals) -> Optional[
     if not box.contains(seeds, pad):
         return None
 
-    def bounded(ks):
+    def inside(ks):
         if not box.contains(ks, pad):
             raise DomainError("Newton iterate left its box")
-        return rf(ks)
+        return ks
 
-    roots, converged = newton_refine_many(bounded, seeds, max_iter=50)
+    if refine_f is None:
+        roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, max_iter=50)
+    else:
+        roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, tol=_COARSE_TOL,
+                                              max_iter=50)
+        if converged.all():
+            roots, converged = newton_refine_many(lambda ks: refine_f(inside(ks)), roots,
+                                                  max_iter=_POLISH_SWEEPS)
     if not (converged.all() and box.contains(roots)):
         return None
     zs = [complex(z) for z in roots]
@@ -404,7 +412,6 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     s0, s1, t0, t1 = (float(v) for v in region)
     if not (s1 > s0 and t1 > t0):
         raise DomainError("region must have positive width and height")
-    rf = refine_f or f
     w, box, ring = _winding(f, ContourBox(s0, s1, t0, t1))
     raw = []
     unresolved: List[ContourBox] = []
@@ -416,7 +423,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         # A box that kept its parent's count of several zeros holds the zeros
         # whose moments already failed (a cluster, as a rule): it splits on.
         if w <= _MOMENT_MAX_W and (w == 1 or w != w_parent):
-            zs = _moment_zeros(rf, w, box, *ring)
+            zs = _moment_zeros(f, refine_f, w, box, *ring)
             if zs is not None:
                 raw.extend((z, 1, True) for z in zs)
                 continue
@@ -454,7 +461,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
             orbits.append({"rep": rep, "mult": mult, "refined": refined})
 
     reps = [orb["rep"] for orb in orbits]
-    residuals = np.abs(np.asarray(rf(np.array(reps)), dtype=complex)) if reps else []
+    residuals = np.abs(np.asarray((refine_f or f)(np.array(reps)), dtype=complex)) if reps else []
     zeros = [Eigenvalue(k=rep, index=None, multiplicity=orb["mult"], residual=float(res),
                         cls=_classify(rep), refined=orb["refined"])
              for orb, rep, res in zip(orbits, reps, residuals)]

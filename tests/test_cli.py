@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspec.charfun
+from tspec import pipeline
 from tspec.cli import _build_parser, main
 from tspec.errors import ConfigError
 from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
@@ -111,20 +113,81 @@ class TestSpectrumCommand:
         assert {r.index for r in records} == {1}
 
     # q = a + b x with q(1)/omega near -2: the n = 0 zero is purely imaginary,
-    # out of reach of the window around its real-axis seed.
-    UNCERTIFIED = {"potential": {"kind": "polynomial",
-                                 "coeffs": [-1.6685632173450171, 2.528261446027842],
-                                 "h": -0.20404202893245155}, "variant": "robin"}
+    # 2.03 from its real-axis target, so only the theorem's count places it.
+    LOW_INDEX = {"potential": {"kind": "polynomial",
+                               "coeffs": [-1.6685632173450171, 2.528261446027842],
+                               "h": -0.20404202893245155}, "variant": "robin"}
 
-    def test_uncertified_targeted_root_exits_2(self, workdir, capsys):
-        cfg = workdir / "uncertified.json"
-        cfg.write_text(json.dumps(self.UNCERTIFIED))
-        out = workdir / "uncertified_spec.json"
-        code = main(["--config", str(cfg), "--out", str(out), "spectrum", "--n", "0..1"])
+    def _spectrum(self, workdir, config, argv, name="targeted_spec.json"):
+        cfg = workdir / ("cfg_" + name)
+        cfg.write_text(json.dumps(config))
+        out = workdir / name
+        code = main(["--config", str(cfg), "--out", str(out), "spectrum"] + argv)
+        return (code, *read_spectrum(str(out))[:2]) if out.exists() else (code, None, [])
+
+    def test_imaginary_low_index_from_the_strip_scan(self, workdir):
+        # The asymptotic target of index 0 is k = 0.98 on the real axis, where
+        # |D| = 0.44; the scan of the strip from Re k = 0 finds the zero 1.77446i.
+        code, header, records = self._spectrum(workdir, self.LOW_INDEX, ["--n", "0..1"])
+        assert code == 0 and header.warnings == []
+        zero = [complex(r.re_k, r.im_k) for r in records if r.index == 0]
+        assert len(zero) == 2 and all(abs(abs(k) - 1.774456642982) < 1e-9 for k in zero)
+        assert all(abs(k.real) < 1e-12 for k in zero)
+
+    def test_index_window_and_region_agree(self, workdir):
+        # Both modes number the zeros the same way: --n 0..3 gives the records
+        # of indices 0..3 that a region scan over them gives.
+        def reps(records):
+            return sorted({(r.index, round(abs(r.re_k), 11), round(abs(r.im_k), 11))
+                           for r in records})
+
+        window = self._spectrum(workdir, self.LOW_INDEX, ["--n", "0..3"], "window.json")
+        region = self._spectrum(workdir, self.LOW_INDEX, ["--region", f"0,{3.5 * math.pi},0,3"],
+                                "region.json")
+        assert window[0] == region[0] == 0
+        assert [n for n, *_ in reps(window[2])] == [0, 1, 2, 3]
+        assert reps(window[2]) == reps(region[2])
+
+    def test_index_with_no_zero_in_the_strip_exits_2(self, workdir, capsys):
+        # Spline q with q(1)/omega ~ -2.02: its n = 0 zero, at 4.758i, lies above
+        # the strip [0, 1.5 pi + Re mu_1] x [0, 3], so index 0 gets no record.
+        config = {"potential": {"kind": "grid", "h": -0.0346859897929111, "samples": [
+            -0.4159495776639774, -0.5623595958111679, -0.4606601064123456,
+            -0.44688279904103756, -0.5426765140921641, -0.3702250430605234,
+            -0.5564965825068666, -0.4732297313345891, 0.84736210131922]}, "variant": "robin"}
+        code, header, records = self._spectrum(workdir, config, ["--n", "0..1"])
         assert code == 2
-        header, _, _ = read_spectrum(str(out))
-        assert [w for w in header.warnings if "indices [0] not certified" in w]
+        assert header.warnings == ["targeted roots at indices [0] not certified"]
         assert "indices [0] not certified" in capsys.readouterr().err
+        assert {r.index for r in records} == {1}
+
+    def test_unrefined_targeted_root_is_written_and_warned(self, workdir, monkeypatch):
+        # A zero the strip scan leaves unrefined still takes its index.
+        def unrefined(p, variant, region, **kw):
+            res = scan(p, variant, region, **kw)
+            res.zeros = [replace(ev, refined=False) for ev in res.zeros]
+            return res
+
+        scan = pipeline.scan_spectrum
+        monkeypatch.setattr(pipeline, "scan_spectrum", unrefined)
+        code, header, records = self._spectrum(workdir, self.LOW_INDEX, ["--n", "1..1"])
+        assert code == 2
+        assert header.warnings == ["targeted roots at indices [1] not certified"]
+        assert {r.index for r in records} == {1}
+
+    def test_indexing_conflict_exits_2(self, workdir):
+        # Constant q = 9.27019472424975: two simple real zeros 9.4e-4 apart
+        # both match index 0. The scan writes them unindexed; both modes warn.
+        config = {"potential": {"kind": "constant", "value": 9.27019472424975, "h": 0.0},
+                  "variant": "robin"}
+        code, header, records = self._spectrum(workdir, config,
+                                               ["--region", "2.3,3.3,-0.4,0.4"], "scan.json")
+        assert code == 2
+        assert [w for w in header.warnings if w.startswith("indexing: ")]
+        assert len(records) == 4 and {r.index for r in records} == {None}
+        code, header, records = self._spectrum(workdir, config, ["--n", "0..0"], "window.json")
+        assert code == 2 and records == []
+        assert [w for w in header.warnings if w.startswith("indexing: ")]
 
     def test_targeted_newton_stays_near_the_indices(self, workdir, monkeypatch):
         # The index-0 seed has no zero nearby; its Newton iterates once walked
@@ -137,11 +200,8 @@ class TestSpectrumCommand:
             return eval_d(p, ks, *args, **kwargs)
 
         monkeypatch.setattr(tspec.charfun, "eval_D_many", spy)
-        cfg = workdir / "uncertified.json"
-        cfg.write_text(json.dumps(self.UNCERTIFIED))
-        out = workdir / "uncertified_bounded.json"
-        code = main(["--config", str(cfg), "--out", str(out), "spectrum", "--n", "0..1"])
-        assert code == 2
+        code, _, _ = self._spectrum(workdir, self.LOW_INDEX, ["--n", "0..1"])
+        assert code == 0
         assert seen and max(seen) <= 3 * math.pi
 
     @pytest.mark.parametrize("config, argv, code, needle", [

@@ -69,6 +69,15 @@ class TestWindingCount:
         f = lambda k: np.asarray(k, complex) ** 2 - 1.0
         assert winding_count(f, ContourBox(2.0, 3.0, 1.0, 2.0)) == 0
 
+    @pytest.mark.parametrize("double, inside", [(1.0045 + 0.37j, 1), (0.996 + 0.37j, 3)],
+                             ids=["outside", "inside"])
+    def test_double_zero_beside_a_side(self, double, inside):
+        # A double zero 0.0045 outside or 0.004 inside the side s = 1 turns the
+        # phase by nearly -2 pi or 2 pi between two samples 0.2 apart; both
+        # wrap to nearly 0, so the phase test alone counted 2 either way.
+        f = lambda k: (np.asarray(k, complex) - 0.3 - 0.2j) * (np.asarray(k, complex) - double) ** 2
+        assert winding_count(f, ContourBox(-1.0, 1.0, -1.0, 1.0)) == inside
+
     def test_gamma_contour_q_one(self, q_one):
         # Counting theorem, ratio-positive case: 4n+5 zeros of kD inside.
         dev = DEvaluator(q_one, "robin", rtol=1e-9)
@@ -323,16 +332,31 @@ class TestSplit:
         counts = [(child.contains(z), count) for child, count, _ring in rootfind._split(f, box, ring)]
         assert sorted(counts) == [(False, 0)] * 3 + [(True, 2)]
 
-    def test_split_lines_are_sampled_once(self):
+    def test_split_lines_are_sampled_once(self, monkeypatch):
         # Twelve zeros: lines sampled once and shared by the children take
         # the search to under half the 850 points of counting every child's
-        # whole boundary (refine_f is another function, so only counts and
-        # split lines evaluate f).
+        # whole boundary. Only the samples of counts and split lines are
+        # counted, not Newton's first stage on f.
         rng = np.random.default_rng(0)
         roots = rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)
-        f, points = poly_with_roots(roots), []
-        res = find_zeros(lambda ks: points.append(np.size(ks)) or f(ks), (-1.1, 1.1, -1.1, 1.1),
-                         refine_f=poly_with_roots(roots), symmetry=False)
+        f, points, in_newton = poly_with_roots(roots), [], []
+        newton = rootfind.newton_refine_many
+
+        def flagged(*args, **kwargs):
+            in_newton.append(True)
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                in_newton.pop()
+
+        def counted(ks):
+            if not in_newton:
+                points.append(np.size(ks))
+            return f(ks)
+
+        monkeypatch.setattr(rootfind, "newton_refine_many", flagged)
+        res = find_zeros(counted, (-1.1, 1.1, -1.1, 1.1), refine_f=poly_with_roots(roots),
+                         symmetry=False)
         assert sum(points) <= 425
         assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(1, True)] * 12
         for root in roots:
@@ -388,7 +412,7 @@ class TestMomentZeros:
         splits = _spy(monkeypatch, "_split")
         f = lambda k: (np.asarray(k, complex) - (0.4 + 0.3j)) ** 2
         res = find_zeros(f, self.BOX, max_depth=40, symmetry=False)
-        assert [w for _rf, w, *_ in moments].count(2) == 1 and len(splits) > 10
+        assert [w for _f, _rf, w, *_ in moments].count(2) == 1 and len(splits) > 10
         assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(2, False)]
 
     def test_seed_outside_the_padded_box_skips_newton(self, monkeypatch):
