@@ -333,12 +333,15 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
                                 corrections=corr, constants=constants, branches=branches)
 
 
-def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
+def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
+                  include_small: bool = True):
     """Matching targets (n, sqrt-lambda estimate, branch) for theorem numbering.
 
     Returns (targets, spacing, n_min): spacing is the asymptotic gap between
     consecutive targets, n_min the smallest index the theorem assigns in the
     first quadrant. Used both to place a targeted window's strip and to index zeros.
+    include_small=False leaves out the n = 0 target of the omega != 0 cases and
+    the box search that places it.
     """
     omega_zero, q1_zero, dq1_zero = vanishing(scalars)
 
@@ -355,7 +358,7 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
         else:
             eff = _dirichlet_flip(scalars)
             n_min = 1 if scalars.q_at_1 / scalars.omega > 0 else 0
-        lz = leading_zeros(eff, n_hi, include_small=True)
+        lz = leading_zeros(eff, n_hi, include_small=include_small)
         targets = [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)]
         return targets, math.pi, n_min
 

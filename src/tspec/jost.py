@@ -11,7 +11,8 @@ needs: at rtol 1e-13 on q = -0.5 + x, Im k = 0.5, it is 128 cells at |k| = 3,
 once per distinct k^2; the Jost values at +k and -k both follow from it,
 f(+-k,0) = e^{+-ik} M (1, +-ik).
 A constant q is exact in one cell; otherwise :func:`transfer_many` doubles the
-cells per k^2 until both signs meet the tolerance and Richardson-extrapolates M.
+cells per k^2 until both signs meet the tolerance and Richardson-extrapolates M,
+skipping the doublings its first comparison predicts at 6th order.
 The independent representations that cross-check this path live in
 :mod:`tspec.crosscheck`.
 """
@@ -143,6 +144,12 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     recessive, rounding grows like e^{2|Im k|} and a small rtol can be out of reach.
     The test runs on u = M (1, +-ik), with the floor divided by |e^{+-ik}|; the test
     at -k is the test at k with its two rows swapped, so one k per k^2 decides.
+    After the first comparison the ladder jumps: with rho the smallest, over the
+    k^2 still short, of the larger ratio of change to allowed change at +-k,
+    a change that falls 64-fold per doubling passes after a = ceil(log_64 rho)
+    more, so the next pair compared is (N 2^(a-1), N 2^a), N the count just
+    reached, or the largest pair under the cap. A jump that lands at or below
+    the pair where plain doubling stops returns the same M as plain doubling.
     Returns the Richardson extrapolation (64 M_N - M_{N/2}) / 63 of the last two
     counts. Doubling past 8192 cells (or past twice the starting count, for grids
     with more knots than that) raises IntegrationFailureError, and so does an M
@@ -174,6 +181,7 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     scale = _RICHARDSON * rtol
     out = np.empty_like(m)
     active = np.arange(kk.size)
+    skip = None             # the doublings to skip, from the first comparison
     while True:
         cells *= 2
         if cells > limit:
@@ -184,14 +192,26 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
         dm = m2 - m
         diff = np.abs(dm[0] + sign_ik * dm[1]) + weight * np.abs(dm[2] + sign_ik * dm[3])
         size = np.abs(m2[0] + sign_ik * m2[1]) + weight * np.abs(m2[2] + sign_ik * m2[3])
-        ok = diff <= scale * size + cells * floor
+        allowed = scale * size + cells * floor
+        ok = diff <= allowed
         done = ok[0] & ok[1]
         if done.all():
             out[:, active] = m2 + dm / _RICHARDSON
             return out[:, col]
+        if skip is None:
+            # At 6th order each doubling cuts the change 64-fold: skip all but
+            # the last of the doublings the least short k^2 needs, within the
+            # cap. (rho is NaN only where every short k^2 changed by NaN.)
+            rho = float(np.fmin.reduce(np.max(diff / allowed, axis=0)[~done]))
+            need = math.ceil(math.log(min(rho, 1e300), _RICHARDSON + 1.0)) if rho > 1.0 else 1
+            skip = min(need - 1, (limit // cells).bit_length() - 2)
         if done.any():
             out[:, active[done]] = m2[:, done] + dm[:, done] / _RICHARDSON
             keep = ~done
             active, m2, sign_ik, weight, floor = (active[keep], m2[:, keep], sign_ik[:, keep],
                                                   weight[keep], floor[:, keep])
         m = m2
+        if skip > 0:
+            cells <<= skip
+            m = _transfer(p, kk[active], cells)
+            skip = 0

@@ -51,7 +51,11 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     in the strip is absent; IndexingConflictError when two zeros contend for
     one index.
     """
-    targets, spacing, n_min = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi)
+    # The n = 0 target has Re k below 1.02 pi, farther than the matching radius
+    # from a strip that starts near Re k = 1.5 pi (n_lo >= 2): no zero there can
+    # take it, so its box search runs only for n_lo <= 1.
+    targets, spacing, n_min = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi,
+                                                include_small=n_lo <= 1)
     sel = np.array([val for (n, val, _b) in targets if n_lo <= n <= n_hi], dtype=complex)
     if not sel.size:
         return []

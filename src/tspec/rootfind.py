@@ -189,7 +189,8 @@ def _winding(f: Callable, box: ContourBox):
         "after 3 perturbations")
 
 
-def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30):
+def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30,
+                       check: bool = False):
     """Vectorized Newton over many seeds; one stacked evaluation per sweep.
 
     The derivative is the mean of the central differences along the real and
@@ -201,7 +202,14 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     evaluation that raises DomainError or IntegrationFailureError (an iterate
     out of the Jost layer's reach), found by evaluating a failed sweep one
     seed per call. A seed still unconverged after max_iter sweeps returns the
-    iterate of its smallest step. Returns (roots, converged_mask).
+    iterate of its smallest step.
+
+    With check=True the first sweep is followed by one evaluation of f at its
+    iterates z1. When every chord step |f(z1) / f'(z0)|, with f' from the
+    first sweep's stencil, is below tol max(1, |z1|), the z1 are the roots and
+    |f(z1)| their residuals; otherwise the sweeps go on from z1. Returns
+    (roots, converged_mask), and with check=True also the residuals, or None
+    where the check did not pass.
     """
     roots = np.array(seeds, dtype=complex).ravel()
     converged = np.zeros(roots.size, dtype=bool)
@@ -210,7 +218,7 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
     best_step = np.full(roots.size, math.inf)
     grew = np.zeros(roots.size, dtype=int)
     scale = np.maximum(1.0, np.abs(z))
-    for _ in range(max_iter):
+    for sweep in range(max_iter):
         if live.size == 0:
             break
         d = _STEP_REL * scale
@@ -243,8 +251,16 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
             keep = ~stop
             live, z, best, best_step, grew, scale = (
                 live[keep], z[keep], best[keep], best_step[keep], grew[keep], scale[keep])
+        if check and sweep == 0:
+            # Every seed ran this sweep, so deriv and dead line up with roots.
+            z1 = roots.copy()
+            z1[live] = z
+            with contextlib.suppress(DomainError, IntegrationFailureError):
+                res = np.abs(np.asarray(f(z1), dtype=complex))
+                if np.all(~dead & (res < tol * np.maximum(1.0, np.abs(z1)) * np.abs(deriv))):
+                    return z1, np.ones(z1.size, dtype=bool), res
     roots[live] = best
-    return roots, converged
+    return (roots, converged, None) if check else (roots, converged)
 
 
 def _path(ring: np.ndarray, lines: list, a: complex, b: complex) -> np.ndarray:
@@ -327,12 +343,17 @@ def _pencil_seeds(w: int, box: ContourBox, pts: np.ndarray, vals: np.ndarray) ->
 
 
 def _moment_zeros(f: Callable, refine_f: Optional[Callable], w: int, box: ContourBox,
-                  pts, vals) -> Optional[list]:
-    """The w zeros inside `box`, the box a count of w was taken on, or None.
+                  pts, vals) -> Optional[tuple]:
+    """The w zeros inside `box`, the box a count of w was taken on, as (zeros,
+    residuals), or None.
 
     The pencil seeds go to Newton on f, the counting evaluator: to the end
-    with no refine_f, else to a step of 1e-7 and then at most 6 sweeps on
-    refine_f, so only the last sweeps pay for its tolerance. No iterate may
+    with no refine_f, else to a step of 1e-7 and then on refine_f, so only
+    the polish pays for its tolerance. The polish is one stencil sweep and a
+    check of refine_f at its iterates (newton_refine_many's check): when
+    every chord step there is below 1e-12 relative, those iterates are the
+    zeros and the check's |refine_f| their residuals; otherwise Newton goes
+    on, to 6 sweeps in all, and the residuals are None. No iterate may
     leave the box grown by _NEWTON_PAD of its longer side: an evaluation out
     there raises DomainError, which stops that seed, so a seed already out
     there fails the box before Newton runs. The zeros stand only if every
@@ -351,20 +372,21 @@ def _moment_zeros(f: Callable, refine_f: Optional[Callable], w: int, box: Contou
             raise DomainError("Newton iterate left its box")
         return ks
 
+    residuals = None
     if refine_f is None:
         roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, max_iter=50)
     else:
         roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, tol=_COARSE_TOL,
                                               max_iter=50)
         if converged.all():
-            roots, converged = newton_refine_many(lambda ks: refine_f(inside(ks)), roots,
-                                                  max_iter=_POLISH_SWEEPS)
+            roots, converged, residuals = newton_refine_many(
+                lambda ks: refine_f(inside(ks)), roots, max_iter=_POLISH_SWEEPS, check=True)
     if not (converged.all() and box.contains(roots)):
         return None
     zs = [complex(z) for z in roots]
     if any(abs(a - b) <= _DEDUP_TOL * max(1.0, abs(a)) for a, b in itertools.combinations(zs, 2)):
         return None
-    return zs
+    return zs, residuals
 
 
 def orbit(ks) -> np.ndarray:
@@ -405,7 +427,11 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     split line clears, is unresolved. Roots of different boxes within 1e-6
     relative merge into one unrefined entry with the sum of their
     multiplicities. refine_f, when given, is a higher-accuracy evaluator for
-    Newton polish and residuals. With symmetry=True results are deduplicated
+    Newton polish and residuals. A zero whose polish check passed (_moment_zeros)
+    keeps the check's |refine_f| there as its residual (|refine_f| is the same
+    at its mirror images, up to rounding); the other entries, merged and
+    unrefined ones included, take theirs from one stacked call at their
+    representatives. With symmetry=True results are deduplicated
     under k -> -k, k -> k* into first-quadrant representatives (the symmetry
     group of the characteristic function); pass False for other functions.
     """
@@ -414,6 +440,7 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         raise DomainError("region must have positive width and height")
     w, box, ring = _winding(f, ContourBox(s0, s1, t0, t1))
     raw = []
+    checked = {}      # the residual of each zero whose polish check passed
     unresolved: List[ContourBox] = []
     stack = [(box, 0, w, ring, 0)]
     while stack:
@@ -423,9 +450,12 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
         # A box that kept its parent's count of several zeros holds the zeros
         # whose moments already failed (a cluster, as a rule): it splits on.
         if w <= _MOMENT_MAX_W and (w == 1 or w != w_parent):
-            zs = _moment_zeros(f, refine_f, w, box, *ring)
-            if zs is not None:
+            found = _moment_zeros(f, refine_f, w, box, *ring)
+            if found is not None:
+                zs, residuals = found
                 raw.extend((z, 1, True) for z in zs)
+                if residuals is not None:
+                    checked.update(zip(zs, residuals))
                 continue
         if max(box.width, box.height) < _MIN_SIZE:
             raw.append((box.center, w, False))
@@ -458,13 +488,19 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
                 orb["refined"] &= refined
                 break
         else:
-            orbits.append({"rep": rep, "mult": mult, "refined": refined})
+            orbits.append({"rep": rep, "mult": mult, "refined": refined,
+                           "residual": checked.get(z) if refined else None})
 
-    reps = [orb["rep"] for orb in orbits]
-    residuals = np.abs(np.asarray((refine_f or f)(np.array(reps)), dtype=complex)) if reps else []
-    zeros = [Eigenvalue(k=rep, index=None, multiplicity=orb["mult"], residual=float(res),
-                        cls=_classify(rep), refined=orb["refined"])
-             for orb, rep, res in zip(orbits, reps, residuals)]
+    # The rest take their residuals from one stacked call.
+    rest = [orb for orb in orbits if orb["residual"] is None]
+    if rest:
+        values = (refine_f or f)(np.array([orb["rep"] for orb in rest]))
+        for orb, value in zip(rest, np.abs(np.asarray(values, dtype=complex))):
+            orb["residual"] = value
+    zeros = [Eigenvalue(k=orb["rep"], index=None, multiplicity=orb["mult"],
+                        residual=float(orb["residual"]), cls=_classify(orb["rep"]),
+                        refined=orb["refined"])
+             for orb in orbits]
     zeros.sort(key=lambda e: (abs(e.k), e.k.real))
     return ZeroSearchResult(zeros=zeros, raw_zeros=deduped, unresolved=unresolved)
 

@@ -114,10 +114,10 @@ def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) 
     header.created = header.created or datetime.now(timezone.utc).isoformat()
     hdict = asdict(header)
     hdict["content_hash"] = _content_hash(hdict, records)
-    doc = {"header": hdict, "records": [asdict(r) for r in records]}
+    # A record's fields are flat values, so its __dict__ copied is asdict(record).
+    doc = {"header": hdict, "records": [dict(vars(r)) for r in records]}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return doc
 
 

@@ -165,14 +165,7 @@ class TestNonConstantPotentials:
         # floor instead of failing. The value returned there must still be
         # within the floor's own estimate, 2 eps * cells * int_0^1 e^{2 tau x} dx,
         # of the closed form.
-        used = []
-        transfer = tspec.jost._transfer
-
-        def spy(p, ks, cells):
-            used.append(cells)
-            return transfer(p, ks, cells)
-
-        monkeypatch.setattr(tspec.jost, "_transfer", spy)
+        used = _spy_cells(monkeypatch)
         ks = np.array([a - 1j * tau for a in (0.0, 1.0, 3.0) for tau in (12.0, 16.0, 20.0, 25.0, 30.0)])
         f_ref, fp_ref = airy_jost_xm1(ks)
         w = 1.0 / np.maximum(1.0, np.abs(ks))
@@ -185,12 +178,43 @@ class TestNonConstantPotentials:
             err = abs(f[0] - fr) + w[0] * abs(fp[0] - fpr)
             assert err <= floor + rtol * scale, k
 
+    # q = -1.67 + 2.53 x; at 1e-13 the 8-vs-16 change predicts 256 cells, which
+    # the ladder reaches without the counts between; at 1e-8 it doubles once more.
+    @pytest.mark.parametrize("k, rtol, levels", [(10.5 + 0.8j, 1e-13, [8, 16, 128, 256]),
+                                                 (1.5 + 1.7j, 1e-8, [8, 16, 32])],
+                             ids=["1e-13", "1e-8"])
+    def test_ladder_jumps_to_the_predicted_count(self, k, rtol, levels, monkeypatch):
+        used = _spy_cells(monkeypatch)
+        jost_at_zero_many(Potential.polynomial([-1.6685632173450171, 2.528261446027842]), [k],
+                          rtol=rtol)
+        assert used == levels
+
+    def test_ladder_jump_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(tspec.jost, "_MAX_CELLS", 64)
+        used = _spy_cells(monkeypatch)
+        with pytest.raises(IntegrationFailureError):
+            jost_at_zero_many(NONCONSTANT["linear"], [30.0 + 1.0j], rtol=1e-13)
+        assert max(used) == 64
+
     @pytest.mark.parametrize("name", ["linear", "spline"])
     def test_cell_cap_raises(self, name, monkeypatch):
         # The spline's 8 intervals start at 8 cells, so a cap of 16 allows one doubling.
         monkeypatch.setattr(tspec.jost, "_MAX_CELLS", 16)
         with pytest.raises(IntegrationFailureError):
             jost_at_zero_many(NONCONSTANT[name], [30.0 + 1.0j], rtol=1e-13)
+
+
+def _spy_cells(monkeypatch):
+    """The cell count of every _transfer call, in order."""
+    used = []
+    transfer = tspec.jost._transfer
+
+    def spy(p, ks, cells):
+        used.append(cells)
+        return transfer(p, ks, cells)
+
+    monkeypatch.setattr(tspec.jost, "_transfer", spy)
+    return used
 
 
 class TestCellDataCache:

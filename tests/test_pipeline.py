@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import tspec.charfun
-from tspec import pipeline
+from tspec import pipeline, rootfind
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
 from tspec.errors import ConfigError
@@ -120,19 +120,45 @@ def _spy_evaluations(monkeypatch):
 class TestTargetedCost:
     @pytest.mark.parametrize("n_hi", range(1, 7))
     def test_one_residual_call(self, n_hi, monkeypatch):
+        # Each polished box makes one stencil call and one check call at 1e-13,
+        # and the checks give every root its residual: no call comes after them.
         p = Potential.polynomial([1.0, 1.0])
         calls = _spy_evaluations(monkeypatch)
+        boxes = []
+        moment_zeros = rootfind._moment_zeros
+        monkeypatch.setattr(rootfind, "_moment_zeros",
+                            lambda *args: boxes.append(args) or moment_zeros(*args))
         evs = targeted_spectrum(p, derive_scalars(p), "robin", 1, n_hi)
         assert [e.index for e in evs] == list(range(1, n_hi + 1))
         assert all(e.refined for e in evs)
-        # The last evaluation gives the residuals of all roots at once. (A
-        # polish sweep may have evaluated a root already, when its last step
-        # rounds to nothing.)
-        assert calls[-1] == (1e-13, [e.k for e in evs])
+        fine = [ks for rtol, ks in calls if rtol == 1e-13]
+        assert len(fine) <= 2 * len(boxes) and len(fine) % 2 == 0
+        stencils, checks = fine[::2], fine[1::2]
+        assert [len(ks) for ks in stencils] == [5 * len(ks) for ks in checks]
+        checked = sorted((k for ks in checks for k in ks), key=abs)
+        assert checked == sorted((e.k for e in evs), key=abs)
         monkeypatch.undo()
         for ev in evs:
             single = abs(tspec.charfun.eval_D_many(p, [ev.k], rtol=1e-13)[0])
             assert abs(ev.residual - single) <= 1e-11 * single
+
+    @pytest.mark.parametrize("n_lo, searches", [(1, 1), (2, 0)])
+    def test_small_zero_search_only_where_a_window_can_reach_it(self, n_lo, searches,
+                                                               monkeypatch):
+        # The box search for the n = 0 target runs only for n_lo <= 1, and
+        # leaving it out changes no zero of a window that starts at n = 2.
+        p = Potential.polynomial([1.0, 1.0])
+        calls = []
+        search = pipeline.asy._small_leading_zeros
+        monkeypatch.setattr(pipeline.asy, "_small_leading_zeros",
+                            lambda *args: calls.append(args) or search(*args))
+        index_targets = pipeline.asy.index_targets
+        evs = targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3)
+        assert len(calls) == searches
+        monkeypatch.setattr(pipeline.asy, "index_targets",
+                            lambda *args, include_small: index_targets(*args))
+        assert targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3) == evs
+        assert [e.index for e in evs] == list(range(n_lo, 4))
 
     def test_newton_budget_at_fine_tolerance(self, monkeypatch):
         # Only the polish and the residuals may run tighter than the winding

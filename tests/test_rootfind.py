@@ -415,6 +415,41 @@ class TestMomentZeros:
         assert [w for _f, _rf, w, *_ in moments].count(2) == 1 and len(splits) > 10
         assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(2, False)]
 
+    def test_passed_check_gives_the_residual(self):
+        # The counting evaluator is 1e-9 off; one stencil sweep and one check
+        # on refine_f finish the root, and the check's value is its residual.
+        fine = poly_with_roots([0.3 + 0.2j])
+        seen = []
+
+        def rf(ks):
+            seen.append(np.array(ks, dtype=complex))
+            return fine(ks)
+
+        res = find_zeros(lambda k: fine(k) + 1e-9, self.BOX, refine_f=rf, symmetry=False)
+        assert len(seen) == 2 and [ks.size for ks in seen] == [5, 1]
+        [ev] = res.zeros
+        assert ev.refined and abs(ev.k - (0.3 + 0.2j)) < 1e-14
+        assert ev.residual == abs(fine(np.array([ev.k]))[0])
+
+    def test_failed_check_falls_back_to_the_sweeps(self):
+        # The noise of test_stall_on_noise_floor_accepts_best_iterate keeps the
+        # check's chord step above 1e-12: the sweeps go on and stall on the
+        # noise floor, and the residual comes from one more call.
+        root = complex(1.09868411346781, 0.45508986056222)
+        seen = []
+
+        def noisy(k):
+            i = len(seen)
+            seen.append(np.size(k))
+            k = np.asarray(k, complex)
+            return k ** 2 - (1 + 1j) + 1e-11 * (-1) ** i * (1 + (i % 3) / 2)
+
+        res = find_zeros(lambda k: np.asarray(k, complex) ** 2 - (1 + 1j), (0.5, 1.5, 0.0, 1.0),
+                         refine_f=noisy, symmetry=False)
+        [ev] = res.zeros
+        assert ev.refined and abs(ev.k - root) < 1e-8
+        assert seen[:2] == [5, 1] and len(seen) > 3 and seen[-1] == 1
+
     def test_seed_outside_the_padded_box_skips_newton(self, monkeypatch):
         # Newton would stop such a seed at its first evaluation, so the box
         # fails without the call.

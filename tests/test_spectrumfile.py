@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 from collections import Counter
@@ -60,6 +61,18 @@ class TestContentHash:
 
     def test_golden_digest(self):
         assert _content_hash(_golden_header(), GOLDEN_RECORDS) == GOLDEN_DIGEST
+
+    def test_written_bytes_are_the_json_dump_text(self, tmp_path):
+        header = SpectrumHeader(**_golden_header())
+        header.warnings = ['index "0" has a \\ and a "quoted" warning']
+        path = tmp_path / "spec.json"
+        doc = write_spectrum(path, header, GOLDEN_RECORDS)
+        # The text json.dump streams for the document with asdict records.
+        text = io.StringIO()
+        json.dump({"header": doc["header"],
+                   "records": [asdict(SpectrumRecord(**d)) for d in doc["records"]]},
+                  text, indent=2)
+        assert path.read_bytes() == (text.getvalue() + "\n").encode()
 
     def test_numpy_floats_hash_as_written(self, tmp_path):
         records = [SpectrumRecord(index=0, re_k=np.float64(2.5), im_k=np.float64(-0.0),
