@@ -74,7 +74,7 @@ def _cell_matrices(we, wh0, wh1, wf0, wf1, kk):
     d2 = wh * wh + we * wf
     d = np.sqrt(d2)
     ch = np.cosh(d)
-    s = np.ones_like(d)
+    s = np.ones(d.shape, dtype=complex)
     np.divide(np.sinh(d), d, out=s, where=d != 0.0)
     m = np.empty((2, 2) + d2.shape, dtype=complex)
     sh = s * wh
@@ -85,12 +85,19 @@ def _cell_matrices(we, wh0, wh1, wf0, wf1, kk):
     return m
 
 
+def _product(a, b):
+    """a b for stacks of 2x2 matrices a[i, j, ...] and b[i, j, ...]: the two products
+    of each entry added, which is cheaper than summing them along an axis."""
+    t = a[:, :, None] * b[None]
+    return t[:, 0] + t[:, 1]
+
+
 def _chain(m):
     """Ordered product m[:, :, 0] m[:, :, 1] ... over axis 2, by pairwise sweeps."""
     while m.shape[2] > 1:
         n = m.shape[2]
         even = n - n % 2
-        p = (m[:, :, None, 0:even:2] * m[None, :, :, 1:even:2]).sum(axis=1)
+        p = _product(m[:, :, 0:even:2], m[:, :, 1:even:2])
         if n % 2:
             p = np.concatenate([p, m[:, :, -1:]], axis=2)
         m = p
@@ -118,7 +125,7 @@ def _transfer(p: Potential, kk: np.ndarray, cells: int):
     m = None
     for lo in range(0, cells, block):
         t = _chain(_cell_matrices(*(g[lo:lo + block] for g in gens), kk))
-        m = t if m is None else (m[:, :, None] * t[None]).sum(axis=1)
+        m = t if m is None else _product(m, t)
     return m.reshape(4, -1)
 
 
@@ -190,8 +197,10 @@ def transfer_many(p: Potential, ks, rtol: float = DEFAULT_RTOL) -> np.ndarray:
                 f"at {cells // 2} cells")
         m2 = _transfer(p, kk[active], cells)
         dm = m2 - m
-        diff = np.abs(dm[0] + sign_ik * dm[1]) + weight * np.abs(dm[2] + sign_ik * dm[3])
-        size = np.abs(m2[0] + sign_ik * m2[1]) + weight * np.abs(m2[2] + sign_ik * m2[3])
+        # The change and the size of the Jost values, in one stacked pass.
+        both = np.stack([dm, m2], axis=1)[:, :, None]
+        diff, size = (np.abs(both[0] + sign_ik * both[1])
+                      + weight * np.abs(both[2] + sign_ik * both[3]))
         allowed = scale * size + cells * floor
         ok = diff <= allowed
         done = ok[0] & ok[1]

@@ -21,7 +21,8 @@ from .errors import (ConfigError, DomainError, HypothesisMismatchError, Indexing
                      ProbeTooCloseError, TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (Eigenvalue, ZeroSearchResult, _match_targets, find_zeros,
+from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, _SPACING, ContourBox, Eigenvalue,
+                       ZeroSearchResult, _boundary, _find_zeros, _match_targets,
                        gamma_contour_count, index_eigenvalues, orbit, origin_multiplicity)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
@@ -32,24 +33,44 @@ _SYMMETRY_TOL = 1e-9        # relative distance at which a record counts as a mi
 _SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the decay audit
 
 
+def _vanishes(probes) -> bool:
+    """The degeneracy verdict on D at _DEGENERATE_PROBES."""
+    return bool(np.max(np.abs(np.asarray(probes, dtype=complex))) < 1e-11)
+
+
 def is_degenerate(dev: DEvaluator) -> bool:
     """True when D vanishes identically (the unperturbed q = 0 system)."""
-    vals = np.asarray(dev(np.array(_DEGENERATE_PROBES)), dtype=complex)
-    return bool(np.max(np.abs(vals)) < 1e-11)
+    return _vanishes(dev(np.array(_DEGENERATE_PROBES)))
 
 
-def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
-                      n_lo: int, n_hi: int, *, rtol_refine: float = 1e-13) -> List[Eigenvalue]:
-    """Indexed eigenvalues n_lo..n_hi: the region scan of the strip their targets span.
+def _opening(dev: DEvaluator, region):
+    """D at _DEGENERATE_PROBES and on the first boundaries of the origin box and of
+    region (None for no region), in one call: (probes, origin, region) values.
+    A region whose first boundary alone would pass the most samples a count may
+    refine to is left out (None): the degeneracy verdict, which needs none of
+    it, must not wait on it. When the call fails, the probes alone, and None
+    for the boundaries, whose counts then sample them afresh and meet the
+    failure themselves.
+    """
+    parts = [np.array(_DEGENERATE_PROBES), _boundary(_ORIGIN_BOX)]
+    box = None if region is None else ContourBox(*map(float, region))
+    if box is not None and box.width + box.height <= 0.5 * _SPACING * _MAX_BOUNDARY_POINTS:
+        parts.append(_boundary(box))
+    try:
+        vals = np.split(dev(np.concatenate(parts)), np.cumsum([p.size for p in parts[:-1]]))
+    except TspecError:
+        return dev(parts[0]), None, None
+    return (*vals, None)[:3]
+
+
+def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
+    """The strip a targeted window n_lo..n_hi is scanned over, and the (targets,
+    spacing, n_min) that number its zeros; None when no target is in the window.
 
     The strip reaches half a target spacing past the real parts of the
     asymptotic targets of the window (from Re k = 0 when the window reaches
     the first index the theorem assigns) and runs from Im k = 0 to
-    max(3, max Im + spacing / 2). It is scanned with winding counts at 1e-8
-    and Newton polish at rtol_refine, and its zeros are numbered against the
-    same targets, as a region scan numbers its zeros. An index with no zero
-    in the strip is absent; IndexingConflictError when two zeros contend for
-    one index.
+    max(3, max Im + spacing / 2). DomainError when no numbering theorem applies.
     """
     # The n = 0 target has Re k below 1.02 pi, farther than the matching radius
     # from a strip that starts near Re k = 1.5 pi (n_lo >= 2): no zero there can
@@ -58,20 +79,47 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                                                 include_small=n_lo <= 1)
     sel = np.array([val for (n, val, _b) in targets if n_lo <= n <= n_hi], dtype=complex)
     if not sel.size:
-        return []
+        return None
     half = 0.5 * spacing
     strip = (0.0 if n_lo <= n_min else sel.real.min() - half, sel.real.max() + half,
              0.0, max(3.0, sel.imag.max() + half))
-    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine)
-    zeros = _match_targets(res.zeros, targets, spacing, n_min)
+    return strip, (targets, spacing, n_min)
+
+
+def _targeted(p: Potential, variant: str, placed, n_lo: int, n_hi: int, rtol_refine: float,
+              first=None) -> List[Eigenvalue]:
+    """The zeros of the strip of placed (from _strip), numbered, indices n_lo..n_hi
+    kept; first as for scan_spectrum."""
+    if placed is None:
+        return []
+    strip, numbering = placed
+    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine,
+                        first=first)
+    zeros = _match_targets(res.zeros, *numbering)
     return [ev for ev in zeros if n_lo <= ev.index <= n_hi]
 
 
+def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
+                      n_lo: int, n_hi: int, *, rtol_refine: float = 1e-13) -> List[Eigenvalue]:
+    """Indexed eigenvalues n_lo..n_hi: the region scan of the strip their targets span.
+
+    The strip (see _strip) is scanned with winding counts at 1e-8 and Newton
+    polish at rtol_refine, and its zeros are numbered against the same
+    targets, as a region scan numbers its zeros. An index with no zero in
+    the strip is absent; IndexingConflictError when two zeros contend for
+    one index.
+    """
+    return _targeted(p, variant, _strip(scalars, variant, n_lo, n_hi), n_lo, n_hi, rtol_refine)
+
+
 def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
-                  rtol_winding: float = 1e-9, rtol_refine: float = 1e-13) -> ZeroSearchResult:
+                  rtol_winding: float = 1e-9, rtol_refine: float = 1e-13,
+                  first=None) -> ZeroSearchResult:
+    """find_zeros over region, counting at rtol_winding and polishing at rtol_refine;
+    first, when given, holds D at the region's first boundary at rtol_winding."""
     dev = DEvaluator(p, variant, rtol=rtol_winding)
-    dev_fine = dev.with_tolerance(rtol_refine)
-    return find_zeros(dev, region, max_depth=depth, refine_f=dev_fine)
+    return _find_zeros(dev, region, max_depth=depth, refine_f=dev.with_tolerance(rtol_refine),
+                       first=first)
 
 
 def expand_orbit(ev: Eigenvalue) -> List[complex]:
@@ -136,11 +184,19 @@ def run_spectrum(cfg) -> SpectrumRun:
     warnings_list = []
     targeted = "n" in cfg.spectrum
     # The yes/no checks (degeneracy, origin multiplicity) need only the
-    # tolerance the run counts windings with.
+    # tolerance the run counts windings with, so they share its first call.
     rtol_winding = _RTOL_WINDING if targeted else max(cfg.rtol, 1e-10)
     dev = DEvaluator(p, cfg.variant, rtol=rtol_winding)
     region = list(cfg.spectrum.get("region", (0.0, 20.0, 0.0, 4.0)))
-    if is_degenerate(dev):
+    placed = no_theorem = None
+    if targeted:
+        n_lo, n_hi = (int(n) for n in cfg.spectrum["n"])
+        try:
+            placed = _strip(scalars, cfg.variant, n_lo, n_hi)
+        except DomainError as exc:      # raised after the verdict: q = 0 has no theorem
+            no_theorem = exc
+    probes, origin, first = _opening(dev, (placed and placed[0]) if targeted else region)
+    if _vanishes(probes):
         warnings_list.append("degenerate characteristic function: D == 0 identically "
                              "(unperturbed system); spectrum is empty")
         header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
@@ -148,12 +204,12 @@ def run_spectrum(cfg) -> SpectrumRun:
                                 s=0, warnings=warnings_list)
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
+    if no_theorem is not None:
+        raise no_theorem
     unresolved, uncertified, unrefined, conflict = [], [], [], False
     if targeted:
-        n_lo, n_hi = (int(n) for n in cfg.spectrum["n"])
         try:
-            zeros = targeted_spectrum(p, scalars, cfg.variant, n_lo, n_hi,
-                                      rtol_refine=cfg.rtol_refine)
+            zeros = _targeted(p, cfg.variant, placed, n_lo, n_hi, cfg.rtol_refine, first)
         except IndexingConflictError as exc:
             warnings_list.append(f"indexing: {exc}")
             zeros, conflict = [], True
@@ -163,7 +219,8 @@ def run_spectrum(cfg) -> SpectrumRun:
     else:
         result = scan_spectrum(p, cfg.variant, region,
                                depth=int(cfg.spectrum.get("depth", 14)),
-                               rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine)
+                               rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine,
+                               first=first)
         unresolved = result.unresolved
         unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
                      for ev in result.zeros if not ev.refined]
@@ -173,7 +230,7 @@ def run_spectrum(cfg) -> SpectrumRun:
             warnings_list.append(f"indexing: {exc}")
             zeros, conflict = result.zeros, isinstance(exc, IndexingConflictError)
     try:
-        s = origin_multiplicity(dev)
+        s = origin_multiplicity(dev, origin)
     except TspecError as exc:
         warnings_list.append(f"origin multiplicity undetermined: {exc}")
         s = 0

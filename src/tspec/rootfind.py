@@ -71,6 +71,9 @@ class ContourBox:
                            & (self.t0 - pad <= k.imag) & (k.imag <= self.t1 + pad)))
 
 
+_ORIGIN_BOX = ContourBox(-_ORIGIN_RADIUS, _ORIGIN_RADIUS, -_ORIGIN_RADIUS, _ORIGIN_RADIUS)
+
+
 @dataclass
 class Eigenvalue:
     """A zero of D by its first-quadrant representative k."""
@@ -107,6 +110,12 @@ def _edges(box: ContourBox) -> list:
     c = [complex(box.s0, box.t0), complex(box.s1, box.t0),
          complex(box.s1, box.t1), complex(box.s0, box.t1)]
     return list(zip(c, c[1:] + c[:1]))
+
+
+def _boundary(box: ContourBox) -> np.ndarray:
+    """The first samples of a winding count on box: each side from its start corner,
+    at most _SPACING apart and at least 8 of them, counterclockwise from (s0, t0)."""
+    return np.concatenate([_samples(a, b, 8) for a, b in _edges(box)])
 
 
 def _refine(f, poly: np.ndarray, closed: bool) -> Optional[np.ndarray]:
@@ -172,14 +181,17 @@ def winding_count(f: Callable, box: ContourBox) -> int:
     return _winding(f, box)[0]
 
 
-def _winding(f: Callable, box: ContourBox):
+def _winding(f: Callable, box: ContourBox, first=None):
     """winding_count's count as (w, counted box, ring): the box it was taken on
     (perturbed when the count had to move it) and its refined boundary polyline,
-    counterclockwise from (s0, t0), points in row 0 and values of f in row 1."""
+    counterclockwise from (s0, t0), points in row 0 and values of f in row 1.
+    first, when given, holds f at _boundary(box) and stands in for the first
+    attempt's call of f; a perturbed attempt samples its own boundary."""
     base = box
     for attempt in range(4):
-        pts = np.concatenate([_samples(a, b, 8) for a, b in _edges(box)])
-        ring = _refine(f, np.stack([pts, np.asarray(f(pts), dtype=complex)]), closed=True)
+        pts = _boundary(box)
+        vals = f(pts) if first is None or attempt else first
+        ring = _refine(f, np.stack([pts, np.asarray(vals, dtype=complex)]), closed=True)
         if ring is not None:
             return _count(box, ring), box, ring
         delta = 1e-4 * max(base.width, base.height) * (attempt + 1)
@@ -435,10 +447,18 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     under k -> -k, k -> k* into first-quadrant representatives (the symmetry
     group of the characteristic function); pass False for other functions.
     """
+    return _find_zeros(f, region, max_depth, refine_f=refine_f, symmetry=symmetry)
+
+
+def _find_zeros(f: Callable, region, max_depth: int = 14, *,
+                refine_f: Optional[Callable] = None, symmetry: bool = True,
+                first=None) -> ZeroSearchResult:
+    """find_zeros, with first the values of f at the region's _boundary when
+    they are already known (the region's first count then skips that call)."""
     s0, s1, t0, t1 = (float(v) for v in region)
     if not (s1 > s0 and t1 > t0):
         raise DomainError("region must have positive width and height")
-    w, box, ring = _winding(f, ContourBox(s0, s1, t0, t1))
+    w, box, ring = _winding(f, ContourBox(s0, s1, t0, t1), first)
     raw = []
     checked = {}      # the residual of each zero whose polish check passed
     unresolved: List[ContourBox] = []
@@ -520,10 +540,10 @@ def gamma_contour_count(d_evaluator: Callable, n: int) -> int:
     return winding_count(kd, box)
 
 
-def origin_multiplicity(d_evaluator: Callable) -> int:
-    """Multiplicity s of the zero eigenvalue: half the winding of D around the origin."""
-    box = ContourBox(-_ORIGIN_RADIUS, _ORIGIN_RADIUS, -_ORIGIN_RADIUS, _ORIGIN_RADIUS)
-    w = winding_count(d_evaluator, box)
+def origin_multiplicity(d_evaluator: Callable, first=None) -> int:
+    """Multiplicity s of the zero eigenvalue: half the winding of D around the origin,
+    on _ORIGIN_BOX; first, when given, holds D at its _boundary."""
+    w = _winding(d_evaluator, _ORIGIN_BOX, first)[0]
     if w % 2:
         raise PhaseResolutionError(f"odd origin winding {w} for an even function")
     return w // 2

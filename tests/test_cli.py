@@ -236,6 +236,23 @@ class TestSpectrumCommand:
         assert records == []
         assert "degenerate" in capsys.readouterr().err
 
+    def test_degenerate_potential_index_window(self, workdir, capsys):
+        # q = 0 has no numbering theorem; the strip is placed before the
+        # degeneracy verdict, and its failure must not mask that verdict.
+        config = {"potential": {"kind": "constant", "value": 0.0, "h": 0.0}, "variant": "robin"}
+        code, header, records = self._spectrum(workdir, config, ["--n", "1..3"], "zero_n.json")
+        assert code == 0 and records == []
+        assert [w for w in header.warnings if "degenerate" in w]
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_no_numbering_theorem_exits_3(self, workdir, capsys):
+        # q = (1 - x)^2: q(1) = q'(1) = 0 but D is not identically zero.
+        config = {"potential": {"kind": "polynomial", "coeffs": [1.0, -2.0, 1.0], "h": 0.0},
+                  "variant": "robin"}
+        code, _, _ = self._spectrum(workdir, config, ["--n", "1..3"], "no_theorem.json")
+        assert code == 3
+        assert "no numbering theorem" in capsys.readouterr().err
+
 
 class TestCharfunCommand:
     def test_eval_prints_json(self, config_path, capsys):

@@ -74,7 +74,7 @@ class TestRunSpectrum:
         # uncertified targeted root is.
         merged = Eigenvalue(k=2.5 + 1.0j, index=None, multiplicity=2, residual=1e-3,
                             cls="quadrant", refined=False)
-        monkeypatch.setattr(pipeline, "find_zeros",
+        monkeypatch.setattr(pipeline, "_find_zeros",
                             lambda f, region, **kw: ZeroSearchResult([merged], [], []))
         run = run_spectrum(_cfg({"kind": "constant", "value": 1.0, "h": 0.0},
                                 spectrum={"region": [1.5, 4.0, 0.5, 2.0]}))
@@ -170,6 +170,46 @@ class TestTargetedCost:
         evs = targeted_spectrum(p, derive_scalars(p), "robin", 3, 3)
         assert [e.index for e in evs] == [3] and evs[0].refined
         assert sum(1 for rtol, _ks in calls if rtol < 1e-8) <= 3
+
+
+class TestOpeningCall:
+    # The degeneracy probes and the first boundaries of the origin box and of
+    # the searched region share one D call, so a run makes two fewer than the
+    # 7 it made when the probes and the origin count each had their own.
+    LINEAR = {"kind": "polynomial", "coeffs": [-1.6685632173450171, 2.528261446027842],
+              "h": -0.20404202893245155}
+    STRIP = {"kind": "polynomial", "coeffs": [-0.6, 1.2], "h": 0.0}
+
+    @pytest.mark.parametrize("potential, spectrum", [
+        (LINEAR, {"n": [3, 3]}), (STRIP, {"region": [7.2, 8.7, -0.6, 0.6]})],
+        ids=["targeted", "scan"])
+    def test_d_call_budget(self, potential, spectrum, monkeypatch):
+        calls = []
+        transfer_many = tspec.charfun.transfer_many
+        monkeypatch.setattr(tspec.charfun, "transfer_many",
+                            lambda p, ks, rtol: calls.append(ks) or transfer_many(p, ks, rtol))
+        run = run_spectrum(_cfg(potential, spectrum=spectrum))
+        assert run.exit_code == 0 and len(run.eigenvalues) == 1
+        assert len(calls) == 5
+        if "n" in spectrum:
+            p = Potential.from_dict(potential)
+            region = pipeline._strip(derive_scalars(p), "robin", 3, 3)[0]
+        else:
+            region = spectrum["region"]
+        opening = np.concatenate([pipeline._DEGENERATE_PROBES,
+                                  rootfind._boundary(rootfind._ORIGIN_BOX),
+                                  rootfind._boundary(rootfind.ContourBox(*region))])
+        assert np.array_equal(calls[0], opening)
+
+    @pytest.mark.parametrize("region", [[0.0, 1.0, 0.0, 70.0], [0.0, 1e200, 0.0, 1.0]],
+                             ids=["past-the-im-cap", "too-long-to-sample"])
+    def test_degenerate_exit_needs_no_region_samples(self, region):
+        # q = 0 over a region the Jost layer cannot take, or whose boundary no
+        # count could sample: the verdict still comes first, from the probes.
+        run = run_spectrum(_cfg({"kind": "constant", "value": 0.0, "h": 0.0},
+                                spectrum={"region": region}))
+        assert run.exit_code == 0 and run.records == []
+        assert any("degenerate" in w for w in run.header.warnings)
 
 
 class TestDirichletTheorem:

@@ -474,10 +474,56 @@ class TestMomentZeros:
         assert abs(res.zeros[0].k - zero) < 1e-12
 
 
+class TestFirstBoundaryHandOff:
+    # A count handed the values of f at its first boundary skips that call of
+    # f and otherwise runs as it would have.
+    @staticmethod
+    def _recording(f):
+        calls = []
+        return calls, lambda ks: calls.append(np.array(ks)) or f(ks)
+
+    @pytest.mark.parametrize("roots, box", [
+        ([0.3 + 0.2j, -0.5 - 0.4j, 0.7 + 0.6j], (-1.0, 1.0, -1.0, 1.0)),
+        ([1.0 + 0.0j, -2.0 + 0.5j], (0.0, 1.0, -0.5, 0.5)),       # a zero on a sample point
+    ], ids=["inside", "on-the-boundary"])
+    def test_count_ring_and_zeros_unchanged(self, roots, box):
+        f = poly_with_roots(roots)
+        first = f(rootfind._boundary(ContourBox(*box)))
+        plain, f_plain = self._recording(f)
+        handed, f_handed = self._recording(f)
+        w, counted, ring = rootfind._winding(f_plain, ContourBox(*box))
+        w2, counted2, ring2 = rootfind._winding(f_handed, ContourBox(*box), first)
+        assert (w, counted) == (w2, counted2) and np.array_equal(ring, ring2)
+        assert len(handed) == len(plain) - 1
+        assert all(np.array_equal(a, b) for a, b in zip(plain[1:], handed))
+        plain.clear()
+        handed.clear()
+        res = find_zeros(f_plain, box, symmetry=False)
+        res2 = rootfind._find_zeros(f_handed, box, symmetry=False, first=first)
+        assert res == res2 and len(handed) == len(plain) - 1
+
+    def test_perturbed_attempts_sample_afresh(self):
+        # The zero at 1 sits on a sample of the side s = 1: the handed values
+        # serve the first attempt only, and the grown box samples its own boundary.
+        f = poly_with_roots([1.0 + 0.0j, -2.0 + 0.5j])
+        box = ContourBox(0.0, 1.0, -0.5, 0.5)
+        calls, f_handed = self._recording(f)
+        w, counted, _ = rootfind._winding(f_handed, box, f(rootfind._boundary(box)))
+        assert counted != box and w == 1
+        assert np.array_equal(calls[0], rootfind._boundary(counted))
+
+
 class TestOriginMultiplicity:
     def test_no_zero_at_origin(self, q_one):
         dev = DEvaluator(q_one, "robin", rtol=1e-10)
         assert origin_multiplicity(dev) == 0
+
+    def test_handed_first_boundary(self, q_one):
+        dev = DEvaluator(q_one, "robin", rtol=1e-10)
+        calls = []
+        first = dev(rootfind._boundary(rootfind._ORIGIN_BOX))
+        assert origin_multiplicity(lambda ks: calls.append(ks) or dev(ks), first) == 0
+        assert calls == []
 
     def test_synthetic_double_origin(self):
         f = lambda k: np.asarray(k, complex) ** 2 * (1 - np.asarray(k, complex) ** 2 / 9.0)
