@@ -22,9 +22,9 @@ from .charfun import DEvaluator, eval_D_many, sample_D_grid
 from .config import RunConfig, check_values, load_config
 from .errors import ConfigError, TspecError, UnstableLimitError
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
-from .pipeline import (eigenvalues_from_records, run_spectrum, run_validate)
+from .pipeline import eigenvalues_from_columns, run_spectrum, validate_columns
 from .potential import Potential, derive_scalars
-from .spectrumfile import read_spectrum, write_spectrum, write_spectrum_csv
+from .spectrumfile import _read_columns, write_spectrum, write_spectrum_csv
 
 
 def _parse_pair(text: str):
@@ -167,11 +167,12 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_spectrum_eigentuple(path):
-    header, records, hash_ok = read_spectrum(path)
+def _load_spectrum(path):
+    """The header and record columns of a spectrum file; a hash mismatch warns."""
+    header, columns, hash_ok = _read_columns(path)
     if not hash_ok:
         print("warning: spectrum file content hash mismatch", file=sys.stderr)
-    return header, records
+    return header, columns
 
 
 def _cmd_asymptotics(cfg: RunConfig, args) -> int:
@@ -188,8 +189,8 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
                                               pred.mus, pred.corrections)],
         }, cfg.out)
         return 0
-    header, records = _load_spectrum_eigentuple(args.spectrum)
-    zeros = [ev for ev in eigenvalues_from_records(records)
+    header, columns = _load_spectrum(args.spectrum)
+    zeros = [ev for ev in eigenvalues_from_columns(columns)
              if ev.index is not None and ev.index >= 1]
     if not zeros:
         print("error: spectrum file has no indexed eigenvalues", file=sys.stderr)
@@ -217,8 +218,8 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
 def _cmd_gamma(cfg: RunConfig, args) -> int:
     p = Potential.from_dict(cfg.potential)
     scalars = derive_scalars(p)
-    header, records = _load_spectrum_eigentuple(args.spectrum)
-    hp = from_eigenvalues(eigenvalues_from_records(records), s=header.s)
+    header, columns = _load_spectrum(args.spectrum)
+    hp = from_eigenvalues(eigenvalues_from_columns(columns), s=header.s)
     try:
         if args.route == "omega":
             est = gamma_from_omega(hp, scalars, cfg.variant)
@@ -239,8 +240,8 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     path = args.spectrum or cfg.validate.get("spectrum")
     if not path:
         raise ConfigError("validate needs --spectrum or validate.spectrum in the config")
-    header, records, hash_ok = read_spectrum(path)
-    report = run_validate(cfg, header, records, hash_ok)
+    header, columns, hash_ok = _read_columns(path)
+    report = validate_columns(cfg, header, columns, hash_ok)
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:
         print(f"{e.name:<{width}}  {e.status.upper():<7}  {e.detail}")

@@ -39,33 +39,63 @@ class HadamardProduct:
     under conjugation and sorted by ascending modulus; s is the multiplicity
     of the zero eigenvalue. E multiplies the factor of lambdas[first[i]] with
     that of its conjugate lambdas[second[i]] before the rest; second[i] is -1
-    for a real lambda.
+    for a real lambda. lambda_array holds lambdas as a read-only complex array.
     """
 
     s: int
     lambdas: tuple
     first: np.ndarray = field(compare=False, repr=False)
     second: np.ndarray = field(compare=False, repr=False)
+    lambda_array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.lambda_array is None:
+            object.__setattr__(self, "lambda_array", np.array(self.lambdas, dtype=complex))
+        self.lambda_array.flags.writeable = False
 
     @property
     def truncation(self) -> int:
         return len(self.lambdas)
 
     def sqrt_roots(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.lambdas, dtype=complex))
+        return np.sqrt(self.lambda_array)
 
 
-def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
-    """Validated constructor; rejects lists not closed under conjugation.
+def _adjacent_pairs(lams: np.ndarray):
+    """The (first, second) pairing of sorted lams when each non-real entry's
+    partner is the entry right after it, else None.
 
-    Each complex lambda is paired with the first later unpaired entry within
-    1e-9 max(1, |lambda|) of its conjugate; sorting by modulus keeps that
-    entry close by.
+    It is the greedy loop's pairing (_greedy_pairs) whenever it returns one:
+    the loop takes the first unused entry within tolerance, which the entry
+    right after an unpaired one is. np.hypot is the C hypot that abs(complex)
+    is, so the tests here are the loop's to the bit (np.abs on complex
+    numbers is not). A modulus that overflows is left to the loop, which
+    raises OverflowError on it.
     """
-    arr = np.asarray(list(lambdas), dtype=complex)
-    if not np.all(np.isfinite(arr)) or np.any(arr == 0):
-        raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
-    lams = arr[np.argsort(np.abs(arr), kind="stable")].tolist()
+    mods = np.hypot(lams.real, lams.imag)
+    if not np.all(np.isfinite(mods)):
+        return None
+    real = np.abs(lams.imag) <= _CONJ_TOL * mods
+    at = np.arange(lams.size)
+    # Within each run of non-real entries, the even places open a pair.
+    run_start = np.maximum.accumulate(np.where(real, at, -1)) + 1
+    opens = ~real & ((at - run_start) % 2 == 0)
+    a = np.flatnonzero(opens)
+    b = a + 1
+    if b.size and (b[-1] == lams.size or np.any(real[b])):
+        return None
+    with np.errstate(over="ignore"):      # an infinite gap pairs nothing, as in the loop
+        gap = lams[b] - np.conj(lams[a])
+    if not np.all(np.hypot(gap.real, gap.imag) <= _CONJ_TOL * np.maximum(1.0, mods[a])):
+        return None
+    first = np.flatnonzero(real | opens)
+    second = np.where(opens[first], first + 1, -1)
+    return first, second
+
+
+def _greedy_pairs(lams: list):
+    """Pair each complex lambda of the sorted list with the first later unpaired
+    entry within 1e-9 max(1, |lambda|) of its conjugate."""
     first, second = [], []
     used = [False] * len(lams)
     for i, lam in enumerate(lams):
@@ -85,8 +115,37 @@ def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
                 break
         else:
             raise DomainError(f"eigenvalue list not closed under conjugation: {lam} unpaired")
-    return HadamardProduct(s=int(s), lambdas=tuple(lams),
-                           first=np.array(first, dtype=int), second=np.array(second, dtype=int))
+    return np.array(first, dtype=int), np.array(second, dtype=int)
+
+
+def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
+    """Validated constructor; rejects lists not closed under conjugation.
+
+    Each complex lambda is paired with the first later unpaired entry within
+    1e-9 max(1, |lambda|) of its conjugate; sorting by modulus keeps that
+    entry close by, and where it is always the next entry the pairs are
+    taken in one vectorised pass.
+    """
+    arr = np.asarray(lambdas if isinstance(lambdas, np.ndarray) else list(lambdas),
+                     dtype=complex)
+    if not np.all(np.isfinite(arr)) or np.any(arr == 0):
+        raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
+    lams = arr[np.argsort(np.abs(arr), kind="stable")]
+    as_list = lams.tolist()
+    first, second = _adjacent_pairs(lams) or _greedy_pairs(as_list)
+    return HadamardProduct(s=int(s), lambdas=tuple(as_list), first=first, second=second,
+                           lambda_array=lams)
+
+
+def _square(ks: np.ndarray) -> np.ndarray:
+    """complex(k) ** 2 for each k, to the bit: CPython squares as
+    (1 + 0j) * (k * k), each product spelled out in real arithmetic, while
+    numpy's complex multiply may fuse a*c - b*d into one rounding."""
+    re, im = ks.real, ks.imag
+    pr, pi = re * re - im * im, re * im + im * re
+    out = np.empty_like(ks)
+    out.real, out.imag = pr - 0.0 * pi, pi + 0.0 * pr
+    return out
 
 
 def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
@@ -95,15 +154,17 @@ def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
     Quadrant zeros contribute the conjugate pair (lambda, lambda*); real and
     imaginary ones a single real lambda, each repeated per multiplicity.
     """
-    lams = []
-    for ev in eigenvalues:
-        lam = complex(ev.k) ** 2
-        for _ in range(ev.multiplicity):
-            if ev.cls == "quadrant":
-                lams.extend([lam, lam.conjugate()])
-            else:
-                lams.append(complex(lam.real, 0.0))
-    return hadamard_product(lams, s=s)
+    eigenvalues = list(eigenvalues)
+    ks = np.array([ev.k for ev in eigenvalues], dtype=complex)
+    mult = np.array([ev.multiplicity for ev in eigenvalues], dtype=int)
+    quadrant = np.array([ev.cls == "quadrant" for ev in eigenvalues], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf fails in hadamard_product
+        lam = _square(ks)
+    lam.imag[~quadrant] = 0.0
+    # Row i is (lambda_i, lambda_i*), the second kept for quadrant zeros only.
+    pairs = np.stack([lam, np.conj(lam)], axis=1)
+    keep = np.stack([np.ones_like(quadrant), quadrant], axis=1)
+    return hadamard_product(np.repeat(pairs, mult, axis=0)[np.repeat(keep, mult, axis=0)], s=s)
 
 
 def _paired_factors(hp: HadamardProduct, k: complex) -> np.ndarray:
@@ -113,7 +174,7 @@ def _paired_factors(hp: HadamardProduct, k: complex) -> np.ndarray:
     vectorized complex multiply may fuse a*c - b*d into one rounding; then
     E(k) on the real axis keeps a rounding-level imaginary part.
     """
-    facs = 1.0 - (k * k) / np.asarray(hp.lambdas, dtype=complex)
+    facs = 1.0 - (k * k) / hp.lambda_array
     out = facs[hp.first]
     pair = hp.second >= 0
     a, b = out[pair], facs[hp.second[pair]]

@@ -21,10 +21,10 @@ from .errors import (ConfigError, DomainError, HypothesisMismatchError, Indexing
                      ProbeTooCloseError, TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, _SPACING, ContourBox, Eigenvalue,
-                       ZeroSearchResult, _boundary, _find_zeros, _match_targets,
+from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, ContourBox, Eigenvalue,
+                       ZeroSearchResult, _boundary, _boundary_size, _find_zeros, _match_targets,
                        gamma_contour_count, index_eigenvalues, orbit, origin_multiplicity)
-from .spectrumfile import SpectrumHeader, SpectrumRecord
+from .spectrumfile import SpectrumHeader, SpectrumRecord, _Columns, _columns_of
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
 _GAMMA_REL_TOL = 0.25       # largest relative gap between the direct and a limit route
@@ -54,7 +54,7 @@ def _opening(dev: DEvaluator, region):
     """
     parts = [np.array(_DEGENERATE_PROBES), _boundary(_ORIGIN_BOX)]
     box = None if region is None else ContourBox(*map(float, region))
-    if box is not None and box.width + box.height <= 0.5 * _SPACING * _MAX_BOUNDARY_POINTS:
+    if box is not None and _boundary_size(box) <= _MAX_BOUNDARY_POINTS:
         parts.append(_boundary(box))
     try:
         vals = np.split(dev(np.concatenate(parts)), np.cumsum([p.size for p in parts[:-1]]))
@@ -148,24 +148,35 @@ def _first_of_each(keys, positions) -> List[int]:
     return sorted(dict(zip(reversed(keys), reversed(positions))).values())
 
 
-def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
-    """First-quadrant representatives with indices, one per orbit.
+def _k_array(re_k, im_k) -> np.ndarray:
+    """complex(re, im) for each pair of the two columns, as one array."""
+    ks = np.empty(len(re_k), dtype=complex)
+    ks.real, ks.imag = re_k, im_k
+    return ks
+
+
+def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
+    """First-quadrant representatives with indices, one per orbit, from the
+    record columns of a spectrum file (spectrumfile._read_columns).
 
     The mirrors of a zero share its exact (|Re k|, |Im k|), so they collapse
-    first; the 9-digit key then merges images that differ by rounding. Both
-    keep the first record seen.
+    first, by the first-occurrence indices of a stable np.unique; the 9-digit
+    key then merges images that differ by rounding. Both keep the first row seen.
     """
-    re_k = list(map(abs, [r.re_k for r in records]))
-    im_k = list(map(abs, [r.im_k for r in records]))
-    firsts = _first_of_each(list(zip(re_k, im_k)), range(len(records)))
-    rounded = [(round(re_k[i], 9), round(im_k[i], 9)) for i in firsts]
-    zeros = []
-    for i in _first_of_each(rounded, firsts):
-        r = records[i]
-        zeros.append(Eigenvalue(k=complex(re_k[i], im_k[i]), index=r.index,
-                                multiplicity=r.multiplicity, residual=r.residual, cls=r.cls,
-                                branch=r.branch))
+    re_k, im_k = columns.re_k, columns.im_k
+    _, firsts = np.unique(_k_array(np.abs(re_k), np.abs(im_k)), return_index=True)
+    firsts = np.sort(firsts).tolist()
+    rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
+    zeros = [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
+                        multiplicity=columns.multiplicity[i], residual=columns.residual[i],
+                        cls=columns.cls[i], branch=columns.branch[i])
+             for i in _first_of_each(rounded, firsts)]
     return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9, abs(e.k)))
+
+
+def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
+    """eigenvalues_from_columns on the columns of records."""
+    return eigenvalues_from_columns(_columns_of(records))
 
 
 @dataclass
@@ -272,13 +283,15 @@ class ValidationReport:
         self.entries.append(AuditEntry(name=name, status=status, detail=detail))
 
 
-def audit_symmetry(records: List[SpectrumRecord]) -> AuditEntry:
-    """The record set must be closed under k -> -k and k -> k*.
+def audit_symmetry(records) -> AuditEntry:
+    """The record set, a list of SpectrumRecord or the record columns of a
+    spectrum file, must be closed under k -> -k and k -> k*.
 
     An image of k counts as present when some record lies within
     1e-9 (1 + |k|) of it.
     """
-    ks = np.array([complex(r.re_k, r.im_k) for r in records], dtype=complex)
+    columns = records if isinstance(records, _Columns) else _columns_of(records)
+    ks = _k_array(columns.re_k, columns.im_k)
     images = orbit(ks)[:, 1:].ravel()     # record-major: -k, k*, -k* per record
     tol = _SYMMETRY_TOL * (1.0 + np.abs(np.repeat(ks, 3)))
     # Candidates are the records whose Re k lies within twice tol of the image;
@@ -338,19 +351,19 @@ def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, var
     tag = theorem or default_theorem_tag(scalars, variant)
     if tag is None:
         return AuditEntry("residual-decay", "skipped", "no asymptotic theorem applies")
+    rows = [ev for ev in zeros if ev.index is not None and ev.index >= 1]
+    # One prediction checks the theorem's hypotheses: at n = 5 alone when too
+    # few rows leave nothing else to predict.
     try:
-        asy.predict_eigenvalues(scalars, tag, [5])  # hypothesis check first
+        pred = asy.predict_eigenvalues(scalars, tag, [5] if len(rows) < 4
+                                       else sorted({ev.index for ev in rows}))
     except HypothesisMismatchError as exc:
         return AuditEntry("residual-decay", "fail", f"hypothesis mismatch: {exc}")
-    rows = [ev for ev in zeros if ev.index is not None and ev.index >= 1]
     if len(rows) < 4:
         return AuditEntry("residual-decay", "skipped",
                           f"only {len(rows)} indexed eigenvalues with n >= 1")
     try:
-        pred = asy.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in rows}))
         report = asy.residual_report(rows, pred)
-    except HypothesisMismatchError as exc:
-        return AuditEntry("residual-decay", "fail", f"hypothesis mismatch: {exc}")
     except DomainError as exc:
         return AuditEntry("residual-decay", "skipped", str(exc))
     ok = report.loglog_slope <= _SLOPE_TOL and report.tails_decreasing
@@ -391,11 +404,18 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
 
 def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
                  hash_ok: bool = True) -> ValidationReport:
-    """Pass/fail table over symmetry, contour counts, residual decay, gamma routes."""
+    """validate_columns on the columns of records."""
+    return validate_columns(cfg, header, _columns_of(records), hash_ok)
+
+
+def validate_columns(cfg, header: SpectrumHeader, columns, hash_ok: bool = True
+                     ) -> ValidationReport:
+    """Pass/fail table over symmetry, contour counts, residual decay, gamma routes,
+    for the record columns of a spectrum file (spectrumfile._read_columns)."""
     report = ValidationReport()
     report.add("file-integrity", "pass" if hash_ok else "fail",
                "content hash matches" if hash_ok else "content hash mismatch")
-    if not records:
+    if not columns.re_k:
         has_warning = any("degenerate" in w for w in header.warnings)
         report.add("symmetry-closure", "skipped", "empty spectrum")
         report.add("residual-decay", "skipped", "empty spectrum")
@@ -403,7 +423,7 @@ def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
         if not has_warning:
             report.add("empty-spectrum", "fail", "no records and no degeneracy warning")
         return report
-    report.entries.append(audit_symmetry(records))
+    report.entries.append(audit_symmetry(columns))
     try:
         p = Potential.from_dict(header.potential)
     except DomainError as exc:  # a malformed input file, as for the config's potential
@@ -412,7 +432,7 @@ def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
     dev = DEvaluator(p, header.variant, rtol=cfg.rtol)
     contours = cfg.validate.get("contours", [2, 3])
     report.entries.append(audit_contours(dev, scalars, contours))
-    zeros = eigenvalues_from_records(records)
+    zeros = eigenvalues_from_columns(columns)
     theorem = cfg.validate.get("theorem")
     report.entries.append(audit_residual_decay(zeros, scalars, header.variant, theorem))
     report.entries.append(audit_gamma(dev, zeros, scalars, header.variant, s=header.s))

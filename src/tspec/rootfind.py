@@ -112,9 +112,22 @@ def _edges(box: ContourBox) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
+def _boundary_size(box: ContourBox) -> float:
+    """How many samples _boundary(box) takes; inf for a side too long for a float."""
+    sides = (abs(box.width) / _SPACING, abs(box.height) / _SPACING)
+    return 2 * sum(max(8, math.ceil(x)) if math.isfinite(x) else math.inf for x in sides)
+
+
 def _boundary(box: ContourBox) -> np.ndarray:
     """The first samples of a winding count on box: each side from its start corner,
-    at most _SPACING apart and at least 8 of them, counterclockwise from (s0, t0)."""
+    at most _SPACING apart and at least 8 of them, counterclockwise from (s0, t0).
+    PhaseResolutionError, before any is made, when they would be more than the
+    2^14 a count may refine to."""
+    size = _boundary_size(box)
+    if size > _MAX_BOUNDARY_POINTS:
+        raise PhaseResolutionError(
+            f"the boundary of [{box.s0},{box.s1}]x[{box.t0},{box.t1}] needs {size:.3g} "
+            f"samples at spacing {_SPACING}, more than {_MAX_BOUNDARY_POINTS}")
     return np.concatenate([_samples(a, b, 8) for a, b in _edges(box)])
 
 
@@ -176,7 +189,8 @@ def winding_count(f: Callable, box: ContourBox) -> int:
     result must round to an integer with gap < 0.25. A boundary running too close to a
     zero triggers up to three outward perturbations of the box. Raises
     BoundaryTooCloseError when the perturbations run out, and
-    PhaseResolutionError when the refinement needs more than 2^14 samples.
+    PhaseResolutionError when the first samples or the refinement would take
+    more than 2^14 samples.
     """
     return _winding(f, box)[0]
 

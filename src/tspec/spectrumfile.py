@@ -14,9 +14,10 @@ import csv
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import List, Optional
 
 from . import __version__
@@ -33,10 +34,21 @@ _RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
 # The same row from the number text of a file (read_spectrum).
 _RECORD_TEXT = _RECORD_JSON.replace("%r", "%s")
 _ROW = itemgetter(*_RECORD_FIELDS)
+_FIELDS = attrgetter(*_RECORD_FIELDS)
+# The records of a spectrum as one sequence per field, in _RECORD_FIELDS order:
+# SpectrumRecord(*row) for each row of zip(*columns).
+_Columns = namedtuple("_Columns", _RECORD_FIELDS)
 _CLASSES = ("real", "imaginary", "quadrant")
 # A winding count accepts only wrapped phase jumps <= pi/2 between boundary
 # samples, so no count tspec makes, and no multiplicity it writes, exceeds this.
 _MAX_MULTIPLICITY = _MAX_BOUNDARY_POINTS // 4
+
+
+def _columns_of(records) -> _Columns:
+    """The columns of a list of SpectrumRecord."""
+    if not records:
+        return _Columns(*[()] * len(_RECORD_FIELDS))
+    return _Columns(*zip(*map(_FIELDS, records)))
 
 
 class _Number(str):
@@ -212,22 +224,31 @@ def read_spectrum(path):
     re_k, im_k and residual finite, multiplicity an int from 1 to
     _MAX_MULTIPLICITY and cls one of _CLASSES.
 
-    The records are checked and built by column. The hash is first taken over
-    the file's own number text: json.dump writes float.__repr__, which
-    round-trips, so a match there is a match on the values, and only a file
-    whose text does not match (a number spelled another way, a changed value)
-    has its values re-encoded by _content_hash. A file that fails a column
-    check, or holds an integer where a float belongs, takes the per-record
-    path, which gives the same answer and names the first fault. A file
-    nested too deeply to parse or check raises ConfigError as well.
+    The records are checked by column (_read_columns) and built from the
+    columns. The hash is first taken over the file's own number text:
+    json.dump writes float.__repr__, which round-trips, so a match there is a
+    match on the values, and only a file whose text does not match (a number
+    spelled another way, a changed value) has its values re-encoded by
+    _content_hash. A file that fails a column check, or holds an integer
+    where a float belongs, takes the per-record path, which gives the same
+    answer and names the first fault. A file nested too deeply to parse or
+    check raises ConfigError as well.
     """
+    header, columns, hash_ok = _read_columns(path)
+    return header, list(map(SpectrumRecord, *columns)), hash_ok
+
+
+def _read_columns(path):
+    """read_spectrum with the records as _Columns: (header, columns, hash_ok),
+    the same checks, errors and hash verdict, and no record built unless the
+    file's number text misses the hash or the file takes the per-record path."""
     try:
-        return _read_spectrum(path)
+        return _read(path)
     except RecursionError:
         raise ConfigError(f"{path}: not a spectrum file (values nested too deeply)") from None
 
 
-def _read_spectrum(path):
+def _read(path):
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=_Number)
@@ -237,7 +258,8 @@ def _read_spectrum(path):
         raise ConfigError(f"{path}: not a JSON file ({exc})") from None
     checked = _columns(doc)
     if checked is None:
-        return _read_by_record(path, _floats(doc))
+        header, records, hash_ok = _read_by_record(path, _floats(doc))
+        return header, _columns_of(records), hash_ok
     columns, (re_v, im_v, residual_v) = checked
     hdict = _floats(doc["header"])
     try:
@@ -246,12 +268,12 @@ def _read_spectrum(path):
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
     _check_header(path, header)
     index, re_k, im_k, multiplicity, residual, cls, branch = columns
-    records = list(map(SpectrumRecord, index, re_v, im_v, multiplicity, residual_v, cls, branch))
+    values = _Columns(index, re_v, im_v, multiplicity, residual_v, cls, branch)
     stored = hdict.get("content_hash", "")
     rows = map(_RECORD_TEXT.__mod__, zip(_nulls(branch), cls, im_k, _nulls(index),
                                          multiplicity, re_k, residual))
-    return header, records, (_digest(hdict, rows) == stored
-                             or _content_hash(hdict, records) == stored)
+    return header, values, (_digest(hdict, rows) == stored
+                            or _content_hash(hdict, list(map(SpectrumRecord, *values))) == stored)
 
 
 def write_spectrum_csv(path, records: List[SpectrumRecord]):

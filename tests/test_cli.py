@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tspec.charfun
-from tspec import pipeline
+from tspec import pipeline, spectrumfile
 from tspec.cli import _build_parser, main
 from tspec.errors import ConfigError
 from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
@@ -253,6 +253,17 @@ class TestSpectrumCommand:
         assert code == 3
         assert "no numbering theorem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("region", ["0,1e200,0,1", "-1e308,1e308,0,1"])
+    def test_region_too_long_to_sample_exits_3(self, workdir, capsys, region):
+        # The first boundary would take far more than the 2^14 samples a count
+        # may refine to (1e201 of them, or a side longer than a float): it is
+        # sized, not allocated.
+        code, _, records = self._spectrum(workdir, self.LOW_INDEX, [f"--region={region}"],
+                                          "too_long.json")
+        err = capsys.readouterr().err
+        assert code == 3 and records == []
+        assert "computation failed: " in err and "more than 16384" in err
+
 
 class TestCharfunCommand:
     def test_eval_prints_json(self, config_path, capsys):
@@ -323,6 +334,25 @@ class TestGammaCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["route"] == "direct"
         assert doc["truncation"] == 2
+
+    @pytest.mark.parametrize("command, code, needle", [
+        (["gamma", "--route", "direct"], 3, "computation failed: eigenvalues must be finite"),
+        (["validate"], 2, "bad eigenvalue list: eigenvalues must be finite")])
+    def test_eigenvalue_whose_square_overflows(self, workdir, config_path, spectrum_path,
+                                               capsys, command, code, needle):
+        # A finite k near 1.5e154 has an infinite k^2: no OverflowError
+        # traceback, but the product's own rejection of a non-finite lambda.
+        doc = json.loads(open(spectrum_path).read())
+        doc["records"] += [dict(doc["records"][0], index=1, re_k=re, im_k=im)
+                           for re in (1.5e154, -1.5e154) for im in (1e140, -1e140)]
+        header = spectrumfile.SpectrumHeader(**doc["header"])
+        path = workdir / "huge_k.json"
+        spectrumfile.write_spectrum(path, header, [spectrumfile.SpectrumRecord(**r)
+                                                   for r in doc["records"]])
+        assert main(["--config", config_path] + command + ["--spectrum", str(path)]) == code
+        captured = capsys.readouterr()
+        assert needle in captured.out + captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestValidateCommand:

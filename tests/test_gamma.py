@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tspec import Potential, derive_scalars, gamma_recovery
 from tspec.asymptotics import leading_zeros
@@ -263,3 +265,138 @@ class TestFromEigenvalues:
         hp = from_eigenvalues([ev])
         assert hp.truncation == 2  # multiplicity 2 repeats the factor
         assert eval_E(hp, 1.5).real == pytest.approx((1 - 2.25 / 9.0) ** 2, abs=1e-12)
+
+    def test_matches_the_per_eigenvalue_loop(self, rng):
+        # Reference: lambda = complex(k) ** 2 per eigenvalue and multiplicity,
+        # (lambda, lambda*) for a quadrant zero, (Re lambda, 0) otherwise; the
+        # same sorted list, bit for bit, and the same pairs.
+        from tspec.rootfind import Eigenvalue
+
+        ks = list(rng.uniform(0.1, 40.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40))
+        ks += [2.5 + 0j, -0.0 + 1.5j, complex(-2.0, -0.0), 7.0 + 1e-12j, ks[3]]
+        evs = [Eigenvalue(k=k, index=i, multiplicity=int(rng.integers(1, 4)), residual=0.0,
+                          cls=str(rng.choice(["quadrant", "real", "imaginary"])))
+               for i, k in enumerate(ks)]
+        lams = []
+        for ev in evs:
+            lam = complex(ev.k) ** 2
+            for _ in range(ev.multiplicity):
+                lams.extend([lam, lam.conjugate()] if ev.cls == "quadrant"
+                            else [complex(lam.real, 0.0)])
+        hp, ref = from_eigenvalues(evs, s=1), hadamard_product(lams, s=1)
+        assert repr(hp.lambdas) == repr(ref.lambdas) and hp.s == 1
+        assert hp.first.tolist() == ref.first.tolist()
+        assert hp.second.tolist() == ref.second.tolist()
+
+    def test_overflowing_square_is_a_domain_error(self):
+        from tspec.rootfind import Eigenvalue
+
+        # CPython's complex(k) ** 2 raises OverflowError here.
+        ev = Eigenvalue(k=1.5e154 + 1e140j, index=0, multiplicity=1, residual=0.0,
+                        cls="quadrant")
+        with pytest.raises(DomainError, match="finite"):
+            from_eigenvalues([ev])
+
+
+def _pairing_loop(lambdas, s=0):
+    """hadamard_product as a greedy loop over every entry, the pairing the
+    vectorised pass must reproduce: (lambdas, first, second) or the error text."""
+    arr = np.asarray(list(lambdas), dtype=complex)
+    if not np.all(np.isfinite(arr)) or np.any(arr == 0):
+        return "eigenvalues must be finite and nonzero (zero goes into s)"
+    lams = arr[np.argsort(np.abs(arr), kind="stable")].tolist()
+    first, second, used = [], [], [False] * len(lams)
+    for i, lam in enumerate(lams):
+        if used[i]:
+            continue
+        used[i] = True
+        first.append(i)
+        second.append(-1)
+        if abs(lam.imag) <= 1e-9 * abs(lam):
+            continue
+        target = lam.conjugate()
+        tol = 1e-9 * max(1.0, abs(target))
+        for j in range(i + 1, len(lams)):
+            if not used[j] and abs(lams[j] - target) <= tol:
+                used[j] = True
+                second[-1] = j
+                break
+        else:
+            return f"eigenvalue list not closed under conjugation: {lam} unpaired"
+    return repr(tuple(lams)), first, second
+
+
+def _pairing(lambdas):
+    try:
+        hp = hadamard_product(lambdas)
+    except DomainError as exc:
+        return str(exc)
+    return repr(hp.lambdas), hp.first.tolist(), hp.second.tolist()
+
+
+@st.composite
+def _conjugate_lists(draw):
+    """Conjugate-closed lists, give or take: pairs whose partner sits within
+    or just past 1e-9 relative, real and near-real entries (|Im| about
+    1e-9 |lambda|), near-duplicate pairs, repeats for multiplicity and
+    unpaired entries, shuffled."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        lam = complex(draw(st.floats(-60, 60)), draw(st.floats(-60, 60)))
+        scale = max(1.0, abs(lam))
+        jitter = complex(draw(st.floats(-1.2e-9, 1.2e-9)), draw(st.floats(-1.2e-9, 1.2e-9)))
+        kind = draw(st.sampled_from(["pair", "pair", "real", "near-real", "near-duplicate",
+                                     "near-duplicate", "unpaired"]))
+        if kind == "real":
+            group = [complex(lam.real, 0.0)]
+        elif kind == "near-real":
+            im = draw(st.floats(0.0, 2e-9)) * abs(lam)
+            group = [complex(lam.real, im), complex(lam.real, -im) + jitter * scale]
+        elif kind == "near-duplicate":
+            other = lam * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+            group = [lam, lam.conjugate(), other, other.conjugate() + jitter * scale]
+        elif kind == "unpaired":
+            group = [lam]
+        else:
+            group = [lam, lam.conjugate() + jitter * scale]
+        out.extend(group * draw(st.integers(1, 3)))
+    return draw(st.permutations(out))
+
+
+class TestVectorisedPairing:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lams=_conjugate_lists())
+    # On the bounds (a partner exactly 1e-9 from the conjugate, |Im| exactly
+    # 1e-9 |lambda|), and a complex entry whose partner is a real one.
+    @example(lams=[0.5j, 1e-9 - 0.5j])
+    @example(lams=[complex(1.0, 1e-9), 2 + 1j, 2 - 1j])
+    @example(lams=[3 + 4e-9j, 3 - 2e-9j])
+    def test_same_as_the_loop(self, lams):
+        assert _pairing(lams) == _pairing_loop(lams)
+
+    def test_hypot_is_abs(self, rng):
+        # The vectorised pass takes its moduli from np.hypot because it is the
+        # C hypot that abs(complex) calls, to the bit.
+        z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+             * 10.0 ** rng.integers(-12, 12, 20000))
+        assert np.hypot(z.real, z.imag).tolist() == [abs(v) for v in z.tolist()]
+
+    @pytest.mark.parametrize("extra", [[3.0 + 0j, 7.5 + 0j, 7.5 + 0j], [0.5j, 1e-9 - 0.5j],
+                                       [complex(1.0, 1e-9)]],
+                             ids=["spectrum", "partner-on-the-bound", "real-on-the-bound"])
+    def test_takes_the_vectorised_pass(self, synthetic_hp, monkeypatch, extra):
+        # A root-finder list (conjugate pairs, each partner next after the
+        # sort) never reaches the loop, with or without entries on the bounds.
+        def refuse(lams):
+            raise AssertionError("greedy loop called")
+
+        lams = list(synthetic_hp.lambdas) + extra
+        ref = _pairing(lams)
+        monkeypatch.setattr(gamma_recovery, "_greedy_pairs", refuse)
+        assert _pairing(lams) == ref == _pairing_loop(lams)
+
+    def test_lambda_array_is_the_sorted_tuple_read_only(self, synthetic_hp):
+        arr = synthetic_hp.lambda_array
+        assert repr(tuple(arr.tolist())) == repr(synthetic_hp.lambdas)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

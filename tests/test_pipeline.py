@@ -5,11 +5,12 @@ import pytest
 from scipy.spatial import cKDTree
 
 import tspec.charfun
-from tspec import pipeline, rootfind
+from tspec import asymptotics, pipeline, rootfind, spectrumfile
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
-from tspec.errors import ConfigError
-from tspec.pipeline import (AuditEntry, audit_symmetry, eigenvalues_from_records, expand_orbit,
+from tspec.errors import ConfigError, HypothesisMismatchError
+from tspec.pipeline import (AuditEntry, audit_residual_decay, audit_symmetry,
+                            eigenvalues_from_columns, eigenvalues_from_records, expand_orbit,
                             is_degenerate, run_spectrum, run_validate, targeted_spectrum)
 from tspec.charfun import DEvaluator
 from tspec.rootfind import Eigenvalue, ZeroSearchResult
@@ -295,6 +296,52 @@ class TestOrbits:
             records = [records[i] for i in rng.permutation(len(records))]
             assert eigenvalues_from_records(records) == self._collapse_per_record(records)
 
+    @staticmethod
+    def _collapse_by_dict(records):
+        # Reference: the record collapse before the column reader, in Python
+        # dicts: first record per exact (|Re k|, |Im k|), then per 9-digit key.
+        re_k = list(map(abs, [r.re_k for r in records]))
+        im_k = list(map(abs, [r.im_k for r in records]))
+        firsts = pipeline._first_of_each(list(zip(re_k, im_k)), range(len(records)))
+        rounded = [(round(re_k[i], 9), round(im_k[i], 9)) for i in firsts]
+        zeros = [Eigenvalue(k=complex(re_k[i], im_k[i]), index=records[i].index,
+                            multiplicity=records[i].multiplicity, residual=records[i].residual,
+                            cls=records[i].cls, branch=records[i].branch)
+                 for i in pipeline._first_of_each(rounded, firsts)]
+        return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9,
+                                            abs(e.k)))
+
+    def test_columns_match_the_dict_collapse(self, tmp_path):
+        # Mirror images that differ by rounding, exact repeats, -0.0 parts, a
+        # real, an imaginary and an unindexed zero, two orbits whose 9-digit
+        # keys coincide, read back through the file's columns.
+        rng = np.random.default_rng(5)
+        records = []
+        for n, k in enumerate([2.5 + 1.25j, 5.75 + 0.5j, 3.0 + 0j, 1.5j, 9.125 + 2.0j,
+                               9.125 + 2.0j + 3e-11, 7.0 + 4.0j]):
+            for m in (k, -k, np.conj(k), -np.conj(k), k):
+                m = complex(m) + complex(*rng.choice([0.0, 1e-12, -3e-11], 2))
+                records.append(SpectrumRecord(index=None if n == 6 else n, re_k=m.real,
+                                              im_k=m.imag, multiplicity=1 + n % 3,
+                                              residual=float(rng.uniform()), cls="quadrant",
+                                              branch=n - 2))
+        records.append(replace(records[10], im_k=-0.0))
+        header = spectrumfile.SpectrumHeader(potential={"kind": "constant", "value": 1.0,
+                                                        "h": 0.0},
+                                             variant="robin", region=[], tolerances={})
+        for _ in range(4):
+            records = [records[i] for i in rng.permutation(len(records))]
+            path = tmp_path / "spec.json"
+            doc = spectrumfile.write_spectrum(path, header, records)
+            written = [SpectrumRecord(**d) for d in doc["records"]]
+            _, columns, hash_ok = spectrumfile._read_columns(path)
+            assert hash_ok
+            ref = [repr(ev) for ev in self._collapse_by_dict(written)]
+            assert len(ref) == 6
+            assert [repr(ev) for ev in eigenvalues_from_columns(columns)] == ref
+            assert ([repr(ev) for ev in eigenvalues_from_records(records)]
+                    == [repr(ev) for ev in self._collapse_by_dict(records)])
+
 
 class TestAudits:
     def test_symmetry_pass(self, small_run):
@@ -369,6 +416,51 @@ class TestAudits:
         ref = self._kdtree_audit(ks)
         assert audit_symmetry(records) == ref
         assert (ref.status == "pass") == (case in ("moved-0.3", "axes", "duplicates"))
+
+    @staticmethod
+    def _residual_decay_in_two_calls(zeros, scalars, variant, theorem=None):
+        # Reference: the audit as it was, with the hypothesis check at n = 5
+        # ahead of the prediction for the rows.
+        tag = theorem or pipeline.default_theorem_tag(scalars, variant)
+        try:
+            asymptotics.predict_eigenvalues(scalars, tag, [5])
+        except HypothesisMismatchError as exc:
+            return AuditEntry("residual-decay", "fail", f"hypothesis mismatch: {exc}")
+        rows = [ev for ev in zeros if ev.index is not None and ev.index >= 1]
+        if len(rows) < 4:
+            return AuditEntry("residual-decay", "skipped",
+                              f"only {len(rows)} indexed eigenvalues with n >= 1")
+        pred = asymptotics.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in rows}))
+        report = asymptotics.residual_report(rows, pred)
+        ok = report.loglog_slope <= pipeline._SLOPE_TOL and report.tails_decreasing
+        return AuditEntry("residual-decay", "pass" if ok else "fail",
+                          f"tag {tag}: slope {report.loglog_slope:.2f} "
+                          f"(tol {pipeline._SLOPE_TOL}), "
+                          f"tail sums {report.tail_first:.3e} -> {report.tail_second:.3e}")
+
+    @pytest.mark.parametrize("theorem, n_rows, status", [
+        ("T41ii_W22", 3, "fail"), ("T41ii_W22", 12, "fail"),
+        (None, 3, "skipped"), (None, 12, "pass")])
+    def test_residual_decay_paths_take_one_prediction(self, q_one, monkeypatch, theorem,
+                                                      n_rows, status):
+        # The omega = 0 theorem on q = 1 is a hypothesis mismatch, with too few
+        # rows to predict or with enough; the default theorem skips or passes.
+        scalars = derive_scalars(q_one)
+        pred = asymptotics.predict_eigenvalues(scalars, "T41i_W22", range(1, n_rows + 1))
+        zeros = [Eigenvalue(k=v + 1e-3 / n ** 2, index=n, multiplicity=1, residual=0.0,
+                            cls="quadrant") for n, v in zip(pred.ns, pred.values)]
+        zeros.append(Eigenvalue(k=1.5j, index=0, multiplicity=1, residual=0.0, cls="imaginary"))
+        ref = self._residual_decay_in_two_calls(zeros, scalars, "robin", theorem)
+        calls = []
+        predict = asymptotics.predict_eigenvalues
+        monkeypatch.setattr(asymptotics, "predict_eigenvalues",
+                            lambda *args: calls.append(args[2]) or predict(*args))
+        entry = audit_residual_decay(zeros, scalars, "robin", theorem)
+        assert entry == ref and entry.status == status
+        assert calls == [[5] if n_rows < 4 else list(range(1, n_rows + 1))]
+        if status == "fail":
+            assert entry.detail == ("hypothesis mismatch: T41ii_W22: needs omega = 0 "
+                                    "and q(1) != 0")
 
     def test_validate_fresh_run(self, small_run):
         cfg = _cfg({"kind": "constant", "value": 1.0, "h": 0.0},

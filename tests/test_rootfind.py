@@ -513,6 +513,24 @@ class TestFirstBoundaryHandOff:
         assert np.array_equal(calls[0], rootfind._boundary(counted))
 
 
+class TestBoundarySize:
+    @pytest.mark.parametrize("box", [(0.0, 1.0, -0.5, 0.5), (-1e-6, 1e-6, 0.0, 3.0),
+                                     (2.3, 3.3, -0.4, 0.4), (0.0, 1636.0, 0.0, 2.39)])
+    def test_counts_the_first_samples(self, box):
+        box = ContourBox(*box)
+        assert rootfind._boundary_size(box) == rootfind._boundary(box).size
+
+    @pytest.mark.parametrize("box", [(0.0, 1638.0, 0.0, 0.0001), (0.0, 1e200, 0.0, 1.0),
+                                     (-1e308, 1e308, 0.0, 1.0)])
+    def test_more_than_a_count_may_refine_to_raises_unsampled(self, box):
+        # 8,190 + 8 samples a side on the first (16,396 in all), 1e201 on the
+        # second, a width past float range on the third.
+        f_calls = []
+        with pytest.raises(PhaseResolutionError, match="more than 16384"):
+            rootfind.winding_count(lambda ks: f_calls.append(ks) or ks, ContourBox(*box))
+        assert f_calls == []
+
+
 class TestOriginMultiplicity:
     def test_no_zero_at_origin(self, q_one):
         dev = DEvaluator(q_one, "robin", rtol=1e-10)

@@ -3,7 +3,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -156,8 +156,13 @@ class TestRoundTrip:
                 return str(exc)
             return repr(header), [repr(r) for r in back], hash_ok
 
+        def by_columns():
+            header, columns, hash_ok = spectrumfile._read_columns(path)
+            return header, [SpectrumRecord(*row) for row in zip(*columns)], hash_ok
+
         assert outcome(lambda: read_spectrum(path)) == outcome(
             lambda: spectrumfile._read_by_record(path, json.loads(path.read_text())))
+        assert outcome(lambda: read_spectrum(path)) == outcome(by_columns)
 
     def test_respelled_numbers_keep_the_hash(self, tmp_path):
         # The text check fails on another spelling of the same value; the
@@ -208,3 +213,112 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="malformed value"):
             read_spectrum(path)
+
+
+def _layout(doc, case):
+    """doc with one layout fault, or the text of a file that is not JSON."""
+    header, records = doc["header"], doc["records"]
+    if case == "not-json":
+        return "this is not JSON\n"
+    if case == "not-an-object":
+        return [header, records]
+    if case == "no-header":
+        return {"records": records}
+    if case == "records-not-a-list":
+        return {"header": header, "records": {"0": records[0]}}
+    if case == "record-not-an-object":
+        return {"header": header, "records": records[:1] + [list(records[1].values())]}
+    if case == "record-lacks-branch":
+        del records[1]["branch"]
+    elif case == "record-unknown-key":
+        records[1]["colour"] = "blue"
+    elif case == "unknown-header-key":
+        header["colour"] = "blue"
+    elif case == "header-s-negative":
+        header["s"] = -1
+    elif case == "variant-unknown":
+        header["variant"] = "neumann"
+    elif case == "cls-unknown":
+        records[2]["cls"] = "complex"
+    elif case == "re_k-infinite-text":
+        return json.dumps(doc).replace(json.dumps(records[3]["re_k"]), "1e400", 1)
+    elif case == "deeply-nested":
+        records[0]["cls"] = "nested"
+        return json.dumps(doc).replace('"nested"', "[" * 5000 + "]" * 5000)
+    return doc
+
+
+class TestColumnReader:
+    """_read_columns gives read_spectrum's header, records (as columns) and hash
+    verdict, or its ConfigError text, on the column path and on every fallback."""
+
+    HEADER = dict(potential={"kind": "constant", "value": 1.0, "h": 0.0}, variant="robin",
+                  region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+    LAYOUTS = ["not-json", "not-an-object", "no-header", "records-not-a-list",
+               "record-not-an-object", "record-lacks-branch", "record-unknown-key",
+               "unknown-header-key", "header-s-negative", "variant-unknown", "cls-unknown",
+               "re_k-infinite-text", "deeply-nested"]
+
+    @staticmethod
+    def _outcomes(path):
+        def outcome(read, rows):
+            try:
+                header, records, hash_ok = read(path)
+            except ConfigError as exc:
+                return str(exc)
+            return repr(header), [repr(r) for r in rows(records)], hash_ok
+
+        return (outcome(read_spectrum, list),
+                outcome(spectrumfile._read_columns,
+                        lambda columns: [SpectrumRecord(*row) for row in zip(*columns)]))
+
+    def _write(self, path, records):
+        return write_spectrum(path, SpectrumHeader(**self.HEADER), records)
+
+    @pytest.mark.parametrize("case", ["golden", "floats-only", "empty", "int-in-float-column",
+                                      "spelled-1.0E0", "changed-value", "missing-file"])
+    def test_agrees_with_read_spectrum(self, tmp_path, case):
+        path = tmp_path / "spec.json"
+        records = [] if case == "empty" else GOLDEN_RECORDS if case == "golden" \
+            else GOLDEN_RECORDS[1:]
+        doc = self._write(path, records)
+        text = path.read_text()
+        if case == "int-in-float-column":
+            self._write(path, [replace(GOLDEN_RECORDS[2], im_k=3)] + GOLDEN_RECORDS[3:])
+            text = path.read_text()
+            assert '"im_k": 3,' in text
+        elif case == "spelled-1.0E0":
+            doc["records"][1]["re_k"] = 1.0
+            self._write(path, [SpectrumRecord(**d) for d in doc["records"]])
+            text = path.read_text().replace('"re_k": 1.0,', '"re_k": 1.0E0,')
+            assert "1.0E0" in text
+        elif case == "changed-value":
+            text = text.replace(repr(doc["records"][2]["residual"]), "2.5", 1)
+        elif case == "missing-file":
+            path.unlink()
+        if case != "missing-file":
+            path.write_text(text)
+        by_records, by_columns = self._outcomes(path)
+        assert by_records == by_columns
+        if case == "missing-file":
+            assert "cannot read spectrum file" in by_records
+        else:
+            assert by_records[2] is (case != "changed-value")
+
+    @pytest.mark.parametrize("case", LAYOUTS)
+    def test_malformed_layouts_raise_the_same_text(self, tmp_path, case):
+        path = tmp_path / "spec.json"
+        doc = self._write(path, GOLDEN_RECORDS[1:])
+        bad = _layout(doc, case)
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        by_records, by_columns = self._outcomes(path)
+        assert isinstance(by_records, str) and by_records.startswith(str(path))
+        assert by_columns == by_records
+
+    def test_matching_text_builds_no_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        self._write(path, GOLDEN_RECORDS[1:])
+        monkeypatch.setattr(spectrumfile, "SpectrumRecord", None)
+        _, columns, hash_ok = spectrumfile._read_columns(path)
+        assert hash_ok and len(columns.re_k) == len(GOLDEN_RECORDS) - 1
+        assert [type(v) for v in columns.re_k] == [float] * (len(GOLDEN_RECORDS) - 1)
