@@ -38,6 +38,20 @@ def vanishing(scalars: PotentialScalars):
                  for v in (scalars.omega, scalars.q_at_1, scalars.dq_at_1))
 
 
+def default_theorem_tag(scalars: PotentialScalars, variant: str) -> Optional[str]:
+    """The tag of the theorem that describes the spectrum of this case, or None."""
+    omega_zero, q1_zero, dq1_zero = vanishing(scalars)
+    if variant == "dirichlet":
+        if q1_zero:
+            return None
+        return "Dirichlet_ii" if omega_zero else "Dirichlet_i"
+    if not q1_zero:
+        return "T41ii_W22" if omega_zero else "T41i_W22"
+    if not dq1_zero:
+        return "T42ii" if omega_zero else "T42i"
+    return None
+
+
 def _dirichlet_flip(scalars: PotentialScalars) -> PotentialScalars:
     """The Dirichlet leading function flips the sign of q(1) and q'(1) against Robin."""
     return replace(scalars, q_at_1=-scalars.q_at_1, dq_at_1=-scalars.dq_at_1)
@@ -189,43 +203,6 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
         mus.append(z)
         pol.append(ok)
     return LeadingZeros(tag, ns, mus, pol)
-
-
-@dataclass
-class DegeneratePair:
-    """Candidate non-simple zeros of g1 (at most one real or imaginary pair)."""
-
-    mu: tuple
-    kind: str          # "real" | "imaginary"
-    genuine: bool      # candidate also satisfies the double-zero system
-
-
-def g1_degenerate_zeros(scalars: PotentialScalars) -> Optional[DegeneratePair]:
-    """The candidate double-zero pair of g1, when the ratio omega/q(1) allows one.
-
-    Ratio > 1 admits none; |ratio| <= 1 gives the real pair, ratio < -1 the
-    imaginary pair. Candidates are checked against the double-zero system
-    (sin and cos conditions) and flagged genuine/spurious.
-    """
-    omega_zero, q1_zero, _ = vanishing(scalars)
-    if omega_zero or q1_zero:
-        raise DomainError("degenerate-zero candidates need omega != 0 and q(1) != 0")
-    w, q1 = scalars.omega, scalars.q_at_1
-    ratio = w / q1
-    if ratio > 1.0:
-        return None
-    if abs(ratio) <= 1.0:
-        mu = math.sqrt(q1 * q1 / (w * w) - 1.0) / 2.0
-        pair = (complex(mu), complex(-mu))
-        kind = "real"
-    else:
-        mu = math.sqrt(1.0 - q1 * q1 / (w * w)) / 2.0
-        pair = (complex(0, mu), complex(0, -mu))
-        kind = "imaginary"
-    mu0 = pair[0]
-    sin_ok = abs(cmath.sin(2 * mu0) + 2 * w * mu0 / q1) < 1e-9 * max(1.0, abs(mu0))
-    cos_ok = abs(cmath.cos(2 * mu0) + w / q1) < 1e-9
-    return DegeneratePair(mu=pair, kind=kind, genuine=bool(sin_ok and cos_ok))
 
 
 @dataclass

@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DomainError, TspecError
 from .jost import DEFAULT_RTOL, domain_error, transfer_many
-from .potential import Potential
-
-VARIANTS = ("robin", "dirichlet")
+from .potential import VARIANTS, Potential
 
 
 @dataclass(frozen=True)

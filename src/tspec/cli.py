@@ -20,18 +20,32 @@ from . import __version__
 from . import asymptotics as asy
 from .charfun import DEvaluator, eval_D_many, sample_D_grid
 from .config import RunConfig, check_values, load_config
-from .errors import ConfigError, TspecError, UnstableLimitError
+from .errors import ConfigError, DomainError, TspecError, UnstableLimitError
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
-from .pipeline import eigenvalues_from_columns, run_spectrum, validate_columns
-from .potential import Potential, derive_scalars
+from .pipeline import _file_potential, eigenvalues_from_columns, run_spectrum, validate_columns
+from .potential import Potential, derive_scalars, finite_real
 from .spectrumfile import _read_columns, write_spectrum, write_spectrum_csv
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not finite_real(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected re,im")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(_finite(parts[0]), _finite(parts[1]))
 
 
 def _parse_region(text: str):
@@ -77,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cfe.add_argument("--k", type=_parse_pair, required=True, metavar="RE,IM")
     cfg_ = cfsub.add_parser("grid", help="export D over a grid as CSV")
     cfg_.add_argument("--region", type=_parse_region)
-    cfg_.add_argument("--nx", type=int, default=32)
-    cfg_.add_argument("--ny", type=int, default=16)
+    cfg_.add_argument("--nx", type=_positive_int, default=32)
+    cfg_.add_argument("--ny", type=_positive_int, default=16)
 
     ap = sub.add_parser("asymptotics", help="asymptotic predictions and residuals")
     apsub = ap.add_subparsers(dest="subcommand", required=True)
@@ -92,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gm = sub.add_parser("gamma", help="recover the normalization constant")
     gm.add_argument("--route", required=True, choices=["omega", "endpoint", "direct"])
     gm.add_argument("--spectrum", required=True)
-    gm.add_argument("--probe", type=float, help="direct-route probe k (default: first clear one)")
+    gm.add_argument("--probe", type=_finite,
+                    help="direct-route probe k (default: first clear one)")
 
     va = sub.add_parser("validate", help="audit a spectrum file")
     va.add_argument("--spectrum")
@@ -110,6 +125,8 @@ def _load_run_config(args) -> RunConfig:
     if args.command == "spectrum":
         flags = {"region": args.region, "depth": args.depth, "n": args.n}
         cfg.spectrum = dict(cfg.spectrum, **{k: v for k, v in flags.items() if v is not None})
+    elif args.command == "charfun" and args.subcommand == "grid" and args.region is not None:
+        cfg.charfun = dict(cfg.charfun, region=args.region)
     check_values(cfg)
     return cfg
 
@@ -151,7 +168,7 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
         value = eval_D_many(p, [args.k], variant=cfg.variant, rtol=cfg.rtol)[0]
         _emit_json({"k": args.k, "D": complex(value), "variant": cfg.variant, "h": p.h}, cfg.out)
         return 0
-    region = args.region or cfg.charfun.get("region") or [0.0, 10.0, 0.0, 3.0]
+    region = cfg.charfun.get("region", [0.0, 10.0, 0.0, 3.0])
     samples = sample_D_grid(p, cfg.variant, region, args.nx, args.ny, rtol=cfg.rtol)
     out = cfg.out or "charfun_grid.csv"
     with open(out, "w", newline="") as fh:
@@ -168,17 +185,17 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
 
 
 def _load_spectrum(path):
-    """The header and record columns of a spectrum file; a hash mismatch warns."""
+    """The header, record columns, potential and scalars of a spectrum file (the
+    potential is the header's, not the config's); a hash mismatch warns."""
     header, columns, hash_ok = _read_columns(path)
     if not hash_ok:
         print("warning: spectrum file content hash mismatch", file=sys.stderr)
-    return header, columns
+    return (header, columns, *_file_potential(header))
 
 
 def _cmd_asymptotics(cfg: RunConfig, args) -> int:
-    p = Potential.from_dict(cfg.potential)
-    scalars = derive_scalars(p)
     if args.subcommand == "predict":
+        scalars = derive_scalars(Potential.from_dict(cfg.potential))
         lo, hi = args.n
         pred = asy.predict_eigenvalues(scalars, args.theorem, range(lo, hi + 1))
         _emit_json({
@@ -189,15 +206,16 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
                                               pred.mus, pred.corrections)],
         }, cfg.out)
         return 0
-    header, columns = _load_spectrum(args.spectrum)
+    header, columns, _, scalars = _load_spectrum(args.spectrum)
     zeros = [ev for ev in eigenvalues_from_columns(columns)
              if ev.index is not None and ev.index >= 1]
     if not zeros:
         print("error: spectrum file has no indexed eigenvalues", file=sys.stderr)
         return 3
-    from .pipeline import default_theorem_tag
-
-    tag = args.theorem or default_theorem_tag(scalars, header.variant)
+    tag = args.theorem or asy.default_theorem_tag(scalars, header.variant)
+    if tag is None:
+        raise DomainError("no asymptotic theorem applies to the spectrum file's potential "
+                          f"and variant {header.variant!r}")
     pred = asy.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in zeros}))
     report = asy.residual_report(zeros, pred)
     out = cfg.out or "residuals.csv"
@@ -216,17 +234,15 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
 
 
 def _cmd_gamma(cfg: RunConfig, args) -> int:
-    p = Potential.from_dict(cfg.potential)
-    scalars = derive_scalars(p)
-    header, columns = _load_spectrum(args.spectrum)
+    header, columns, p, scalars = _load_spectrum(args.spectrum)
     hp = from_eigenvalues(eigenvalues_from_columns(columns), s=header.s)
     try:
         if args.route == "omega":
-            est = gamma_from_omega(hp, scalars, cfg.variant)
+            est = gamma_from_omega(hp, scalars, header.variant)
         elif args.route == "endpoint":
-            est = gamma_from_endpoint(hp, scalars, cfg.variant)
+            est = gamma_from_endpoint(hp, scalars, header.variant)
         else:
-            dev = DEvaluator(p, cfg.variant, rtol=cfg.rtol)
+            dev = DEvaluator(p, header.variant, rtol=cfg.rtol)
             est = gamma_direct(dev, hp, args.probe)
     except UnstableLimitError as exc:
         _emit_json({"error": str(exc), "diagnostics": exc.diagnostics}, cfg.out)

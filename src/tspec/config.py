@@ -15,7 +15,7 @@ from typing import Optional
 
 from .asymptotics import THEOREM_TAGS
 from .errors import ConfigError, DomainError
-from .potential import Potential, finite_real
+from .potential import VARIANTS, Potential, finite_real
 
 
 def _is_int(value) -> bool:
@@ -41,8 +41,8 @@ _POSITIVE = (lambda v: finite_real(v) and v > 0, "a positive finite number")
 # The keys each section accepts, each with its value check and the check's wording.
 _SECTIONS = {
     "spectrum": {
-        "n": (lambda n: _list_of(n, _is_int) and len(n) == 2 and n[0] <= n[1],
-              "two integers lo <= hi"),
+        "n": (lambda n: _list_of(n, _is_int) and len(n) == 2 and 0 <= n[0] <= n[1],
+              "two integers 0 <= lo <= hi"),
         "region": _REGION,
         "depth": (lambda d: _is_int(d) and d > 0, "a positive integer"),
     },
@@ -105,10 +105,10 @@ def validate_config(raw: dict) -> RunConfig:
     if "potential" not in raw:
         raise ConfigError("config requires a 'potential' section")
     if "variant" not in raw:
-        raise ConfigError("config requires 'variant' (robin or dirichlet)")
+        raise ConfigError(f"config requires 'variant', one of {VARIANTS}")
     variant = raw["variant"]
-    if variant not in ("robin", "dirichlet"):
-        raise ConfigError(f"variant must be 'robin' or 'dirichlet', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     pot = raw["potential"]
     try:
         Potential.from_dict(pot)

@@ -22,9 +22,9 @@ from .errors import (ConfigError, DomainError, HypothesisMismatchError, Indexing
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
 from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, ContourBox, Eigenvalue,
-                       ZeroSearchResult, _boundary, _boundary_size, _find_zeros, _match_targets,
+                       ZeroSearchResult, _boundary, _boundary_size, _match_targets, find_zeros,
                        gamma_contour_count, index_eigenvalues, orbit, origin_multiplicity)
-from .spectrumfile import SpectrumHeader, SpectrumRecord, _Columns, _columns_of
+from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
 _GAMMA_REL_TOL = 0.25       # largest relative gap between the direct and a limit route
@@ -36,11 +36,6 @@ _SLOPE_TOL = -0.3           # steepest log-log residual slope that passes the de
 def _vanishes(probes) -> bool:
     """The degeneracy verdict on D at _DEGENERATE_PROBES."""
     return bool(np.max(np.abs(np.asarray(probes, dtype=complex))) < 1e-11)
-
-
-def is_degenerate(dev: DEvaluator) -> bool:
-    """True when D vanishes identically (the unperturbed q = 0 system)."""
-    return _vanishes(dev(np.array(_DEGENERATE_PROBES)))
 
 
 def _opening(dev: DEvaluator, region):
@@ -118,8 +113,8 @@ def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
     """find_zeros over region, counting at rtol_winding and polishing at rtol_refine;
     first, when given, holds D at the region's first boundary at rtol_winding."""
     dev = DEvaluator(p, variant, rtol=rtol_winding)
-    return _find_zeros(dev, region, max_depth=depth, refine_f=dev.with_tolerance(rtol_refine),
-                       first=first)
+    return find_zeros(dev, region, max_depth=depth, refine_f=dev.with_tolerance(rtol_refine),
+                      first=first)
 
 
 def expand_orbit(ev: Eigenvalue) -> List[complex]:
@@ -172,11 +167,6 @@ def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
                         cls=columns.cls[i], branch=columns.branch[i])
              for i in _first_of_each(rounded, firsts)]
     return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9, abs(e.k)))
-
-
-def eigenvalues_from_records(records: List[SpectrumRecord]) -> List[Eigenvalue]:
-    """eigenvalues_from_columns on the columns of records."""
-    return eigenvalues_from_columns(_columns_of(records))
 
 
 @dataclass
@@ -283,14 +273,13 @@ class ValidationReport:
         self.entries.append(AuditEntry(name=name, status=status, detail=detail))
 
 
-def audit_symmetry(records) -> AuditEntry:
-    """The record set, a list of SpectrumRecord or the record columns of a
-    spectrum file, must be closed under k -> -k and k -> k*.
+def audit_symmetry(columns) -> AuditEntry:
+    """The records of a spectrum file, as its record columns
+    (spectrumfile._read_columns), must be closed under k -> -k and k -> k*.
 
     An image of k counts as present when some record lies within
     1e-9 (1 + |k|) of it.
     """
-    columns = records if isinstance(records, _Columns) else _columns_of(records)
     ks = _k_array(columns.re_k, columns.im_k)
     images = orbit(ks)[:, 1:].ravel()     # record-major: -k, k*, -k* per record
     tol = _SYMMETRY_TOL * (1.0 + np.abs(np.repeat(ks, 3)))
@@ -333,22 +322,9 @@ def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry
                       f"counts {got} match 4n+{5 if ratio > 0 else 3}")
 
 
-def default_theorem_tag(scalars: PotentialScalars, variant: str) -> Optional[str]:
-    omega_zero, q1_zero, dq1_zero = asy.vanishing(scalars)
-    if variant == "dirichlet":
-        if q1_zero:
-            return None
-        return "Dirichlet_ii" if omega_zero else "Dirichlet_i"
-    if not q1_zero:
-        return "T41ii_W22" if omega_zero else "T41i_W22"
-    if not dq1_zero:
-        return "T42ii" if omega_zero else "T42i"
-    return None
-
-
 def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, variant: str,
                          theorem: Optional[str] = None) -> AuditEntry:
-    tag = theorem or default_theorem_tag(scalars, variant)
+    tag = theorem or asy.default_theorem_tag(scalars, variant)
     if tag is None:
         return AuditEntry("residual-decay", "skipped", "no asymptotic theorem applies")
     rows = [ev for ev in zeros if ev.index is not None and ev.index >= 1]
@@ -402,10 +378,15 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
     return AuditEntry("gamma-consistency", "pass" if rel <= _GAMMA_REL_TOL else "fail", detail)
 
 
-def run_validate(cfg, header: SpectrumHeader, records: List[SpectrumRecord],
-                 hash_ok: bool = True) -> ValidationReport:
-    """validate_columns on the columns of records."""
-    return validate_columns(cfg, header, _columns_of(records), hash_ok)
+def _file_potential(header: SpectrumHeader):
+    """The potential of a spectrum file's header and its scalars: the case every
+    reader of the file checks it against. A malformed one raises ConfigError,
+    as a malformed config potential does."""
+    try:
+        p = Potential.from_dict(header.potential)
+    except DomainError as exc:
+        raise ConfigError(f"spectrum header potential: {exc}") from None
+    return p, derive_scalars(p)
 
 
 def validate_columns(cfg, header: SpectrumHeader, columns, hash_ok: bool = True
@@ -424,11 +405,7 @@ def validate_columns(cfg, header: SpectrumHeader, columns, hash_ok: bool = True
             report.add("empty-spectrum", "fail", "no records and no degeneracy warning")
         return report
     report.entries.append(audit_symmetry(columns))
-    try:
-        p = Potential.from_dict(header.potential)
-    except DomainError as exc:  # a malformed input file, as for the config's potential
-        raise ConfigError(f"spectrum header potential: {exc}") from None
-    scalars = derive_scalars(p)
+    p, scalars = _file_potential(header)
     dev = DEvaluator(p, header.variant, rtol=cfg.rtol)
     contours = cfg.validate.get("contours", [2, 3])
     report.entries.append(audit_contours(dev, scalars, contours))

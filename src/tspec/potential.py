@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 
 PAYLOAD_KEYS = {"polynomial": "coeffs", "grid": "samples", "constant": "value"}
+VARIANTS = ("robin", "dirichlet")      # the boundary condition at x = 0 that D is built on
 
 _QUAD_PANELS = 32       # composite Gauss-Legendre panels
 _QUAD_ORDER = 8         # nodes per panel

@@ -440,7 +440,7 @@ def _classify(k: complex) -> str:
 
 
 def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[Callable] = None,
-               symmetry: bool = True) -> ZeroSearchResult:
+               symmetry: bool = True, first=None) -> ZeroSearchResult:
     """All zeros of f in region = (s0, s1, t0, t1), with multiplicities.
 
     A box whose winding count w is 1..4 takes w Newton-refined simple zeros
@@ -460,15 +460,9 @@ def find_zeros(f: Callable, region, max_depth: int = 14, *, refine_f: Optional[C
     representatives. With symmetry=True results are deduplicated
     under k -> -k, k -> k* into first-quadrant representatives (the symmetry
     group of the characteristic function); pass False for other functions.
+    first, when given, holds f at the region's _boundary (the region's first
+    count then skips that call).
     """
-    return _find_zeros(f, region, max_depth, refine_f=refine_f, symmetry=symmetry)
-
-
-def _find_zeros(f: Callable, region, max_depth: int = 14, *,
-                refine_f: Optional[Callable] = None, symmetry: bool = True,
-                first=None) -> ZeroSearchResult:
-    """find_zeros, with first the values of f at the region's _boundary when
-    they are already known (the region's first count then skips that call)."""
     s0, s1, t0, t1 = (float(v) for v in region)
     if not (s1 > s0 and t1 > t0):
         raise DomainError("region must have positive width and height")

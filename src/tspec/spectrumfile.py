@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError
-from .potential import finite_real
+from .potential import VARIANTS, finite_real
 from .rootfind import _MAX_BOUNDARY_POINTS
 
 _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "branch")
@@ -181,7 +181,7 @@ def _nulls(column):
 
 
 def _check_header(path, header):
-    if not (type(header.s) is int and header.s >= 0 and header.variant in ("robin", "dirichlet")):
+    if not (type(header.s) is int and header.s >= 0 and header.variant in VARIANTS):
         raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
 
 

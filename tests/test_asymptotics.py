@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from tspec import Potential, derive_scalars
-from tspec.asymptotics import (eval_g1, g1_degenerate_zeros, index_targets, leading_zeros,
+from tspec.asymptotics import (default_theorem_tag, eval_g1, index_targets, leading_zeros,
                                predict_eigenvalues, residual_report, solve_transcendental,
                                vanishing)
 from tspec.errors import DomainError, HypothesisMismatchError
-from tspec.pipeline import default_theorem_tag
 from tspec.potential import PotentialScalars
 from tspec.rootfind import Eigenvalue
 
@@ -191,33 +190,10 @@ class TestLemma32LowerBound:
 class TestVanishing:
     def test_scale_includes_endpoint_slope(self):
         # q'(1) = 1e8 sets the scale: omega = q(1) = 1e-2 lie below 1e-9 * 1e8,
-        # for the degenerate-zero check as for the theorem tag.
+        # for the theorem tag as for the test itself.
         s = make_scalars(omega=1e-2, q1=1e-2, dq1=1e8)
         assert vanishing(s) == (True, True, False)
-        with pytest.raises(DomainError):
-            g1_degenerate_zeros(s)
         assert default_theorem_tag(s, "robin") == "T42ii"
-
-
-class TestDegenerateZeros:
-    def test_ratio_above_one_has_none(self):
-        assert g1_degenerate_zeros(make_scalars(omega=2.0, q1=1.0)) is None
-
-    def test_real_candidates(self):
-        pair = g1_degenerate_zeros(make_scalars(omega=0.5, q1=1.0))
-        assert pair.kind == "real"
-        assert pair.mu[0] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
-        assert pair.mu[1] == pytest.approx(-math.sqrt(3) / 2, abs=1e-12)
-        assert not pair.genuine  # the double-zero system is overdetermined here
-
-    def test_imaginary_candidates(self):
-        pair = g1_degenerate_zeros(make_scalars(omega=-2.0, q1=1.0))
-        assert pair.kind == "imaginary"
-        assert pair.mu[0] == pytest.approx(0.4330127018922193j, abs=1e-12)
-
-    def test_needs_nonzero_inputs(self):
-        with pytest.raises(DomainError):
-            g1_degenerate_zeros(make_scalars(omega=0.0, q1=1.0))
 
 
 class TestPredictions:

@@ -281,6 +281,16 @@ class TestCharfunCommand:
         assert rows[0] == ["re_k", "im_k", "re_D", "im_D"]
         assert len(rows) == 16
 
+    @pytest.mark.parametrize("region", ["10,0,0,3", "nan,1,0,1"])
+    def test_bad_grid_region_flag_exit_1(self, tmp_path, config_path, region, capsys):
+        # The flag is checked as the charfun.region key is.
+        out = tmp_path / "grid.csv"
+        code = main(["--config", config_path, "--out", str(out),
+                     "charfun", "grid", f"--region={region}"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error: charfun.region must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("coeffs, k", [([1e300, 1e300], "1,0"), ([1.0, 1.0], "1e200,0")],
                              ids=["M-overflows", "k2-overflows"])
     def test_overflow_exits_3_at_once(self, workdir, coeffs, k, capsys):
@@ -378,6 +388,65 @@ class TestValidateCommand:
         assert code == 1
 
 
+class TestFileCase:
+    """gamma, asymptotics residuals and validate check a spectrum file against
+    the potential and variant of its header, whatever case the config holds."""
+
+    LINEAR = {"potential": {"kind": "polynomial",
+                            "coeffs": [-1.6685632173450171, 2.528261446027842],
+                            "h": -0.20404202893245155}, "variant": "robin"}
+    OTHER = {"potential": {"kind": "constant", "value": 3.0, "h": 0.5}, "variant": "dirichlet"}
+
+    @pytest.fixture(scope="class")
+    def linear_files(self, workdir):
+        paths = {}
+        for name, cfg in (("linear", self.LINEAR), ("other", self.OTHER)):
+            paths[name] = workdir / f"case_{name}.json"
+            paths[name].write_text(json.dumps(cfg))
+        paths["spectrum"] = workdir / "case_spectrum.json"
+        assert main(["--config", str(paths["linear"]), "--out", str(paths["spectrum"]),
+                     "spectrum", "--n", "1..25"]) == 0
+        return paths
+
+    @pytest.mark.parametrize("command, code", [
+        (["asymptotics", "residuals"], 0), (["gamma", "--route", "omega"], 3),
+        (["gamma", "--route", "direct"], 0), (["validate"], 2)])
+    def test_config_case_is_not_read(self, workdir, linear_files, command, code, capsys):
+        # The other config once gave a T41i_W22 slope of -0.04 instead of
+        # -0.98, and ran the Dirichlet omega ladder on Robin data. The omega
+        # route's extrapolant gap fails on this file (exit 3), and with it the
+        # gamma-consistency audit (exit 2).
+        out = workdir / "case_out"
+        runs = []
+        for name in ("linear", "other"):
+            got = main(["--config", str(linear_files[name]), "--out", str(out)] + command
+                       + ["--spectrum", str(linear_files["spectrum"])])
+            captured = capsys.readouterr()
+            runs.append((got, captured.out, captured.err, out.read_text()))
+            out.unlink()
+        assert runs[0] == runs[1] and runs[0][0] == code
+        if command[0] == "gamma":
+            assert "dirichlet" not in runs[1][3]
+
+    def test_no_theorem_applies_exits_3(self, workdir, config_path, capsys):
+        # q = (1 - x)^2 has q(1) = q'(1) = 0: no theorem describes its Robin
+        # spectrum, whatever potential the config holds.
+        header = spectrumfile.SpectrumHeader(
+            potential={"kind": "polynomial", "coeffs": [1.0, -2.0, 1.0], "h": 0.0},
+            variant="robin", region=[], tolerances={})
+        records = [spectrumfile.SpectrumRecord(index=n, re_k=n * math.pi, im_k=0.5,
+                                               multiplicity=1, residual=0.0, cls="quadrant")
+                   for n in range(1, 6)]
+        path = workdir / "no_theorem_spec.json"
+        spectrumfile.write_spectrum(path, header, records)
+        code = main(["--config", config_path, "--out", str(workdir / "no_theorem.csv"),
+                     "asymptotics", "residuals", "--spectrum", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("computation failed: no asymptotic theorem applies")
+        assert "Traceback" not in err
+
+
 class TestMalformedSpectrumFile:
     # (case, section, key, value): the value replaces the header key or the
     # key of the record with that number.
@@ -430,10 +499,12 @@ class TestMalformedSpectrumFile:
         doc["header"]["potential"] = {"kind": "cosine"}
         path = workdir / "malformed_header_potential.json"
         path.write_text(json.dumps(doc))
-        code = main(["--config", config_path, "validate", "--spectrum", str(path)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "config error: spectrum header potential" in err and "Traceback" not in err
+        for command in (["validate"], ["gamma", "--route", "direct"],
+                        ["asymptotics", "residuals"]):
+            code = main(["--config", config_path] + command + ["--spectrum", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "config error: spectrum header potential" in err and "Traceback" not in err
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -556,6 +627,7 @@ class TestMalformedConfig:
         ("theorem_unknown", {"validate": {"theorem": "T99"}}),
         ("validate_spectrum_not_a_string", {"validate": {"spectrum": 5}}),
         ("out_not_a_string", {"out": 5}),
+        ("n_negative", {"spectrum": {"n": [-2, 1]}}),
     ])
     def test_exit_1_without_traceback(self, workdir, case, patch, capsys):
         path = workdir / f"malformed_cfg_{case}.json"
@@ -590,7 +662,8 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert "config error: unknown" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--n", "3..1"], ["--depth", "-2"], ["--region", "0,0,0,1"]])
+    @pytest.mark.parametrize("flags", [["--n", "3..1"], ["--depth", "-2"], ["--region", "0,0,0,1"],
+                                       ["--n=-3..-1"], ["--n=-2..1"]])
     def test_bad_spectrum_flags(self, config_path, flags, capsys):
         assert main(["--config", config_path, "spectrum"] + flags) == 1
         assert "config error" in capsys.readouterr().err
@@ -668,6 +741,13 @@ class TestUsageErrors:
         ["--no-such-flag", "spectrum"],
         ["charfun", "eval"],
         [],
+        ["charfun", "grid", "--nx=-1"],
+        ["charfun", "grid", "--ny=-2"],
+        ["charfun", "grid", "--nx", "0"],
+        ["charfun", "eval", "--k", "nan,0"],
+        ["charfun", "eval", "--k", "0,inf"],
+        ["gamma", "--route", "direct", "--spectrum", "spec.json", "--probe", "nan"],
+        ["gamma", "--route", "direct", "--spectrum", "spec.json", "--probe", "inf"],
     ])
     def test_exit_1(self, config_path, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,11 +10,11 @@ from tspec import Potential, derive_scalars
 from tspec.config import validate_config
 from tspec.errors import ConfigError, HypothesisMismatchError
 from tspec.pipeline import (AuditEntry, audit_residual_decay, audit_symmetry,
-                            eigenvalues_from_columns, eigenvalues_from_records, expand_orbit,
-                            is_degenerate, run_spectrum, run_validate, targeted_spectrum)
+                            eigenvalues_from_columns, expand_orbit, run_spectrum,
+                            targeted_spectrum, validate_columns)
 from tspec.charfun import DEvaluator
 from tspec.rootfind import Eigenvalue, ZeroSearchResult
-from tspec.spectrumfile import SpectrumRecord
+from tspec.spectrumfile import SpectrumRecord, _columns_of
 
 
 def _cfg(potential, variant="robin", **extra):
@@ -75,7 +75,7 @@ class TestRunSpectrum:
         # uncertified targeted root is.
         merged = Eigenvalue(k=2.5 + 1.0j, index=None, multiplicity=2, residual=1e-3,
                             cls="quadrant", refined=False)
-        monkeypatch.setattr(pipeline, "_find_zeros",
+        monkeypatch.setattr(pipeline, "find_zeros",
                             lambda f, region, **kw: ZeroSearchResult([merged], [], []))
         run = run_spectrum(_cfg({"kind": "constant", "value": 1.0, "h": 0.0},
                                 spectrum={"region": [1.5, 4.0, 0.5, 2.0]}))
@@ -246,7 +246,7 @@ class TestOrbits:
         assert len(expand_orbit(ev)) == 2
 
     def test_records_round_trip(self, small_run):
-        back = eigenvalues_from_records(small_run.records)
+        back = eigenvalues_from_columns(_columns_of(small_run.records))
         assert len(back) == 1
         assert abs(back[0].k - small_run.eigenvalues[0].k) < 1e-12
         assert back[0].index == 0
@@ -269,16 +269,16 @@ class TestOrbits:
         records = [SpectrumRecord(index=0, re_k=m.real, im_k=m.imag, multiplicity=1,
                                   residual=1e-14 * (i + 1), cls="quadrant")
                    for i, m in enumerate(images)]
-        back = eigenvalues_from_records(records)
+        back = eigenvalues_from_columns(_columns_of(records))
         assert len(back) == 1
         assert back[0].k == complex(k) and back[0].residual == 1e-14
 
     def test_order_of_records_does_not_matter(self, small_run):
         rng = np.random.default_rng(3)
-        ref = eigenvalues_from_records(small_run.records)
+        ref = eigenvalues_from_columns(_columns_of(small_run.records))
         for _ in range(5):
             shuffled = [small_run.records[i] for i in rng.permutation(len(small_run.records))]
-            assert eigenvalues_from_records(shuffled) == ref
+            assert eigenvalues_from_columns(_columns_of(shuffled)) == ref
 
     def test_matches_per_record_collapse(self):
         # Orbits with exact and with rounding-level mirrors, duplicated rows,
@@ -294,7 +294,8 @@ class TestOrbits:
                                               cls="quadrant", branch=n - 2))
         for _ in range(5):
             records = [records[i] for i in rng.permutation(len(records))]
-            assert eigenvalues_from_records(records) == self._collapse_per_record(records)
+            assert (eigenvalues_from_columns(_columns_of(records))
+                    == self._collapse_per_record(records))
 
     @staticmethod
     def _collapse_by_dict(records):
@@ -339,18 +340,18 @@ class TestOrbits:
             ref = [repr(ev) for ev in self._collapse_by_dict(written)]
             assert len(ref) == 6
             assert [repr(ev) for ev in eigenvalues_from_columns(columns)] == ref
-            assert ([repr(ev) for ev in eigenvalues_from_records(records)]
+            assert ([repr(ev) for ev in eigenvalues_from_columns(_columns_of(records))]
                     == [repr(ev) for ev in self._collapse_by_dict(records)])
 
 
 class TestAudits:
     def test_symmetry_pass(self, small_run):
-        assert audit_symmetry(small_run.records).status == "pass"
+        assert audit_symmetry(_columns_of(small_run.records)).status == "pass"
 
     def test_symmetry_fail_on_removed_conjugate(self, small_run):
         broken = [r for r in small_run.records if not (r.re_k > 0 and r.im_k < 0)]
         assert len(broken) == 3
-        entry = audit_symmetry(broken)
+        entry = audit_symmetry(_columns_of(broken))
         assert entry.status == "fail"
 
     @pytest.mark.parametrize("damage", ["none", "drop", "perturb"])
@@ -375,7 +376,7 @@ class TestAudits:
                              f"e.g. {missing[0][1]} of {missing[0][0]}")
         else:
             ref = AuditEntry("symmetry-closure", "pass", f"{len(ks)} records closed under +-k, conj")
-        assert audit_symmetry(records) == ref
+        assert audit_symmetry(_columns_of(records)) == ref
         assert (ref.status == "pass") == (damage == "none")
 
     @staticmethod
@@ -414,14 +415,14 @@ class TestAudits:
         records = [SpectrumRecord(index=0, re_k=k.real, im_k=k.imag, multiplicity=1,
                                   residual=0.0, cls="quadrant") for k in ks]
         ref = self._kdtree_audit(ks)
-        assert audit_symmetry(records) == ref
+        assert audit_symmetry(_columns_of(records)) == ref
         assert (ref.status == "pass") == (case in ("moved-0.3", "axes", "duplicates"))
 
     @staticmethod
     def _residual_decay_in_two_calls(zeros, scalars, variant, theorem=None):
         # Reference: the audit as it was, with the hypothesis check at n = 5
         # ahead of the prediction for the rows.
-        tag = theorem or pipeline.default_theorem_tag(scalars, variant)
+        tag = theorem or asymptotics.default_theorem_tag(scalars, variant)
         try:
             asymptotics.predict_eigenvalues(scalars, tag, [5])
         except HypothesisMismatchError as exc:
@@ -465,7 +466,7 @@ class TestAudits:
     def test_validate_fresh_run(self, small_run):
         cfg = _cfg({"kind": "constant", "value": 1.0, "h": 0.0},
                    validate={"contours": [2]})
-        report = run_validate(cfg, small_run.header, small_run.records)
+        report = validate_columns(cfg, small_run.header, _columns_of(small_run.records))
         by_name = {e.name: e for e in report.entries}
         assert by_name["file-integrity"].status == "pass"
         assert by_name["symmetry-closure"].status == "pass"
@@ -476,20 +477,11 @@ class TestAudits:
         # Requesting the omega = 0 theorem for a potential with omega = 1.
         cfg = _cfg({"kind": "constant", "value": 1.0, "h": 0.0},
                    validate={"contours": [2], "theorem": "T41ii_W22"})
-        report = run_validate(cfg, small_run.header, small_run.records)
+        report = validate_columns(cfg, small_run.header, _columns_of(small_run.records))
         by_name = {e.name: e for e in report.entries}
         assert by_name["residual-decay"].status == "fail"
         assert "mismatch" in by_name["residual-decay"].detail
         assert report.failed
-
-
-class TestDegenerateDetector:
-    def test_zero_potential(self):
-        p = Potential.constant(0.0, h=2.0)
-        assert is_degenerate(DEvaluator(p, "robin"))
-
-    def test_nontrivial_potential(self, q_one):
-        assert not is_degenerate(DEvaluator(q_one, "robin"))
 
 
 class TestConfig:

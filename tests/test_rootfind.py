@@ -499,7 +499,7 @@ class TestFirstBoundaryHandOff:
         plain.clear()
         handed.clear()
         res = find_zeros(f_plain, box, symmetry=False)
-        res2 = rootfind._find_zeros(f_handed, box, symmetry=False, first=first)
+        res2 = find_zeros(f_handed, box, symmetry=False, first=first)
         assert res == res2 and len(handed) == len(plain) - 1
 
     def test_perturbed_attempts_sample_afresh(self):
