@@ -310,6 +310,12 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
                                 corrections=corr, constants=constants, branches=branches)
 
 
+# The counting theorem for omega, q(1) != 0: k D(k) has 4n + CONTOUR_OFFSETS[variant,
+# q(1)/omega > 0] zeros inside the square of half-side (n+1) pi (gamma_contour_count).
+CONTOUR_OFFSETS = {("robin", True): 5, ("robin", False): 3,
+                   ("dirichlet", True): 1, ("dirichlet", False): 3}
+
+
 def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
                   include_small: bool = True):
     """Matching targets (n, sqrt-lambda estimate, branch) for theorem numbering.
@@ -318,39 +324,29 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
     consecutive targets, n_min the smallest index the theorem assigns in the
     first quadrant. Used both to place a targeted window's strip and to index zeros.
     include_small=False leaves out the n = 0 target of the omega != 0 cases and
-    the box search that places it.
+    the box search that places it. The theorem is default_theorem_tag's;
+    DomainError when there is none.
     """
-    omega_zero, q1_zero, dq1_zero = vanishing(scalars)
-
-    if not q1_zero:
-        if omega_zero:
-            shift = 0 if variant == "robin" else 1
-            n_hi = max(2, int(2.0 * k_max / math.pi) + 2)
-            targets = [(n, complex((n + shift) * math.pi / 2.0), None) for n in range(1, n_hi)]
-            return targets, math.pi / 2.0, 1
-        n_hi = max(2, int(k_max / math.pi) + 2)
-        if variant == "robin":
-            eff = scalars
-            n_min = 0
-        else:
-            eff = _dirichlet_flip(scalars)
-            n_min = 1 if scalars.q_at_1 / scalars.omega > 0 else 0
-        lz = leading_zeros(eff, n_hi, include_small=include_small)
-        targets = [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)]
-        return targets, math.pi, n_min
-
-    if not dq1_zero:
-        n_hi = max(2, int(k_max / math.pi) + 2)
-        if omega_zero:
-            pred = predict_eigenvalues(scalars, "T42ii", range(1, n_hi))
-            targets = list(zip(pred.ns, pred.values, pred.branches))
-            return targets, math.pi, 1
-        pred = predict_eigenvalues(scalars, "T42i", range(1, n_hi))
-        targets = [(n, v, None) for n, v in zip(pred.ns, pred.values)]
-        n_min = 0 if scalars.dq_at_1 / scalars.omega > 0 else 1
-        return targets, math.pi, n_min
-
-    raise DomainError("no numbering theorem applies when q(1) = q'(1) = 0")
+    tag = default_theorem_tag(scalars, variant)
+    if tag is None:
+        raise DomainError("no numbering theorem applies when q(1) = q'(1) = 0"
+                          if vanishing(scalars)[2]
+                          else "no numbering theorem applies to Dirichlet when q(1) = 0")
+    n_hi = max(2, int(k_max / math.pi) + 2)
+    if tag in ("T41ii_W22", "Dirichlet_ii"):
+        shift = 0 if variant == "robin" else 1
+        n_hi = max(2, int(2.0 * k_max / math.pi) + 2)
+        targets = [(n, complex((n + shift) * math.pi / 2.0), None) for n in range(1, n_hi)]
+        return targets, math.pi / 2.0, 1
+    if tag in ("T42i", "T42ii"):
+        pred = predict_eigenvalues(scalars, tag, range(1, n_hi))
+        n_min = 0 if tag == "T42i" and scalars.dq_at_1 / scalars.omega > 0 else 1
+        return list(zip(pred.ns, pred.values, pred.branches)), math.pi, n_min
+    robin = variant == "robin"
+    lz = leading_zeros(scalars if robin else _dirichlet_flip(scalars), n_hi,
+                       include_small=include_small)
+    n_min = 1 if not robin and scalars.q_at_1 / scalars.omega > 0 else 0
+    return [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)], math.pi, n_min
 
 
 @dataclass

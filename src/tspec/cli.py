@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainError, TspecError, UnstableLimitError
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .pipeline import _file_potential, eigenvalues_from_columns, run_spectrum, validate_columns
 from .potential import Potential, derive_scalars, finite_real
-from .spectrumfile import _read_columns, write_spectrum, write_spectrum_csv
+from .spectrumfile import read_spectrum, write_spectrum, write_spectrum_csv
 
 
 def _finite(text: str) -> float:
@@ -60,6 +60,13 @@ def _parse_range(text: str):
     if not hi:
         raise argparse.ArgumentTypeError("expected lo..hi")
     return [int(lo), int(hi)]
+
+
+def _predict_range(text: str):
+    lo, hi = _parse_range(text)
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 1 <= lo <= hi, got {text!r}")
+    return [lo, hi]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     apsub = ap.add_subparsers(dest="subcommand", required=True)
     app = apsub.add_parser("predict", help="emit sqrt-eigenvalue predictions")
     app.add_argument("--theorem", required=True, choices=asy.THEOREM_TAGS)
-    app.add_argument("--n", type=_parse_range, required=True, metavar="LO..HI")
+    app.add_argument("--n", type=_predict_range, required=True, metavar="LO..HI")
     apr = apsub.add_parser("residuals", help="join a spectrum with predictions")
     apr.add_argument("--spectrum", required=True)
     apr.add_argument("--theorem", choices=asy.THEOREM_TAGS)
@@ -187,7 +194,7 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
 def _load_spectrum(path):
     """The header, record columns, potential and scalars of a spectrum file (the
     potential is the header's, not the config's); a hash mismatch warns."""
-    header, columns, hash_ok = _read_columns(path)
+    header, columns, hash_ok = read_spectrum(path)
     if not hash_ok:
         print("warning: spectrum file content hash mismatch", file=sys.stderr)
     return (header, columns, *_file_potential(header))
@@ -256,7 +263,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     path = args.spectrum or cfg.validate.get("spectrum")
     if not path:
         raise ConfigError("validate needs --spectrum or validate.spectrum in the config")
-    header, columns, hash_ok = _read_columns(path)
+    header, columns, hash_ok = read_spectrum(path)
     report = validate_columns(cfg, header, columns, hash_ok)
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:

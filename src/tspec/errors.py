@@ -14,15 +14,7 @@ class HypothesisMismatchError(DomainError):
 
 
 class IntegrationFailureError(TspecError):
-    """Jost propagation did not meet its tolerance within the cell cap.
-
-    Attributes:
-        x: position at which the propagation failed, when one applies.
-    """
-
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
+    """Jost propagation did not meet its tolerance within the cell cap."""
 
 
 class KernelConvergenceError(TspecError):

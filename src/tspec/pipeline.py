@@ -152,7 +152,7 @@ def _k_array(re_k, im_k) -> np.ndarray:
 
 def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
     """First-quadrant representatives with indices, one per orbit, from the
-    record columns of a spectrum file (spectrumfile._read_columns).
+    record columns of a spectrum file (spectrumfile.read_spectrum).
 
     The mirrors of a zero share its exact (|Re k|, |Im k|), so they collapse
     first, by the first-occurrence indices of a stable np.unique; the 9-digit
@@ -275,7 +275,7 @@ class ValidationReport:
 
 def audit_symmetry(columns) -> AuditEntry:
     """The records of a spectrum file, as its record columns
-    (spectrumfile._read_columns), must be closed under k -> -k and k -> k*.
+    (spectrumfile.read_spectrum), must be closed under k -> -k and k -> k*.
 
     An image of k counts as present when some record lies within
     1e-9 (1 + |k|) of it.
@@ -307,19 +307,17 @@ def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry
     if omega_zero or q1_zero:
         return AuditEntry("contour-counts", "skipped",
                           "counting theorem needs omega != 0 and q(1) != 0")
-    ratio = scalars.q_at_1 / scalars.omega
-    expected = (lambda n: 4 * n + 5) if ratio > 0 else (lambda n: 4 * n + 3)
+    offset = asy.CONTOUR_OFFSETS[dev.variant, scalars.q_at_1 / scalars.omega > 0]
     got = {}
     for n in ns:
         try:
             got[n] = gamma_contour_count(dev, n)
         except TspecError as exc:
             return AuditEntry("contour-counts", "fail", f"count failed at n={n}: {exc}")
-    bad = {n: (got[n], expected(n)) for n in ns if got[n] != expected(n)}
+    bad = {n: (got[n], 4 * n + offset) for n in ns if got[n] != 4 * n + offset}
     if bad:
         return AuditEntry("contour-counts", "fail", f"mismatches {bad}")
-    return AuditEntry("contour-counts", "pass",
-                      f"counts {got} match 4n+{5 if ratio > 0 else 3}")
+    return AuditEntry("contour-counts", "pass", f"counts {got} match 4n+{offset}")
 
 
 def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, variant: str,
@@ -392,7 +390,7 @@ def _file_potential(header: SpectrumHeader):
 def validate_columns(cfg, header: SpectrumHeader, columns, hash_ok: bool = True
                      ) -> ValidationReport:
     """Pass/fail table over symmetry, contour counts, residual decay, gamma routes,
-    for the record columns of a spectrum file (spectrumfile._read_columns)."""
+    for the record columns of a spectrum file (spectrumfile.read_spectrum)."""
     report = ValidationReport()
     report.add("file-integrity", "pass" if hash_ok else "fail",
                "content hash matches" if hash_ok else "content hash mismatch")

@@ -17,12 +17,12 @@ import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError
-from .potential import VARIANTS, finite_real
+from .potential import VARIANTS
 from .rootfind import _MAX_BOUNDARY_POINTS
 
 _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "branch")
@@ -34,21 +34,13 @@ _RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
 # The same row from the number text of a file (read_spectrum).
 _RECORD_TEXT = _RECORD_JSON.replace("%r", "%s")
 _ROW = itemgetter(*_RECORD_FIELDS)
-_FIELDS = attrgetter(*_RECORD_FIELDS)
-# The records of a spectrum as one sequence per field, in _RECORD_FIELDS order:
+# The records of a spectrum as one sequence per field (read_spectrum):
 # SpectrumRecord(*row) for each row of zip(*columns).
 _Columns = namedtuple("_Columns", _RECORD_FIELDS)
 _CLASSES = ("real", "imaginary", "quadrant")
 # A winding count accepts only wrapped phase jumps <= pi/2 between boundary
 # samples, so no count tspec makes, and no multiplicity it writes, exceeds this.
 _MAX_MULTIPLICITY = _MAX_BOUNDARY_POINTS // 4
-
-
-def _columns_of(records) -> _Columns:
-    """The columns of a list of SpectrumRecord."""
-    if not records:
-        return _Columns(*[()] * len(_RECORD_FIELDS))
-    return _Columns(*zip(*map(_FIELDS, records)))
 
 
 class _Number(str):
@@ -144,104 +136,66 @@ def _floats(obj):
     return obj
 
 
-def _float_column(column):
-    """The floats of a column of _Number text, or None unless all are finite."""
-    if set(map(type, column)) - {_Number}:
+def _reals(column):
+    """A column's values (_Number text as floats, ints as ints); None unless all are finite."""
+    types = set(map(type, column))
+    if types - {_Number, int}:
         return None
-    values = list(map(float, column))
-    return values if all(map(math.isfinite, values)) else None
+    values = ([float(v) if type(v) is _Number else v for v in column] if int in types
+              else list(map(float, column)))
+    try:
+        return values if all(map(math.isfinite, values)) else None
+    except OverflowError:       # an int beyond float range
+        return None
 
 
-def _columns(doc):
-    """The seven record columns of doc (floats as _Number text) and the values
-    of re_k, im_k and residual; None unless doc is a header dict and a list of
-    records that pass every value check."""
-    if not (type(doc) is dict and type(doc.get("header")) is dict
-            and type(doc.get("records")) is list):
+def _optional_ints(column):
+    return None if set(map(type, column)) - {int, type(None)} else column
+
+
+def _multiplicities(column):
+    if (set(map(type, column)) - {int}
+            or column and not 0 < min(column) <= max(column) <= _MAX_MULTIPLICITY):
         return None
-    rdicts = doc["records"]
+    return column
+
+
+def _classes(column):
+    return None if set(map(type, column)) - {str} or set(column) - set(_CLASSES) else column
+
+
+# Each field's check, in _RECORD_FIELDS order: the column's values, or None
+# when one is malformed. The reader runs each on whole columns, and on single
+# values only to name the first fault.
+_CHECKS = (_optional_ints, _reals, _reals, _multiplicities, _reals, _classes, _optional_ints)
+
+
+def _rows(rdicts):
+    """Each record's values in _RECORD_FIELDS order; None unless each holds exactly those keys."""
     if set(map(type, rdicts)) - {dict} or set(map(len, rdicts)) - {len(_RECORD_FIELDS)}:
         return None
     try:
-        columns = list(zip(*map(_ROW, rdicts))) or [()] * len(_RECORD_FIELDS)
+        return list(map(_ROW, rdicts))
     except KeyError:
         return None
-    index, re_k, im_k, multiplicity, residual, cls, branch = columns
-    if (set(map(type, index)) - {int, type(None)} or set(map(type, branch)) - {int, type(None)}
-            or set(map(type, multiplicity)) - {int}
-            or rdicts and not 0 < min(multiplicity) <= max(multiplicity) <= _MAX_MULTIPLICITY
-            or set(map(type, cls)) - {str} or set(cls) - set(_CLASSES)):
-        return None
-    floats = [_float_column(re_k), _float_column(im_k), _float_column(residual)]
-    return None if None in floats else (columns, floats)
 
 
 def _nulls(column):
     return ["null" if v is None else v for v in column]
 
 
-def _check_header(path, header):
-    if not (type(header.s) is int and header.s >= 0 and header.variant in VARIANTS):
-        raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
-
-
-def _read_by_record(path, doc):
-    """read_spectrum on a document of plain floats, one record at a time: it
-    names the first fault, in the order the checks run."""
-    try:
-        hdict = dict(doc["header"])
-        rdicts = doc["records"]
-        header = SpectrumHeader(**hdict)
-        records = [SpectrumRecord(**r) for r in rdicts]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
-    _check_header(path, header)
-    for i, r in enumerate(records):
-        # An unknown key already failed above; branch is the one field with a default.
-        if len(rdicts[i]) != len(_RECORD_FIELDS):
-            raise ConfigError(f"{path}: record {i} lacks a field; records hold exactly "
-                              f"{', '.join(_RECORD_FIELDS)}")
-        ok = {"index": r.index is None or type(r.index) is int,
-              "re_k": finite_real(r.re_k), "im_k": finite_real(r.im_k),
-              "multiplicity": (type(r.multiplicity) is int
-                               and 0 < r.multiplicity <= _MAX_MULTIPLICITY),
-              "residual": finite_real(r.residual), "cls": r.cls in _CLASSES,
-              "branch": r.branch is None or type(r.branch) is int}
-        if not all(ok.values()):
-            # Named, not copied: a value may nest too deeply to copy or print.
-            raise ConfigError(f"{path}: record {i} has a malformed value: "
-                              + ", ".join(name for name in ok if not ok[name]))
-    return header, records, hdict.get("content_hash", "") == _content_hash(hdict, records)
-
-
 def read_spectrum(path):
-    """Read a spectrum file back losslessly; verifies the content hash.
+    """Read a spectrum file back losslessly: (header, record columns as _Columns, hash_ok).
 
-    A file that cannot be read, is not JSON or lacks the spectrum layout raises
-    ConfigError, as does a header key outside SpectrumHeader, a record whose
-    keys are not exactly _RECORD_FIELDS, or a malformed value: s must be an
-    int >= 0, variant robin or dirichlet, index and branch an int or null,
-    re_k, im_k and residual finite, multiplicity an int from 1 to
-    _MAX_MULTIPLICITY and cls one of _CLASSES.
-
-    The records are checked by column (_read_columns) and built from the
-    columns. The hash is first taken over the file's own number text:
-    json.dump writes float.__repr__, which round-trips, so a match there is a
-    match on the values, and only a file whose text does not match (a number
-    spelled another way, a changed value) has its values re-encoded by
-    _content_hash. A file that fails a column check, or holds an integer
-    where a float belongs, takes the per-record path, which gives the same
-    answer and names the first fault. A file nested too deeply to parse or
-    check raises ConfigError as well.
+    ConfigError names the file when it cannot be read, is not JSON, lacks the
+    spectrum layout or nests too deeply, for a header key outside
+    SpectrumHeader, an s that is not an int >= 0 or a variant outside
+    VARIANTS. It names the first record that is not an object holding exactly
+    _RECORD_FIELDS, or the first with a malformed value and its faulty fields
+    (see _CHECKS and the README). The hash is first taken over the file's own
+    number text: json.dump writes float.__repr__, which round-trips, so only a
+    file whose text misses has its values re-encoded by _content_hash.
     """
-    header, columns, hash_ok = _read_columns(path)
-    return header, list(map(SpectrumRecord, *columns)), hash_ok
-
-
-def _read_columns(path):
-    """read_spectrum with the records as _Columns: (header, columns, hash_ok),
-    the same checks, errors and hash verdict, and no record built unless the
-    file's number text misses the hash or the file takes the per-record path."""
     try:
         return _read(path)
     except RecursionError:
@@ -256,23 +210,35 @@ def _read(path):
         raise ConfigError(f"{path}: cannot read spectrum file ({exc.strerror or exc})") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: not a JSON file ({exc})") from None
-    checked = _columns(doc)
-    if checked is None:
-        header, records, hash_ok = _read_by_record(path, _floats(doc))
-        return header, _columns_of(records), hash_ok
-    columns, (re_v, im_v, residual_v) = checked
+    if not (type(doc) is dict and type(doc.get("header")) is dict
+            and type(doc.get("records")) is list):
+        raise ConfigError(f"{path}: not a spectrum file (expected an object with a header "
+                          "object and a records list)")
     hdict = _floats(doc["header"])
     try:
         header = SpectrumHeader(**hdict)
     except TypeError as exc:
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
-    _check_header(path, header)
+    if not (type(header.s) is int and header.s >= 0 and header.variant in VARIANTS):
+        raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
+    rows = _rows(doc["records"])
+    if rows is None:
+        i = next(i for i, r in enumerate(doc["records"]) if _rows([r]) is None)
+        raise ConfigError(f"{path}: record {i} is not an object holding exactly "
+                          + ", ".join(_RECORD_FIELDS))
+    columns = list(zip(*rows)) or [()] * len(_RECORD_FIELDS)
+    values = _Columns(*(check(column) for check, column in zip(_CHECKS, columns)))
+    if None in values:
+        for i, row in enumerate(rows):
+            bad = [name for name, check, v in zip(_RECORD_FIELDS, _CHECKS, row)
+                   if check([v]) is None]
+            if bad:     # named, not copied: a value may nest too deeply to copy or print
+                raise ConfigError(f"{path}: record {i} has a malformed value: " + ", ".join(bad))
     index, re_k, im_k, multiplicity, residual, cls, branch = columns
-    values = _Columns(index, re_v, im_v, multiplicity, residual_v, cls, branch)
     stored = hdict.get("content_hash", "")
-    rows = map(_RECORD_TEXT.__mod__, zip(_nulls(branch), cls, im_k, _nulls(index),
+    text = map(_RECORD_TEXT.__mod__, zip(_nulls(branch), cls, im_k, _nulls(index),
                                          multiplicity, re_k, residual))
-    return header, values, (_digest(hdict, rows) == stored
+    return header, values, (_digest(hdict, text) == stored
                             or _content_hash(hdict, list(map(SpectrumRecord, *values))) == stored)
 
 

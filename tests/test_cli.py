@@ -20,13 +20,19 @@ import tspec.charfun
 from tspec import pipeline, spectrumfile
 from tspec.cli import _build_parser, main
 from tspec.errors import ConfigError
-from tspec.spectrumfile import _RECORD_FIELDS, read_spectrum
+from tspec.spectrumfile import _RECORD_FIELDS, SpectrumRecord, read_spectrum
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=6)
+
+
+def _read_records(path):
+    """read_spectrum with the record columns turned into one SpectrumRecord per row."""
+    header, columns, hash_ok = read_spectrum(path)
+    return header, list(map(SpectrumRecord, *columns)), hash_ok
 
 
 @contextlib.contextmanager
@@ -68,7 +74,7 @@ def spectrum_path(workdir, config_path):
 
 class TestSpectrumCommand:
     def test_writes_json_and_csv(self, spectrum_path):
-        header, records, hash_ok = read_spectrum(spectrum_path)
+        header, records, hash_ok = _read_records(spectrum_path)
         assert hash_ok
         assert len(records) == 4
         assert all(r.index == 0 for r in records)
@@ -78,7 +84,7 @@ class TestSpectrumCommand:
         assert len(rows) == 5
 
     def test_round_trip_lossless(self, spectrum_path):
-        header, records, _ = read_spectrum(spectrum_path)
+        header, records, _ = _read_records(spectrum_path)
         with open(spectrum_path) as fh:
             doc = json.load(fh)
         for rec, raw in zip(records, doc["records"]):
@@ -109,7 +115,7 @@ class TestSpectrumCommand:
         code = main(["--config", config_path, "--out", str(out),
                      "spectrum", "--n", "1..1"])
         assert code == 0
-        _, records, _ = read_spectrum(str(out))
+        _, records, _ = _read_records(str(out))
         assert {r.index for r in records} == {1}
 
     # q = a + b x with q(1)/omega near -2: the n = 0 zero is purely imaginary,
@@ -123,7 +129,7 @@ class TestSpectrumCommand:
         cfg.write_text(json.dumps(config))
         out = workdir / name
         code = main(["--config", str(cfg), "--out", str(out), "spectrum"] + argv)
-        return (code, *read_spectrum(str(out))[:2]) if out.exists() else (code, None, [])
+        return (code, *_read_records(str(out))[:2]) if out.exists() else (code, None, [])
 
     def test_imaginary_low_index_from_the_strip_scan(self, workdir):
         # The asymptotic target of index 0 is k = 0.98 on the real axis, where
@@ -232,7 +238,7 @@ class TestSpectrumCommand:
         out = workdir / "zero_spec.json"
         code = main(["--config", str(cfg), "--out", str(out), "spectrum"])
         assert code == 0
-        _, records, _ = read_spectrum(str(out))
+        _, records, _ = _read_records(str(out))
         assert records == []
         assert "degenerate" in capsys.readouterr().err
 
@@ -252,6 +258,26 @@ class TestSpectrumCommand:
         code, _, _ = self._spectrum(workdir, config, ["--n", "1..3"], "no_theorem.json")
         assert code == 3
         assert "no numbering theorem" in capsys.readouterr().err
+
+    # q = 1 - x: q(1) = 0 and q'(1) = -1, where no theorem numbers a Dirichlet spectrum.
+    DIRICHLET_Q1_ZERO = {"potential": {"kind": "polynomial", "coeffs": [1.0, -1.0], "h": 0.0},
+                         "variant": "dirichlet"}
+
+    def test_dirichlet_with_q1_zero_index_window_exits_3(self, workdir, capsys):
+        code, _, records = self._spectrum(workdir, self.DIRICHLET_Q1_ZERO, ["--n", "1..8"],
+                                          "dirichlet_q1_zero_n.json")
+        err = capsys.readouterr().err
+        assert code == 3 and records == []
+        assert "computation failed: no numbering theorem applies" in err
+
+    def test_dirichlet_with_q1_zero_region_is_written_unindexed(self, workdir, capsys):
+        code, header, records = self._spectrum(workdir, self.DIRICHLET_Q1_ZERO,
+                                               ["--region", "0,20,0,4"],
+                                               "dirichlet_q1_zero_region.json")
+        assert code == 0 and records
+        assert {r.index for r in records} == {None}
+        assert [w for w in header.warnings if w.startswith("indexing: no numbering theorem")]
+        assert "warning: indexing: no numbering theorem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("region", ["0,1e200,0,1", "-1e308,1e308,0,1"])
     def test_region_too_long_to_sample_exits_3(self, workdir, capsys, region):
@@ -748,6 +774,9 @@ class TestUsageErrors:
         ["charfun", "eval", "--k", "0,inf"],
         ["gamma", "--route", "direct", "--spectrum", "spec.json", "--probe", "nan"],
         ["gamma", "--route", "direct", "--spectrum", "spec.json", "--probe", "inf"],
+        ["asymptotics", "predict", "--theorem", "T41i_W22", "--n", "3..1"],
+        ["asymptotics", "predict", "--theorem", "T41i_W22", "--n", "0..2"],
+        ["asymptotics", "predict", "--theorem", "T41i_W22", "--n=-3..-1"],
     ])
     def test_exit_1(self, config_path, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -14,7 +14,13 @@ from tspec.pipeline import (AuditEntry, audit_residual_decay, audit_symmetry,
                             targeted_spectrum, validate_columns)
 from tspec.charfun import DEvaluator
 from tspec.rootfind import Eigenvalue, ZeroSearchResult
-from tspec.spectrumfile import SpectrumRecord, _columns_of
+from tspec.spectrumfile import _RECORD_FIELDS, SpectrumRecord, _Columns
+
+
+def _columns_of(records) -> _Columns:
+    """The record columns of a list of SpectrumRecord, as read_spectrum gives them."""
+    return _Columns(*zip(*[[getattr(r, f) for f in _RECORD_FIELDS] for r in records])) \
+        if records else _Columns(*[()] * len(_RECORD_FIELDS))
 
 
 def _cfg(potential, variant="robin", **extra):
@@ -335,7 +341,7 @@ class TestOrbits:
             path = tmp_path / "spec.json"
             doc = spectrumfile.write_spectrum(path, header, records)
             written = [SpectrumRecord(**d) for d in doc["records"]]
-            _, columns, hash_ok = spectrumfile._read_columns(path)
+            _, columns, hash_ok = spectrumfile.read_spectrum(path)
             assert hash_ok
             ref = [repr(ev) for ev in self._collapse_by_dict(written)]
             assert len(ref) == 6
@@ -345,6 +351,19 @@ class TestOrbits:
 
 
 class TestAudits:
+    @pytest.mark.parametrize("variant, coeffs, offset", [
+        ("robin", [0.5, 1.0], 5), ("robin", [1.0, -1.8], 3),
+        ("dirichlet", [0.5, 1.0], 1), ("dirichlet", [1.0, -1.8], 3)],
+        ids=["robin-positive", "robin-negative", "dirichlet-positive", "dirichlet-negative"])
+    def test_contour_counts_per_variant_and_sign(self, variant, coeffs, offset):
+        # q = 0.5 + x has q(1)/omega = 1.5 > 0, q = 1 - 1.8 x has -8; the audit
+        # expects 4n + offset and the winding counts of k D(k) give it.
+        p = Potential.from_dict({"kind": "polynomial", "coeffs": coeffs, "h": 0.0})
+        s = derive_scalars(p)
+        assert asymptotics.CONTOUR_OFFSETS[variant, s.q_at_1 / s.omega > 0] == offset
+        entry = pipeline.audit_contours(DEvaluator(p, variant, rtol=1e-10), s, [2, 3])
+        assert entry.status == "pass" and entry.detail.endswith(f"match 4n+{offset}")
+
     def test_symmetry_pass(self, small_run):
         assert audit_symmetry(_columns_of(small_run.records)).status == "pass"
 

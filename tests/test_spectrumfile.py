@@ -11,11 +11,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspec import spectrumfile
+from tspec.cli import main
 from tspec.errors import ConfigError
+from tspec.potential import finite_real
 from tspec.spectrumfile import (_CLASSES, SpectrumHeader, SpectrumRecord, _content_hash,
                                 read_spectrum, write_spectrum)
 
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _read_records(path):
+    """read_spectrum with the record columns turned into one SpectrumRecord per row."""
+    header, columns, hash_ok = read_spectrum(path)
+    return header, list(map(SpectrumRecord, *columns)), hash_ok
+
+
+def _accepted(field, value):
+    """Whether read_spectrum documents value as well-formed for field."""
+    if field in ("index", "branch"):
+        return value is None or type(value) is int
+    if field == "multiplicity":
+        return type(value) is int and 1 <= value <= 4096
+    if field == "cls":
+        return value in _CLASSES
+    return finite_real(value)
 
 
 def _golden_header():
@@ -81,8 +100,8 @@ class TestContentHash:
                                 variant="robin", region=[], tolerances={})
         path = tmp_path / "np.json"
         write_spectrum(path, header, records)
-        _, back, hash_ok = read_spectrum(path)
-        assert hash_ok and type(back[0].re_k) is float and repr(back[0].im_k) == "-0.0"
+        _, columns, hash_ok = read_spectrum(path)
+        assert hash_ok and type(columns.re_k[0]) is float and repr(columns.im_k[0]) == "-0.0"
 
 
 _FLOATS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
@@ -116,7 +135,7 @@ class TestRoundTrip:
         header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
                                 variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
         doc = write_spectrum(path, header, records)
-        _, back, hash_ok = read_spectrum(path)
+        _, back, hash_ok = _read_records(path)
         assert hash_ok
         # repr tells -0.0 from 0.0, which == does not.
         assert Counter(map(repr, back)) == Counter(map(repr, records))
@@ -139,30 +158,32 @@ class TestRoundTrip:
     @pytest.mark.parametrize("field", spectrumfile._RECORD_FIELDS)
     def test_column_checks_match_the_per_record_reader(self, tmp_path, field, value):
         # Record 2 of a float-only file takes a value of another type, or one
-        # out of range; both readers give the same result or the same error.
+        # out of range. The file reads back with the values written, or is
+        # refused with an error that names record 2 and the field; a field's
+        # check refuses the whole column exactly when it refuses that record's
+        # value alone, which is how the reader finds the record to name.
         path = tmp_path / "spec.json"
         header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
                                 variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
         doc = write_spectrum(path, header, GOLDEN_RECORDS[1:])
+        written = doc["records"][2][field]
         if value != "unchanged":
             doc["records"][2][field] = value
             # A number json.dumps never writes: its text reads as inf.
             path.write_text(json.dumps(doc, indent=2).replace('"1e400 unquoted"', "1e400"))
-
-        def outcome(read):
-            try:
-                header, back, hash_ok = read()
-            except ConfigError as exc:
-                return str(exc)
-            return repr(header), [repr(r) for r in back], hash_ok
-
-        def by_columns():
-            header, columns, hash_ok = spectrumfile._read_columns(path)
-            return header, [SpectrumRecord(*row) for row in zip(*columns)], hash_ok
-
-        assert outcome(lambda: read_spectrum(path)) == outcome(
-            lambda: spectrumfile._read_by_record(path, json.loads(path.read_text())))
-        assert outcome(lambda: read_spectrum(path)) == outcome(by_columns)
+        check = spectrumfile._CHECKS[spectrumfile._RECORD_FIELDS.index(field)]
+        column = [r[field] for r in json.loads(path.read_text(),
+                                               parse_float=spectrumfile._Number)["records"]]
+        assert (check(column) is None) is (check(column[2:3]) is None)
+        try:
+            _, back, hash_ok = _read_records(path)
+        except ConfigError as exc:
+            assert str(exc) == f"{path}: record 2 has a malformed value: {field}"
+            assert value != "unchanged" and not _accepted(field, value)
+            return
+        assert value == "unchanged" or _accepted(field, value)
+        assert [repr(r) for r in back] == [repr(SpectrumRecord(**d)) for d in doc["records"]]
+        assert hash_ok is (value == "unchanged" or repr(value) == repr(written))
 
     def test_respelled_numbers_keep_the_hash(self, tmp_path):
         # The text check fails on another spelling of the same value; the
@@ -180,7 +201,7 @@ class TestRoundTrip:
         assert respelled.count("1.50,") == respelled.count("1E+16,") == 1
         assert respelled.count("1e-4,") == 1
         path.write_text(respelled)
-        _, back, hash_ok = read_spectrum(path)
+        _, back, hash_ok = _read_records(path)
         assert hash_ok is True
         assert [repr(r) for r in back] == [repr(r) for r in records]
 
@@ -188,15 +209,14 @@ class TestRoundTrip:
         path = tmp_path / "spec.json"
         header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
                                 variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
-        # Record 0's int residual would take the per-record path.
-        write_spectrum(path, header, GOLDEN_RECORDS[1:])
+        write_spectrum(path, header, GOLDEN_RECORDS)
 
         def refuse(*args):
             raise AssertionError("_content_hash called on a file whose text matches")
 
         monkeypatch.setattr(spectrumfile, "_content_hash", refuse)
-        _, back, hash_ok = read_spectrum(path)
-        assert hash_ok is True and len(back) == len(GOLDEN_RECORDS) - 1
+        _, columns, hash_ok = read_spectrum(path)
+        assert hash_ok is True and len(columns.re_k) == len(GOLDEN_RECORDS)
 
     def test_largest_multiplicity_loads(self, tmp_path):
         # 4096 is the most a winding count can report; one more is refused.
@@ -206,12 +226,12 @@ class TestRoundTrip:
         record = SpectrumRecord(index=None, re_k=0.0, im_k=0.0, multiplicity=4096,
                                 residual=0.0, cls="real")
         write_spectrum(path, header, [record])
-        _, back, hash_ok = read_spectrum(path)
+        _, back, hash_ok = _read_records(path)
         assert hash_ok and back == [record]
         doc = json.loads(path.read_text())
         doc["records"][0]["multiplicity"] = 4097
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="malformed value"):
+        with pytest.raises(ConfigError, match="record 0 has a malformed value: multiplicity"):
             read_spectrum(path)
 
 
@@ -249,76 +269,76 @@ def _layout(doc, case):
 
 
 class TestColumnReader:
-    """_read_columns gives read_spectrum's header, records (as columns) and hash
-    verdict, or its ConfigError text, on the column path and on every fallback."""
+    """read_spectrum checks the records by column and names the first fault."""
 
     HEADER = dict(potential={"kind": "constant", "value": 1.0, "h": 0.0}, variant="robin",
                   region=[0.0, 1.0, 0.0, 1.0], tolerances={})
-    LAYOUTS = ["not-json", "not-an-object", "no-header", "records-not-a-list",
-               "record-not-an-object", "record-lacks-branch", "record-unknown-key",
-               "unknown-header-key", "header-s-negative", "variant-unknown", "cls-unknown",
-               "re_k-infinite-text", "deeply-nested"]
-
-    @staticmethod
-    def _outcomes(path):
-        def outcome(read, rows):
-            try:
-                header, records, hash_ok = read(path)
-            except ConfigError as exc:
-                return str(exc)
-            return repr(header), [repr(r) for r in rows(records)], hash_ok
-
-        return (outcome(read_spectrum, list),
-                outcome(spectrumfile._read_columns,
-                        lambda columns: [SpectrumRecord(*row) for row in zip(*columns)]))
+    # Each layout fault, and the record it names when it lies in one record.
+    LAYOUTS = {"not-json": None, "not-an-object": None, "no-header": None,
+               "records-not-a-list": None, "record-not-an-object": 1,
+               "record-lacks-branch": 1, "record-unknown-key": 1, "unknown-header-key": None,
+               "header-s-negative": None, "variant-unknown": None, "cls-unknown": 2,
+               "re_k-infinite-text": 3, "deeply-nested": None, "missing-file": None}
 
     def _write(self, path, records):
         return write_spectrum(path, SpectrumHeader(**self.HEADER), records)
 
     @pytest.mark.parametrize("case", ["golden", "floats-only", "empty", "int-in-float-column",
-                                      "spelled-1.0E0", "changed-value", "missing-file"])
-    def test_agrees_with_read_spectrum(self, tmp_path, case):
+                                      "spelled-1.0E0", "changed-value"])
+    def test_reads_back_the_values_written(self, tmp_path, case):
         path = tmp_path / "spec.json"
         records = [] if case == "empty" else GOLDEN_RECORDS if case == "golden" \
             else GOLDEN_RECORDS[1:]
         doc = self._write(path, records)
         text = path.read_text()
         if case == "int-in-float-column":
-            self._write(path, [replace(GOLDEN_RECORDS[2], im_k=3)] + GOLDEN_RECORDS[3:])
+            doc = self._write(path, [replace(GOLDEN_RECORDS[2], im_k=3)] + GOLDEN_RECORDS[3:])
             text = path.read_text()
             assert '"im_k": 3,' in text
         elif case == "spelled-1.0E0":
             doc["records"][1]["re_k"] = 1.0
-            self._write(path, [SpectrumRecord(**d) for d in doc["records"]])
+            doc = self._write(path, [SpectrumRecord(**d) for d in doc["records"]])
             text = path.read_text().replace('"re_k": 1.0,', '"re_k": 1.0E0,')
             assert "1.0E0" in text
         elif case == "changed-value":
             text = text.replace(repr(doc["records"][2]["residual"]), "2.5", 1)
-        elif case == "missing-file":
-            path.unlink()
-        if case != "missing-file":
-            path.write_text(text)
-        by_records, by_columns = self._outcomes(path)
-        assert by_records == by_columns
-        if case == "missing-file":
-            assert "cannot read spectrum file" in by_records
-        else:
-            assert by_records[2] is (case != "changed-value")
+            doc["records"][2]["residual"] = 2.5
+        path.write_text(text)
+        header, back, hash_ok = _read_records(path)
+        assert repr(header) == repr(SpectrumHeader(**doc["header"]))
+        # An int in a float field stays an int, as json.load reads it.
+        assert [repr(r) for r in back] == [repr(SpectrumRecord(**d)) for d in doc["records"]]
+        assert hash_ok is (case != "changed-value")
 
     @pytest.mark.parametrize("case", LAYOUTS)
-    def test_malformed_layouts_raise_the_same_text(self, tmp_path, case):
+    def test_malformed_layouts_raise_the_same_text(self, tmp_path, case, capsys):
+        # read_spectrum's error names the file, and the record where the fault
+        # lies in one; validate exits 1 and prints that text.
         path = tmp_path / "spec.json"
         doc = self._write(path, GOLDEN_RECORDS[1:])
-        bad = _layout(doc, case)
-        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
-        by_records, by_columns = self._outcomes(path)
-        assert isinstance(by_records, str) and by_records.startswith(str(path))
-        assert by_columns == by_records
+        if case == "missing-file":
+            path.unlink()
+        else:
+            bad = _layout(doc, case)
+            path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        with pytest.raises(ConfigError) as excinfo:
+            read_spectrum(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        record = self.LAYOUTS[case]
+        assert (": record " in message) is (record is not None)
+        assert record is None or message.startswith(f"{path}: record {record} ")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"potential": self.HEADER["potential"],
+                                      "variant": "robin"}))
+        assert main(["--config", str(config), "validate", "--spectrum", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_matching_text_builds_no_record(self, tmp_path, monkeypatch):
         path = tmp_path / "spec.json"
-        self._write(path, GOLDEN_RECORDS[1:])
+        self._write(path, GOLDEN_RECORDS)
         monkeypatch.setattr(spectrumfile, "SpectrumRecord", None)
-        _, columns, hash_ok = spectrumfile._read_columns(path)
-        assert hash_ok and len(columns.re_k) == len(GOLDEN_RECORDS) - 1
-        assert [type(v) for v in columns.re_k] == [float] * (len(GOLDEN_RECORDS) - 1)
+        _, columns, hash_ok = read_spectrum(path)
+        assert hash_ok and len(columns.re_k) == len(GOLDEN_RECORDS)
+        # GOLDEN_RECORDS[0]'s int residual stays an int.
+        assert sorted(type(v).__name__ for v in columns.residual) == ["float"] * 5 + ["int"]
