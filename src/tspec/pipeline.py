@@ -156,16 +156,20 @@ def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
 
     The mirrors of a zero share its exact (|Re k|, |Im k|), so they collapse
     first, by the first-occurrence indices of a stable np.unique; the 9-digit
-    key then merges images that differ by rounding. Both keep the first row seen.
+    key then merges images that differ by rounding, formed only when the means of
+    two survivors' parts lie within 1e-9 (+ 3 eps). Both keep the first row seen.
     """
     re_k, im_k = columns.re_k, columns.im_k
-    _, firsts = np.unique(_k_array(np.abs(re_k), np.abs(im_k)), return_index=True)
+    survivors, firsts = np.unique(_k_array(np.abs(re_k), np.abs(im_k)), return_index=True)
     firsts = np.sort(firsts).tolist()
-    rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
+    means = np.sort(survivors.real / 2 + survivors.imag / 2)    # halves: no overflow
+    if np.any(np.diff(means) <= 1e-9 + 1e-15 * means[-1:]):
+        rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
+        firsts = _first_of_each(rounded, firsts)
     zeros = [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
                         multiplicity=columns.multiplicity[i], residual=columns.residual[i],
                         cls=columns.cls[i], branch=columns.branch[i])
-             for i in _first_of_each(rounded, firsts)]
+             for i in firsts]
     return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9, abs(e.k)))
 
 
@@ -395,11 +399,10 @@ def validate_columns(cfg, header: SpectrumHeader, columns, hash_ok: bool = True
     report.add("file-integrity", "pass" if hash_ok else "fail",
                "content hash matches" if hash_ok else "content hash mismatch")
     if not columns.re_k:
-        has_warning = any("degenerate" in w for w in header.warnings)
         report.add("symmetry-closure", "skipped", "empty spectrum")
         report.add("residual-decay", "skipped", "empty spectrum")
         report.add("gamma-consistency", "skipped", "empty spectrum")
-        if not has_warning:
+        if not any("degenerate" in w for w in header.warnings):
             report.add("empty-spectrum", "fail", "no records and no degeneracy warning")
         return report
     report.entries.append(audit_symmetry(columns))

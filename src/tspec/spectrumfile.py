@@ -33,7 +33,6 @@ _RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
                 '"multiplicity":%r,"re_k":%r,"residual":%r}')
 # The same row from the number text of a file (read_spectrum).
 _RECORD_TEXT = _RECORD_JSON.replace("%r", "%s")
-_ROW = itemgetter(*_RECORD_FIELDS)
 # The records of a spectrum as one sequence per field (read_spectrum):
 # SpectrumRecord(*row) for each row of zip(*columns).
 _Columns = namedtuple("_Columns", _RECORD_FIELDS)
@@ -170,31 +169,27 @@ def _classes(column):
 _CHECKS = (_optional_ints, _reals, _reals, _multiplicities, _reals, _classes, _optional_ints)
 
 
-def _rows(rdicts):
-    """Each record's values in _RECORD_FIELDS order; None unless each holds exactly those keys."""
+def _columns(rdicts):
+    """Each field's values in _RECORD_FIELDS order; None unless each holds exactly those keys."""
     if set(map(type, rdicts)) - {dict} or set(map(len, rdicts)) - {len(_RECORD_FIELDS)}:
         return None
     try:
-        return list(map(_ROW, rdicts))
+        return [tuple(map(itemgetter(name), rdicts)) for name in _RECORD_FIELDS]
     except KeyError:
         return None
-
-
-def _nulls(column):
-    return ["null" if v is None else v for v in column]
 
 
 def read_spectrum(path):
     """Read a spectrum file back losslessly: (header, record columns as _Columns, hash_ok).
 
     ConfigError names the file when it cannot be read, is not JSON, lacks the
-    spectrum layout or nests too deeply, for a header key outside
-    SpectrumHeader, an s that is not an int >= 0 or a variant outside
-    VARIANTS. It names the first record that is not an object holding exactly
-    _RECORD_FIELDS, or the first with a malformed value and its faulty fields
-    (see _CHECKS and the README). The hash is first taken over the file's own
-    number text: json.dump writes float.__repr__, which round-trips, so only a
-    file whose text misses has its values re-encoded by _content_hash.
+    spectrum layout or nests too deeply, for a header key outside SpectrumHeader,
+    an s that is not an int >= 0, a variant outside VARIANTS or warnings that are
+    not a list of str. It names the first record that is not an object holding
+    exactly _RECORD_FIELDS, or the first with a malformed value and its faulty
+    fields (see _CHECKS and the README). The hash is first taken over the file's
+    own number text: json.dump writes float.__repr__, which round-trips, so only
+    a file whose text misses has its values re-encoded by _content_hash.
     """
     try:
         return _read(path)
@@ -221,24 +216,30 @@ def _read(path):
         raise ConfigError(f"{path}: not a spectrum file ({exc})") from None
     if not (type(header.s) is int and header.s >= 0 and header.variant in VARIANTS):
         raise ConfigError(f"{path}: malformed header s {header.s!r} or variant {header.variant!r}")
-    rows = _rows(doc["records"])
-    if rows is None:
-        i = next(i for i, r in enumerate(doc["records"]) if _rows([r]) is None)
+    if type(header.warnings) is not list or set(map(type, header.warnings)) - {str}:
+        raise ConfigError(f"{path}: malformed header warnings {header.warnings!r}")
+    columns = _columns(doc["records"])
+    if columns is None:
+        i = next(i for i, r in enumerate(doc["records"]) if _columns([r]) is None)
         raise ConfigError(f"{path}: record {i} is not an object holding exactly "
                           + ", ".join(_RECORD_FIELDS))
-    columns = list(zip(*rows)) or [()] * len(_RECORD_FIELDS)
     values = _Columns(*(check(column) for check, column in zip(_CHECKS, columns)))
     if None in values:
-        for i, row in enumerate(rows):
+        for i, row in enumerate(zip(*columns)):
             bad = [name for name, check, v in zip(_RECORD_FIELDS, _CHECKS, row)
                    if check([v]) is None]
             if bad:     # named, not copied: a value may nest too deeply to copy or print
                 raise ConfigError(f"{path}: record {i} has a malformed value: " + ", ".join(bad))
-    index, re_k, im_k, multiplicity, residual, cls, branch = columns
+    # The file's number text in one join of _RECORD_TEXT's pieces and the column texts.
+    *pieces, last = _RECORD_TEXT.split("%s")
+    text = ([p for piece in pieces for p in (piece, None)] + [last + ","]) * len(columns[0])
+    for j, (_, column) in enumerate(sorted(zip(_RECORD_FIELDS, columns))):  # template order
+        if set(map(type, column)) - {_Number, str}:     # ints, and None as null: by value
+            spelled = {v: "null" if v is None else str(v) for v in set(column)}
+            column = list(map(spelled.__getitem__, column))
+        text[2 * j + 1::2 * len(pieces) + 1] = column
     stored = hdict.get("content_hash", "")
-    text = map(_RECORD_TEXT.__mod__, zip(_nulls(branch), cls, im_k, _nulls(index),
-                                         multiplicity, re_k, residual))
-    return header, values, (_digest(hdict, text) == stored
+    return header, values, (_digest(hdict, ["".join(text)[:-1]]) == stored  # no last comma
                             or _content_hash(hdict, list(map(SpectrumRecord, *values))) == stored)
 
 

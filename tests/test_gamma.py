@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tspec import Potential, derive_scalars, gamma_recovery
+from tspec import Potential, derive_scalars, gamma_recovery, pipeline
 from tspec.asymptotics import leading_zeros
 from tspec.errors import DomainError, ProbeTooCloseError, UnstableLimitError
 from tspec.gamma_recovery import (eval_E, from_eigenvalues, gamma_direct,
@@ -13,6 +13,7 @@ from tspec.gamma_recovery import (eval_E, from_eigenvalues, gamma_direct,
                                   hadamard_product, log_E)
 from tspec.potential import PotentialScalars
 from tspec.rootfind import newton_refine_many
+from tspec.spectrumfile import _Columns
 
 from conftest import const_jost
 
@@ -194,6 +195,31 @@ class TestOmegaRoute:
             est = gamma_from_omega(hp, scalars)
             assert est.gamma == pytest.approx(d0, rel=0.02), n
             assert est.diagnostics["gap"] < 0.05, n
+
+    def test_well_separated_spectrum_skips_the_rounding(self, monkeypatch):
+        # The four mirrors of 401 closed-form zeros collapse on their exact
+        # parts, and no two survivors can share a 9-digit key, so round() never
+        # runs; one image off by rounding brings it back, with the same list.
+        d = robin_constant_d(1.1, 0.3)
+        scalars = derive_scalars(Potential.constant(1.1, h=0.3))
+        roots, ok = newton_refine_many(d, np.array(leading_zeros(scalars, 401).mu_n[:401]))
+        assert ok.all()
+        images = [(n, m) for n, k in enumerate(roots) for m in (k, -k, np.conj(k), -np.conj(k))]
+        calls = []
+        monkeypatch.setattr(pipeline, "round", lambda x, n: calls.append(x) or round(x, n),
+                            raising=False)
+
+        def collapse(images):
+            return pipeline.eigenvalues_from_columns(_Columns(
+                [n for n, _ in images], [m.real for _, m in images], [m.imag for _, m in images],
+                [1] * len(images), [0.0] * len(images), ["quadrant"] * len(images),
+                [None] * len(images)))
+
+        zeros = collapse(images)
+        assert not calls
+        assert [ev.index for ev in zeros] == list(range(401))
+        assert [ev.k for ev in zeros] == [complex(abs(k.real), abs(k.imag)) for k in roots]
+        assert collapse(images + [(7, -roots[7] + 3e-11)]) == zeros and calls
 
     def test_omega_zero_precondition(self, synthetic_hp):
         scalars = PotentialScalars(omega=0.0, q_at_1=1.0, dq_at_1=0.0, q_at_0=0.0,

@@ -318,6 +318,32 @@ class TestOrbits:
         return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9,
                                             abs(e.k)))
 
+    @pytest.mark.parametrize("images", [(), (3e-11, -2e-11j)], ids=["exact", "rounded"])
+    @pytest.mark.parametrize("gap", [0.49e-9, 0.98e-9, 1.02e-9, 1.98e-9, 2.02e-9, 4e-9])
+    @pytest.mark.parametrize("direction", [1.0, 1j, 1 + 1j, 1 - 1j])
+    def test_skipped_rounding_keeps_the_rounded_collapse(self, monkeypatch, direction, gap,
+                                                         images):
+        # Two survivors per orbit, just inside or just outside 1e-9 of each
+        # other in one part or both, either side of a 9-digit grid point (so
+        # they share a key or not), with or without mirror images that differ
+        # by rounding: whichever path runs, the list is the one the 9-digit keys
+        # give, and the rounding runs exactly when the means of two survivors'
+        # parts lie within 1e-9.
+        calls = []
+        monkeypatch.setattr(pipeline, "round", lambda x, n: calls.append(x) or round(x, n),
+                            raising=False)
+        records = []
+        for n, k in enumerate([2.5 + 1.25j, 5.75 + 0.5j, 3.0 + 2.75j]):
+            for m in (k - gap / 2 * direction, k + gap / 2 * direction):
+                for image in [m, -m] + [np.conj(m) * (-1) ** i + d for i, d in enumerate(images)]:
+                    records.append(SpectrumRecord(index=n, re_k=image.real, im_k=image.imag,
+                                                  multiplicity=1, residual=float(len(records)),
+                                                  cls="quadrant"))
+        back = eigenvalues_from_columns(_columns_of(records))
+        assert back == self._collapse_by_dict(records)
+        close = abs(direction.real + direction.imag) * gap / 2 <= 1e-9
+        assert bool(calls) is (close or bool(images))
+
     def test_columns_match_the_dict_collapse(self, tmp_path):
         # Mirror images that differ by rounding, exact repeats, -0.0 parts, a
         # real, an imaginary and an unindexed zero, two orbits whose 9-digit

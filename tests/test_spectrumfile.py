@@ -148,6 +148,49 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc, indent=2))
         assert read_spectrum(path)[2] is False
 
+    @_PROPERTY
+    @given(records=_RECORDS, data=st.data())
+    def test_joined_digest_text_matches_the_per_record_format(self, tmp_path_factory, records,
+                                                              data):
+        # Reference: one _RECORD_TEXT % row per record of the file's own text,
+        # null for None, and the hash verdict of that text or of the values.
+        # Float fields may hold ints, and numbers may be respelled (1.0E0).
+        path = tmp_path_factory.mktemp("digest") / "spec.json"
+        header = SpectrumHeader(potential={"kind": "constant", "value": 1.0, "h": 0.0},
+                                variant="robin", region=[0.0, 1.0, 0.0, 1.0], tolerances={})
+        doc = write_spectrum(path, header, records)
+        spellings = {}
+        for i, rdict in enumerate(doc["records"]):
+            for key in ("re_k", "im_k", "residual"):
+                how = data.draw(st.sampled_from(["as written", "int", "respelled"]),
+                                label=f"{key} of record {i}")
+                if how == "int":
+                    rdict[key] = int(rdict[key])
+                elif how == "respelled":
+                    spellings[f"@{i}{key}@"] = "%.17E" % rdict[key]
+                    rdict[key] = f"@{i}{key}@"
+        text = json.dumps(doc, indent=2)
+        for token, spelled in spellings.items():
+            text = text.replace(f'"{token}"', spelled)
+        path.write_text(text)
+        rdicts = json.loads(text, parse_float=spectrumfile._Number)["records"]
+        rows = ",".join(spectrumfile._RECORD_TEXT
+                        % tuple("null" if r[f] is None else r[f] for f in sorted(r))
+                        for r in rdicts)
+        digested = []
+        digest = spectrumfile._digest
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrumfile, "_digest", lambda h, rows: digested.append(rows) or
+                       digest(h, rows))
+            hash_ok = read_spectrum(path)[2]
+        assert ",".join(digested[0]) == rows
+        hdict = doc["header"]
+        back = [SpectrumRecord(**{k: spectrumfile._floats(v) for k, v in r.items()})
+                for r in rdicts]
+        verdict = (spectrumfile._digest(hdict, [rows]) == hdict["content_hash"]
+                   or _content_hash(hdict, back) == hdict["content_hash"])
+        assert hash_ok is verdict
+
     def test_changed_last_digit_moves_the_value(self):
         for v in (0.30000000000000004, 1e-05, 9.999999999999999e22, 2.0 ** 53, 5e-324):
             assert math.isfinite(_changed_last_digit(v)) and _changed_last_digit(v) != v
@@ -333,6 +376,23 @@ class TestColumnReader:
                                       "variant": "robin"}))
         assert main(["--config", str(config), "validate", "--spectrum", str(path)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("warnings", [5, None, [1], "degenerate potential",
+                                          ["degenerate", ["nested"]]])
+    def test_malformed_warnings_exit_1(self, tmp_path, warnings, capsys):
+        # validate reads the warnings of a file with no records for its
+        # degeneracy note; anything but a list of strings is refused up front.
+        path = tmp_path / "spec.json"
+        doc = self._write(path, [])
+        doc["header"]["warnings"] = warnings
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as excinfo:
+            read_spectrum(path)
+        assert str(excinfo.value) == f"{path}: malformed header warnings {warnings!r}"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"potential": self.HEADER["potential"], "variant": "robin"}))
+        assert main(["--config", str(config), "validate", "--spectrum", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {excinfo.value}\n"
 
     def test_matching_text_builds_no_record(self, tmp_path, monkeypatch):
         path = tmp_path / "spec.json"
