@@ -316,13 +316,21 @@ CONTOUR_OFFSETS = {("robin", True): 5, ("robin", False): 3,
                    ("dirichlet", True): 1, ("dirichlet", False): 3}
 
 
+def first_index(scalars: PotentialScalars, tag: str) -> int:
+    """The smallest index theorem `tag` assigns in the first quadrant (scalar tests only)."""
+    if tag in ("T42i", "T42ii"):
+        return 0 if tag == "T42i" and scalars.dq_at_1 / scalars.omega > 0 else 1
+    return int(tag in ("T41ii_W22", "Dirichlet_ii")
+               or tag == "Dirichlet_i" and scalars.q_at_1 / scalars.omega > 0)
+
+
 def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
                   include_small: bool = True):
     """Matching targets (n, sqrt-lambda estimate, branch) for theorem numbering.
 
     Returns (targets, spacing, n_min): spacing is the asymptotic gap between
-    consecutive targets, n_min the smallest index the theorem assigns in the
-    first quadrant. Used both to place a targeted window's strip and to index zeros.
+    consecutive targets, n_min the theorem's first_index. Used both to place a
+    targeted window's strip and to index zeros.
     include_small=False leaves out the n = 0 target of the omega != 0 cases and
     the box search that places it. The theorem is default_theorem_tag's;
     DomainError when there is none.
@@ -332,20 +340,19 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
         raise DomainError("no numbering theorem applies when q(1) = q'(1) = 0"
                           if vanishing(scalars)[2]
                           else "no numbering theorem applies to Dirichlet when q(1) = 0")
+    n_min = first_index(scalars, tag)
     n_hi = max(2, int(k_max / math.pi) + 2)
     if tag in ("T41ii_W22", "Dirichlet_ii"):
         shift = 0 if variant == "robin" else 1
         n_hi = max(2, int(2.0 * k_max / math.pi) + 2)
         targets = [(n, complex((n + shift) * math.pi / 2.0), None) for n in range(1, n_hi)]
-        return targets, math.pi / 2.0, 1
+        return targets, math.pi / 2.0, n_min
     if tag in ("T42i", "T42ii"):
         pred = predict_eigenvalues(scalars, tag, range(1, n_hi))
-        n_min = 0 if tag == "T42i" and scalars.dq_at_1 / scalars.omega > 0 else 1
         return list(zip(pred.ns, pred.values, pred.branches)), math.pi, n_min
     robin = variant == "robin"
     lz = leading_zeros(scalars if robin else _dirichlet_flip(scalars), n_hi,
                        include_small=include_small)
-    n_min = 1 if not robin and scalars.q_at_1 / scalars.omega > 0 else 0
     return [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)], math.pi, n_min
 
 

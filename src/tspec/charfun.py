@@ -37,7 +37,7 @@ def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_
     """D over an array of k, read from M(k^2) by one closed form.
 
     With a = m10 - h m00, b = m11 - h m01 and sinc k = sin(k)/k (1 at 0),
-    Robin D = -a cos k + k b sin k - h (a sinc k + b cos k) and Dirichlet
+    Robin D = b (k sin k - h cos k) - a (cos k + h sinc k) and Dirichlet
     D = m00 sinc k + m01 cos k: the definitions with the 1/k divided out.
 
     rtol bounds each Jost value, not D: far from the real axis D is a small
@@ -47,13 +47,10 @@ def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     m00, m01, m10, m11 = transfer_many(p, ks, rtol=rtol)
     sin, cos = np.sin(ks), np.cos(ks)
-    sinc = np.ones_like(ks)
-    np.divide(sin, ks, out=sinc, where=ks != 0)
+    sinc = sin / ks if ks.all() else np.divide(sin, ks, out=np.ones_like(ks), where=ks != 0)
     if variant == "dirichlet":
         return m00 * sinc + m01 * cos
-    a = m10 - p.h * m00
-    b = m11 - p.h * m01
-    return -a * cos + ks * sin * b - p.h * (a * sinc + b * cos)
+    return (m11 - p.h * m01) * (ks * sin - p.h * cos) - (m10 - p.h * m00) * (cos + p.h * sinc)
 
 
 def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,

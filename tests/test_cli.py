@@ -20,6 +20,7 @@ import tspec.charfun
 from tspec import pipeline, spectrumfile
 from tspec.cli import _build_parser, main
 from tspec.errors import ConfigError
+from tspec.jost import transfer_many
 from tspec.spectrumfile import _RECORD_FIELDS, SpectrumRecord, read_spectrum
 
 _JSON = st.recursive(
@@ -370,6 +371,39 @@ class TestGammaCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["route"] == "direct"
         assert doc["truncation"] == 2
+
+    @pytest.mark.parametrize("indices, expected", [
+        ([0, 1, 2, 3], []),
+        ([1, 2, 3], ["spectrum indices start at 1, not at the theorem's first index 0"]),
+        ([0, 1, 3], ["spectrum indices miss 2"]),
+        ([2, 3, 6, 7, 9], ["spectrum indices start at 2, not at the theorem's first index 0",
+                           "spectrum indices miss 4..5, 8"])])
+    @pytest.mark.parametrize("route", ["direct", "omega"])
+    def test_index_warnings(self, workdir, config_path, capsys, indices, expected, route):
+        # q = 1 is numbered by T41i_W22 from n = 0. A file that lacks low
+        # indices or has holes gives gamma an incomplete product: it warns on
+        # stderr and in the JSON, and exits as it would without the warning.
+        header = spectrumfile.SpectrumHeader(
+            potential={"kind": "constant", "value": 1.0, "h": 0.0}, variant="robin",
+            region=[], tolerances={})
+        records = [spectrumfile.SpectrumRecord(index=n, re_k=(n + 0.5) * math.pi, im_k=0.3,
+                                               multiplicity=1, residual=0.0, cls="quadrant")
+                   for n in indices]
+        path, out = workdir / "index_gaps.json", workdir / "index_gaps_gamma.json"
+        spectrumfile.write_spectrum(path, header, records)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tspec.charfun, "transfer_many",
+                       lambda *a, **kw: calls.append(a) or transfer_many(*a, **kw))
+            code = main(["--config", config_path, "--out", str(out), "gamma", "--route", route,
+                         "--spectrum", str(path)])
+        doc = json.loads(out.read_text())
+        err = capsys.readouterr().err
+        assert doc["warnings"] == expected
+        assert [line for line in err.splitlines() if line.startswith("warning: spectrum")] == [
+            f"warning: {w}" for w in expected]
+        assert code == (0 if "gamma" in doc else 3)
+        assert len(calls) == (1 if route == "direct" else 0)   # no D call of its own
 
     @pytest.mark.parametrize("command, code, needle", [
         (["gamma", "--route", "direct"], 3, "computation failed: eigenvalues must be finite"),

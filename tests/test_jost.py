@@ -13,6 +13,7 @@ from tspec import Potential
 from tspec.charfun import eval_D_many
 from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
 from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
+from tspec.potential import aligned_cells
 
 from conftest import const_jost, jost_at_zero_many
 
@@ -205,13 +206,13 @@ class TestNonConstantPotentials:
 
 
 def _spy_cells(monkeypatch):
-    """The cell count of every _transfer call, in order."""
+    """The cell counts of every _transfer call (one, or a pair), in order."""
     used = []
     transfer = tspec.jost._transfer
 
-    def spy(p, ks, cells):
-        used.append(cells)
-        return transfer(p, ks, cells)
+    def spy(p, ks, counts):
+        used.extend(counts)
+        return transfer(p, ks, counts)
 
     monkeypatch.setattr(tspec.jost, "_transfer", spy)
     return used
@@ -240,9 +241,9 @@ class TestCellDataCache:
         used, built = [], []
         transfer, generators = tspec.jost._transfer, tspec.jost._magnus_generators
 
-        def spy_transfer(p, ks, cells):
-            used.append(cells)
-            return transfer(p, ks, cells)
+        def spy_transfer(p, ks, counts):
+            used.extend(counts)
+            return transfer(p, ks, counts)
 
         def spy_generators(h, *q):
             built.append(round(1.0 / h))
@@ -303,6 +304,83 @@ class TestSharedTransfer:
         scale = abs(d)
         assert abs(d_minus - d) <= 1e-12 * scale
         assert abs(d_conj - np.conj(d)) <= 1e-12 * scale
+
+
+class TestPairPass:
+    """A rung's pair (N, 2N) shares one exponential call and one chain with the
+    products of the two single-count calls."""
+
+    @pytest.mark.parametrize("name", sorted(NONCONSTANT))
+    def test_pair_equals_single_counts(self, name):
+        p = replace(NONCONSTANT[name])
+        rng = np.random.default_rng(5)
+        for _ in range(15):
+            size = int(rng.integers(1, 60))
+            kk = np.unique((rng.uniform(0.0, 40.0, size) + 1j * rng.uniform(-5.0, 5.0, size)) ** 2)
+            n = aligned_cells(p, 8) * 2 ** int(rng.integers(0, 6))
+            m, m2 = tspec.jost._transfer(p, kk, (n, 2 * n))
+            (single,), (double,) = (tspec.jost._transfer(p, kk, (c,)) for c in (n, 2 * n))
+            # The N cells share the single call's blocks; the 2N half-cells go in
+            # blocks of twice its size, which coincide when one block holds them all.
+            assert np.array_equal(m, single)
+            if 2 * n <= tspec.jost._BLOCK // kk.size:
+                assert np.array_equal(m2, double)
+            else:
+                assert np.all(np.abs(m2 - double) <= 1e-12 * np.abs(double).max(axis=0))
+
+
+class TestCellExponential:
+    """The real-function closed form of exp(-Omega) against 40-digit mpmath."""
+
+    # (constant q, k^2): delta = 0, real negative delta^2 from either side of the
+    # branch cut, delta on the imaginary axis near a zero of cos, |Re delta| near the
+    # |Im k| cap, and an oblique delta.
+    CASES = {
+        "zero": (1.3, 1.3),
+        "cut+": (1.3, 5.3 + 1e-300j),
+        "cut-": (1.3, 5.3 - 1e-300j),
+        "imag": (0.0, (np.pi / 2) ** 2),
+        "cap": (1.3, (60j) ** 2),
+        "cap-": (1.3, (40 - 59.9j) ** 2),
+        "oblique": (-0.7, (18 + 6j) ** 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        c, kk = self.CASES[case]
+        g = tspec.jost._cell_generators(Potential.constant(c), 1)
+        m = tspec.jost._cell_matrices(g, np.array([[kk]], dtype=complex))[:, :, 0, 0, 0]
+        nwe, wh0, nwf0, wh1, nwf1 = tspec.jost._magnus_generators(1.0, *[np.array([c])] * 3)[:, 0]
+        we, wf0, wf1 = -nwe, -nwf0, -nwf1
+        wh, wf = wh0 - wh1 * complex(kk), wf0 - wf1 * complex(kk)   # as the kernel forms them
+        with mpmath.workdps(40):
+            d = mpmath.sqrt(mpmath.mpc(wh) ** 2 + mpmath.mpc(we) * mpmath.mpc(wf))
+            s = mpmath.sinh(d) / d if d else mpmath.mpf(1)
+            ref = [[mpmath.cosh(d) - s * wh, -s * we], [-s * wf, mpmath.cosh(d) + s * wh]]
+            ref = np.array([[complex(v) for v in row] for row in ref])
+        if case == "zero":
+            assert np.array_equal(m, [[1.0, -1.0], [0.0, 1.0]])
+        # The half-ulp rounding of delta itself moves cosh and sinh by |delta| ulps.
+        ulps = np.max(np.abs(m - ref)) / (np.finfo(float).eps * np.max(np.abs(ref)))
+        assert ulps <= 4.0 * (1.0 + abs(complex(d)))
+
+
+class TestConjugateFold:
+    """k^2 is folded onto Im k^2 >= 0 and M(conj k^2) = conj M(k^2), so D(conj k) is
+    exactly conj D(k), in one batch and in separate calls."""
+
+    @_PROPERTY
+    @given(name=st.sampled_from(sorted(NONCONSTANT)), k=_ks_in_disc(),
+           variant=st.sampled_from(["robin", "dirichlet"]))
+    def test_d_exactly_conjugate(self, name, k, variant):
+        p = replace(NONCONSTANT[name], h=0.3)
+        for ks in ([k], [k, 18 + 6j]):
+            d = eval_D_many(p, ks + list(np.conj(ks)), variant=variant)
+            assert np.array_equal(d[len(ks):], np.conj(d[:len(ks)]))
+        single = [eval_D_many(p, [c], variant=variant)[0]
+                  for c in (k, np.conj(k), 18 + 6j, 18 - 6j)]
+        assert single[1] == np.conj(single[0]) and single[3] == np.conj(single[2])
 
 
 class TestKernel:
