@@ -3,8 +3,8 @@
 Covers the leading function g1(k) = 4ik*omega + q(1)(e^{2ik} - e^{-2ik}), the
 asymptotic location of its zeros mu_n (with Newton polish to machine accuracy),
 the transcendental equation z - kappa*log z = w behind those formulas, the
-per-theorem eigenvalue predictions, and residual reports of computed spectra
-against them.
+per-theorem eigenvalue predictions, the theorem numbering of computed zeros,
+and residual reports of computed spectra against the predictions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisMismatchError, TspecError, UnstableLimitError
+from .errors import (DomainError, HypothesisMismatchError, IndexingConflictError, TspecError,
+                     UnstableLimitError)
 from .potential import PotentialScalars, q_constants
 from .rootfind import find_zeros, newton_refine_many
 
@@ -134,60 +135,41 @@ def _g1_over_k(scalars: PotentialScalars):
 class LeadingZeros:
     """First-quadrant zeros mu_n of g1(k)/k."""
 
-    case_tag: str
     ns: List[int]
     mu_n: List[complex]
     polished: List[bool]
 
 
-def _case_tag(scalars: PotentialScalars) -> str:
-    omega_zero, q1_zero, _ = vanishing(scalars)
-    if q1_zero:
-        raise DomainError("leading-zero asymptotics require q(1) != 0")
-    if omega_zero:
-        return "omega_zero"
-    return "ratio_positive" if scalars.q_at_1 / scalars.omega > 0 else "ratio_negative"
+def _zero_target(scalars: PotentialScalars) -> Optional[complex]:
+    """The zero of g1/k with 0 <= Re k < pi nearest 0, by box search (the
+    formulas only cover n >= 1), or None when the box holds none."""
+    w, q1 = scalars.omega, scalars.q_at_1
+    tau_cap = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
+    res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, max(2.0, tau_cap)),
+                     max_depth=24)
+    return min((ev.k for ev in res.zeros), key=abs, default=None)
 
 
-def _small_leading_zeros(scalars: PotentialScalars, tau_hi: float):
-    """Zeros of g1/k with 0 <= Re k < pi, found by box search (no formula seed)."""
-    res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, tau_hi), max_depth=24)
-    return sorted((ev.k for ev in res.zeros), key=abs)
-
-
-def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = False) -> LeadingZeros:
+def leading_zeros(scalars: PotentialScalars, n_max: int) -> LeadingZeros:
     """mu_n for n = 1..n_max from the asymptotic formulas, Newton-polished on g1.
 
-    include_small adds the n = 0 zero (located by box search; the formulas
-    only cover n >= 1). For omega = 0 the zeros are exactly n*pi/2.
+    DomainError unless omega != 0 and q(1) != 0 (for omega = 0 the zeros are
+    exactly n pi / 2: predict_eigenvalues writes them).
     """
-    tag = _case_tag(scalars)
-    ns, mus, pol = [], [], []
-    if tag == "omega_zero":
-        for n in range(1, n_max + 1):
-            ns.append(n)
-            mus.append(complex(n * math.pi / 2.0))
-            pol.append(True)
-        return LeadingZeros(tag, ns, mus, pol)
+    if any(vanishing(scalars)[:2]):
+        raise DomainError("leading-zero asymptotics require omega != 0 and q(1) != 0")
     w, q1 = scalars.omega, scalars.q_at_1
-    if include_small:
-        tau_cap = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
-        smalls = _small_leading_zeros(scalars, max(2.0, tau_cap))
-        if smalls:
-            ns.append(0)
-            mus.append(smalls[0])
-            pol.append(True)
     n_all = np.arange(1, n_max + 1)
-    if tag == "ratio_negative":
-        b_all = np.log(2 * n_all * math.pi) - math.log(-q1 / (2 * w)) - 0.5j * math.pi
-    else:
+    if q1 / w > 0:
         b_all = np.log(2 * n_all * math.pi) - math.log(q1 / (2 * w)) - 1.5j * math.pi
+    else:
+        b_all = np.log(2 * n_all * math.pi) - math.log(-q1 / (2 * w)) - 0.5j * math.pi
     seeds = n_all * math.pi + 0.5j * b_all - b_all / (4 * n_all * math.pi)
     roots, conv = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds, tol=1e-13,
                                      max_iter=40)
     conv &= np.abs(roots - seeds) <= 2.0
-    polished = zip(n_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist())
-    for n, seed, z, ok in polished:
+    mus, pol = [], []
+    for n, seed, z, ok in zip(n_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist()):
         if not ok:
             box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
             try:
@@ -199,10 +181,9 @@ def leading_zeros(scalars: PotentialScalars, n_max: int, include_small: bool = F
                 z, ok = near, True
             else:
                 z, ok = seed, False
-        ns.append(n)
         mus.append(z)
         pol.append(ok)
-    return LeadingZeros(tag, ns, mus, pol)
+    return LeadingZeros(n_all.tolist(), mus, pol)
 
 
 @dataclass
@@ -324,36 +305,101 @@ def first_index(scalars: PotentialScalars, tag: str) -> int:
                or tag == "Dirichlet_i" and scalars.q_at_1 / scalars.omega > 0)
 
 
+def _index_warnings(indices, scalars: PotentialScalars, variant: str) -> list:
+    """Indices that leave zeros out of gamma's product: a wrong first index, or holes."""
+    have, tag = sorted(set(indices) - {None}), default_theorem_tag(scalars, variant)
+    if not have or tag is None:
+        return []
+    first = first_index(scalars, tag)
+    warnings = [] if have[0] == first else [
+        f"spectrum indices start at {have[0]}, not at the theorem's first index {first}"]
+    holes = [f"{a + 1}" if b == a + 2 else f"{a + 1}..{b - 1}"
+             for a, b in zip(have, have[1:]) if b > a + 1]
+    return warnings + (["spectrum indices miss " + ", ".join(holes)] if holes else [])
+
+
 def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
                   include_small: bool = True):
     """Matching targets (n, sqrt-lambda estimate, branch) for theorem numbering.
 
     Returns (targets, spacing, n_min): spacing is the asymptotic gap between
-    consecutive targets, n_min the theorem's first_index. Used both to place a
-    targeted window's strip and to index zeros.
-    include_small=False leaves out the n = 0 target of the omega != 0 cases and
-    the box search that places it. The theorem is default_theorem_tag's;
-    DomainError when there is none.
+    consecutive targets, n_min the theorem's first_index. The targets are the
+    mus (values for T42i, T42ii) of one predict_eigenvalues call over
+    n = 1 .. int(k_max / spacing) + 1, preceded for T41i_W22 and Dirichlet_i
+    by the n = 0 zero of g1/k when include_small asks for its box search.
+    The theorem is default_theorem_tag's; DomainError when there is none.
     """
     tag = default_theorem_tag(scalars, variant)
     if tag is None:
         raise DomainError("no numbering theorem applies when q(1) = q'(1) = 0"
                           if vanishing(scalars)[2]
                           else "no numbering theorem applies to Dirichlet when q(1) = 0")
-    n_min = first_index(scalars, tag)
-    n_hi = max(2, int(k_max / math.pi) + 2)
-    if tag in ("T41ii_W22", "Dirichlet_ii"):
-        shift = 0 if variant == "robin" else 1
-        n_hi = max(2, int(2.0 * k_max / math.pi) + 2)
-        targets = [(n, complex((n + shift) * math.pi / 2.0), None) for n in range(1, n_hi)]
-        return targets, math.pi / 2.0, n_min
-    if tag in ("T42i", "T42ii"):
-        pred = predict_eigenvalues(scalars, tag, range(1, n_hi))
-        return list(zip(pred.ns, pred.values, pred.branches)), math.pi, n_min
-    robin = variant == "robin"
-    lz = leading_zeros(scalars if robin else _dirichlet_flip(scalars), n_hi,
-                       include_small=include_small)
-    return [(n, mu, None) for n, mu in zip(lz.ns, lz.mu_n)], math.pi, n_min
+    spacing = math.pi / 2.0 if tag in ("T41ii_W22", "Dirichlet_ii") else math.pi
+    pred = predict_eigenvalues(scalars, tag, range(1, int(k_max / spacing) + 2))
+    targets = list(zip(pred.ns, pred.values if tag in ("T42i", "T42ii") else pred.mus,
+                       pred.branches))
+    if include_small and tag in ("T41i_W22", "Dirichlet_i"):
+        mu_0 = _zero_target(scalars if variant == "robin" else _dirichlet_flip(scalars))
+        if mu_0 is not None:
+            targets.insert(0, (0, mu_0, None))
+    return targets, spacing, first_index(scalars, tag)
+
+
+def _match_targets(zeros, targets, spacing, n_min):
+    """Nearest-target index assignment with deficit filling for small zeros.
+
+    targets: list of (n, value, branch). Raises IndexingConflictError when two
+    zeros contend for one target or leftovers exceed the index deficit.
+    """
+    radius = 0.45 * spacing
+    assigned: dict = {}
+    leftovers = []
+    for ev in zeros:
+        best = None
+        for n, val, branch in targets:
+            dist = abs(ev.k - val)
+            if best is None or dist < best[0]:
+                best = (dist, n, branch)
+        if best is not None and best[0] < radius:
+            key = (best[1], best[2])
+            if key in assigned:
+                raise IndexingConflictError(
+                    f"zeros {assigned[key].k} and {ev.k} both match index {best[1]}")
+            assigned[key] = ev
+        else:
+            leftovers.append(ev)
+    matched_ns = sorted({n for (n, _b) in assigned})
+    deficit = []
+    probe = n_min
+    bound = max(matched_ns) if matched_ns else n_min + len(leftovers)
+    while probe <= bound and len(deficit) < len(leftovers):
+        if probe not in matched_ns:
+            deficit.append(probe)
+        probe += 1
+    if len(leftovers) > len(deficit):
+        raise IndexingConflictError(
+            f"{len(leftovers)} unmatched zeros but only {len(deficit)} free indices "
+            f">= {n_min}; zeros at {[l.k for l in leftovers]}")
+    out = []
+    for (n, branch), ev in assigned.items():
+        out.append(replace(ev, index=n, branch=branch))
+    for slot, ev in zip(deficit, sorted(leftovers, key=lambda e: abs(e.k))):
+        out.append(replace(ev, index=slot))
+    out.sort(key=lambda e: (e.index, abs(e.k)))
+    return out
+
+
+def index_eigenvalues(zeros, scalars: PotentialScalars, variant: str = "robin"):
+    """Assign the theorem numbering to computed zeros by nearest-mu matching.
+
+    The target sequence depends on the sign case of q(1)/omega (with the
+    Dirichlet sign flip), the omega = 0 branches, and the q(1) = 0 variants.
+    Unmatched small zeros fill the count deficit in ascending |k|.
+    """
+    if not zeros:
+        return []
+    k_max = max(abs(e.k) for e in zeros) + math.pi
+    return _match_targets(zeros, *index_targets(scalars, variant, k_max))
 
 
 @dataclass

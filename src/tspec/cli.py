@@ -240,22 +240,9 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _index_warnings(indices, scalars, variant: str) -> list:
-    """Indices that leave zeros out of gamma's product: a wrong first index, or holes."""
-    have, tag = sorted(set(indices) - {None}), asy.default_theorem_tag(scalars, variant)
-    if not have or tag is None:
-        return []
-    first = asy.first_index(scalars, tag)
-    warnings = [] if have[0] == first else [
-        f"spectrum indices start at {have[0]}, not at the theorem's first index {first}"]
-    holes = [f"{a + 1}" if b == a + 2 else f"{a + 1}..{b - 1}"
-             for a, b in zip(have, have[1:]) if b > a + 1]
-    return warnings + (["spectrum indices miss " + ", ".join(holes)] if holes else [])
-
-
 def _cmd_gamma(cfg: RunConfig, args) -> int:
     header, columns, p, scalars = _load_spectrum(args.spectrum)
-    warnings = _index_warnings(columns.index, scalars, header.variant)
+    warnings = asy._index_warnings(columns.index, scalars, header.variant)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     hp = from_eigenvalues(eigenvalues_from_columns(columns), s=header.s)

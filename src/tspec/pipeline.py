@@ -22,8 +22,8 @@ from .errors import (ConfigError, DomainError, HypothesisMismatchError, Indexing
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
 from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, ContourBox, Eigenvalue,
-                       ZeroSearchResult, _boundary, _boundary_size, _match_targets, find_zeros,
-                       gamma_contour_count, index_eigenvalues, orbit, origin_multiplicity)
+                       ZeroSearchResult, _boundary, _boundary_size, find_zeros,
+                       gamma_contour_count, orbit, origin_multiplicity)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
 _DEGENERATE_PROBES = (0.6 + 0.4j, 1.7 + 0.0j, 2.9 + 0.8j, 4.3 + 0.0j, 6.1 + 0.3j)
@@ -81,19 +81,6 @@ def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
     return strip, (targets, spacing, n_min)
 
 
-def _targeted(p: Potential, variant: str, placed, n_lo: int, n_hi: int, rtol_refine: float,
-              first=None) -> List[Eigenvalue]:
-    """The zeros of the strip of placed (from _strip), numbered, indices n_lo..n_hi
-    kept; first as for scan_spectrum."""
-    if placed is None:
-        return []
-    strip, numbering = placed
-    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine,
-                        first=first)
-    zeros = _match_targets(res.zeros, *numbering)
-    return [ev for ev in zeros if n_lo <= ev.index <= n_hi]
-
-
 def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
                       n_lo: int, n_hi: int, *, rtol_refine: float = 1e-13) -> List[Eigenvalue]:
     """Indexed eigenvalues n_lo..n_hi: the region scan of the strip their targets span.
@@ -104,7 +91,12 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     the strip is absent; IndexingConflictError when two zeros contend for
     one index.
     """
-    return _targeted(p, variant, _strip(scalars, variant, n_lo, n_hi), n_lo, n_hi, rtol_refine)
+    placed = _strip(scalars, variant, n_lo, n_hi)
+    if placed is None:
+        return []
+    res = scan_spectrum(p, variant, placed[0], rtol_winding=_RTOL_WINDING,
+                        rtol_refine=rtol_refine)
+    return [ev for ev in asy._match_targets(res.zeros, *placed[1]) if n_lo <= ev.index <= n_hi]
 
 
 def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
@@ -183,7 +175,11 @@ class SpectrumRun:
 
 
 def run_spectrum(cfg) -> SpectrumRun:
-    """Orchestrates charfun + root finder + indexing into a spectrum document."""
+    """Orchestrates charfun + root finder + indexing into a spectrum document.
+
+    An index window scans the strip _strip places (none: no zeros) and
+    numbers its zeros by that strip's targets; its header's region is the strip.
+    """
     p = Potential.from_dict(cfg.potential)
     scalars = derive_scalars(p)
     warnings_list = []
@@ -200,7 +196,10 @@ def run_spectrum(cfg) -> SpectrumRun:
             placed = _strip(scalars, cfg.variant, n_lo, n_hi)
         except DomainError as exc:      # raised after the verdict: q = 0 has no theorem
             no_theorem = exc
-    probes, origin, first = _opening(dev, (placed and placed[0]) if targeted else region)
+        if placed is not None:
+            region = [float(v) for v in placed[0]]
+    search = placed is not None or not targeted
+    probes, origin, first = _opening(dev, region if search else None)
     if _vanishes(probes):
         warnings_list.append("degenerate characteristic function: D == 0 identically "
                              "(unperturbed system); spectrum is empty")
@@ -211,29 +210,26 @@ def run_spectrum(cfg) -> SpectrumRun:
                            exit_code=0)
     if no_theorem is not None:
         raise no_theorem
-    unresolved, uncertified, unrefined, conflict = [], [], [], False
-    if targeted:
-        try:
-            zeros = _targeted(p, cfg.variant, placed, n_lo, n_hi, cfg.rtol_refine, first)
-        except IndexingConflictError as exc:
-            warnings_list.append(f"indexing: {exc}")
-            zeros, conflict = [], True
-        found = {ev.index for ev in zeros}
-        uncertified = sorted({ev.index for ev in zeros if not ev.refined}
-                             | set(range(n_lo, n_hi + 1)) - found)
-    else:
-        result = scan_spectrum(p, cfg.variant, region,
-                               depth=int(cfg.spectrum.get("depth", 14)),
+    zeros, unresolved, uncertified, unrefined, conflict = [], [], [], [], False
+    if search:
+        result = scan_spectrum(p, cfg.variant, region, depth=int(cfg.spectrum.get("depth", 14)),
                                rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine,
                                first=first)
         unresolved = result.unresolved
-        unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
-                     for ev in result.zeros if not ev.refined]
         try:
-            zeros = index_eigenvalues(result.zeros, scalars, cfg.variant)
+            zeros = (asy._match_targets(result.zeros, *placed[1]) if targeted
+                     else asy.index_eigenvalues(result.zeros, scalars, cfg.variant))
         except (IndexingConflictError, DomainError) as exc:
             warnings_list.append(f"indexing: {exc}")
-            zeros, conflict = result.zeros, isinstance(exc, IndexingConflictError)
+            conflict = isinstance(exc, IndexingConflictError)
+            zeros = [] if targeted else result.zeros
+    if targeted:
+        zeros = [ev for ev in zeros if n_lo <= ev.index <= n_hi]
+        uncertified = sorted({ev.index for ev in zeros if not ev.refined}
+                             | set(range(n_lo, n_hi + 1)) - {ev.index for ev in zeros})
+    else:
+        unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
+                     for ev in result.zeros if not ev.refined]
     try:
         s = origin_multiplicity(dev, origin)
     except TspecError as exc:

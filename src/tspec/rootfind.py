@@ -15,13 +15,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import (BoundaryTooCloseError, DomainError, IndexingConflictError,
-                     IntegrationFailureError, PhaseResolutionError)
+from .errors import (BoundaryTooCloseError, DomainError, IntegrationFailureError,
+                     PhaseResolutionError)
 
 _JUMP_TOL = math.pi / 2
 _MAX_BOUNDARY_POINTS = 2 ** 14
@@ -556,62 +556,3 @@ def origin_multiplicity(d_evaluator: Callable, first=None) -> int:
         raise PhaseResolutionError(f"odd origin winding {w} for an even function")
     return w // 2
 
-
-def _match_targets(zeros, targets, spacing, n_min):
-    """Nearest-target index assignment with deficit filling for small zeros.
-
-    targets: list of (n, value, branch). Raises IndexingConflictError when two
-    zeros contend for one target or leftovers exceed the index deficit.
-    """
-    radius = 0.45 * spacing
-    assigned: dict = {}
-    leftovers = []
-    for ev in zeros:
-        best = None
-        for n, val, branch in targets:
-            dist = abs(ev.k - val)
-            if best is None or dist < best[0]:
-                best = (dist, n, branch)
-        if best is not None and best[0] < radius:
-            key = (best[1], best[2])
-            if key in assigned:
-                raise IndexingConflictError(
-                    f"zeros {assigned[key].k} and {ev.k} both match index {best[1]}")
-            assigned[key] = ev
-        else:
-            leftovers.append(ev)
-    matched_ns = sorted({n for (n, _b) in assigned})
-    deficit = []
-    probe = n_min
-    bound = max(matched_ns) if matched_ns else n_min + len(leftovers)
-    while probe <= bound and len(deficit) < len(leftovers):
-        if probe not in matched_ns:
-            deficit.append(probe)
-        probe += 1
-    if len(leftovers) > len(deficit):
-        raise IndexingConflictError(
-            f"{len(leftovers)} unmatched zeros but only {len(deficit)} free indices "
-            f">= {n_min}; zeros at {[l.k for l in leftovers]}")
-    out = []
-    for (n, branch), ev in assigned.items():
-        out.append(replace(ev, index=n, branch=branch))
-    for slot, ev in zip(deficit, sorted(leftovers, key=lambda e: abs(e.k))):
-        out.append(replace(ev, index=slot))
-    out.sort(key=lambda e: (e.index, abs(e.k)))
-    return out
-
-
-def index_eigenvalues(zeros, scalars, variant: str = "robin"):
-    """Assign the theorem numbering to computed zeros by nearest-mu matching.
-
-    The target sequence depends on the sign case of q(1)/omega (with the
-    Dirichlet sign flip), the omega = 0 branches, and the q(1) = 0 variants.
-    Unmatched small zeros fill the count deficit in ascending |k|.
-    """
-    from . import asymptotics as asy
-
-    if not zeros:
-        return []
-    k_max = max(abs(e.k) for e in zeros) + math.pi
-    targets, spacing, n_min = asy.index_targets(scalars, variant, k_max)
-    return _match_targets(zeros, targets, spacing, n_min)

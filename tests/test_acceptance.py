@@ -13,14 +13,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from tspec import Potential, derive_scalars, q_constants
-from tspec.asymptotics import leading_zeros, solve_transcendental
+from tspec import Potential, derive_scalars, index_eigenvalues, q_constants
+from tspec.asymptotics import index_targets, leading_zeros, solve_transcendental
 from tspec.charfun import DEvaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
 from tspec.crosscheck import jost_via_kernel
 from tspec.pipeline import targeted_spectrum
-from tspec.rootfind import find_zeros, gamma_contour_count, index_eigenvalues
+from tspec.rootfind import find_zeros, gamma_contour_count
 
 from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many
 
@@ -211,8 +211,8 @@ def test_criterion_7_gamma_consistency_triangle(q1, q1_scalars, q1_spectrum, xm1
         assert abs(direct_a - anchor) <= 0.02 * abs(anchor)
 
         # Synthetic ground truth: gamma = 2 by construction.
-        lz = leading_zeros(q1_scalars, 50, include_small=True)
-        mus = np.array(lz.mu_n[:50], dtype=complex)
+        targets = index_targets(q1_scalars, "robin", 49.5 * math.pi)[0]
+        mus = np.array([mu for _n, mu, _b in targets[:50]], dtype=complex)
         hp_syn = hadamard_product(np.concatenate([mus ** 2, np.conj(mus) ** 2]))
         from tspec.potential import PotentialScalars
 

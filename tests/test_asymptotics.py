@@ -126,10 +126,9 @@ class TestLeadingZeros:
             assert g < 1e-10 * gp * abs(mu)
 
     def test_omega_zero_exact(self):
-        s = make_scalars(omega=0.0, q1=1.0)
-        lz = leading_zeros(s, 5)
-        assert lz.case_tag == "omega_zero"
-        assert lz.mu_n == [complex(n * math.pi / 2) for n in range(1, 6)]
+        # The omega = 0 zeros are exactly n pi / 2: predict_eigenvalues writes them.
+        with pytest.raises(DomainError):
+            leading_zeros(make_scalars(omega=0.0, q1=1.0), 5)
 
     def test_first_quadrant_convention(self):
         for s in (make_scalars(omega=1.0, q1=1.0), make_scalars(omega=0.2, q1=-0.6)):
@@ -139,9 +138,9 @@ class TestLeadingZeros:
 
     def test_small_zero_from_box_search(self, q_one):
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 3, include_small=True)
-        assert lz.ns[0] == 0
-        assert abs(eval_g1(s, lz.mu_n[0])) < 1e-9
+        n, mu_0, _ = index_targets(s, "robin", 3 * math.pi)[0][0]
+        assert n == 0
+        assert abs(eval_g1(s, mu_0)) < 1e-9
 
     def test_requires_q1(self):
         with pytest.raises(DomainError):
@@ -278,15 +277,56 @@ class TestResidualReport:
         assert report.parity_fits["as_indexed"] < report.parity_fits["sign_flipped"]
 
 
-class TestIndexTargets:
-    def test_omega_zero_spacing(self):
-        s = make_scalars(omega=0.0, q1=0.5)
-        targets, spacing, n_min = index_targets(s, "robin", 10.0)
-        assert spacing == math.pi / 2
-        assert n_min == 1
-        assert targets[0][1] == pytest.approx(math.pi / 2)
+# Scalars of each theorem case (Robin and Dirichlet, omega != 0 for both signs
+# of q(1)/omega and omega = 0; T42i for both signs of q'(1)/omega; T42ii),
+# with spacing, n_min, the first three targets and the last index at
+# k_max = 10 (with the n = 0 target where the theorem has one).
+_ROBIN_POS = dict(omega=1.0, q1=1.0, q0=1.0, qsq=1.0)
+_ROBIN_NEG = dict(omega=0.2, q1=-0.6, dq1=1.0, q0=0.3, dq0=0.5, qsq=0.4)
+_OMEGA_ZERO = dict(omega=0.0, q1=0.5, dq1=1.0, q0=-0.5, dq0=1.0, qsq=1.0 / 12.0)
+_T42I = dict(omega=0.5, dq1=1.0, q0=-0.5, dq0=1.0, qsq=1.0 / 12.0)
 
-    def test_dirichlet_shift(self):
-        s = make_scalars(omega=0.0, q1=0.5)
-        targets, _, _ = index_targets(s, "dirichlet", 10.0)
-        assert targets[0][1] == pytest.approx(math.pi)  # (n+1) pi/2 at n = 1
+
+class TestIndexTargets:
+    @pytest.mark.parametrize("scalars, variant, spacing, n_min, first, n_last", [
+        (_ROBIN_POS, "robin", math.pi, 0,
+         [(0, 2.1061961152453303 + 1.1253643058009302j, None),
+          (1, 5.356268698639631 + 1.5515743729126248j, None),
+          (2, 8.536682426575915 + 1.7755436735110401j, None)], 4),
+        (_ROBIN_NEG, "robin", math.pi, 0,
+         [(0, 1.1394313300379142 + 1.2152761887864454e-17j, None),
+          (1, 3.8144649865358233 + 0.8065409659053j, None),
+          (2, 6.98753142453711 + 1.1167960102094305j, None)], 4),
+        (_OMEGA_ZERO, "robin", math.pi / 2, 1,
+         [(1, math.pi / 2, None), (2, math.pi, None), (3, 1.5 * math.pi, None)], 7),
+        (_ROBIN_POS, "dirichlet", math.pi, 1,
+         [(1, 3.7488381388881926 + 1.3843391414936608j, None),
+          (2, 6.949979856988232 + 1.6761049424267525j, None),
+          (3, 10.11925885391501 + 1.8583838398762496j, None)], 4),
+        (_ROBIN_NEG, "dirichlet", math.pi, 0,
+         [(0, 2.212206089366759 + 0.4978939056329416j, None),
+          (1, 5.404013383922259 + 0.9866910935998039j, None),
+          (2, 8.567631620995078 + 1.2192061289027702j, None)], 4),
+        (_OMEGA_ZERO, "dirichlet", math.pi / 2, 1,
+         [(1, math.pi, None), (2, 1.5 * math.pi, None), (3, 2 * math.pi, None)], 7),
+        (_T42I, "robin", math.pi, 0,
+         [(1, 4.71238898038469 + 1.8378770664093453j, None),
+          (2, 7.853981633974483 + 2.5310242469692907j, None),
+          (3, 10.995574287564276 + 2.9364893550774553j, None)], 4),
+        (dict(_T42I, omega=-0.5, q0=0.5), "robin", math.pi, 1,
+         [(1, 3.141592653589793 + 1.8378770664093453j, None),
+          (2, 6.283185307179586 + 2.5310242469692907j, None),
+          (3, 9.42477796076938 + 2.9364893550774553j, None)], 4),
+        (dict(dq1=2.0, q0=-1.0, dq0=2.0, qsq=1.0 / 3.0), "robin", math.pi, 1,
+         [(1, 3.4344354253183687, 1), (1, 2.8487498818612176, -1),
+          (2, 6.576028078908162, 1)], 4),
+    ], ids=["robin-positive", "robin-negative", "robin-omega-zero", "dirichlet-positive",
+            "dirichlet-negative", "dirichlet-omega-zero", "T42i-positive", "T42i-negative",
+            "T42ii"])
+    def test_targets(self, scalars, variant, spacing, n_min, first, n_last):
+        targets, got_spacing, got_n_min = index_targets(make_scalars(**scalars), variant, 10.0)
+        assert (got_spacing, got_n_min) == (spacing, n_min)
+        assert [(n, b) for n, _v, b in targets[:3]] == [(n, b) for n, _v, b in first]
+        for (_n, got, _b), (_m, want, _c) in zip(targets, first):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert targets[-1][0] == n_last

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tspec import Potential, derive_scalars, gamma_recovery, pipeline
-from tspec.asymptotics import leading_zeros
+from tspec.asymptotics import index_targets, leading_zeros
 from tspec.errors import DomainError, ProbeTooCloseError, UnstableLimitError
 from tspec.gamma_recovery import (eval_E, from_eigenvalues, gamma_direct,
                                   gamma_from_endpoint, gamma_from_omega,
@@ -18,6 +18,12 @@ from tspec.spectrumfile import _Columns
 from conftest import const_jost
 
 
+def _first_mus(scalars, n_terms):
+    """mu_0 .. mu_{n_terms - 1}: the Robin numbering targets, n = 0 included."""
+    targets = index_targets(scalars, "robin", (n_terms - 0.5) * math.pi)[0]
+    return [mu for _n, mu, _b in targets[:n_terms]]
+
+
 def synthetic_mu_product(n_terms=50):
     """Conjugate-closed spectrum shaped like the omega = q(1) = 1 zero curves.
 
@@ -26,8 +32,7 @@ def synthetic_mu_product(n_terms=50):
     omega = 2 makes the construction's normalization constant exactly 2.
     """
     s = derive_scalars(Potential.constant(1.0))
-    lz = leading_zeros(s, n_terms, include_small=True)
-    mus = np.array(lz.mu_n[:n_terms], dtype=complex)
+    mus = np.array(_first_mus(s, n_terms), dtype=complex)
     lams = np.concatenate([mus ** 2, np.conj(mus) ** 2])
     return hadamard_product(lams)
 
@@ -184,7 +189,7 @@ class TestOmegaRoute:
         # (cos 2k = -1) flip the sign of D's h cos(2k)/k term against the rest.
         d = robin_constant_d(c, h)
         scalars = derive_scalars(Potential.constant(c, h=h))
-        seeds = np.array(leading_zeros(scalars, 401, include_small=True).mu_n[:401])
+        seeds = np.array(_first_mus(scalars, 401))
         roots, ok = newton_refine_many(d, seeds)
         assert ok.all()
         ns = np.arange(roots.size)

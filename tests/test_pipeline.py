@@ -156,8 +156,8 @@ class TestTargetedCost:
         # leaving it out changes no zero of a window that starts at n = 2.
         p = Potential.polynomial([1.0, 1.0])
         calls = []
-        search = pipeline.asy._small_leading_zeros
-        monkeypatch.setattr(pipeline.asy, "_small_leading_zeros",
+        search = pipeline.asy._zero_target
+        monkeypatch.setattr(pipeline.asy, "_zero_target",
                             lambda *args: calls.append(args) or search(*args))
         index_targets = pipeline.asy.index_targets
         evs = targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3)
@@ -177,6 +177,43 @@ class TestTargetedCost:
         evs = targeted_spectrum(p, derive_scalars(p), "robin", 3, 3)
         assert [e.index for e in evs] == [3] and evs[0].refined
         assert sum(1 for rtol, _ks in calls if rtol < 1e-8) <= 3
+
+
+class TestWindowRun:
+    # An index window runs the region scan of the strip _strip places: the
+    # header records that strip, and spectrum.depth bounds its subdivision.
+    LINEAR = {"kind": "polynomial", "coeffs": [-1.6685632173450171, 2.528261446027842],
+              "h": -0.20404202893245155}
+
+    def test_header_region_is_the_searched_strip(self):
+        run = run_spectrum(_cfg(self.LINEAR, spectrum={"n": [1, 12]}))
+        p = Potential.from_dict(self.LINEAR)
+        strip = pipeline._strip(derive_scalars(p), "robin", 1, 12)[0]
+        assert run.exit_code == 0
+        assert run.header.region == [float(v) for v in strip] != [0.0, 20.0, 0.0, 4.0]
+        s0, s1, t0, t1 = run.header.region
+        assert all(s0 <= abs(r.re_k) <= s1 and t0 <= abs(r.im_k) <= t1 for r in run.records)
+        assert max(r.re_k for r in run.records) > 20.0
+
+    def test_window_without_a_strip_keeps_the_config_region(self):
+        # omega = 0 numbers from n = 1, so the window 0..0 has no target.
+        run = run_spectrum(_cfg({"kind": "polynomial", "coeffs": [-0.5, 1.0], "h": 0.0},
+                                spectrum={"n": [0, 0], "region": [1.0, 2.0, 0.0, 1.0]}))
+        assert run.header.region == [1.0, 2.0, 0.0, 1.0] and run.records == []
+        assert run.exit_code == 2
+
+    def test_depth_bounds_the_window_scan(self):
+        # The region scan of the same strip at depth 1 leaves the same two
+        # boxes unresolved; the window warns about them and names every index
+        # it misses.
+        run = run_spectrum(_cfg(self.LINEAR, spectrum={"n": [1, 12], "depth": 1}))
+        scan = run_spectrum(_cfg(self.LINEAR, tolerances={"rtol": 1e-8},
+                                 spectrum={"region": run.header.region, "depth": 1}))
+        assert len(run.unresolved) == len(scan.unresolved) == 2
+        assert run.exit_code == 2 and run.records == []
+        assert run.header.warnings == [
+            "2 unresolved cluster boxes",
+            f"targeted roots at indices {list(range(1, 13))} not certified"]
 
 
 class TestOpeningCall:

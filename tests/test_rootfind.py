@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import warnings
 
@@ -6,15 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tspec import Potential, derive_scalars
+from tspec import Potential, derive_scalars, index_eigenvalues
 from tspec import rootfind
 from tspec.charfun import DEvaluator
 from tspec.errors import (BoundaryTooCloseError, DomainError, IndexingConflictError,
                           PhaseResolutionError)
 from tspec.potential import PotentialScalars
 from tspec.rootfind import (ContourBox, Eigenvalue, find_zeros, gamma_contour_count,
-                            index_eigenvalues, newton_refine_many, orbit, origin_multiplicity,
-                            representative, winding_count)
+                            newton_refine_many, orbit, origin_multiplicity, representative,
+                            winding_count)
 
 
 def poly_with_roots(roots):
@@ -556,13 +558,13 @@ def _ev(k, index=None, mult=1, cls="quadrant"):
 class TestIndexing:
     def test_identity_on_synthetic_targets(self, q_one):
         # Zeros placed exactly at mu_n index as n (matcher fixed point).
-        from tspec.asymptotics import leading_zeros
+        from tspec.asymptotics import index_targets
 
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 6, include_small=True)
-        zeros = [_ev(mu) for mu in lz.mu_n]
+        targets = index_targets(s, "robin", 5.5 * math.pi)[0]
+        zeros = [_ev(mu) for _n, mu, _b in targets]
         indexed = index_eigenvalues(zeros, s, "robin")
-        assert [e.index for e in indexed] == list(lz.ns)
+        assert [e.index for e in indexed] == [n for n, _mu, _b in targets] == list(range(7))
 
     def test_omega_zero_indexing(self):
         s = PotentialScalars(omega=0.0, q_at_1=0.5, dq_at_1=1.0, q_at_0=-0.5,
@@ -586,10 +588,21 @@ class TestIndexing:
         from tspec.asymptotics import leading_zeros
 
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 3, include_small=True)
+        lz = leading_zeros(s, 3)
         mu_by_n = dict(zip(lz.ns, lz.mu_n))
         zeros = [_ev(2.19 + 1.07j), _ev(mu_by_n[1]), _ev(mu_by_n[2])]
         indexed = index_eigenvalues(zeros, s, "robin")
         by_index = {e.index: e for e in indexed}
         assert set(by_index) == {0, 1, 2}
         assert abs(by_index[0].k - (2.19 + 1.07j)) < 1e-9
+
+
+def test_imports_nothing_from_asymptotics():
+    # Numbering lives in asymptotics, which imports the root finder; the root
+    # finder must not import it back, not even inside a function.
+    tree = ast.parse(inspect.getsource(rootfind))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert not [name for name in imported if "asymptotics" in name]
