@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TspecError
+from .errors import DomainError, IntegrationFailureError, TspecError
 from .jost import DEFAULT_RTOL, domain_error, transfer_many
 from .potential import VARIANTS, Potential
 
@@ -42,15 +42,23 @@ def eval_D_many(p: Potential, ks, variant: str = "robin", rtol: float = DEFAULT_
 
     rtol bounds each Jost value, not D: far from the real axis D is a small
     difference of large Jost terms, and its relative error can exceed rtol.
+    A D that overflows (a huge h, say) raises IntegrationFailureError.
     """
     _check_variant(variant)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     m00, m01, m10, m11 = transfer_many(p, ks, rtol=rtol)
     sin, cos = np.sin(ks), np.cos(ks)
     sinc = sin / ks if ks.all() else np.divide(sin, ks, out=np.ones_like(ks), where=ks != 0)
-    if variant == "dirichlet":
-        return m00 * sinc + m01 * cos
-    return (m11 - p.h * m01) * (ks * sin - p.h * cos) - (m10 - p.h * m00) * (cos + p.h * sinc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "dirichlet":
+            d = m00 * sinc + m01 * cos
+        else:
+            d = (m11 - p.h * m01) * (ks * sin - p.h * cos) - (m10 - p.h * m00) * (cos + p.h * sinc)
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise IntegrationFailureError(f"D(k) is not finite at k = {ks[~finite][0]}: "
+                                      "its closed form overflows")
+    return d
 
 
 def sample_D_grid(p: Potential, variant: str, region, n: int, m: int,

@@ -211,6 +211,9 @@ def run_spectrum(cfg) -> SpectrumRun:
     if no_theorem is not None:
         raise no_theorem
     zeros, unresolved, uncertified, unrefined, conflict = [], [], [], [], False
+    if targeted:    # a window has a theorem here: without one, no_theorem was raised
+        n_min = asy.first_index(scalars, asy.default_theorem_tag(scalars, cfg.variant))
+    below = targeted and n_lo < n_min
     if search:
         result = scan_spectrum(p, cfg.variant, region, depth=int(cfg.spectrum.get("depth", 14)),
                                rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine,
@@ -225,8 +228,10 @@ def run_spectrum(cfg) -> SpectrumRun:
             zeros = [] if targeted else result.zeros
     if targeted:
         zeros = [ev for ev in zeros if n_lo <= ev.index <= n_hi]
+        # No zero takes an index below n_min: those are named by `below` instead.
         uncertified = sorted({ev.index for ev in zeros if not ev.refined}
-                             | set(range(n_lo, n_hi + 1)) - {ev.index for ev in zeros})
+                             | set(range(max(n_lo, n_min), n_hi + 1))
+                             - {ev.index for ev in zeros})
     else:
         unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
                      for ev in result.zeros if not ev.refined]
@@ -237,6 +242,9 @@ def run_spectrum(cfg) -> SpectrumRun:
         s = 0
     if unresolved:
         warnings_list.append(f"{len(unresolved)} unresolved cluster boxes")
+    if below:
+        warnings_list.append(f"index window {n_lo}..{n_hi} starts below the theorem's "
+                             f"first index {n_min}")
     if uncertified:
         warnings_list.append(f"targeted roots at indices {uncertified} not certified")
     if unrefined:
@@ -247,7 +255,8 @@ def run_spectrum(cfg) -> SpectrumRun:
                             s=s, warnings=warnings_list)
     return SpectrumRun(header=header, records=records_from_eigenvalues(zeros),
                        eigenvalues=zeros, unresolved=unresolved,
-                       exit_code=2 if unresolved or uncertified or unrefined or conflict else 0)
+                       exit_code=2 if unresolved or uncertified or unrefined or conflict
+                       or below else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Records hold one row per zero of D (the full symmetry orbit, so the set is
 closed under k -> -k and k -> k*), sorted by index then |k|. The header embeds
 a content hash over everything except the timestamp, so identical runs are
-verifiable byte-for-byte up to `created`. Reading verifies that hash against
-the file's own number text and re-encodes the values only when the text does
+verifiable byte-for-byte up to `created`. Reading holds every float as the
+file's own bytes for it until the column checks convert it, verifies the hash
+against that number text and re-encodes the values only when the text does
 not match.
 """
 
@@ -31,8 +32,10 @@ _RECORD_FIELDS = ("index", "re_k", "im_k", "multiplicity", "residual", "cls", "b
 # _CLASSES); index and branch go through %s so that None can become null.
 _RECORD_JSON = ('{"branch":%s,"cls":"%s","im_k":%r,"index":%s,'
                 '"multiplicity":%r,"re_k":%r,"residual":%r}')
-# The same row from the number text of a file (read_spectrum).
+# The same row from the number text of a file (read_spectrum), as its bytes
+# pieces: each field's text goes between two of them.
 _RECORD_TEXT = _RECORD_JSON.replace("%r", "%s")
+_RECORD_PIECES = tuple(piece.encode() for piece in _RECORD_TEXT.split("%s"))
 # The records of a spectrum as one sequence per field (read_spectrum):
 # SpectrumRecord(*row) for each row of zip(*columns).
 _Columns = namedtuple("_Columns", _RECORD_FIELDS)
@@ -40,12 +43,6 @@ _CLASSES = ("real", "imaginary", "quadrant")
 # A winding count accepts only wrapped phase jumps <= pi/2 between boundary
 # samples, so no count tspec makes, and no multiplicity it writes, exceeds this.
 _MAX_MULTIPLICITY = _MAX_BOUNDARY_POINTS // 4
-
-
-class _Number(str):
-    """A JSON float kept as the text the file spells it with."""
-
-    __slots__ = ()
 
 
 @dataclass
@@ -85,21 +82,25 @@ def potential_hash(potential: dict) -> str:
     return hashlib.sha256(_canonical(potential).encode()).hexdigest()[:16]
 
 
-def _digest(header_dict: dict, rows) -> str:
-    """sha256 of the header without created and content_hash, and the encoded rows."""
+def _digest(header_dict: dict, records: bytes) -> str:
+    """sha256 of the header without created and content_hash, and the records' text
+    (the encoded rows joined by commas)."""
     body = {k: v for k, v in header_dict.items() if k not in ("created", "content_hash")}
-    text = '{"header":' + _canonical(body) + ',"records":[' + ",".join(rows) + "]}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256(('{"header":' + _canonical(body) + ',"records":[').encode())
+    digest.update(records)
+    digest.update(b"]}")
+    return digest.hexdigest()
 
 
 def _content_hash(header_dict: dict, records: List[SpectrumRecord]) -> str:
     """sha256 of _canonical({"header": header without created and content_hash,
     "records": [asdict(r) for r in records]}), with each record encoded by
     _RECORD_JSON instead of a dict and json.dumps."""
-    return _digest(header_dict, [_RECORD_JSON % ("null" if r.branch is None else r.branch, r.cls,
-                                                 r.im_k, "null" if r.index is None else r.index,
-                                                 r.multiplicity, r.re_k, r.residual)
-                                 for r in records])
+    return _digest(header_dict, ",".join(
+        _RECORD_JSON % ("null" if r.branch is None else r.branch, r.cls, r.im_k,
+                        "null" if r.index is None else r.index, r.multiplicity, r.re_k,
+                        r.residual)
+        for r in records).encode())
 
 
 def _plain_float(value):
@@ -125,8 +126,8 @@ def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) 
 
 
 def _floats(obj):
-    """obj with every _Number in it turned into the float json.load gives for it."""
-    if type(obj) is _Number:
+    """obj with every float's bytes in it turned into the float json.load gives for it."""
+    if type(obj) is bytes:
         return float(obj)
     if type(obj) is dict:
         return dict(zip(obj, map(_floats, obj.values())))
@@ -136,11 +137,11 @@ def _floats(obj):
 
 
 def _reals(column):
-    """A column's values (_Number text as floats, ints as ints); None unless all are finite."""
+    """A column's values (float bytes as floats, ints as ints); None unless all are finite."""
     types = set(map(type, column))
-    if types - {_Number, int}:
+    if types - {bytes, int}:
         return None
-    values = ([float(v) if type(v) is _Number else v for v in column] if int in types
+    values = ([float(v) if type(v) is bytes else v for v in column] if int in types
               else list(map(float, column)))
     try:
         return values if all(map(math.isfinite, values)) else None
@@ -188,8 +189,9 @@ def read_spectrum(path):
     not a list of str. It names the first record that is not an object holding
     exactly _RECORD_FIELDS, or the first with a malformed value and its faulty
     fields (see _CHECKS and the README). The hash is first taken over the file's
-    own number text: json.dump writes float.__repr__, which round-trips, so only
-    a file whose text misses has its values re-encoded by _content_hash.
+    own number text, which json.load hands over as bytes (parse_float=str.encode)
+    while strings stay str: json.dump writes float.__repr__, which round-trips,
+    so only a file whose text misses has its values re-encoded by _content_hash.
     """
     try:
         return _read(path)
@@ -200,7 +202,7 @@ def read_spectrum(path):
 def _read(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=_Number)
+            doc = json.load(fh, parse_float=str.encode)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read spectrum file ({exc.strerror or exc})") from None
     except ValueError as exc:
@@ -230,16 +232,17 @@ def _read(path):
                    if check([v]) is None]
             if bad:     # named, not copied: a value may nest too deeply to copy or print
                 raise ConfigError(f"{path}: record {i} has a malformed value: " + ", ".join(bad))
-    # The file's number text in one join of _RECORD_TEXT's pieces and the column texts.
-    *pieces, last = _RECORD_TEXT.split("%s")
-    text = ([p for piece in pieces for p in (piece, None)] + [last + ","]) * len(columns[0])
+    # The file's number text in one join of _RECORD_PIECES and the column texts.
+    *pieces, last = _RECORD_PIECES
+    text = ([p for piece in pieces for p in (piece, None)] + [last + b","]) * len(columns[0])
     for j, (_, column) in enumerate(sorted(zip(_RECORD_FIELDS, columns))):  # template order
-        if set(map(type, column)) - {_Number, str}:     # ints, and None as null: by value
-            spelled = {v: "null" if v is None else str(v) for v in set(column)}
+        if set(map(type, column)) - {bytes}:    # ints, None as null and cls: by value
+            spelled = {v: v if type(v) is bytes else b"null" if v is None else str(v).encode()
+                       for v in set(column)}
             column = list(map(spelled.__getitem__, column))
         text[2 * j + 1::2 * len(pieces) + 1] = column
     stored = hdict.get("content_hash", "")
-    return header, values, (_digest(hdict, ["".join(text)[:-1]]) == stored  # no last comma
+    return header, values, (_digest(hdict, b"".join(text)[:-1]) == stored  # no last comma
                             or _content_hash(hdict, list(map(SpectrumRecord, *values))) == stored)
 
 

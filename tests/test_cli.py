@@ -215,7 +215,8 @@ class TestSpectrumCommand:
         # q(1)/omega ~ 0.017: the box search for the leading zeros of g1/k
         # runs a few box sides from where exp(2ik) overflows.
         ({"potential": {"kind": "polynomial", "coeffs": [4.52975068683921, -4.4907773853206105],
-                        "h": 0.0}, "variant": "dirichlet"}, ["--n", "0..4"], 2, "not certified"),
+                        "h": 0.0}, "variant": "dirichlet"}, ["--n", "0..4"], 2,
+         "index window 0..4 starts below the theorem's first index 1"),
         ({"potential": {"kind": "polynomial", "coeffs": [1e300, 1e300], "h": 0.0},
           "variant": "robin"}, ["--n", "1..2"], 3, "q^2 integral overflows"),
         ({"potential": {"kind": "constant", "value": 1e200, "h": 0.0}, "variant": "robin"},
@@ -291,6 +292,18 @@ class TestSpectrumCommand:
         assert code == 3 and records == []
         assert "computation failed: " in err and "more than 16384" in err
 
+    def test_overflowing_D_exits_3_and_names_it(self, workdir, capsys):
+        # h = 1e200 makes D overflow from the run's first samples on: the run
+        # fails on that, not on a zero it takes to sit on the boundary.
+        config = {"potential": {"kind": "constant", "value": 1.0, "h": 1e200}, "variant": "robin"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, records = self._spectrum(workdir, config, ["--region", "30,32,-0.5,0.5"],
+                                              "overflowing_D.json")
+        err = capsys.readouterr().err
+        assert code == 3 and records == []
+        assert err.startswith("computation failed: D(k) is not finite")
+
 
 class TestCharfunCommand:
     def test_eval_prints_json(self, config_path, capsys):
@@ -318,12 +331,15 @@ class TestCharfunCommand:
         assert code == 1 and err.startswith("config error: charfun.region must be")
         assert not out.exists()
 
-    @pytest.mark.parametrize("coeffs, k", [([1e300, 1e300], "1,0"), ([1.0, 1.0], "1e200,0")],
-                             ids=["M-overflows", "k2-overflows"])
-    def test_overflow_exits_3_at_once(self, workdir, coeffs, k, capsys):
+    @pytest.mark.parametrize("potential, k", [
+        ({"kind": "polynomial", "coeffs": [1e300, 1e300], "h": 0.0}, "1,0"),
+        ({"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}, "1e200,0"),
+        # M is finite; h times it is not, so D's closed form overflows.
+        ({"kind": "constant", "value": 1.0, "h": 1e200}, "3,59.9"),
+    ], ids=["M-overflows", "k2-overflows", "D-overflows"])
+    def test_overflow_exits_3_at_once(self, workdir, potential, k, capsys):
         path = workdir / "overflow.json"
-        path.write_text(json.dumps({"potential": {"kind": "polynomial", "coeffs": coeffs,
-                                                  "h": 0.0}, "variant": "robin"}))
+        path.write_text(json.dumps({"potential": potential, "variant": "robin"}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["--config", str(path), "charfun", "eval", "--k", k])

@@ -167,6 +167,26 @@ class TestTargetedCost:
         assert targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3) == evs
         assert [e.index for e in evs] == list(range(n_lo, 4))
 
+    def test_far_region_scan_skips_the_small_zero_search(self, monkeypatch):
+        # Every zero of the region lies past the n = 0 target by more than the
+        # matching radius, so numbering them needs no box search for it, and
+        # the run writes the records it writes with that search.
+        cfg = _cfg({"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0},
+                   spectrum={"region": [30.0, 40.0, 0.0, 4.0]})
+        calls = []
+        search = pipeline.asy._zero_target
+        monkeypatch.setattr(pipeline.asy, "_zero_target",
+                            lambda *args: calls.append(args) or search(*args))
+        run = run_spectrum(cfg)
+        assert calls == [] and run.exit_code == 0
+        assert sorted({r.index for r in run.records}) == [9, 10, 11]
+        index_targets = pipeline.asy.index_targets
+        monkeypatch.setattr(pipeline.asy, "index_targets",
+                            lambda *args, include_small: index_targets(*args))
+        forced = run_spectrum(cfg)
+        assert len(calls) == 1
+        assert forced.records == run.records
+
     def test_newton_budget_at_fine_tolerance(self, monkeypatch):
         # Only the polish and the residuals may run tighter than the winding
         # tolerance: seeds O(0.1) off take their coarse sweeps at 1e-8.
@@ -201,6 +221,18 @@ class TestWindowRun:
                                 spectrum={"n": [0, 0], "region": [1.0, 2.0, 0.0, 1.0]}))
         assert run.header.region == [1.0, 2.0, 0.0, 1.0] and run.records == []
         assert run.exit_code == 2
+
+    def test_window_below_the_first_index_names_that_fault(self):
+        # Dirichlet with q(1)/omega > 0 numbers from n = 1: index 0 does not
+        # exist, so the window 0..2 warns that it starts below the first index
+        # (exit 2) and writes the records of the window 1..2.
+        potential = {"kind": "polynomial", "coeffs": [-3.41, -0.65], "h": 0.0}
+        run = run_spectrum(_cfg(potential, "dirichlet", spectrum={"n": [0, 2]}))
+        fits = run_spectrum(_cfg(potential, "dirichlet", spectrum={"n": [1, 2]}))
+        assert run.header.warnings == ["index window 0..2 starts below the theorem's "
+                                       "first index 1"]
+        assert run.exit_code == 2 and fits.exit_code == 0 and fits.header.warnings == []
+        assert run.records == fits.records and {r.index for r in run.records} == {1, 2}
 
     def test_depth_bounds_the_window_scan(self):
         # The region scan of the same strip at depth 1 leaves the same two

@@ -173,21 +173,23 @@ class TestRoundTrip:
         for token, spelled in spellings.items():
             text = text.replace(f'"{token}"', spelled)
         path.write_text(text)
-        rdicts = json.loads(text, parse_float=spectrumfile._Number)["records"]
+        rdicts = json.loads(text, parse_float=str.encode)["records"]
         rows = ",".join(spectrumfile._RECORD_TEXT
-                        % tuple("null" if r[f] is None else r[f] for f in sorted(r))
-                        for r in rdicts)
+                        % tuple("null" if r[f] is None else
+                                r[f].decode() if type(r[f]) is bytes else r[f]
+                                for f in sorted(r))
+                        for r in rdicts).encode()
         digested = []
         digest = spectrumfile._digest
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectrumfile, "_digest", lambda h, rows: digested.append(rows) or
                        digest(h, rows))
             hash_ok = read_spectrum(path)[2]
-        assert ",".join(digested[0]) == rows
+        assert digested[0] == rows
         hdict = doc["header"]
         back = [SpectrumRecord(**{k: spectrumfile._floats(v) for k, v in r.items()})
                 for r in rdicts]
-        verdict = (spectrumfile._digest(hdict, [rows]) == hdict["content_hash"]
+        verdict = (spectrumfile._digest(hdict, rows) == hdict["content_hash"]
                    or _content_hash(hdict, back) == hdict["content_hash"])
         assert hash_ok is verdict
 
@@ -216,7 +218,7 @@ class TestRoundTrip:
             path.write_text(json.dumps(doc, indent=2).replace('"1e400 unquoted"', "1e400"))
         check = spectrumfile._CHECKS[spectrumfile._RECORD_FIELDS.index(field)]
         column = [r[field] for r in json.loads(path.read_text(),
-                                               parse_float=spectrumfile._Number)["records"]]
+                                               parse_float=str.encode)["records"]]
         assert (check(column) is None) is (check(column[2:3]) is None)
         try:
             _, back, hash_ok = _read_records(path)
@@ -327,7 +329,8 @@ class TestColumnReader:
         return write_spectrum(path, SpectrumHeader(**self.HEADER), records)
 
     @pytest.mark.parametrize("case", ["golden", "floats-only", "empty", "int-in-float-column",
-                                      "spelled-1.0E0", "changed-value"])
+                                      "spelled-1.0E0", "changed-value", "grid-samples",
+                                      "polynomial-coeffs"])
     def test_reads_back_the_values_written(self, tmp_path, case):
         path = tmp_path / "spec.json"
         records = [] if case == "empty" else GOLDEN_RECORDS if case == "golden" \
@@ -346,6 +349,14 @@ class TestColumnReader:
         elif case == "changed-value":
             text = text.replace(repr(doc["records"][2]["residual"]), "2.5", 1)
             doc["records"][2]["residual"] = 2.5
+        elif case in ("grid-samples", "polynomial-coeffs"):
+            # Numbers in a list of the header read back as floats, not as their text.
+            potential = ({"kind": "grid", "samples": [0.0, -1.5, 2.25], "h": 0.1}
+                         if case == "grid-samples"
+                         else {"kind": "polynomial", "coeffs": [-1.66856321734501, 2.5], "h": 0.0})
+            doc = write_spectrum(path, SpectrumHeader(**dict(self.HEADER, potential=potential)),
+                                 records)
+            text = path.read_text()
         path.write_text(text)
         header, back, hash_ok = _read_records(path)
         assert repr(header) == repr(SpectrumHeader(**doc["header"]))
