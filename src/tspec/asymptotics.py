@@ -399,11 +399,7 @@ def index_eigenvalues(zeros, scalars: PotentialScalars, variant: str = "robin"):
     if not zeros:
         return []
     k_max = max(abs(e.k) for e in zeros) + math.pi
-    # The n = 0 target has Re k below 1.02 pi and is searched for only where the
-    # spacing is pi: zeros all past it by the matching radius 0.45 pi cannot
-    # take it, and without it each still matches or is left over as with it.
-    near = min(e.k.real for e in zeros) < (1.02 + 0.45) * math.pi
-    return _match_targets(zeros, *index_targets(scalars, variant, k_max, include_small=near))
+    return _match_targets(zeros, *index_targets(scalars, variant, k_max))
 
 
 @dataclass

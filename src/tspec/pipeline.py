@@ -59,8 +59,8 @@ def _opening(dev: DEvaluator, region):
 
 
 def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
-    """The strip a targeted window n_lo..n_hi is scanned over, and the (targets,
-    spacing, n_min) that number its zeros; None when no target is in the window.
+    """The strip a targeted window n_lo..n_hi is scanned over (None when no
+    target is in the window), and the (targets, spacing, n_min) that number it.
 
     The strip reaches half a target spacing past the real parts of the
     asymptotic targets of the window (from Re k = 0 when the window reaches
@@ -70,15 +70,16 @@ def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
     # The n = 0 target has Re k below 1.02 pi, farther than the matching radius
     # from a strip that starts near Re k = 1.5 pi (n_lo >= 2): no zero there can
     # take it, so its box search runs only for n_lo <= 1.
-    targets, spacing, n_min = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi,
-                                                include_small=n_lo <= 1)
+    numbering = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi,
+                                  include_small=n_lo <= 1)
+    targets, spacing, n_min = numbering
     sel = np.array([val for (n, val, _b) in targets if n_lo <= n <= n_hi], dtype=complex)
     if not sel.size:
-        return None
+        return None, numbering
     half = 0.5 * spacing
     strip = (0.0 if n_lo <= n_min else sel.real.min() - half, sel.real.max() + half,
              0.0, max(3.0, sel.imag.max() + half))
-    return strip, (targets, spacing, n_min)
+    return strip, numbering
 
 
 def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
@@ -91,12 +92,11 @@ def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
     the strip is absent; IndexingConflictError when two zeros contend for
     one index.
     """
-    placed = _strip(scalars, variant, n_lo, n_hi)
-    if placed is None:
+    strip, numbering = _strip(scalars, variant, n_lo, n_hi)
+    if strip is None:
         return []
-    res = scan_spectrum(p, variant, placed[0], rtol_winding=_RTOL_WINDING,
-                        rtol_refine=rtol_refine)
-    return [ev for ev in asy._match_targets(res.zeros, *placed[1]) if n_lo <= ev.index <= n_hi]
+    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine)
+    return [ev for ev in asy._match_targets(res.zeros, *numbering) if n_lo <= ev.index <= n_hi]
 
 
 def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
@@ -189,16 +189,16 @@ def run_spectrum(cfg) -> SpectrumRun:
     rtol_winding = _RTOL_WINDING if targeted else max(cfg.rtol, 1e-10)
     dev = DEvaluator(p, cfg.variant, rtol=rtol_winding)
     region = list(cfg.spectrum.get("region", (0.0, 20.0, 0.0, 4.0)))
-    placed = no_theorem = None
+    strip = numbering = no_theorem = None
     if targeted:
         n_lo, n_hi = (int(n) for n in cfg.spectrum["n"])
         try:
-            placed = _strip(scalars, cfg.variant, n_lo, n_hi)
+            strip, numbering = _strip(scalars, cfg.variant, n_lo, n_hi)
         except DomainError as exc:      # raised after the verdict: q = 0 has no theorem
             no_theorem = exc
-        if placed is not None:
-            region = [float(v) for v in placed[0]]
-    search = placed is not None or not targeted
+        if strip is not None:
+            region = [float(v) for v in strip]
+    search = strip is not None or not targeted
     probes, origin, first = _opening(dev, region if search else None)
     if _vanishes(probes):
         warnings_list.append("degenerate characteristic function: D == 0 identically "
@@ -212,7 +212,7 @@ def run_spectrum(cfg) -> SpectrumRun:
         raise no_theorem
     zeros, unresolved, uncertified, unrefined, conflict = [], [], [], [], False
     if targeted:    # a window has a theorem here: without one, no_theorem was raised
-        n_min = asy.first_index(scalars, asy.default_theorem_tag(scalars, cfg.variant))
+        n_min = numbering[2]
     below = targeted and n_lo < n_min
     if search:
         result = scan_spectrum(p, cfg.variant, region, depth=int(cfg.spectrum.get("depth", 14)),
@@ -220,7 +220,7 @@ def run_spectrum(cfg) -> SpectrumRun:
                                first=first)
         unresolved = result.unresolved
         try:
-            zeros = (asy._match_targets(result.zeros, *placed[1]) if targeted
+            zeros = (asy._match_targets(result.zeros, *numbering) if targeted
                      else asy.index_eigenvalues(result.zeros, scalars, cfg.variant))
         except (IndexingConflictError, DomainError) as exc:
             warnings_list.append(f"indexing: {exc}")

@@ -167,26 +167,6 @@ class TestTargetedCost:
         assert targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3) == evs
         assert [e.index for e in evs] == list(range(n_lo, 4))
 
-    def test_far_region_scan_skips_the_small_zero_search(self, monkeypatch):
-        # Every zero of the region lies past the n = 0 target by more than the
-        # matching radius, so numbering them needs no box search for it, and
-        # the run writes the records it writes with that search.
-        cfg = _cfg({"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0},
-                   spectrum={"region": [30.0, 40.0, 0.0, 4.0]})
-        calls = []
-        search = pipeline.asy._zero_target
-        monkeypatch.setattr(pipeline.asy, "_zero_target",
-                            lambda *args: calls.append(args) or search(*args))
-        run = run_spectrum(cfg)
-        assert calls == [] and run.exit_code == 0
-        assert sorted({r.index for r in run.records}) == [9, 10, 11]
-        index_targets = pipeline.asy.index_targets
-        monkeypatch.setattr(pipeline.asy, "index_targets",
-                            lambda *args, include_small: index_targets(*args))
-        forced = run_spectrum(cfg)
-        assert len(calls) == 1
-        assert forced.records == run.records
-
     def test_newton_budget_at_fine_tolerance(self, monkeypatch):
         # Only the polish and the residuals may run tighter than the winding
         # tolerance: seeds O(0.1) off take their coarse sweeps at 1e-8.
