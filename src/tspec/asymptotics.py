@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -413,6 +413,7 @@ class ResidualReport:
     tails_decreasing: bool
     loglog_slope: float
     parity_fits: Optional[dict] = None
+    nonfinite: List[int] = field(default_factory=list)   # the n whose |eps_n|^2 overflows
 
     def to_rows(self):
         return [(r["n"], r["eps"].real, r["eps"].imag, abs(r["eps"]), r["n"] * abs(r["eps"]))
@@ -423,7 +424,9 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     """Join indexed eigenvalues with a prediction and measure residual decay.
 
     Reports eps_n, the next-order residual n*(eps_n - correction_n), split
-    tail sums of |eps_n|^2, and the log-log decay slope of |eps_n|.
+    tail sums of |eps_n|^2, and the log-log decay slope of |eps_n|. The
+    indices whose |eps_n|^2 is past the float range are listed in nonfinite
+    (their tail sum is inf) for the caller to refuse.
     """
     by_key = {}
     for n, mu, corr, br in zip(prediction.ns, prediction.mus, prediction.corrections,
@@ -448,9 +451,11 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     rows.sort(key=lambda r: (r["n"], 0 if r["branch"] is None else r["branch"]))
     ns = np.array([r["n"] for r in rows], dtype=float)
     abs_eps = np.array([abs(r["eps"]) for r in rows])
+    with np.errstate(over="ignore"):
+        eps_sq = abs_eps ** 2
     half = len(rows) // 2
-    tail_first = float(np.sum(abs_eps[:half] ** 2))
-    tail_second = float(np.sum(abs_eps[half:] ** 2))
+    tail_first = float(np.sum(eps_sq[:half]))
+    tail_second = float(np.sum(eps_sq[half:]))
     positive = abs_eps > 0
     slope = float(np.polyfit(np.log(ns[positive]), np.log(abs_eps[positive]), 1)[0]) \
         if positive.sum() >= 3 else math.nan
@@ -473,4 +478,5 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     return ResidualReport(theorem_tag=prediction.theorem_tag, rows=rows,
                           tail_first=tail_first, tail_second=tail_second,
                           tails_decreasing=bool(tail_second < tail_first),
-                          loglog_slope=slope, parity_fits=parity)
+                          loglog_slope=slope, parity_fits=parity,
+                          nonfinite=[int(n) for n in ns[~np.isfinite(eps_sq)]])

@@ -1,8 +1,9 @@
 """Batch command-line driver: config in, structured JSON/CSV out.
 
 Exit codes: 0 success, 1 configuration/schema or usage error (an output path
-that cannot be written included), 2 unresolved clusters or failed validation
-audits (partial results still written), 3 computation failure.
+that cannot be written included), 2 unresolved clusters, failed validation
+audits or failed grid points (partial results still written), 3 computation
+failure.
 """
 
 from __future__ import annotations
@@ -185,10 +186,10 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
             writer.writerow([repr(s.k.real), repr(s.k.imag),
                              repr(s.value.real), repr(s.value.imag)])
     print(f"wrote {len(samples)} samples to {out}", file=sys.stderr)
-    failures = [s for s in samples if s.error]
+    failures = sum(1 for s in samples if s.error)
     if failures:
-        print(f"warning: {len(failures)} grid points failed", file=sys.stderr)
-    return 0
+        print(f"warning: {failures} grid points failed", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _load_spectrum(path):
@@ -225,6 +226,8 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
                           f"and variant {header.variant!r}")
     pred = asy.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in zeros}))
     report = asy.residual_report(zeros, pred)
+    if report.nonfinite:
+        raise DomainError(f"|eps_n|^2 is not finite at indices {report.nonfinite}")
     out = cfg.out or "residuals.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,7 +15,7 @@ is reported as the truncation-error diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,110 +31,62 @@ _DIRECT_PROBE_CANDIDATES = (0.37, 0.71, 0.53, 1.13, 1.91)
 _PROBE_MIN_DISTANCE = 0.1   # closest a direct-route probe may come to a listed root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardProduct:
-    """Truncated zero product of an even entire function.
+    """Truncated zero product of an even entire function, stored as its
+    conjugate half.
 
-    lambdas holds the nonzero eigenvalues with multiplicity (repeats), closed
-    under conjugation and sorted by ascending modulus; s is the multiplicity
-    of the zero eigenvalue. E multiplies the factor of lambdas[first[i]] with
-    that of its conjugate lambdas[second[i]] before the rest; second[i] is -1
-    for a real lambda. lambda_array holds lambdas as a read-only complex array.
+    roots holds one nonzero eigenvalue per factor group with multiplicity
+    (repeats), sorted stably by ascending modulus; paired[i] says roots[i]
+    stands for the conjugate pair (roots[i], roots[i]*), else it is one real
+    factor. s is the multiplicity of the zero eigenvalue. Both arrays are
+    read-only.
     """
 
     s: int
-    lambdas: tuple
-    first: np.ndarray = field(compare=False, repr=False)
-    second: np.ndarray = field(compare=False, repr=False)
-    lambda_array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    roots: np.ndarray
+    paired: np.ndarray
 
     def __post_init__(self):
-        if self.lambda_array is None:
-            object.__setattr__(self, "lambda_array", np.array(self.lambdas, dtype=complex))
-        self.lambda_array.flags.writeable = False
+        self.roots.flags.writeable = False
+        self.paired.flags.writeable = False
 
     @property
     def truncation(self) -> int:
-        return len(self.lambdas)
-
-    def sqrt_roots(self) -> np.ndarray:
-        return np.sqrt(self.lambda_array)
+        return int(self.roots.size + np.count_nonzero(self.paired))
 
 
-def _adjacent_pairs(lams: np.ndarray):
-    """The (first, second) pairing of sorted lams when each non-real entry's
-    partner is the entry right after it, else None.
-
-    It is the greedy loop's pairing (_greedy_pairs) whenever it returns one:
-    the loop takes the first unused entry within tolerance, which the entry
-    right after an unpaired one is. np.hypot is the C hypot that abs(complex)
-    is, so the tests here are the loop's to the bit (np.abs on complex
-    numbers is not). A modulus that overflows is left to the loop, which
-    raises OverflowError on it.
-    """
-    mods = np.hypot(lams.real, lams.imag)
-    if not np.all(np.isfinite(mods)):
-        return None
-    real = np.abs(lams.imag) <= _CONJ_TOL * mods
-    at = np.arange(lams.size)
-    # Within each run of non-real entries, the even places open a pair.
-    run_start = np.maximum.accumulate(np.where(real, at, -1)) + 1
-    opens = ~real & ((at - run_start) % 2 == 0)
-    a = np.flatnonzero(opens)
-    b = a + 1
-    if b.size and (b[-1] == lams.size or np.any(real[b])):
-        return None
-    with np.errstate(over="ignore"):      # an infinite gap pairs nothing, as in the loop
-        gap = lams[b] - np.conj(lams[a])
-    if not np.all(np.hypot(gap.real, gap.imag) <= _CONJ_TOL * np.maximum(1.0, mods[a])):
-        return None
-    first = np.flatnonzero(real | opens)
-    second = np.where(opens[first], first + 1, -1)
-    return first, second
-
-
-def _greedy_pairs(lams: list):
-    """Pair each complex lambda of the sorted list with the first later unpaired
-    entry within 1e-9 max(1, |lambda|) of its conjugate."""
-    first, second = [], []
-    used = [False] * len(lams)
-    for i, lam in enumerate(lams):
-        if used[i]:
-            continue
-        used[i] = True
-        first.append(i)
-        second.append(-1)
-        if abs(lam.imag) <= _CONJ_TOL * abs(lam):
-            continue
-        target = lam.conjugate()
-        tol = _CONJ_TOL * max(1.0, abs(target))
-        for j in range(i + 1, len(lams)):
-            if not used[j] and abs(lams[j] - target) <= tol:
-                used[j] = True
-                second[-1] = j
-                break
-        else:
-            raise DomainError(f"eigenvalue list not closed under conjugation: {lam} unpaired")
-    return np.array(first, dtype=int), np.array(second, dtype=int)
+def _modulus_order(lams: np.ndarray) -> np.ndarray:
+    """The stable order of lams by ascending modulus, once each modulus is
+    checked finite and nonzero (finite parts can have an infinite one)."""
+    mods = np.abs(lams)
+    if not np.all(np.isfinite(mods)) or np.any(mods == 0):
+        raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
+    return np.argsort(mods, kind="stable")
 
 
 def hadamard_product(lambdas, s: int = 0) -> HadamardProduct:
     """Validated constructor; rejects lists not closed under conjugation.
 
-    Each complex lambda is paired with the first later unpaired entry within
-    1e-9 max(1, |lambda|) of its conjugate; sorting by modulus keeps that
-    entry close by, and where it is always the next entry the pairs are
-    taken in one vectorised pass.
+    In ascending modulus, each complex lambda takes the first later unpaired
+    entry within 1e-9 max(1, |lambda|) of its conjugate as its partner, and
+    the pair is kept as lambda alone.
     """
-    arr = np.asarray(lambdas if isinstance(lambdas, np.ndarray) else list(lambdas),
-                     dtype=complex)
-    if not np.all(np.isfinite(arr)) or np.any(arr == 0):
-        raise DomainError("eigenvalues must be finite and nonzero (zero goes into s)")
-    lams = arr[np.argsort(np.abs(arr), kind="stable")]
-    as_list = lams.tolist()
-    first, second = _adjacent_pairs(lams) or _greedy_pairs(as_list)
-    return HadamardProduct(s=int(s), lambdas=tuple(as_list), first=first, second=second,
-                           lambda_array=lams)
+    lams = np.asarray(list(lambdas), dtype=complex)
+    rest = lams[_modulus_order(lams)].tolist()
+    roots, paired = [], []
+    while rest:
+        lam = rest.pop(0)
+        roots.append(lam)
+        paired.append(abs(lam.imag) > _CONJ_TOL * abs(lam))
+        if paired[-1]:
+            target, tol = lam.conjugate(), _CONJ_TOL * max(1.0, abs(lam))
+            partner = next((j for j, mu in enumerate(rest) if abs(mu - target) <= tol), None)
+            if partner is None:
+                raise DomainError(f"eigenvalue list not closed under conjugation: {lam} unpaired")
+            del rest[partner]
+    return HadamardProduct(s=int(s), roots=np.array(roots, dtype=complex),
+                           paired=np.array(paired, dtype=bool))
 
 
 def _square(ks: np.ndarray) -> np.ndarray:
@@ -151,33 +103,31 @@ def _square(ks: np.ndarray) -> np.ndarray:
 def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
     """Build the product from root-finder output (first-quadrant representatives).
 
-    Quadrant zeros contribute the conjugate pair (lambda, lambda*); real and
-    imaginary ones a single real lambda, each repeated per multiplicity.
+    A quadrant zero k stands for the conjugate pair (k^2, k^2*); real and
+    imaginary ones for a single real lambda, each repeated per multiplicity.
     """
     eigenvalues = list(eigenvalues)
     ks = np.array([ev.k for ev in eigenvalues], dtype=complex)
     mult = np.array([ev.multiplicity for ev in eigenvalues], dtype=int)
     quadrant = np.array([ev.cls == "quadrant" for ev in eigenvalues], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):   # inf fails in hadamard_product
+    with np.errstate(over="ignore", invalid="ignore"):   # inf fails in _modulus_order
         lam = _square(ks)
     lam.imag[~quadrant] = 0.0
-    # Row i is (lambda_i, lambda_i*), the second kept for quadrant zeros only.
-    pairs = np.stack([lam, np.conj(lam)], axis=1)
-    keep = np.stack([np.ones_like(quadrant), quadrant], axis=1)
-    return hadamard_product(np.repeat(pairs, mult, axis=0)[np.repeat(keep, mult, axis=0)], s=s)
+    lam, paired = np.repeat(lam, mult), np.repeat(quadrant, mult)
+    order = _modulus_order(lam)
+    return HadamardProduct(s=int(s), roots=lam[order], paired=paired[order])
 
 
 def _paired_factors(hp: HadamardProduct, k: complex) -> np.ndarray:
-    """Factors (1 - k^2/lambda), conjugate pairs multiplied together first.
+    """Factors (1 - k^2/lambda), each conjugate pair's two multiplied together.
 
     The pair product is spelled out in real arithmetic because numpy's
     vectorized complex multiply may fuse a*c - b*d into one rounding; then
     E(k) on the real axis keeps a rounding-level imaginary part.
     """
-    facs = 1.0 - (k * k) / hp.lambda_array
-    out = facs[hp.first]
-    pair = hp.second >= 0
-    a, b = out[pair], facs[hp.second[pair]]
+    pair = hp.paired
+    out = 1.0 - (k * k) / hp.roots
+    a, b = out[pair], 1.0 - (k * k) / np.conj(hp.roots[pair])
     out.real[pair] = a.real * b.real - a.imag * b.imag
     out.imag[pair] = a.real * b.imag + a.imag * b.real
     return out
@@ -259,7 +209,7 @@ def _omega_ladder(hp: HadamardProduct, variant: str) -> np.ndarray:
     smallest whose rungs all stay 0.2 clear of the roots.
     """
     powers = 2.0 ** np.arange(0 if variant == "robin" else -1, 4)
-    mirrors = orbit(hp.sqrt_roots()).ravel()
+    mirrors = orbit(np.sqrt(hp.roots)).ravel()
     for m in range(1, 10):
         ks = m * math.pi * powers
         if np.min(np.abs(ks[:, None] - mirrors)) > 0.2:
@@ -337,7 +287,7 @@ def gamma_direct(d_evaluator: Callable, hp: HadamardProduct,
     k0 must lie farther than _PROBE_MIN_DISTANCE from every root mirror; by
     default it is the first of _DIRECT_PROBE_CANDIDATES that does.
     """
-    mirrors = orbit(hp.sqrt_roots()).ravel()
+    mirrors = orbit(np.sqrt(hp.roots)).ravel()
     for k0 in (_DIRECT_PROBE_CANDIDATES if probe_k is None else (probe_k,)):
         dist = float(np.min(np.abs(k0 - mirrors), initial=math.inf))
         if dist > _PROBE_MIN_DISTANCE:

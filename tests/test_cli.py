@@ -321,6 +321,20 @@ class TestCharfunCommand:
         assert rows[0] == ["re_k", "im_k", "re_D", "im_D"]
         assert len(rows) == 16
 
+    def test_grid_with_failed_points_exits_2(self, workdir, capsys):
+        # h = 1e200 makes D overflow at every point: the CSV is still written,
+        # with nan for each failed point, and the run exits with the partial
+        # results code.
+        path, out = workdir / "grid_overflow.json", workdir / "grid_overflow.csv"
+        path.write_text(json.dumps({"potential": {"kind": "constant", "value": 1.0, "h": 1e200},
+                                    "variant": "robin"}))
+        code = main(["--config", str(path), "--out", str(out), "charfun", "grid",
+                     "--region", "30,32,50,59", "--nx", "3", "--ny", "3"])
+        rows = list(csv.reader(open(out)))
+        assert code == 2 and len(rows) == 10
+        assert all(row[2:] == ["nan", "nan"] for row in rows[1:])
+        assert "warning: 9 grid points failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("region", ["10,0,0,3", "nan,1,0,1"])
     def test_bad_grid_region_flag_exit_1(self, tmp_path, config_path, region, capsys):
         # The flag is checked as the charfun.region key is.
@@ -462,6 +476,51 @@ class TestValidateCommand:
     def test_missing_spectrum_input(self, config_path):
         code = main(["--config", config_path, "validate"])
         assert code == 1
+
+    @pytest.fixture(scope="class")
+    def huge_record(self, workdir):
+        """A q = 1.1, h = 0.3 spectrum of indices 0..6 and a copy of it for
+        each (re_k, im_k) given to one record of index 1."""
+        cfg = workdir / "huge_cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "constant", "value": 1.1, "h": 0.3},
+                                   "variant": "robin"}))
+        spec = workdir / "huge_base.json"
+        assert main(["--config", str(cfg), "--out", str(spec), "spectrum", "--n", "0..6"]) == 0
+
+        def copy(name, **parts):
+            doc = json.loads(spec.read_text())
+            doc["records"][next(i for i, r in enumerate(doc["records"])
+                                if r["index"] == 1)].update(parts)
+            path = workdir / name
+            path.write_text(json.dumps(doc))
+            return str(cfg), str(path)
+        return copy
+
+    @pytest.mark.parametrize("parts, symmetry", [
+        ({"re_k": 1e308}, "5 missing mirrors"),
+        ({"re_k": 1e308, "im_k": 1e308}, "6 missing mirrors")], ids=["re", "re-and-im"])
+    def test_record_past_the_float_range_fails_its_audits(self, huge_record, capsys, parts,
+                                                           symmetry):
+        # |eps_1|^2 is past the float range: residual-decay fails and names the
+        # index instead of passing on an infinite tail sum, and neither audit
+        # raises an overflow warning (an error under the test settings).
+        cfg, path = huge_record("huge_validate.json", **parts)
+        code = main(["--config", cfg, "validate", "--spectrum", path])
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert code == 2
+        assert "FAIL" in lines["symmetry-closure"] and symmetry in lines["symmetry-closure"]
+        assert lines["residual-decay"].split(None, 2)[1:] == [
+            "FAIL", "tag T41i_W22: |eps_n|^2 is not finite at indices [1]"]
+
+    def test_residuals_of_a_record_past_the_float_range_exit_3(self, huge_record, workdir,
+                                                               capsys):
+        cfg, path = huge_record("huge_residuals.json", re_k=1e308)
+        out = workdir / "huge_residuals.csv"
+        code = main(["--config", cfg, "--out", str(out), "asymptotics", "residuals",
+                     "--spectrum", path])
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert "computation failed: |eps_n|^2 is not finite at indices [1]" in err
 
 
 class TestFileCase:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tspec import Potential, derive_scalars, gamma_recovery, pipeline
+from tspec import Potential, derive_scalars, gamma_recovery, pipeline, spectrumfile
 from tspec.asymptotics import index_targets, leading_zeros
+from tspec.cli import main
 from tspec.errors import DomainError, ProbeTooCloseError, UnstableLimitError
 from tspec.gamma_recovery import (eval_E, from_eigenvalues, gamma_direct,
                                   gamma_from_endpoint, gamma_from_omega,
@@ -24,7 +26,7 @@ def _first_mus(scalars, n_terms):
     return [mu for _n, mu, _b in targets[:n_terms]]
 
 
-def synthetic_mu_product(n_terms=50):
+def synthetic_mu_lambdas(n_terms=50):
     """Conjugate-closed spectrum shaped like the omega = q(1) = 1 zero curves.
 
     The infinite product over these zeros tends to omega/(omega + q(1)) = 1/2
@@ -33,8 +35,11 @@ def synthetic_mu_product(n_terms=50):
     """
     s = derive_scalars(Potential.constant(1.0))
     mus = np.array(_first_mus(s, n_terms), dtype=complex)
-    lams = np.concatenate([mus ** 2, np.conj(mus) ** 2])
-    return hadamard_product(lams)
+    return np.concatenate([mus ** 2, np.conj(mus) ** 2])
+
+
+def synthetic_mu_product(n_terms=50):
+    return hadamard_product(synthetic_mu_lambdas(n_terms))
 
 
 def robin_constant_d(c: float, h: float):
@@ -87,18 +92,19 @@ class TestHadamardProduct:
         lams = [3 + 4j, 4 + 3j, -3 + 4j, 5.0, 4 - 3j, -3 - 4j, 3 - 4j, -4 + 3j, -4 - 3j]
         for order in (lams, list(rng.permutation(lams))):
             hp = hadamard_product(order)
-            assert sorted(hp.first.tolist() + [j for j in hp.second if j >= 0]) == list(range(9))
-            for i, j in zip(hp.first, hp.second):
-                lam = hp.lambdas[i]
-                assert (j < 0) if lam.imag == 0 else (hp.lambdas[j] == lam.conjugate())
+            assert hp.truncation == 9 and hp.roots.size == 5
+            assert hp.paired.tolist() == [lam.imag != 0 for lam in hp.roots.tolist()]
+            pairs = hp.roots[hp.paired].tolist()
+            halves = pairs + [lam.conjugate() for lam in pairs] + hp.roots[~hp.paired].tolist()
+            assert sorted(halves, key=repr) == sorted(lams, key=repr)
             assert eval_E(hp, 1.7).imag == 0.0
 
     def test_stored_pairing_matches_pairing_loop(self, synthetic_hp, rng):
         # Reference: pair each complex factor with the first later unused
         # factor at its conjugate, in ascending |lambda|, on every call.
-        lams = np.array(synthetic_mu_product(50).lambdas + (3.0 + 0j, 7.5 + 0j))
-        hp = hadamard_product(rng.permutation(lams))
-        lams = np.asarray(hp.lambdas)
+        lams = rng.permutation(np.append(synthetic_mu_lambdas(50), [3.0, 7.5]))
+        hp = hadamard_product(lams)
+        lams = lams[np.argsort(np.abs(lams), kind="stable")]
         for k in (0.7, 3.3 + 1.2j, 11.0):
             facs = 1.0 - k * k / lams
             ref, used = [], np.zeros(lams.size, dtype=bool)
@@ -280,6 +286,41 @@ class TestEndpointRoute:
             gamma_from_endpoint(hp, scalars)
 
 
+class TestRoutesOnAFile:
+    # gamma from each route on a 30-root closed-form spectrum file of q = 1.1,
+    # h = 0.3, to the bit, as recorded when the product still stored both
+    # members of each conjugate pair.
+    PINNED = {"omega": "1.7488411378249944", "endpoint": "1.723907089507213",
+              "direct": "1.7421481979871247"}
+
+    @pytest.fixture(scope="class")
+    def spectrum_file(self, tmp_path_factory):
+        d = robin_constant_d(1.1, 0.3)
+        scalars = derive_scalars(Potential.constant(1.1, h=0.3))
+        roots, ok = newton_refine_many(d, np.array(_first_mus(scalars, 30)))
+        assert ok.all()
+        pot = {"kind": "constant", "value": 1.1, "h": 0.3}
+        header = spectrumfile.SpectrumHeader(potential=pot, variant="robin",
+                                             region=[0.0, 31 * math.pi, 0.0, 6.0],
+                                             tolerances={"rtol": 1e-12, "rtol_refine": 1e-13})
+        records = [spectrumfile.SpectrumRecord(index=n, re_k=float(m.real), im_k=float(m.imag),
+                                               multiplicity=1, residual=0.0, cls="quadrant")
+                   for n, k in enumerate(roots) for m in (k, -k, np.conj(k), -np.conj(k))]
+        tmp = tmp_path_factory.mktemp("routes")
+        spectrumfile.write_spectrum(tmp / "spec.json", header, records)
+        (tmp / "cfg.json").write_text(json.dumps({"potential": pot, "variant": "robin"}))
+        return tmp
+
+    @pytest.mark.parametrize("route", ["omega", "endpoint", "direct"])
+    def test_gamma_is_pinned(self, spectrum_file, route):
+        out = spectrum_file / f"{route}.json"
+        code = main(["--config", str(spectrum_file / "cfg.json"), "--out", str(out), "gamma",
+                     "--route", route, "--spectrum", str(spectrum_file / "spec.json")])
+        doc = json.loads(out.read_text())
+        assert code == 0 and doc["truncation"] == 60
+        assert repr(doc["gamma"]) == self.PINNED[route]
+
+
 class TestFromEigenvalues:
     def test_quadrant_orbit_expansion(self):
         from tspec.rootfind import Eigenvalue
@@ -299,39 +340,50 @@ class TestFromEigenvalues:
 
     def test_matches_the_per_eigenvalue_loop(self, rng):
         # Reference: lambda = complex(k) ** 2 per eigenvalue and multiplicity,
-        # (lambda, lambda*) for a quadrant zero, (Re lambda, 0) otherwise; the
-        # same sorted list, bit for bit, and the same pairs.
+        # paired for a quadrant zero, (Re lambda, 0) otherwise, sorted stably
+        # by modulus; the same roots, bit for bit, and the same pair flags.
         from tspec.rootfind import Eigenvalue
 
         ks = list(rng.uniform(0.1, 40.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40))
-        ks += [2.5 + 0j, -0.0 + 1.5j, complex(-2.0, -0.0), 7.0 + 1e-12j, ks[3]]
+        ks += [2.5 + 0j, -0.0 + 1.5j, complex(-2.0, -0.0), ks[3]]
         evs = [Eigenvalue(k=k, index=i, multiplicity=int(rng.integers(1, 4)), residual=0.0,
                           cls=str(rng.choice(["quadrant", "real", "imaginary"])))
                for i, k in enumerate(ks)]
-        lams = []
+        half = []
         for ev in evs:
             lam = complex(ev.k) ** 2
-            for _ in range(ev.multiplicity):
-                lams.extend([lam, lam.conjugate()] if ev.cls == "quadrant"
-                            else [complex(lam.real, 0.0)])
-        hp, ref = from_eigenvalues(evs, s=1), hadamard_product(lams, s=1)
-        assert repr(hp.lambdas) == repr(ref.lambdas) and hp.s == 1
-        assert hp.first.tolist() == ref.first.tolist()
-        assert hp.second.tolist() == ref.second.tolist()
+            quadrant = ev.cls == "quadrant"
+            half += [(lam if quadrant else complex(lam.real, 0.0), quadrant)] * ev.multiplicity
+        half.sort(key=lambda entry: abs(entry[0]))
+        hp = from_eigenvalues(evs, s=1)
+        assert repr(hp.roots.tolist()) == repr([lam for lam, _ in half]) and hp.s == 1
+        assert hp.paired.tolist() == [quadrant for _, quadrant in half]
+
+    def test_near_real_quadrant_zero_is_one_pair(self):
+        # Its lambda is within 1e-9 relative of the real axis, where a list
+        # would be split into two real factors; the class pairs it.
+        from tspec.rootfind import Eigenvalue
+
+        ev = Eigenvalue(k=7.0 + 1e-12j, index=0, multiplicity=1, residual=0.0, cls="quadrant")
+        hp = from_eigenvalues([ev])
+        assert hp.truncation == 2 and hp.paired.tolist() == [True]
+        for k in (1.3, 6.9, 20.0):
+            assert eval_E(hp, k).imag == 0.0
 
     def test_overflowing_square_is_a_domain_error(self):
         from tspec.rootfind import Eigenvalue
 
-        # CPython's complex(k) ** 2 raises OverflowError here.
-        ev = Eigenvalue(k=1.5e154 + 1e140j, index=0, multiplicity=1, residual=0.0,
-                        cls="quadrant")
-        with pytest.raises(DomainError, match="finite"):
-            from_eigenvalues([ev])
+        # CPython's complex(k) ** 2 raises OverflowError at the first k; the
+        # second has a finite square whose modulus is past the float range.
+        for k in (1.5e154 + 1e140j, 1.25e154 + 0.52e154j):
+            ev = Eigenvalue(k=k, index=0, multiplicity=1, residual=0.0, cls="quadrant")
+            with pytest.raises(DomainError, match="finite"):
+                from_eigenvalues([ev])
 
 
 def _pairing_loop(lambdas, s=0):
-    """hadamard_product as a greedy loop over every entry, the pairing the
-    vectorised pass must reproduce: (lambdas, first, second) or the error text."""
+    """hadamard_product as a greedy loop over every entry of the sorted list:
+    (the openers, whether each has a partner) or the error text."""
     arr = np.asarray(list(lambdas), dtype=complex)
     if not np.all(np.isfinite(arr)) or np.any(arr == 0):
         return "eigenvalues must be finite and nonzero (zero goes into s)"
@@ -354,7 +406,7 @@ def _pairing_loop(lambdas, s=0):
                 break
         else:
             return f"eigenvalue list not closed under conjugation: {lam} unpaired"
-    return repr(tuple(lams)), first, second
+    return repr(tuple(lams[i] for i in first)), [j >= 0 for j in second]
 
 
 def _pairing(lambdas):
@@ -362,7 +414,7 @@ def _pairing(lambdas):
         hp = hadamard_product(lambdas)
     except DomainError as exc:
         return str(exc)
-    return repr(hp.lambdas), hp.first.tolist(), hp.second.tolist()
+    return repr(tuple(hp.roots.tolist())), hp.paired.tolist()
 
 
 @st.composite
@@ -394,7 +446,7 @@ def _conjugate_lists(draw):
     return draw(st.permutations(out))
 
 
-class TestVectorisedPairing:
+class TestPairing:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(lams=_conjugate_lists())
     # On the bounds (a partner exactly 1e-9 from the conjugate, |Im| exactly
@@ -405,29 +457,9 @@ class TestVectorisedPairing:
     def test_same_as_the_loop(self, lams):
         assert _pairing(lams) == _pairing_loop(lams)
 
-    def test_hypot_is_abs(self, rng):
-        # The vectorised pass takes its moduli from np.hypot because it is the
-        # C hypot that abs(complex) calls, to the bit.
-        z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
-             * 10.0 ** rng.integers(-12, 12, 20000))
-        assert np.hypot(z.real, z.imag).tolist() == [abs(v) for v in z.tolist()]
-
-    @pytest.mark.parametrize("extra", [[3.0 + 0j, 7.5 + 0j, 7.5 + 0j], [0.5j, 1e-9 - 0.5j],
-                                       [complex(1.0, 1e-9)]],
-                             ids=["spectrum", "partner-on-the-bound", "real-on-the-bound"])
-    def test_takes_the_vectorised_pass(self, synthetic_hp, monkeypatch, extra):
-        # A root-finder list (conjugate pairs, each partner next after the
-        # sort) never reaches the loop, with or without entries on the bounds.
-        def refuse(lams):
-            raise AssertionError("greedy loop called")
-
-        lams = list(synthetic_hp.lambdas) + extra
-        ref = _pairing(lams)
-        monkeypatch.setattr(gamma_recovery, "_greedy_pairs", refuse)
-        assert _pairing(lams) == ref == _pairing_loop(lams)
-
-    def test_lambda_array_is_the_sorted_tuple_read_only(self, synthetic_hp):
-        arr = synthetic_hp.lambda_array
-        assert repr(tuple(arr.tolist())) == repr(synthetic_hp.lambdas)
+    def test_roots_and_paired_are_read_only(self, synthetic_hp):
+        assert synthetic_hp.truncation == synthetic_hp.roots.size + synthetic_hp.paired.sum()
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            synthetic_hp.roots[0] = 1.0
+        with pytest.raises(ValueError):
+            synthetic_hp.paired[0] = False
