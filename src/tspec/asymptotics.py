@@ -27,6 +27,7 @@ THEOREM_TAGS = ("T41i_W21", "T41i_W22", "T41ii_W21", "T41ii_W22",
 _ZERO_TOL = 1e-9
 _TRANSCENDENTAL_MAX_ITER = 50
 _TRANSCENDENTAL_TOL = 1e-12
+_SEED_IS_ROOT = 2 ** 22     # from this n on Newton on g1 leaves the mu_n seed as it is
 
 
 def vanishing(scalars: PotentialScalars):
@@ -150,8 +151,12 @@ def _zero_target(scalars: PotentialScalars) -> Optional[complex]:
     return min((ev.k for ev in res.zeros), key=abs, default=None)
 
 
-def leading_zeros(scalars: PotentialScalars, n_max: int) -> LeadingZeros:
-    """mu_n for n = 1..n_max from the asymptotic formulas, Newton-polished on g1.
+def leading_zeros(scalars: PotentialScalars, ns: Sequence[int]) -> LeadingZeros:
+    """mu_n for the indices ns (each >= 1) from the asymptotic formulas,
+    Newton-polished on g1 one seed at a time, so mu_n does not depend on the
+    other n asked for. n enters the formulas as a float (2 n of an index past
+    2^62 stays finite), and a seed from n = _SEED_IS_ROOT on is the root as it
+    stands.
 
     DomainError unless omega != 0 and q(1) != 0 (for omega = 0 the zeros are
     exactly n pi / 2: predict_eigenvalues writes them).
@@ -159,31 +164,27 @@ def leading_zeros(scalars: PotentialScalars, n_max: int) -> LeadingZeros:
     if any(vanishing(scalars)[:2]):
         raise DomainError("leading-zero asymptotics require omega != 0 and q(1) != 0")
     w, q1 = scalars.omega, scalars.q_at_1
-    n_all = np.arange(1, n_max + 1)
+    n_all = np.array(ns, dtype=float)
     if q1 / w > 0:
         b_all = np.log(2 * n_all * math.pi) - math.log(q1 / (2 * w)) - 1.5j * math.pi
     else:
         b_all = np.log(2 * n_all * math.pi) - math.log(-q1 / (2 * w)) - 0.5j * math.pi
     seeds = n_all * math.pi + 0.5j * b_all - b_all / (4 * n_all * math.pi)
-    roots, conv = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds, tol=1e-13,
-                                     max_iter=40)
+    roots, conv = seeds.copy(), np.ones(seeds.size, dtype=bool)
+    near = n_all < _SEED_IS_ROOT
+    roots[near], conv[near] = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds[near],
+                                                 tol=1e-13, max_iter=40)
     conv &= np.abs(roots - seeds) <= 2.0
-    mus, pol = [], []
-    for n, seed, z, ok in zip(n_all.tolist(), seeds.tolist(), roots.tolist(), conv.tolist()):
-        if not ok:
-            box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
-            try:
-                res = find_zeros(_g1_over_k(scalars), box, max_depth=18)
-                near = min((ev.k for ev in res.zeros), key=lambda kk: abs(kk - seed), default=None)
-            except TspecError:
-                near = None
-            if near is not None:
-                z, ok = near, True
-            else:
-                z, ok = seed, False
-        mus.append(z)
-        pol.append(ok)
-    return LeadingZeros(n_all.tolist(), mus, pol)
+    for i in np.flatnonzero(~conv):
+        n, seed = float(n_all[i]), complex(seeds[i])
+        box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
+        try:
+            res = find_zeros(_g1_over_k(scalars), box, max_depth=18)
+            near = min((ev.k for ev in res.zeros), key=lambda kk: abs(kk - seed), default=None)
+        except TspecError:
+            near = None
+        roots[i], conv[i] = (seed, False) if near is None else (near, True)
+    return LeadingZeros(list(ns), roots.tolist(), conv.tolist())
 
 
 @dataclass
@@ -214,8 +215,8 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
     if theorem_tag not in THEOREM_TAGS:
         raise DomainError(f"unknown theorem tag {theorem_tag!r}; expected one of {THEOREM_TAGS}")
     ns = [int(n) for n in n_range]
-    if any(n < 1 for n in ns):
-        raise DomainError("predictions are defined for n >= 1")
+    if not all(1 <= n < 2 ** 1000 for n in ns):     # past 2^1000, 4 n pi nears the float max
+        raise DomainError("predictions are defined for 1 <= n < 2^1000")
     omega_zero, q1_zero, dq1_zero = vanishing(scalars)
     q1no, q2no, q3no, q4no = q_constants(scalars)
     constants = {"Q1": q1no, "Q2": q2no, "Q3": q3no, "Q4": q4no, "q_at_1": scalars.q_at_1}
@@ -224,9 +225,7 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
 
     if theorem_tag in ("T41i_W21", "T41i_W22"):
         _require(not omega_zero and not q1_zero, theorem_tag, "needs omega != 0 and q(1) != 0")
-        lz = leading_zeros(scalars, max(ns))
-        mu_by_n = dict(zip(lz.ns, lz.mu_n))
-        mus = [mu_by_n[n] for n in ns]
+        mus = leading_zeros(scalars, ns).mu_n
         if theorem_tag == "T41i_W21":
             corr = [0j] * len(ns)
         else:
@@ -277,9 +276,7 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
     elif theorem_tag == "Dirichlet_i":
         _require(not omega_zero and not q1_zero, theorem_tag, "needs omega != 0 and q(1) != 0")
         # The mu_n case selection swaps relative to the Robin problem.
-        lz = leading_zeros(_dirichlet_flip(scalars), max(ns))
-        mu_by_n = dict(zip(lz.ns, lz.mu_n))
-        mus = [mu_by_n[n] for n in ns]
+        mus = leading_zeros(_dirichlet_flip(scalars), ns).mu_n
         corr = [+q3no / (4 * n * math.pi * q1) for n in ns]
     else:  # Dirichlet_ii
         _require(omega_zero and not q1_zero, theorem_tag, "needs omega = 0 and q(1) != 0")
@@ -450,15 +447,16 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
         raise DomainError("no eigenvalue indices matched the prediction")
     rows.sort(key=lambda r: (r["n"], 0 if r["branch"] is None else r["branch"]))
     ns = np.array([r["n"] for r in rows], dtype=float)
-    abs_eps = np.array([abs(r["eps"]) for r in rows])
-    with np.errstate(over="ignore"):
+    eps = np.array([r["eps"] for r in rows], dtype=complex)
+    with np.errstate(over="ignore"):    # past the float range: inf, refused through nonfinite
+        abs_eps = np.hypot(eps.real, eps.imag)
         eps_sq = abs_eps ** 2
     half = len(rows) // 2
     tail_first = float(np.sum(eps_sq[:half]))
     tail_second = float(np.sum(eps_sq[half:]))
-    positive = abs_eps > 0
-    slope = float(np.polyfit(np.log(ns[positive]), np.log(abs_eps[positive]), 1)[0]) \
-        if positive.sum() >= 3 else math.nan
+    fit = (abs_eps > 0) & np.isfinite(abs_eps)
+    slope = float(np.polyfit(np.log(ns[fit]), np.log(abs_eps[fit]), 1)[0]) \
+        if fit.sum() >= 3 else math.nan
     parity = None
     if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") and "q_at_1" in prediction.constants:
         # No parity convention is fixed for the (-1)^n term; report both fits.

@@ -184,8 +184,11 @@ def _extrapolate(xs: np.ndarray, logv: np.ndarray, signs: np.ndarray, route: str
                                               "signs": signs.tolist()})
     log_l_full, resid_full = _drift_fit(xs, logv)
     log_l_drop, _ = _drift_fit(xs[:-1], logv[:-1])
-    limit_full = float(signs[0] * math.exp(min(log_l_full, 700.0)))
-    limit_drop = float(signs[0] * math.exp(min(log_l_drop, 700.0)))
+    if max(abs(log_l_full), abs(log_l_drop)) > 700.0:
+        raise UnstableLimitError(f"{route}: the limit exp({log_l_full:.4g}) is past the float "
+                                 "range", diagnostics={"log_values": logv.tolist()})
+    limit_full = float(signs[0] * math.exp(log_l_full))
+    limit_drop = float(signs[0] * math.exp(log_l_drop))
     gap = abs(limit_full - limit_drop) / max(abs(limit_full), 1e-300)
     diagnostics = {
         "ladder": xs.tolist(),
@@ -296,8 +299,14 @@ def gamma_direct(d_evaluator: Callable, hp: HadamardProduct,
         raise ProbeTooCloseError(f"probe {k0} is {dist:.3g} from a listed root")
     probe = complex(k0)
     d_val = complex(np.asarray(d_evaluator(np.array([probe])), dtype=complex)[0])
-    e_val = eval_E(hp, probe)
-    ratio = d_val / e_val
+    try:
+        e_val = eval_E(hp, probe)
+        ratio = d_val / e_val
+    except (OverflowError, ZeroDivisionError):     # k0^(2s) past the float range, or E = 0
+        ratio = complex(math.inf)
+    if not np.isfinite(ratio):
+        raise DomainError(f"E({k0}) = {k0}^{2 * hp.s} prod(1 - k0^2/lambda) leaves the float "
+                          f"range (s = {hp.s}), so D/E is not finite")
     return GammaEstimate(gamma=float(ratio.real), route="direct", truncation=hp.truncation,
                          probes=(k0,),
                          diagnostics={"D": d_val, "E": e_val, "imag_part": ratio.imag})

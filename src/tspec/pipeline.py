@@ -9,6 +9,7 @@ residual decay, gamma consistency) against a spectrum file.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -18,11 +19,10 @@ import numpy as np
 from . import asymptotics as asy
 from .charfun import DEvaluator
 from .errors import (ConfigError, DomainError, HypothesisMismatchError, IndexingConflictError,
-                     ProbeTooCloseError, TspecError, UnstableLimitError)
+                     PhaseResolutionError, ProbeTooCloseError, TspecError, UnstableLimitError)
 from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
 from .potential import Potential, PotentialScalars, derive_scalars
-from .rootfind import (_MAX_BOUNDARY_POINTS, _ORIGIN_BOX, ContourBox, Eigenvalue,
-                       ZeroSearchResult, _boundary, _boundary_size, find_zeros,
+from .rootfind import (_ORIGIN_BOX, ContourBox, Eigenvalue, _boundary, find_zeros,
                        gamma_contour_count, orbit, origin_multiplicity)
 from .spectrumfile import SpectrumHeader, SpectrumRecord
 
@@ -41,16 +41,15 @@ def _vanishes(probes) -> bool:
 def _opening(dev: DEvaluator, region):
     """D at _DEGENERATE_PROBES and on the first boundaries of the origin box and of
     region (None for no region), in one call: (probes, origin, region) values.
-    A region whose first boundary alone would pass the most samples a count may
-    refine to is left out (None): the degeneracy verdict, which needs none of
-    it, must not wait on it. When the call fails, the probes alone, and None
-    for the boundaries, whose counts then sample them afresh and meet the
-    failure themselves.
+    A region whose first boundary _boundary refuses to sample is left out
+    (None): the degeneracy verdict, which needs none of it, must not wait on
+    it. When the call fails, the probes alone, and None for the boundaries,
+    whose counts then sample them afresh and meet the failure themselves.
     """
     parts = [np.array(_DEGENERATE_PROBES), _boundary(_ORIGIN_BOX)]
-    box = None if region is None else ContourBox(*map(float, region))
-    if box is not None and _boundary_size(box) <= _MAX_BOUNDARY_POINTS:
-        parts.append(_boundary(box))
+    if region is not None:
+        with contextlib.suppress(PhaseResolutionError):
+            parts.append(_boundary(ContourBox(*map(float, region))))
     try:
         vals = np.split(dev(np.concatenate(parts)), np.cumsum([p.size for p in parts[:-1]]))
     except TspecError:
@@ -80,33 +79,6 @@ def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
     strip = (0.0 if n_lo <= n_min else sel.real.min() - half, sel.real.max() + half,
              0.0, max(3.0, sel.imag.max() + half))
     return strip, numbering
-
-
-def targeted_spectrum(p: Potential, scalars: PotentialScalars, variant: str,
-                      n_lo: int, n_hi: int, *, rtol_refine: float = 1e-13) -> List[Eigenvalue]:
-    """Indexed eigenvalues n_lo..n_hi: the region scan of the strip their targets span.
-
-    The strip (see _strip) is scanned with winding counts at 1e-8 and Newton
-    polish at rtol_refine, and its zeros are numbered against the same
-    targets, as a region scan numbers its zeros. An index with no zero in
-    the strip is absent; IndexingConflictError when two zeros contend for
-    one index.
-    """
-    strip, numbering = _strip(scalars, variant, n_lo, n_hi)
-    if strip is None:
-        return []
-    res = scan_spectrum(p, variant, strip, rtol_winding=_RTOL_WINDING, rtol_refine=rtol_refine)
-    return [ev for ev in asy._match_targets(res.zeros, *numbering) if n_lo <= ev.index <= n_hi]
-
-
-def scan_spectrum(p: Potential, variant: str, region, depth: int = 14, *,
-                  rtol_winding: float = 1e-9, rtol_refine: float = 1e-13,
-                  first=None) -> ZeroSearchResult:
-    """find_zeros over region, counting at rtol_winding and polishing at rtol_refine;
-    first, when given, holds D at the region's first boundary at rtol_winding."""
-    dev = DEvaluator(p, variant, rtol=rtol_winding)
-    return find_zeros(dev, region, max_depth=depth, refine_f=dev.with_tolerance(rtol_refine),
-                      first=first)
 
 
 def expand_orbit(ev: Eigenvalue) -> List[complex]:
@@ -158,11 +130,13 @@ def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
     if np.any(np.diff(means) <= 1e-9 + 1e-15 * means[-1:]):
         rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
         firsts = _first_of_each(rounded, firsts)
-    zeros = [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
-                        multiplicity=columns.multiplicity[i], residual=columns.residual[i],
-                        cls=columns.cls[i], branch=columns.branch[i])
-             for i in firsts]
-    return sorted(zeros, key=lambda e: (e.index if e.index is not None else 10 ** 9, abs(e.k)))
+    with np.errstate(over="ignore"):    # a modulus past the float range sorts as inf
+        mods = np.hypot(re_k, im_k).tolist()
+    firsts.sort(key=lambda i: (10 ** 9 if columns.index[i] is None else columns.index[i], mods[i]))
+    return [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
+                       multiplicity=columns.multiplicity[i], residual=columns.residual[i],
+                       cls=columns.cls[i], branch=columns.branch[i])
+            for i in firsts]
 
 
 @dataclass
@@ -182,7 +156,6 @@ def run_spectrum(cfg) -> SpectrumRun:
     """
     p = Potential.from_dict(cfg.potential)
     scalars = derive_scalars(p)
-    warnings_list = []
     targeted = "n" in cfg.spectrum
     # The yes/no checks (degeneracy, origin multiplicity) need only the
     # tolerance the run counts windings with, so they share its first call.
@@ -199,34 +172,30 @@ def run_spectrum(cfg) -> SpectrumRun:
         if strip is not None:
             region = [float(v) for v in strip]
     search = strip is not None or not targeted
+    header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
+                            tolerances={"rtol": cfg.rtol, "rtol_refine": cfg.rtol_refine})
     probes, origin, first = _opening(dev, region if search else None)
     if _vanishes(probes):
-        warnings_list.append("degenerate characteristic function: D == 0 identically "
-                             "(unperturbed system); spectrum is empty")
-        header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
-                                tolerances={"rtol": cfg.rtol, "rtol_refine": cfg.rtol_refine},
-                                s=0, warnings=warnings_list)
+        header.warnings.append("degenerate characteristic function: D == 0 identically "
+                               "(unperturbed system); spectrum is empty")
         return SpectrumRun(header=header, records=[], eigenvalues=[], unresolved=[],
                            exit_code=0)
     if no_theorem is not None:
         raise no_theorem
     zeros, unresolved, uncertified, unrefined, conflict = [], [], [], [], False
-    if targeted:    # a window has a theorem here: without one, no_theorem was raised
-        n_min = numbering[2]
-    below = targeted and n_lo < n_min
     if search:
-        result = scan_spectrum(p, cfg.variant, region, depth=int(cfg.spectrum.get("depth", 14)),
-                               rtol_winding=rtol_winding, rtol_refine=cfg.rtol_refine,
-                               first=first)
+        result = find_zeros(dev, region, max_depth=int(cfg.spectrum.get("depth", 14)),
+                            refine_f=dev.with_tolerance(cfg.rtol_refine), first=first)
         unresolved = result.unresolved
         try:
             zeros = (asy._match_targets(result.zeros, *numbering) if targeted
                      else asy.index_eigenvalues(result.zeros, scalars, cfg.variant))
         except (IndexingConflictError, DomainError) as exc:
-            warnings_list.append(f"indexing: {exc}")
+            header.warnings.append(f"indexing: {exc}")
             conflict = isinstance(exc, IndexingConflictError)
             zeros = [] if targeted else result.zeros
-    if targeted:
+    if targeted:    # a window has a theorem here: without one, no_theorem was raised
+        n_min = numbering[2]
         zeros = [ev for ev in zeros if n_lo <= ev.index <= n_hi]
         # No zero takes an index below n_min: those are named by `below` instead.
         uncertified = sorted({ev.index for ev in zeros if not ev.refined}
@@ -235,24 +204,21 @@ def run_spectrum(cfg) -> SpectrumRun:
     else:
         unrefined = [f"{ev.k:.10g} (multiplicity {ev.multiplicity})"
                      for ev in result.zeros if not ev.refined]
+    below = targeted and n_lo < n_min
     try:
-        s = origin_multiplicity(dev, origin)
+        header.s = origin_multiplicity(dev, origin)
     except TspecError as exc:
-        warnings_list.append(f"origin multiplicity undetermined: {exc}")
-        s = 0
+        header.warnings.append(f"origin multiplicity undetermined: {exc}")
     if unresolved:
-        warnings_list.append(f"{len(unresolved)} unresolved cluster boxes")
+        header.warnings.append(f"{len(unresolved)} unresolved cluster boxes")
     if below:
-        warnings_list.append(f"index window {n_lo}..{n_hi} starts below the theorem's "
-                             f"first index {n_min}")
+        header.warnings.append(f"index window {n_lo}..{n_hi} starts below the theorem's "
+                               f"first index {n_min}")
     if uncertified:
-        warnings_list.append(f"targeted roots at indices {uncertified} not certified")
+        header.warnings.append(f"targeted roots at indices {uncertified} not certified")
     if unrefined:
-        warnings_list.append(f"region-scan zeros not refined (clusters or merged roots): "
-                             f"{', '.join(unrefined)}")
-    header = SpectrumHeader(potential=cfg.potential, variant=cfg.variant, region=region,
-                            tolerances={"rtol": cfg.rtol, "rtol_refine": cfg.rtol_refine},
-                            s=s, warnings=warnings_list)
+        header.warnings.append(f"region-scan zeros not refined (clusters or merged roots): "
+                               f"{', '.join(unrefined)}")
     return SpectrumRun(header=header, records=records_from_eigenvalues(zeros),
                        eigenvalues=zeros, unresolved=unresolved,
                        exit_code=2 if unresolved or uncertified or unrefined or conflict
@@ -374,6 +340,8 @@ def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScal
         direct = gamma_direct(dev, hp)
     except ProbeTooCloseError as exc:
         return AuditEntry("gamma-consistency", "skipped", f"no clear probe point: {exc}")
+    except DomainError as exc:
+        return AuditEntry("gamma-consistency", "fail", f"direct route: {exc}")
     try:
         if not asy.vanishing(scalars)[0]:
             other = gamma_from_omega(hp, scalars, variant)

@@ -112,18 +112,13 @@ def _edges(box: ContourBox) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
-def _boundary_size(box: ContourBox) -> float:
-    """How many samples _boundary(box) takes; inf for a side too long for a float."""
-    sides = (abs(box.width) / _SPACING, abs(box.height) / _SPACING)
-    return 2 * sum(max(8, math.ceil(x)) if math.isfinite(x) else math.inf for x in sides)
-
-
 def _boundary(box: ContourBox) -> np.ndarray:
     """The first samples of a winding count on box: each side from its start corner,
     at most _SPACING apart and at least 8 of them, counterclockwise from (s0, t0).
     PhaseResolutionError, before any is made, when they would be more than the
-    2^14 a count may refine to."""
-    size = _boundary_size(box)
+    2^14 a count may refine to (a side too long for a float needs inf)."""
+    sides = (abs(box.width) / _SPACING, abs(box.height) / _SPACING)
+    size = 2 * sum(max(8, math.ceil(x)) if math.isfinite(x) else math.inf for x in sides)
     if size > _MAX_BOUNDARY_POINTS:
         raise PhaseResolutionError(
             f"the boundary of [{box.s0},{box.s1}]x[{box.t0},{box.t1}] needs {size:.3g} "

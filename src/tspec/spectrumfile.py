@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from typing import List, Optional
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError
 from .potential import VARIANTS
@@ -110,10 +112,13 @@ def _plain_float(value):
 
 def write_spectrum(path, header: SpectrumHeader, records: List[SpectrumRecord]) -> dict:
     """Serialize to JSON; returns the document written (for tests)."""
-    records = sorted((replace(r, re_k=_plain_float(r.re_k), im_k=_plain_float(r.im_k),
-                              residual=_plain_float(r.residual)) for r in records),
-                     key=lambda r: (r.index if r.index is not None else 10 ** 9,
-                                    abs(r.k), r.re_k, r.im_k))
+    records = [replace(r, re_k=_plain_float(r.re_k), im_k=_plain_float(r.im_k),
+                       residual=_plain_float(r.residual)) for r in records]
+    with np.errstate(over="ignore"):    # a modulus past the float range sorts as inf
+        mods = np.hypot([r.re_k for r in records], [r.im_k for r in records]).tolist()
+    keys = [(10 ** 9 if r.index is None else r.index, m, r.re_k, r.im_k)
+            for r, m in zip(records, mods)]
+    records = [r for _, r in sorted(zip(keys, records), key=itemgetter(0))]
     header.potential_hash = potential_hash(header.potential)
     header.created = header.created or datetime.now(timezone.utc).isoformat()
     hdict = asdict(header)

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tspec import Potential
 from tspec.jost import DEFAULT_RTOL, transfer_many
+
+# The larger example budget of the properties that take their count from the
+# active profile: pytest --hypothesis-profile=exit-codes.
+settings.register_profile("exit-codes", max_examples=1000)
 
 
 def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):

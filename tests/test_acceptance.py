@@ -19,7 +19,8 @@ from tspec.charfun import DEvaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
 from tspec.crosscheck import jost_via_kernel
-from tspec.pipeline import targeted_spectrum
+from tspec.config import validate_config
+from tspec.pipeline import run_spectrum
 from tspec.rootfind import find_zeros, gamma_contour_count
 
 from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many
@@ -35,6 +36,14 @@ def criterion(num, desc):
     print(f"\n[PASS] criterion {num}: {desc}")
 
 
+def _window(potential, n_lo, n_hi):
+    """The Robin eigenvalues of the index window n_lo..n_hi, a run that must exit 0."""
+    run = run_spectrum(validate_config({"potential": potential, "variant": "robin",
+                                        "spectrum": {"n": [n_lo, n_hi]}}))
+    assert run.exit_code == 0, run.header.warnings
+    return run.eigenvalues
+
+
 @pytest.fixture(scope="module")
 def q1():
     return Potential.constant(1.0)
@@ -46,10 +55,10 @@ def q1_scalars(q1):
 
 
 @pytest.fixture(scope="module")
-def q1_spectrum(q1, q1_scalars):
+def q1_spectrum():
     """Indexed Robin eigenvalues of q = 1 for n = 0..29, with wall time."""
     t0 = time.time()
-    evs = targeted_spectrum(q1, q1_scalars, "robin", 0, 29)
+    evs = _window({"kind": "constant", "value": 1.0, "h": 0.0}, 0, 29)
     return evs, time.time() - t0
 
 
@@ -57,8 +66,8 @@ def q1_spectrum(q1, q1_scalars):
 def xm1_spectrum():
     """Indexed Robin eigenvalues of q = x - 1 for n = 1..30."""
     p = Potential.polynomial([-1.0, 1.0])
-    s = derive_scalars(p)
-    return p, s, targeted_spectrum(p, s, "robin", 1, 30)
+    return p, derive_scalars(p), _window({"kind": "polynomial", "coeffs": [-1.0, 1.0],
+                                          "h": 0.0}, 1, 30)
 
 
 def test_criterion_1_constant_potential_oracle(q1, rng):
@@ -141,7 +150,7 @@ def test_criterion_4_t41i_residual_decay(q1_scalars, q1_spectrum):
     with criterion(4, desc):
         evs, elapsed = q1_spectrum
         assert elapsed < 300.0, f"spectrum took {elapsed:.0f}s"
-        lz = leading_zeros(q1_scalars, 29)
+        lz = leading_zeros(q1_scalars, range(1, 30))
         mu = dict(zip(lz.ns, lz.mu_n))
         q1c, _, _, _ = q_constants(q1_scalars)
         by_n = {e.index: e for e in evs}

@@ -10,7 +10,7 @@ from tspec.asymptotics import (default_theorem_tag, eval_g1, index_targets, lead
                                vanishing)
 from tspec.errors import DomainError, HypothesisMismatchError
 from tspec.potential import PotentialScalars
-from tspec.rootfind import Eigenvalue
+from tspec.rootfind import Eigenvalue, newton_refine_many
 
 
 def make_scalars(omega=0.0, q1=0.0, dq1=0.0, q0=0.0, dq0=0.0, qsq=0.0, m=None, h=0.0):
@@ -97,7 +97,7 @@ class TestLeadingZeros:
     def test_ratio_positive_formula_seed(self, q_one):
         # (ap-12)-style seed for omega = q(1) = 1 at n = 10.
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 10)
+        lz = leading_zeros(s, range(1, 11))
         b10 = math.log(20 * math.pi) - math.log(0.5)
         sigma_seed = 10.75 * math.pi - b10 / (40 * math.pi)
         tau_seed = 0.5 * (b10 + 3.0 / 40.0)
@@ -108,7 +108,7 @@ class TestLeadingZeros:
     def test_ratio_negative_formula_seed(self):
         # omega = 0.2, q(1) = -0.6: -q(1)/(2 omega) = 1.5.
         s = make_scalars(omega=0.2, q1=-0.6)
-        lz = leading_zeros(s, 10)
+        lz = leading_zeros(s, range(1, 11))
         b10 = math.log(20 * math.pi) - math.log(1.5)
         sigma_seed = 10.25 * math.pi - b10 / (40 * math.pi)
         tau_seed = 0.5 * (b10 + 1.0 / 40.0)
@@ -118,7 +118,7 @@ class TestLeadingZeros:
 
     def test_polish_quality(self, q_one):
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 12)
+        lz = leading_zeros(s, range(1, 13))
         for n, mu, ok in zip(lz.ns, lz.mu_n, lz.polished):
             assert ok
             g = abs(eval_g1(s, mu))
@@ -128,11 +128,11 @@ class TestLeadingZeros:
     def test_omega_zero_exact(self):
         # The omega = 0 zeros are exactly n pi / 2: predict_eigenvalues writes them.
         with pytest.raises(DomainError):
-            leading_zeros(make_scalars(omega=0.0, q1=1.0), 5)
+            leading_zeros(make_scalars(omega=0.0, q1=1.0), range(1, 6))
 
     def test_first_quadrant_convention(self):
         for s in (make_scalars(omega=1.0, q1=1.0), make_scalars(omega=0.2, q1=-0.6)):
-            lz = leading_zeros(s, 8)
+            lz = leading_zeros(s, range(1, 9))
             for n, mu in zip(lz.ns, lz.mu_n):
                 assert mu.real > 0 and mu.imag > 0
 
@@ -144,18 +144,39 @@ class TestLeadingZeros:
 
     def test_requires_q1(self):
         with pytest.raises(DomainError):
-            leading_zeros(make_scalars(omega=1.0, q1=0.0), 3)
+            leading_zeros(make_scalars(omega=1.0, q1=0.0), range(1, 4))
 
     def test_far_newton_root_goes_to_box_search(self):
         # At |q(1)/omega| = 74 the n = 5 formula seed is poor: Newton from it
         # converges to a zero near 30.3, more than 2 away, which the box
         # search around n*pi must replace.
         s = make_scalars(omega=0.03115162197866943, q1=2.290732564957369)
-        lz = leading_zeros(s, 6)
+        lz = leading_zeros(s, range(1, 7))
         for n, mu, ok in zip(lz.ns, lz.mu_n, lz.polished):
             assert ok
             assert n * math.pi <= mu.real <= (n + 1) * math.pi
             assert abs(eval_g1(s, mu)) < 1e-12
+
+
+    @pytest.mark.parametrize("tag", ["T41i_W22", "Dirichlet_i"])
+    def test_sparse_indices_are_predicted_alone(self, tag):
+        # Only the indices asked for are predicted (an index of 2^62 once
+        # built every n below it), each as the run over 1..n predicts it.
+        s = make_scalars(omega=1.1, q1=1.1)
+        sparse = predict_eigenvalues(s, tag, [3, 17, 40, 2 ** 40, 2 ** 62])
+        full = predict_eigenvalues(s, tag, range(1, 41))
+        assert sparse.mus[:3] == [full.mus[n - 1] for n in (3, 17, 40)]
+        assert all(cmath.isfinite(v) for v in sparse.values)
+        assert sparse.mus[-1].real == pytest.approx(2 ** 62 * math.pi, rel=1e-15)
+
+    def test_newton_leaves_a_far_seed_as_it_is(self):
+        # From n = 2^22 on the seed is mu_n to the rounding of k: Newton on g1,
+        # which leading_zeros skips there, does not move it.
+        s = make_scalars(omega=1.1, q1=1.1)
+        ns = [2 ** 22, 2 ** 23, 2 ** 26]
+        seeds = leading_zeros(s, ns).mu_n
+        roots, ok = newton_refine_many(lambda ks: eval_g1(s, ks), seeds, tol=1e-13, max_iter=40)
+        assert ok.all() and roots.tolist() == seeds
 
 
 class TestLemma32LowerBound:
@@ -175,7 +196,7 @@ class TestLemma32LowerBound:
             mins[n] = vals.min()
             assert mins[n] > 0
         assert abs(mins[3] - mins[4]) < 0.2 * max(mins[3], mins[4])
-        lz = leading_zeros(s, 10)
+        lz = leading_zeros(s, range(1, 11))
         for n, mu in zip(lz.ns, lz.mu_n):
             if n < 5:
                 continue

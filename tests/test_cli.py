@@ -170,13 +170,13 @@ class TestSpectrumCommand:
 
     def test_unrefined_targeted_root_is_written_and_warned(self, workdir, monkeypatch):
         # A zero the strip scan leaves unrefined still takes its index.
-        def unrefined(p, variant, region, **kw):
-            res = scan(p, variant, region, **kw)
+        def unrefined(f, region, **kw):
+            res = search(f, region, **kw)
             res.zeros = [replace(ev, refined=False) for ev in res.zeros]
             return res
 
-        scan = pipeline.scan_spectrum
-        monkeypatch.setattr(pipeline, "scan_spectrum", unrefined)
+        search = pipeline.find_zeros
+        monkeypatch.setattr(pipeline, "find_zeros", unrefined)
         code, header, records = self._spectrum(workdir, self.LOW_INDEX, ["--n", "1..1"])
         assert code == 2
         assert header.warnings == ["targeted roots at indices [1] not certified"]
@@ -521,6 +521,128 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert code == 3 and not out.exists()
         assert "computation failed: |eps_n|^2 is not finite at indices [1]" in err
+
+
+class TestReadSideExitCodes:
+    """Every read-side command on a spectrum file with one field mangled exits
+    0, 1, 2 or 3 with no exception (under the test settings, a numpy warning
+    is one), and an exit-0 output holds no NaN or infinity. The mangled file
+    keeps its stale content hash, or is written afresh with a matching one so
+    that every audit runs on it as on a file tspec wrote. The example count
+    is the active hypothesis profile's: the default in the tier-1 run, and
+    the larger "exit-codes" profile (tests/conftest.py) in a longer CI run."""
+
+    FLOATS = (1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324, 0.0, -0.0, 1e200)
+    COMMANDS = (["validate"], ["gamma", "--route", "omega"], ["gamma", "--route", "endpoint"],
+                ["gamma", "--route", "direct"], ["asymptotics", "residuals"])
+    # A record's "k" sets re_k and im_k to the same value.
+    MUTATIONS = st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(("re_k", "im_k", "k", "residual")),
+                  st.sampled_from(FLOATS)),
+        st.tuples(st.just("record"), st.just("index"),
+                  st.sampled_from((None, -1, 0, 10 ** 4, 2 ** 40, 2 ** 62, 10 ** 400))),
+        st.tuples(st.just("header"), st.just("s"), st.sampled_from((0, 1, 400, 10 ** 6))),
+        st.tuples(st.just("potential"), st.sampled_from(("h", "value")),
+                  st.sampled_from(FLOATS + (-1.1, 3.0))))
+    NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+    @pytest.fixture(scope="class")
+    def base(self, workdir):
+        """A config that runs no contour count, and the q = 1.1, h = 0.3
+        spectrum of indices 0..20, which passes every audit."""
+        cfg = workdir / "exit_codes_cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "constant", "value": 1.1, "h": 0.3},
+                                   "variant": "robin", "validate": {"contours": []}}))
+        spec = workdir / "exit_codes_base.json"
+        assert main(["--config", str(cfg), "--out", str(spec), "spectrum", "--n", "0..20"]) == 0
+        return str(cfg), json.loads(spec.read_text())
+
+    @staticmethod
+    def _run(workdir, cfg, doc, command, rehash=True):
+        """Write doc (afresh with a matching hash, or as it is) and run command
+        on it: (exit code, stdout, stderr, output text or None)."""
+        path, out = workdir / "exit_codes.json", workdir / "exit_codes.out"
+        if rehash:
+            spectrumfile.write_spectrum(path, spectrumfile.SpectrumHeader(**doc["header"]),
+                                        [SpectrumRecord(**r) for r in doc["records"]])
+        else:
+            path.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--config", cfg, "--out", str(out)] + command + ["--spectrum", str(path)])
+        return (code, stdout.getvalue(), stderr.getvalue(),
+                out.read_text() if out.exists() else None)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(mutation=MUTATIONS, position=st.integers(0, 10 ** 6), rehash=st.booleans(),
+           command=st.sampled_from(COMMANDS))
+    def test_mangled_file_maps_to_an_exit_code(self, base, workdir, mutation, position, rehash,
+                                               command):
+        cfg, doc = base
+        doc = json.loads(json.dumps(doc))
+        section, key, value = mutation
+        if section == "record":
+            record = doc["records"][position % len(doc["records"])]
+            record.update({"re_k": value, "im_k": value} if key == "k" else {key: value})
+        else:
+            (doc["header"] if section == "header" else doc["header"]["potential"])[key] = value
+        code, stdout, stderr, output = self._run(workdir, cfg, doc, command, rehash)
+        assert code in (0, 1, 2, 3), stderr
+        if code == 0:
+            text = stdout + stderr + (output or "")
+            assert not self.NON_FINITE.search(text), text
+
+    def test_record_whose_modulus_overflows(self, base, workdir):
+        # |k| of 1.7e308 + 1.7e308i is past the float range, where complex abs
+        # raises OverflowError: every command ends by its exit code instead.
+        cfg, doc = base
+        doc = json.loads(json.dumps(doc))
+        next(r for r in doc["records"] if r["index"] == 3).update(re_k=1.7e308, im_k=1.7e308)
+        code, stdout, _, _ = self._run(workdir, cfg, doc, ["validate"])
+        lines = {line.split()[0]: line.split(None, 2)[1:] for line in stdout.splitlines()}
+        assert code == 2
+        assert lines["residual-decay"] == [
+            "FAIL", "tag T41i_W22: |eps_n|^2 is not finite at indices [3]"]
+        assert lines["gamma-consistency"] == [
+            "FAIL", "bad eigenvalue list: eigenvalues must be finite and nonzero "
+            "(zero goes into s)"]
+        for command in self.COMMANDS[1:]:
+            code, _, stderr, output = self._run(workdir, cfg, doc, command)
+            assert code == 3 and stderr.startswith("computation failed: ") and output is None
+
+    def test_header_s_whose_power_leaves_the_float_range(self, base, workdir):
+        # 0.37^800 underflows to 0: the direct route names it instead of
+        # dividing by zero, and the limits of e^{+-2000} are refused too.
+        cfg, doc = base
+        doc = json.loads(json.dumps(doc))
+        doc["header"]["s"] = 400
+        code, stdout, _, _ = self._run(workdir, cfg, doc, ["validate"])
+        direct = ("E(0.37) = 0.37^800 prod(1 - k0^2/lambda) leaves the float range (s = 400), "
+                  "so D/E is not finite")
+        assert code == 2
+        assert f"gamma-consistency  FAIL     direct route: {direct}" in stdout.splitlines()
+        code, _, stderr, _ = self._run(workdir, cfg, doc, ["gamma", "--route", "direct"])
+        assert code == 3 and stderr == f"computation failed: {direct}\n"
+        for route in ("omega", "endpoint"):
+            code, _, _, output = self._run(workdir, cfg, doc, ["gamma", "--route", route])
+            assert code == 3 and "is past the float range" in json.loads(output)["error"]
+
+    @pytest.mark.parametrize("index", [2 ** 40, 2 ** 62])
+    def test_huge_index_is_predicted_alone(self, base, workdir, index):
+        # Only the file's indices are predicted: an index of 2^40 once built
+        # all 2^40 of them (8 TiB), one of 2^62 an array too big to make.
+        cfg, doc = base
+        doc = json.loads(json.dumps(doc))
+        for r in doc["records"]:
+            if r["index"] == 20:
+                r["index"] = index
+        code, stdout, _, _ = self._run(workdir, cfg, doc, ["validate"])
+        assert code == 2 and "residual-decay     FAIL     tag T41i_W22: slope" in stdout
+        code, _, _, output = self._run(workdir, cfg, doc, ["asymptotics", "residuals"])
+        rows = list(csv.reader(io.StringIO(output)))
+        assert code == 0 and rows[-1][0] == str(index)
+        assert all(math.isfinite(float(v)) for v in rows[-1][1:])
 
 
 class TestFileCase:

@@ -11,9 +11,9 @@ from tspec.config import validate_config
 from tspec.errors import ConfigError, HypothesisMismatchError
 from tspec.pipeline import (AuditEntry, audit_residual_decay, audit_symmetry,
                             eigenvalues_from_columns, expand_orbit, run_spectrum,
-                            targeted_spectrum, validate_columns)
+                            validate_columns)
 from tspec.charfun import DEvaluator
-from tspec.rootfind import Eigenvalue, ZeroSearchResult
+from tspec.rootfind import Eigenvalue, ZeroSearchResult, find_zeros
 from tspec.spectrumfile import _RECORD_FIELDS, SpectrumRecord, _Columns
 
 
@@ -27,6 +27,16 @@ def _cfg(potential, variant="robin", **extra):
     raw = {"potential": potential, "variant": variant}
     raw.update(extra)
     return validate_config(raw)
+
+
+Q_ONE = {"kind": "constant", "value": 1.0, "h": 0.0}
+
+
+def _window(potential, n_lo, n_hi, variant="robin"):
+    """The eigenvalues of the index window n_lo..n_hi, a run that must exit 0."""
+    run = run_spectrum(_cfg(potential, variant, spectrum={"n": [n_lo, n_hi]}))
+    assert run.exit_code == 0, run.header.warnings
+    return run.eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +80,8 @@ class TestRunSpectrum:
     def test_real_pair_collision_gives_two_simple_zeros(self):
         # Two simple real zeros 9.4e-4 apart. A split line along the real
         # axis once counted them as one double zero, exiting 0 unwarned.
-        res = pipeline.scan_spectrum(Potential.constant(9.27019472424975, h=0.0), "robin",
-                                     (2.3, 3.3, -0.4, 0.4))
+        dev = DEvaluator(Potential.constant(9.27019472424975, h=0.0), "robin", rtol=1e-9)
+        res = find_zeros(dev, (2.3, 3.3, -0.4, 0.4), refine_f=dev.with_tolerance(1e-13))
         assert [(e.multiplicity, e.refined, e.cls) for e in res.zeros] == [(1, True, "real")] * 2
         for ev, k in zip(res.zeros, (2.797916088, 2.798856182)):
             assert abs(ev.k - k) < 1e-9
@@ -93,12 +103,12 @@ class TestRunSpectrum:
 class TestTargeted:
     def test_indices_and_location(self, q_one):
         s = derive_scalars(q_one)
-        evs = targeted_spectrum(q_one, s, "robin", 3, 5)
+        evs = _window(Q_ONE, 3, 5)
         assert [e.index for e in evs] == [3, 4, 5]
         assert all(e.refined for e in evs)
         from tspec.asymptotics import index_targets, leading_zeros
 
-        lz = leading_zeros(s, 5)
+        lz = leading_zeros(s, range(1, 6))
         # |D| scale near each root: the maximum over 8 points on a circle of
         # radius half the smaller of 1 and half the target spacing.
         _, spacing, _ = index_targets(s, "robin", 7 * np.pi)
@@ -129,13 +139,14 @@ class TestTargetedCost:
     def test_one_residual_call(self, n_hi, monkeypatch):
         # Each polished box makes one stencil call and one check call at 1e-13,
         # and the checks give every root its residual: no call comes after them.
-        p = Potential.polynomial([1.0, 1.0])
+        potential = {"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}
+        p = Potential.from_dict(potential)
         calls = _spy_evaluations(monkeypatch)
         boxes = []
         moment_zeros = rootfind._moment_zeros
         monkeypatch.setattr(rootfind, "_moment_zeros",
                             lambda *args: boxes.append(args) or moment_zeros(*args))
-        evs = targeted_spectrum(p, derive_scalars(p), "robin", 1, n_hi)
+        evs = _window(potential, 1, n_hi)
         assert [e.index for e in evs] == list(range(1, n_hi + 1))
         assert all(e.refined for e in evs)
         fine = [ks for rtol, ks in calls if rtol == 1e-13]
@@ -154,27 +165,25 @@ class TestTargetedCost:
                                                                monkeypatch):
         # The box search for the n = 0 target runs only for n_lo <= 1, and
         # leaving it out changes no zero of a window that starts at n = 2.
-        p = Potential.polynomial([1.0, 1.0])
+        potential = {"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}
         calls = []
         search = pipeline.asy._zero_target
         monkeypatch.setattr(pipeline.asy, "_zero_target",
                             lambda *args: calls.append(args) or search(*args))
         index_targets = pipeline.asy.index_targets
-        evs = targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3)
+        evs = _window(potential, n_lo, 3)
         assert len(calls) == searches
         monkeypatch.setattr(pipeline.asy, "index_targets",
                             lambda *args, include_small: index_targets(*args))
-        assert targeted_spectrum(p, derive_scalars(p), "robin", n_lo, 3) == evs
+        assert _window(potential, n_lo, 3) == evs
         assert [e.index for e in evs] == list(range(n_lo, 4))
 
     def test_newton_budget_at_fine_tolerance(self, monkeypatch):
         # Only the polish and the residuals may run tighter than the winding
         # tolerance: seeds O(0.1) off take their coarse sweeps at 1e-8.
-        p = Potential.from_dict({"kind": "polynomial",
-                                 "coeffs": [2.018163552678391, -3.0078934421058396],
-                                 "h": -0.0383367})
         calls = _spy_evaluations(monkeypatch)
-        evs = targeted_spectrum(p, derive_scalars(p), "robin", 3, 3)
+        evs = _window({"kind": "polynomial", "coeffs": [2.018163552678391, -3.0078934421058396],
+                       "h": -0.0383367}, 3, 3)
         assert [e.index for e in evs] == [3] and evs[0].refined
         assert sum(1 for rtol, _ks in calls if rtol < 1e-8) <= 3
 
@@ -279,7 +288,7 @@ class TestDirichletTheorem:
         from tspec import q_constants
 
         s = derive_scalars(q_one)
-        evs = targeted_spectrum(q_one, s, "dirichlet", 4, 12)
+        evs = _window(Q_ONE, 4, 12, "dirichlet")
         pred = predict_eigenvalues(s, "Dirichlet_i", range(4, 13))
         rep = residual_report(evs, pred)
         good = sum(abs(r["refined"]) for r in rep.rows) / len(rep.rows)

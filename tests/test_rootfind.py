@@ -519,8 +519,14 @@ class TestBoundarySize:
     @pytest.mark.parametrize("box", [(0.0, 1.0, -0.5, 0.5), (-1e-6, 1e-6, 0.0, 3.0),
                                      (2.3, 3.3, -0.4, 0.4), (0.0, 1636.0, 0.0, 2.39)])
     def test_counts_the_first_samples(self, box):
-        box = ContourBox(*box)
-        assert rootfind._boundary_size(box) == rootfind._boundary(box).size
+        # Two of each side, each at least 8 samples at most 0.2 apart.
+        size = 2 * sum(max(8, math.ceil(side / 0.2)) for side in (box[1] - box[0],
+                                                                   box[3] - box[2]))
+        assert rootfind._boundary(ContourBox(*box)).size == size
+
+    def test_the_longest_sampled_box_takes_the_whole_budget(self):
+        # 8,180 + 12 samples a side: exactly the 2^14 a count may refine to.
+        assert rootfind._boundary(ContourBox(0.0, 1636.0, 0.0, 2.39)).size == 16384
 
     @pytest.mark.parametrize("box", [(0.0, 1638.0, 0.0, 0.0001), (0.0, 1e200, 0.0, 1.0),
                                      (-1e308, 1e308, 0.0, 1.0)])
@@ -577,7 +583,7 @@ class TestIndexing:
         from tspec.asymptotics import leading_zeros
 
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 4)
+        lz = leading_zeros(s, range(1, 5))
         mu2 = lz.mu_n[1]
         zeros = [_ev(mu2 + 0.01), _ev(mu2 - 0.01)]
         with pytest.raises(IndexingConflictError):
@@ -588,7 +594,7 @@ class TestIndexing:
         from tspec.asymptotics import leading_zeros
 
         s = derive_scalars(q_one)
-        lz = leading_zeros(s, 3)
+        lz = leading_zeros(s, range(1, 4))
         mu_by_n = dict(zip(lz.ns, lz.mu_n))
         zeros = [_ev(2.19 + 1.07j), _ev(mu_by_n[1]), _ev(mu_by_n[2])]
         indexed = index_eigenvalues(zeros, s, "robin")
