@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (DomainError, HypothesisMismatchError, IndexingConflictError, TspecError,
                      UnstableLimitError)
 from .potential import PotentialScalars, q_constants
-from .rootfind import find_zeros, newton_refine_many
+from .rootfind import _MIN_SIZE, find_zeros, representative
 
 THEOREM_TAGS = ("T41i_W21", "T41i_W22", "T41ii_W21", "T41ii_W22",
                 "T42i", "T42ii", "Dirichlet_i", "Dirichlet_ii")
@@ -28,6 +28,10 @@ _ZERO_TOL = 1e-9
 _TRANSCENDENTAL_MAX_ITER = 50
 _TRANSCENDENTAL_TOL = 1e-12
 _SEED_IS_ROOT = 2 ** 22     # from this n on Newton on g1 leaves the mu_n seed as it is
+_NEWTON_TOL = 1e-13         # Newton step on g1, relative to max(1, |k|), that ends a seed
+_NEWTON_MAX_ITER = 40
+_X_STAR = 4.493409457909064             # the root of tan x = x in (pi, 3 pi / 2)
+_C_MIN = math.sin(_X_STAR) / _X_STAR    # the least value of sin x / x, taken at _X_STAR
 
 
 def vanishing(scalars: PotentialScalars):
@@ -113,25 +117,6 @@ def eval_g1(scalars: PotentialScalars, k):
     return complex(out) if out.ndim == 0 else out
 
 
-def _g1_over_k(scalars: PotentialScalars):
-    """Entire evaluator g1(k)/k with the removable value 4i(omega + q(1)) at 0."""
-    w, q1 = scalars.omega, scalars.q_at_1
-
-    def f(ks):
-        karr = np.atleast_1d(np.asarray(ks, dtype=complex))
-        out = np.empty(karr.shape, dtype=complex)
-        tiny = np.abs(karr) < 1e-4
-        big = ~tiny
-        kb = karr[big]
-        out[big] = (4j * kb * w + q1 * (np.exp(2j * kb) - np.exp(-2j * kb))) / kb
-        kt = karr[tiny]
-        # sin(2k)/k = 2 - (4/3)k^2 + (4/15)k^4 - ...
-        out[tiny] = 4j * w + 2j * q1 * (2.0 - (4.0 / 3.0) * kt ** 2 + (4.0 / 15.0) * kt ** 4)
-        return out
-
-    return f
-
-
 @dataclass
 class LeadingZeros:
     """First-quadrant zeros mu_n of g1(k)/k."""
@@ -141,22 +126,115 @@ class LeadingZeros:
     polished: List[bool]
 
 
+def _falling_root(f, df, lo: float, hi: float) -> float:
+    """The root of f in (lo, hi), where f falls through zero once: Newton
+    steps, and a bisection wherever a step would leave the bracket."""
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        fx, d = f(x), df(x)
+        lo, hi = (x, hi) if fx > 0 else (lo, x)
+        new = x - fx / d if d else lo
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 2e-16 * abs(x):
+            return new
+        x = new
+    return x
+
+
+def _sinc_root(c: float, lo: float, hi: float) -> float:
+    """The x in (lo, hi) with sin x / x = c, where sin x / x falls."""
+    return _falling_root(lambda x: math.sin(x) / x - c,
+                         lambda x: (math.cos(x) - math.sin(x) / x) / x, lo, hi)
+
+
+def _complex_root(c: float) -> complex:
+    """The root of sin x = c x with pi < Re x < _X_STAR, Im x > 0, for c < _C_MIN.
+
+    Newton on sin x - c x, seeded where the double root _X_STAR of c = _C_MIN
+    splits, x* + i sqrt(2 (c_min - c) / -c_min), within 1 of c_min, and
+    otherwise by three fixed-point steps of x = pi + i Log(2icx), the equation
+    with e^{2ix} dropped. It stops on a step below 1e-15 |x|, or on one that
+    fails to shrink (the rounding floor of a near-double root).
+    """
+    if c > _C_MIN - 1.0:
+        x = complex(_X_STAR, math.sqrt(2.0 * (_C_MIN - c) / -_C_MIN))
+    else:
+        x = complex(math.pi, math.log(-2.0 * c * _X_STAR))
+        for _ in range(3):
+            x = math.pi + 1j * cmath.log(2j * c * x)
+    last = math.inf
+    for _ in range(60):
+        dx = (cmath.sin(x) - c * x) / (cmath.cos(x) - c)
+        if not abs(dx) < last:
+            break
+        x, last = x - dx, abs(dx)
+        if last <= 1e-15 * abs(x):
+            break
+    return x
+
+
 def _zero_target(scalars: PotentialScalars) -> Optional[complex]:
-    """The zero of g1/k with 0 <= Re k < pi nearest 0, by box search (the
-    formulas only cover n >= 1), or None when the box holds none."""
+    """The zero of g1/k with 0 <= Re k < pi nearest 0 (the formulas only cover
+    n >= 1), in closed form, or None where it is a double zero.
+
+    g1(k) = 2i (2 omega k + q(1) sin 2k) vanishes where x = 2k solves
+    sin x = c x, c = -omega/q(1). The root nearest 0 is, by the value of c:
+    imaginary, i y with sinh y = c y, for c > 1; real in (0, pi) for
+    0 < c < 1; real in [pi, x*] for c_min <= c < 0, where x* = 4.4934 solves
+    tan x = x and c_min = sin x*/x* = -0.21723; complex with pi < Re x < x*
+    for c < c_min. At c = 1 and c = c_min two roots meet, at 0 and at x*:
+    a root closer than _MIN_SIZE (below which find_zeros tells no two zeros
+    apart) to where they meet is a double zero, and gives None.
+    """
+    c = -scalars.omega / scalars.q_at_1
+    if c > 1.0:
+        # sinh(y)/y rises from 1 and passes c before 2 log(2c) + 2.
+        x = 1j * _falling_root(lambda y: c - math.sinh(y) / y,
+                               lambda y: (math.sinh(y) / y - math.cosh(y)) / y,
+                               0.0, 2.0 * math.log(2.0 * c) + 2.0)
+    elif c > 0.0:
+        x = _sinc_root(c, 0.0, math.pi)
+    elif c >= _C_MIN:
+        x = _sinc_root(c, math.pi, _X_STAR)
+    else:
+        x = _complex_root(c)
+    if min(abs(x), abs(x - _X_STAR)) < _MIN_SIZE:
+        return None
+    return representative(0.5 * x)
+
+
+def _newton_g1(scalars: PotentialScalars, seeds: np.ndarray):
+    """Newton on g1 from each seed with its exact derivative
+    g1'(k) = 4i omega + 4i q(1) cos 2k: (roots, converged). A seed ends once
+    its step is below 1e-13 max(1, |k|); one still moving after 40 sweeps,
+    or stopped where g1' = 0, has not converged."""
     w, q1 = scalars.omega, scalars.q_at_1
-    tau_cap = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
-    res = find_zeros(_g1_over_k(scalars), (-0.1, math.pi * 1.02, -0.1, max(2.0, tau_cap)),
-                     max_depth=24)
-    return min((ev.k for ev in res.zeros), key=abs, default=None)
+    roots = np.array(seeds, dtype=complex)
+    conv = np.zeros(roots.size, dtype=bool)
+    live = np.arange(roots.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if not live.size:
+            break
+        k = roots[live]
+        e, ei = np.exp(2j * k), np.exp(-2j * k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (4j * k * w + q1 * (e - ei)) / (4j * w + 2j * q1 * (e + ei))
+        moves = np.isfinite(step)
+        roots[live] = k = np.where(moves, k - step, k)
+        done = moves & (np.abs(step) < _NEWTON_TOL * np.maximum(1.0, np.abs(k)))
+        conv[live[done]] = True
+        live = live[moves & ~done]
+    return roots, conv
 
 
 def leading_zeros(scalars: PotentialScalars, ns: Sequence[int]) -> LeadingZeros:
     """mu_n for the indices ns (each >= 1) from the asymptotic formulas,
-    Newton-polished on g1 one seed at a time, so mu_n does not depend on the
-    other n asked for. n enters the formulas as a float (2 n of an index past
-    2^62 stays finite), and a seed from n = _SEED_IS_ROOT on is the root as it
-    stands.
+    Newton-polished on g1 (_newton_g1) one seed at a time, so mu_n does not
+    depend on the other n asked for. n enters the formulas as a float (2 n of
+    an index past 2^62 stays finite), and a seed from n = _SEED_IS_ROOT on is
+    the root as it stands. A root more than 2 from its seed, or one Newton
+    did not reach, comes from a box search around n pi instead.
 
     DomainError unless omega != 0 and q(1) != 0 (for omega = 0 the zeros are
     exactly n pi / 2: predict_eigenvalues writes them).
@@ -172,14 +250,13 @@ def leading_zeros(scalars: PotentialScalars, ns: Sequence[int]) -> LeadingZeros:
     seeds = n_all * math.pi + 0.5j * b_all - b_all / (4 * n_all * math.pi)
     roots, conv = seeds.copy(), np.ones(seeds.size, dtype=bool)
     near = n_all < _SEED_IS_ROOT
-    roots[near], conv[near] = newton_refine_many(lambda ks: eval_g1(scalars, ks), seeds[near],
-                                                 tol=1e-13, max_iter=40)
+    roots[near], conv[near] = _newton_g1(scalars, seeds[near])
     conv &= np.abs(roots - seeds) <= 2.0
     for i in np.flatnonzero(~conv):
         n, seed = float(n_all[i]), complex(seeds[i])
         box = (n * math.pi, (n + 1) * math.pi, 0.0, math.log(2 * n * math.pi) + 2.0)
         try:
-            res = find_zeros(_g1_over_k(scalars), box, max_depth=18)
+            res = find_zeros(lambda ks: eval_g1(scalars, ks), box, max_depth=18)
             near = min((ev.k for ev in res.zeros), key=lambda kk: abs(kk - seed), default=None)
         except TspecError:
             near = None
@@ -315,15 +392,14 @@ def _index_warnings(indices, scalars: PotentialScalars, variant: str) -> list:
     return warnings + (["spectrum indices miss " + ", ".join(holes)] if holes else [])
 
 
-def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
-                  include_small: bool = True):
+def index_targets(scalars: PotentialScalars, variant: str, k_max: float):
     """Matching targets (n, sqrt-lambda estimate, branch) for theorem numbering.
 
     Returns (targets, spacing, n_min): spacing is the asymptotic gap between
     consecutive targets, n_min the theorem's first_index. The targets are the
     mus (values for T42i, T42ii) of one predict_eigenvalues call over
     n = 1 .. int(k_max / spacing) + 1, preceded for T41i_W22 and Dirichlet_i
-    by the n = 0 zero of g1/k when include_small asks for its box search.
+    by the n = 0 zero of g1/k (_zero_target) where there is one.
     The theorem is default_theorem_tag's; DomainError when there is none.
     """
     tag = default_theorem_tag(scalars, variant)
@@ -335,7 +411,7 @@ def index_targets(scalars: PotentialScalars, variant: str, k_max: float,
     pred = predict_eigenvalues(scalars, tag, range(1, int(k_max / spacing) + 2))
     targets = list(zip(pred.ns, pred.values if tag in ("T42i", "T42ii") else pred.mus,
                        pred.branches))
-    if include_small and tag in ("T41i_W22", "Dirichlet_i"):
+    if tag in ("T41i_W22", "Dirichlet_i"):
         mu_0 = _zero_target(scalars if variant == "robin" else _dirichlet_flip(scalars))
         if mu_0 is not None:
             targets.insert(0, (0, mu_0, None))
@@ -408,7 +484,7 @@ class ResidualReport:
     tail_first: float
     tail_second: float
     tails_decreasing: bool
-    loglog_slope: float
+    loglog_slope: Optional[float]      # None when fewer than 3 rows can be fitted
     parity_fits: Optional[dict] = None
     nonfinite: List[int] = field(default_factory=list)   # the n whose |eps_n|^2 overflows
 
@@ -421,7 +497,8 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     """Join indexed eigenvalues with a prediction and measure residual decay.
 
     Reports eps_n, the next-order residual n*(eps_n - correction_n), split
-    tail sums of |eps_n|^2, and the log-log decay slope of |eps_n|. The
+    tail sums of |eps_n|^2, and the log-log decay slope of |eps_n| (None
+    with fewer than 3 rows of finite, nonzero |eps_n| to fit). The
     indices whose |eps_n|^2 is past the float range are listed in nonfinite
     (their tail sum is inf) for the caller to refuse.
     """
@@ -456,7 +533,7 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     tail_second = float(np.sum(eps_sq[half:]))
     fit = (abs_eps > 0) & np.isfinite(abs_eps)
     slope = float(np.polyfit(np.log(ns[fit]), np.log(abs_eps[fit]), 1)[0]) \
-        if fit.sum() >= 3 else math.nan
+        if fit.sum() >= 3 else None
     parity = None
     if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") and "q_at_1" in prediction.constants:
         # No parity convention is fixed for the (-1)^n term; report both fits.

@@ -66,11 +66,7 @@ def _strip(scalars: PotentialScalars, variant: str, n_lo: int, n_hi: int):
     the first index the theorem assigns) and runs from Im k = 0 to
     max(3, max Im + spacing / 2). DomainError when no numbering theorem applies.
     """
-    # The n = 0 target has Re k below 1.02 pi, farther than the matching radius
-    # from a strip that starts near Re k = 1.5 pi (n_lo >= 2): no zero there can
-    # take it, so its box search runs only for n_lo <= 1.
-    numbering = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi,
-                                  include_small=n_lo <= 1)
+    numbering = asy.index_targets(scalars, variant, (n_hi + 2) * math.pi)
     targets, spacing, n_min = numbering
     sel = np.array([val for (n, val, _b) in targets if n_lo <= n <= n_hi], dtype=complex)
     if not sel.size:
@@ -319,8 +315,10 @@ def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, var
     if report.nonfinite:
         return AuditEntry("residual-decay", "fail",
                           f"tag {tag}: |eps_n|^2 is not finite at indices {report.nonfinite}")
-    ok = report.loglog_slope <= _SLOPE_TOL and report.tails_decreasing
-    detail = (f"tag {tag}: slope {report.loglog_slope:.2f} (tol {_SLOPE_TOL}), "
+    slope = report.loglog_slope
+    ok = slope is not None and slope <= _SLOPE_TOL and report.tails_decreasing
+    shown = "none" if slope is None else f"{slope:.2f}"
+    detail = (f"tag {tag}: slope {shown} (tol {_SLOPE_TOL}), "
               f"tail sums {report.tail_first:.3e} -> {report.tail_second:.3e}")
     return AuditEntry("residual-decay", "pass" if ok else "fail", detail)
 

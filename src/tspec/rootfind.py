@@ -4,7 +4,7 @@ Boxes are counted by accumulating boundary phase with adaptive bisection of
 segments whose phase jump exceeds pi/2. A box holding at most four zeros
 takes its zeros from the contour moments of those boundary samples (the
 eigenvalues of a Hankel pencil), refined by Newton iteration with
-derivatives from central complex differences; a box that fails this is
+derivatives from forward differences; a box that fails this is
 split along lines sampled once and shared by the children, so their counts
 add up to the box's. Results are deduplicated under the k -> -k, k -> k*
 symmetry group of the characteristic function.
@@ -29,9 +29,8 @@ _MODULUS_FLOOR_REL = 1e-4   # |f| ratio along one segment that marks a zero touc
 _STUCK_SEGMENT = 1e-9       # unresolvable phase jump across a segment this short
 _SPLIT_FRACTIONS = (0.47, 0.53, 0.41, 0.59)   # where a split's lines cross, in turn
 _CLS_TOL = 1e-8             # relative distance to an axis that counts as on it
-_STENCIL = np.array([0, 1, -1, 1j, -1j])[:, None]              # Newton points z + d * offset
-_DERIV_WEIGHTS = np.array([0, 0.25, -0.25, -0.25j, 0.25j])    # f'(z) d from the stencil values
-_STEP_REL = 1e-6            # Newton stencil step, relative to max(1, |z|)
+_STENCIL = np.array([0, 1])[:, None]    # Newton points z + d * offset: f' d = f(z + d) - f(z)
+_STEP_REL = 1e-7            # Newton stencil step, relative to max(1, |z|)
 _STALL_REL = 1e-8           # a step this small, relative, may end Newton on the noise floor
 _DEDUP_TOL = 1e-6           # relative distance at which two box roots are one root
 _ORIGIN_RADIUS = 0.3        # half-side of the square counted around k = 0
@@ -214,8 +213,8 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
                        check: bool = False):
     """Vectorized Newton over many seeds; one stacked evaluation per sweep.
 
-    The derivative is the mean of the central differences along the real and
-    imaginary directions with step 1e-6 max(1, |z|). A seed converges once
+    The derivative is the forward difference (f(z + d) - f(z)) / d with step
+    d = 1e-7 max(1, |z|): two points per seed and sweep. A seed converges once
     its step is below tol max(1, |z|). A seed whose step has failed to shrink
     twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
     evaluation noise floor and is accepted at the iterate of that smallest
@@ -245,13 +244,13 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
         d = _STEP_REL * scale
         pts = z + d * _STENCIL
         try:
-            vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(5, -1)
+            vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(len(_STENCIL), -1)
         except (DomainError, IntegrationFailureError):
             vals = np.zeros(pts.shape, dtype=complex)   # a seed that raises keeps f' = 0
             for j in range(live.size):
                 with contextlib.suppress(DomainError, IntegrationFailureError):
                     vals[:, j] = f(pts[:, j])
-        deriv = _DERIV_WEIGHTS @ vals / d
+        deriv = (vals[1] - vals[0]) / d
         dead = deriv == 0
         deriv[dead] = np.inf             # a zero step: the seed stops where it is
         dz = -vals[0] / deriv

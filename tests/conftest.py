@@ -1,5 +1,7 @@
 """Shared fixtures and independent closed-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +12,32 @@ from tspec.jost import DEFAULT_RTOL, transfer_many
 # The larger example budget of the properties that take their count from the
 # active profile: pytest --hypothesis-profile=exit-codes.
 settings.register_profile("exit-codes", max_examples=1000)
+settings.register_profile("zero-target", max_examples=2000)
+
+
+def zero_target_by_box_search(scalars):
+    """The zero of g1/k with 0 <= Re k < pi nearest 0 from an argument-principle
+    box search over [-0.1, 1.02 pi] x [-0.1, max(2, tau)], tau from |q(1)/omega|,
+    or None when the search resolves none there (a double zero ends unresolved):
+    the oracle of the closed form asymptotics._zero_target. g1/k takes its
+    removable value 4i(omega + q(1)) at 0 from sin(2k)/k = 2 - (4/3)k^2 + ...
+    below |k| = 1e-4."""
+    from tspec.rootfind import find_zeros
+
+    w, q1 = scalars.omega, scalars.q_at_1
+
+    def g1_over_k(ks):
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        out = np.empty(ks.shape, dtype=complex)
+        tiny = np.abs(ks) < 1e-4
+        kb, kt = ks[~tiny], ks[tiny]
+        out[~tiny] = (4j * kb * w + q1 * (np.exp(2j * kb) - np.exp(-2j * kb))) / kb
+        out[tiny] = 4j * w + 2j * q1 * (2.0 - (4.0 / 3.0) * kt ** 2 + (4.0 / 15.0) * kt ** 4)
+        return out
+
+    tau = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
+    res = find_zeros(g1_over_k, (-0.1, math.pi * 1.02, -0.1, max(2.0, tau)), max_depth=24)
+    return min((ev.k for ev in res.zeros), key=abs, default=None)
 
 
 def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspec import Potential, derive_scalars
-from tspec.asymptotics import (default_theorem_tag, eval_g1, index_targets, leading_zeros,
-                               predict_eigenvalues, residual_report, solve_transcendental,
-                               vanishing)
+from tspec.asymptotics import (_C_MIN, _X_STAR, _dirichlet_flip, _newton_g1, default_theorem_tag,
+                               eval_g1, index_targets, leading_zeros, predict_eigenvalues,
+                               residual_report, solve_transcendental, vanishing)
 from tspec.errors import DomainError, HypothesisMismatchError
 from tspec.potential import PotentialScalars
-from tspec.rootfind import Eigenvalue, newton_refine_many
+from tspec.rootfind import Eigenvalue
+
+from conftest import zero_target_by_box_search
 
 
 def make_scalars(omega=0.0, q1=0.0, dq1=0.0, q0=0.0, dq0=0.0, qsq=0.0, m=None, h=0.0):
@@ -171,12 +175,56 @@ class TestLeadingZeros:
 
     def test_newton_leaves_a_far_seed_as_it_is(self):
         # From n = 2^22 on the seed is mu_n to the rounding of k: Newton on g1,
-        # which leading_zeros skips there, does not move it.
+        # which leading_zeros skips there, moves it by at most one rounding
+        # unit of |k| (it moves Re k by one ulp at 2^23, Im k by 1e-13 at 2^22).
         s = make_scalars(omega=1.1, q1=1.1)
-        ns = [2 ** 22, 2 ** 23, 2 ** 26]
-        seeds = leading_zeros(s, ns).mu_n
-        roots, ok = newton_refine_many(lambda ks: eval_g1(s, ks), seeds, tol=1e-13, max_iter=40)
-        assert ok.all() and roots.tolist() == seeds
+        seeds = np.array(leading_zeros(s, [2 ** 22, 2 ** 23, 2 ** 26]).mu_n)
+        roots, ok = _newton_g1(s, seeds)
+        assert ok.all() and np.all(np.abs(roots - seeds) <= 2.0 ** -52 * np.abs(seeds))
+
+
+class TestZeroTarget:
+    """The closed-form n = 0 target of index_targets against the box search of
+    conftest.zero_target_by_box_search, on the scalars index_targets hands it
+    (Dirichlet through _dirichlet_flip)."""
+
+    @staticmethod
+    def _check(scalars, variant):
+        targets = index_targets(scalars, variant, 2 * math.pi)[0]
+        got = targets[0][1] if targets[0][0] == 0 else None
+        s = scalars if variant == "robin" else _dirichlet_flip(scalars)
+        want = zero_target_by_box_search(s)
+        if got is None or want is None:
+            # Within 1e-6 of where two roots meet (k = 0 at c = 1, x*/2 at
+            # c_min), whether the box search tells the pair apart depends on
+            # where its split lines fall; the closed form gives None below 1e-7.
+            k = want if got is None else got
+            assert k is None or min(abs(2 * k), abs(2 * k - _X_STAR)) < 1e-6, (got, want)
+            return
+        # Rounding of g1's terms (moduli summing to S) moves a root by up to
+        # eps S / |g1'|: far beyond 1e-12 relative by a near-double zero (c
+        # near 1 or c_min), where the box search is no closer than that.
+        w, q1 = s.omega, s.q_at_1
+        terms = 4 * abs(w * want) + abs(q1) * (abs(cmath.exp(2j * want))
+                                               + abs(cmath.exp(-2j * want)))
+        slope = abs(4 * w + 4 * q1 * cmath.cos(2 * want))
+        assert abs(got - want) <= 1e-12 * abs(want) + 4 * 2.0 ** -52 * terms / slope
+
+    @pytest.mark.parametrize("c", [1.0, _C_MIN + 1e-9, _C_MIN - 1e-9, 1e-8, -1e-8],
+                             ids=["double-at-0", "c_min-above", "c_min-below", "0+", "0-"])
+    def test_fixed_cases(self, c):
+        # c = -omega/q(1): a double zero at k = 0 (None from both), the two
+        # real roots and the complex pair by the double root at x*/2, and a
+        # root that tends to pi/2 from below and from above.
+        self._check(make_scalars(omega=1.0, q1=-1.0 / c), "robin")
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(log_ratio=st.floats(-6.0, 6.0), sign=st.sampled_from([-1.0, 1.0]),
+           variant=st.sampled_from(["robin", "dirichlet"]))
+    def test_matches_the_box_search(self, log_ratio, sign, variant):
+        # q(1)/omega of either sign, log-uniform over 1e-6..1e6. The example
+        # count is the active hypothesis profile's ("zero-target" in CI).
+        self._check(make_scalars(omega=1.0, q1=sign * 10.0 ** log_ratio), variant)
 
 
 class TestLemma32LowerBound:

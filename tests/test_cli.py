@@ -593,6 +593,26 @@ class TestReadSideExitCodes:
             text = stdout + stderr + (output or "")
             assert not self.NON_FINITE.search(text), text
 
+    def test_residual_slope_of_two_rows_is_null(self, workdir, capsys):
+        # Indices 1..2 leave fewer than 3 rows for the log-log fit: the exit-0
+        # summary holds "loglog_slope": null, which strict JSON reads (NaN was
+        # written once).
+        cfg = workdir / "two_rows_cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "constant", "value": 1.1, "h": 0.3},
+                                   "variant": "robin"}))
+        spec = workdir / "two_rows.json"
+        assert main(["--config", str(cfg), "--out", str(spec), "spectrum", "--n", "1..2"]) == 0
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "--out", str(workdir / "two_rows.csv"),
+                     "asymptotics", "residuals", "--spectrum", str(spec)])
+        err = capsys.readouterr().err
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads(err[:err.index("wrote residual table")], parse_constant=refuse)
+        assert code == 0 and summary["loglog_slope"] is None
+
     def test_record_whose_modulus_overflows(self, base, workdir):
         # |k| of 1.7e308 + 1.7e308i is past the float range, where complex abs
         # raises OverflowError: every command ends by its exit code instead.

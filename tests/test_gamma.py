@@ -292,13 +292,33 @@ class TestRoutesOnAFile:
     # members of each conjugate pair.
     PINNED = {"omega": "1.7488411378249944", "endpoint": "1.723907089507213",
               "direct": "1.7421481979871247"}
+    # The zeros of robin_constant_d(1.1, 0.3) for n = 0..29 that the pins were
+    # recorded on: Newton from _first_mus(scalars, 30) with the five-point
+    # stencil of that time. Frozen, so the pins test the gamma routes alone.
+    ROOTS = [
+        (2.3434070974725003+1.0600254462046728j), (5.458484312160401+1.5314738680249824j),
+        (8.602250862103947+1.7656540809296764j), (11.747473394749926+1.9234377076852478j),
+        (14.892288862911105+2.0428252111359084j), (18.036567552543797+2.1389724687052833j),
+        (21.180393151916416+2.219501718385095j), (24.3238606643871+2.2887997093331696j),
+        (27.467046994705825+2.3496267861068043j), (30.610010586804083+2.403834329938397j),
+        (33.7527954596188+2.452725189550156j), (36.89543500282001+2.4972512865015664j),
+        (40.037954854143614+2.5381294618404677j), (43.18037496650726+2.575913102063157j),
+        (46.32271107691586+2.6110383849911347j), (49.46497575473273+2.643855233704185j),
+        (52.60717915742807+2.674648675337086j), (55.7493295822299+2.7036539684337515j),
+        (58.89143387404667+2.731067561826341j), (62.03349773100828+2.7570551923751463j),
+        (65.17552593611643+2.7817579740179323j), (68.31752253495753+2.8052970481418105j),
+        (71.45949097349636+2.8277771849942384j), (74.60143420602574+2.849289607941528j),
+        (77.74335478054923+2.869914233590373j), (80.88525490689133+2.8897214670530436j),
+        (84.02713651150509+2.9087736543572635j), (87.16900128190575+2.9271262677200514j),
+        (90.31085070295084+2.944828880564921j), (93.45268608668721+2.961925975528857j),
+    ]
 
     @pytest.fixture(scope="class")
     def spectrum_file(self, tmp_path_factory):
-        d = robin_constant_d(1.1, 0.3)
-        scalars = derive_scalars(Potential.constant(1.1, h=0.3))
-        roots, ok = newton_refine_many(d, np.array(_first_mus(scalars, 30)))
-        assert ok.all()
+        roots = self.ROOTS
+        # Newton on the closed-form D moves none of them by 1e-12.
+        polished, ok = newton_refine_many(robin_constant_d(1.1, 0.3), np.array(roots))
+        assert ok.all() and np.all(np.abs(polished - roots) <= 1e-12 * np.abs(polished))
         pot = {"kind": "constant", "value": 1.1, "h": 0.3}
         header = spectrumfile.SpectrumHeader(potential=pot, variant="robin",
                                              region=[0.0, 31 * math.pi, 0.0, 6.0],

@@ -152,7 +152,7 @@ class TestTargetedCost:
         fine = [ks for rtol, ks in calls if rtol == 1e-13]
         assert len(fine) <= 2 * len(boxes) and len(fine) % 2 == 0
         stencils, checks = fine[::2], fine[1::2]
-        assert [len(ks) for ks in stencils] == [5 * len(ks) for ks in checks]
+        assert [len(ks) for ks in stencils] == [len(rootfind._STENCIL) * len(ks) for ks in checks]
         checked = sorted((k for ks in checks for k in ks), key=abs)
         assert checked == sorted((e.k for e in evs), key=abs)
         monkeypatch.undo()
@@ -160,23 +160,26 @@ class TestTargetedCost:
             single = abs(tspec.charfun.eval_D_many(p, [ev.k], rtol=1e-13)[0])
             assert abs(ev.residual - single) <= 1e-11 * single
 
-    @pytest.mark.parametrize("n_lo, searches", [(1, 1), (2, 0)])
-    def test_small_zero_search_only_where_a_window_can_reach_it(self, n_lo, searches,
-                                                               monkeypatch):
-        # The box search for the n = 0 target runs only for n_lo <= 1, and
-        # leaving it out changes no zero of a window that starts at n = 2.
+    def test_polish_takes_three_fine_points_per_root(self, monkeypatch):
+        # The two-point stencil and the check point: at most 3 points at 1e-13
+        # per root of the window (the five-point stencil took 6).
+        calls = _spy_evaluations(monkeypatch)
+        evs = _window({"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}, 1, 6)
+        assert [e.index for e in evs] == list(range(1, 7))
+        assert sum(len(ks) for rtol, ks in calls if rtol == 1e-13) <= 3 * len(evs)
+
+    def test_small_zero_target_changes_no_later_window(self, monkeypatch):
+        # The n = 0 target has Re k below x*/2 = 2.25, farther than the
+        # matching radius from the strip of a window that starts at n = 2:
+        # that window finds the same zeros whether mu_0 is a target or not.
         potential = {"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}
-        calls = []
-        search = pipeline.asy._zero_target
-        monkeypatch.setattr(pipeline.asy, "_zero_target",
-                            lambda *args: calls.append(args) or search(*args))
-        index_targets = pipeline.asy.index_targets
-        evs = _window(potential, n_lo, 3)
-        assert len(calls) == searches
-        monkeypatch.setattr(pipeline.asy, "index_targets",
-                            lambda *args, include_small: index_targets(*args))
-        assert _window(potential, n_lo, 3) == evs
-        assert [e.index for e in evs] == list(range(n_lo, 4))
+        scalars = derive_scalars(Potential.from_dict(potential))
+        assert pipeline.asy.index_targets(scalars, "robin", 3 * np.pi)[0][0][0] == 0
+        evs = _window(potential, 2, 3)
+        assert [e.index for e in evs] == [2, 3]
+        monkeypatch.setattr(pipeline.asy, "_zero_target", lambda scalars: None)
+        assert pipeline.asy.index_targets(scalars, "robin", 3 * np.pi)[0][0][0] == 1
+        assert _window(potential, 2, 3) == evs
 
     def test_newton_budget_at_fine_tolerance(self, monkeypatch):
         # Only the polish and the residuals may run tighter than the winding
