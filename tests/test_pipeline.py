@@ -168,6 +168,29 @@ class TestTargetedCost:
         assert [e.index for e in evs] == list(range(1, 7))
         assert sum(len(ks) for rtol, ks in calls if rtol == 1e-13) <= 3 * len(evs)
 
+    @pytest.mark.parametrize("n_lo, searches", [(1, 1), (2, 0)])
+    def test_small_zero_search_only_where_a_window_can_reach_it(self, n_lo, searches,
+                                                               monkeypatch):
+        # Dirichlet_i with q(1)/omega > 0 numbers from n = 1, and the n = 0
+        # target lies below it: only a window that starts at the first index
+        # scans from Re k = 0 over the small zeros, and leaving the n = 0
+        # target out changes no zero of either window.
+        potential = {"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}
+        scalars = derive_scalars(Potential.from_dict(potential))
+        targets, _, n_min = pipeline.asy.index_targets(scalars, "dirichlet", 5 * np.pi)
+        assert (targets[0][0], n_min) == (0, 1)
+        regions = []
+        scan = pipeline.find_zeros
+        monkeypatch.setattr(pipeline, "find_zeros",
+                            lambda dev, region, **kw: regions.append(region)
+                            or scan(dev, region, **kw))
+        evs = _window(potential, n_lo, 3, "dirichlet")
+        assert len(regions) == 1
+        assert sum(region[0] == 0.0 for region in regions) == searches
+        assert [e.index for e in evs] == list(range(n_lo, 4))
+        monkeypatch.setattr(pipeline.asy, "_zero_target", lambda scalars: None)
+        assert _window(potential, n_lo, 3, "dirichlet") == evs
+
     def test_small_zero_target_changes_no_later_window(self, monkeypatch):
         # The n = 0 target has Re k below x*/2 = 2.25, farther than the
         # matching radius from the strip of a window that starts at n = 2:
