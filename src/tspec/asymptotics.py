@@ -30,6 +30,7 @@ _TRANSCENDENTAL_TOL = 1e-12
 _SEED_IS_ROOT = 2 ** 22     # from this n on Newton on g1 leaves the mu_n seed as it is
 _NEWTON_TOL = 1e-13         # Newton step on g1, relative to max(1, |k|), that ends a seed
 _NEWTON_MAX_ITER = 40
+_N_CAP = 2 ** 1000          # predictions stop below it: past it, 4 n pi nears the float max
 _X_STAR = 4.493409457909064             # the root of tan x = x in (pi, 3 pi / 2)
 _C_MIN = math.sin(_X_STAR) / _X_STAR    # the least value of sin x / x, taken at _X_STAR
 
@@ -286,14 +287,22 @@ def _require(cond: bool, tag: str, msg: str):
         raise HypothesisMismatchError(f"{tag}: {msg}")
 
 
+def _alternating(ns) -> np.ndarray:
+    """(-1)^n for each index n, as floats."""
+    return np.array([-1.0 if n & 1 else 1.0 for n in ns])
+
+
 def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
                         n_range: Sequence[int]) -> AsymptoticPrediction:
     """sqrt(lambda_n) predictions with all correction constants for one theorem tag."""
     if theorem_tag not in THEOREM_TAGS:
         raise DomainError(f"unknown theorem tag {theorem_tag!r}; expected one of {THEOREM_TAGS}")
     ns = [int(n) for n in n_range]
-    if not all(1 <= n < 2 ** 1000 for n in ns):     # past 2^1000, 4 n pi nears the float max
+    if ns and not 1 <= min(ns) <= max(ns) < _N_CAP:
         raise DomainError("predictions are defined for 1 <= n < 2^1000")
+    # n as a float rounds as int * float does, and the correction formulas
+    # take it in the same order, so each vectorised value equals the scalar one.
+    n_f = np.array(ns, dtype=float)
     omega_zero, q1_zero, dq1_zero = vanishing(scalars)
     q1no, q2no, q3no, q4no = q_constants(scalars)
     constants = {"Q1": q1no, "Q2": q2no, "Q3": q3no, "Q4": q4no, "q_at_1": scalars.q_at_1}
@@ -306,14 +315,15 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
         if theorem_tag == "T41i_W21":
             corr = [0j] * len(ns)
         else:
-            corr = [-q1no / (4 * n * math.pi * q1) for n in ns]
+            corr = (-q1no / (4 * n_f * math.pi * q1)).tolist()
     elif theorem_tag in ("T41ii_W21", "T41ii_W22"):
         _require(omega_zero and not q1_zero, theorem_tag, "needs omega = 0 and q(1) != 0")
-        mus = [complex(n * math.pi / 2.0) for n in ns]
+        mus = (n_f * math.pi / 2.0).astype(complex).tolist()
         if theorem_tag == "T41ii_W21":
             corr = [0j] * len(ns)
         else:
-            corr = [complex(-(q1no + (-1) ** n * q2no) / (2 * q1 * n * math.pi)) for n in ns]
+            corr = (-(q1no + _alternating(ns) * q2no) / (2 * q1 * n_f * math.pi)).astype(complex)
+            corr = corr.tolist()
     elif theorem_tag == "T42i":
         _require(q1_zero and not dq1_zero and not omega_zero, theorem_tag,
                  "needs q(1) = 0, q'(1) != 0, omega != 0")
@@ -354,11 +364,12 @@ def predict_eigenvalues(scalars: PotentialScalars, theorem_tag: str,
         _require(not omega_zero and not q1_zero, theorem_tag, "needs omega != 0 and q(1) != 0")
         # The mu_n case selection swaps relative to the Robin problem.
         mus = leading_zeros(_dirichlet_flip(scalars), ns).mu_n
-        corr = [+q3no / (4 * n * math.pi * q1) for n in ns]
+        corr = (+q3no / (4 * n_f * math.pi * q1)).tolist()
     else:  # Dirichlet_ii
         _require(omega_zero and not q1_zero, theorem_tag, "needs omega = 0 and q(1) != 0")
         mus = [complex((n + 1) * math.pi / 2.0) for n in ns]
-        corr = [complex((q3no + (-1) ** n * q4no) / (2 * q1 * n * math.pi)) for n in ns]
+        corr = ((q3no + _alternating(ns) * q4no) / (2 * q1 * n_f * math.pi)).astype(complex)
+        corr = corr.tolist()
 
     values = [m + c for m, c in zip(mus, corr)]
     return AsymptoticPrediction(theorem_tag=theorem_tag, ns=ns, values=values, mus=mus,

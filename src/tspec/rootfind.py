@@ -38,7 +38,8 @@ _SPACING = 0.2              # first boundary sample spacing of a winding count
 _MIN_SIZE = 1e-7            # box side below which find_zeros reports a cluster
 _MOMENT_MAX_W = 4           # largest count whose zeros find_zeros takes from contour moments
 _NEWTON_PAD = 0.25          # how far, per longer box side, a box's Newton iterates may stray
-_COARSE_TOL = 1e-7          # Newton step tolerance on the counting evaluator before refine_f
+_COARSE_STEP = 1e-3         # Newton step in k, per unit of seed gap, that ends the counting stage
+_COARSE_TOL = 1e-7          # relative Newton step that ends it whatever the gap
 _POLISH_SWEEPS = 6          # most Newton sweeps on refine_f
 
 
@@ -209,16 +210,16 @@ def _winding(f: Callable, box: ContourBox, first=None):
         "after 3 perturbations")
 
 
-def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int = 30,
-                       check: bool = False):
+def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, atol: float = 0.0,
+                       max_iter: int = 30, check: bool = False):
     """Vectorized Newton over many seeds; one stacked evaluation per sweep.
 
     The derivative is the forward difference (f(z + d) - f(z)) / d with step
     d = 1e-7 max(1, |z|): two points per seed and sweep. A seed converges once
-    its step is below tol max(1, |z|). A seed whose step has failed to shrink
-    twice while its smallest step is below 1e-8 max(1, |z|) has stalled on the
-    evaluation noise floor and is accepted at the iterate of that smallest
-    step. A zero derivative stops a seed unconverged where it is; so does an
+    its step is below tol max(1, |z|) or below atol. A seed whose step has
+    failed to shrink twice while its smallest step is below 1e-8 max(1, |z|)
+    has stalled on the evaluation noise floor and is accepted at the iterate
+    of that smallest step. A zero derivative stops a seed unconverged where it is; so does an
     evaluation that raises DomainError or IntegrationFailureError (an iterate
     out of the Jost layer's reach), found by evaluating a failed sweep one
     seed per call. A seed still unconverged after max_iter sweeps returns the
@@ -262,7 +263,7 @@ def newton_refine_many(f: Callable, seeds, *, tol: float = 1e-12, max_iter: int 
         best[shrank] = z[shrank]
         grew += 1
         grew[shrank] = 0
-        done = ~dead & (step < tol * scale)
+        done = ~dead & ((step < tol * scale) | (step < atol))
         stalled = (grew >= 2) & (best_step < _STALL_REL * scale)
         stop = done | stalled | dead
         if stop.any():
@@ -368,8 +369,15 @@ def _moment_zeros(f: Callable, refine_f: Optional[Callable], w: int, box: Contou
     residuals), or None.
 
     The pencil seeds go to Newton on f, the counting evaluator: to the end
-    with no refine_f, else to a step of 1e-7 and then on refine_f, so only
-    the polish pays for its tolerance. The polish is one stencil sweep and a
+    with no refine_f, else until a sweep whose steps are all below 1e-3 g
+    in k or below 1e-7 relative, and then on refine_f, so only the polish
+    pays for its tolerance. g, at most 1, is the seeds' least distance to
+    each other and to the box's edge: no other zero lies much nearer a
+    seed, so that sweep leaves it about step^2 / g < 1e-6 g from its zero,
+    which one polish sweep squares below its check. A bound in k that
+    ignored g would stop a pair closer than 1e-3 before Newton told its
+    zeros apart. The seed of a window's one-zero box, 1e-7 to 1e-4 from its
+    root, takes one sweep on f. The polish is one stencil sweep and a
     check of refine_f at its iterates (newton_refine_many's check): when
     every chord step there is below 1e-12 relative, those iterates are the
     zeros and the check's |refine_f| their residuals; otherwise Newton goes
@@ -396,8 +404,10 @@ def _moment_zeros(f: Callable, refine_f: Optional[Callable], w: int, box: Contou
     if refine_f is None:
         roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, max_iter=50)
     else:
+        gaps = [min(z.real - box.s0, box.s1 - z.real, z.imag - box.t0, box.t1 - z.imag)
+                for z in seeds] + [abs(a - b) for a, b in itertools.combinations(seeds, 2)]
         roots, converged = newton_refine_many(lambda ks: f(inside(ks)), seeds, tol=_COARSE_TOL,
-                                              max_iter=50)
+                                              atol=_COARSE_STEP * min(1.0, *gaps), max_iter=50)
         if converged.all():
             roots, converged, residuals = newton_refine_many(
                 lambda ks: refine_f(inside(ks)), roots, max_iter=_POLISH_SWEEPS, check=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspec import Potential, derive_scalars
+from tspec import Potential, derive_scalars, q_constants
 from tspec.asymptotics import (_C_MIN, _X_STAR, _dirichlet_flip, _newton_g1, default_theorem_tag,
                                eval_g1, index_targets, leading_zeros, predict_eigenvalues,
                                residual_report, solve_transcendental, vanishing)
@@ -313,6 +313,35 @@ class TestPredictions:
     def test_unknown_tag(self, q_one):
         with pytest.raises(DomainError):
             predict_eigenvalues(derive_scalars(q_one), "T99", [3])
+
+    # Indices where n as a float rounds: the vectorised formulas must give the
+    # per-index values to the bit there too.
+    NS = [1, 2, 3, 40, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 62 + 1, 2 ** 999 + 12345,
+          2 ** 1000 - 1]
+
+    @pytest.mark.parametrize("tag, omega", [("T41i_W22", 0.7), ("Dirichlet_i", 0.7),
+                                            ("T41ii_W22", 0.0), ("Dirichlet_ii", 0.0)])
+    def test_corrections_match_the_per_index_formulas(self, tag, omega):
+        s = make_scalars(omega=omega, q1=-1.3, dq1=0.4, q0=0.9, dq0=-0.2, qsq=1.7, h=0.3)
+        q1no, q2no, q3no, q4no = q_constants(s)
+        q1 = s.q_at_1
+        per_index = {
+            "T41i_W22": lambda n: -q1no / (4 * n * math.pi * q1),
+            "Dirichlet_i": lambda n: +q3no / (4 * n * math.pi * q1),
+            "T41ii_W22": lambda n: complex(-(q1no + (-1) ** n * q2no) / (2 * q1 * n * math.pi)),
+            "Dirichlet_ii": lambda n: complex((q3no + (-1) ** n * q4no) / (2 * q1 * n * math.pi)),
+        }[tag]
+        pred = predict_eigenvalues(s, tag, self.NS)
+        assert repr(pred.corrections) == repr([per_index(n) for n in self.NS])
+        if tag == "T41ii_W22":
+            assert repr(pred.mus) == repr([complex(n * math.pi / 2.0) for n in self.NS])
+
+    def test_index_bounds(self, q_one):
+        s = derive_scalars(q_one)
+        assert predict_eigenvalues(s, "T41i_W22", []).values == []
+        for ns in ([0, 3], [3, 2 ** 1000]):
+            with pytest.raises(DomainError):
+                predict_eigenvalues(s, "T41i_W22", ns)
 
 
 class TestResidualReport:

@@ -156,9 +156,11 @@ class TestTargetedCost:
         checked = sorted((k for ks in checks for k in ks), key=abs)
         assert checked == sorted((e.k for e in evs), key=abs)
         monkeypatch.undo()
-        for ev in evs:
-            single = abs(tspec.charfun.eval_D_many(p, [ev.k], rtol=1e-13)[0])
-            assert abs(ev.residual - single) <= 1e-11 * single
+        # Each residual is |D| of its own check call, bit for bit.
+        residual = {}
+        for ks in checks:
+            residual.update(zip(ks, np.abs(tspec.charfun.eval_D_many(p, ks, rtol=1e-13))))
+        assert [ev.residual for ev in evs] == [residual[ev.k] for ev in evs]
 
     def test_polish_takes_three_fine_points_per_root(self, monkeypatch):
         # The two-point stencil and the check point: at most 3 points at 1e-13
@@ -167,6 +169,26 @@ class TestTargetedCost:
         evs = _window({"kind": "polynomial", "coeffs": [1.0, 1.0], "h": 0.0}, 1, 6)
         assert [e.index for e in evs] == list(range(1, 7))
         assert sum(len(ks) for rtol, ks in calls if rtol == 1e-13) <= 3 * len(evs)
+
+    @pytest.mark.parametrize("potential, n", [
+        (Q_ONE, 1), (Q_ONE, 4),
+        ({"kind": "polynomial", "coeffs": [-1.6685632173450171, 2.528261446027842],
+          "h": -0.20404202893245155}, 3)], ids=["constant-1", "constant-4", "linear-3"])
+    def test_one_counting_sweep_per_window_box(self, potential, n, monkeypatch):
+        # The pencil seed of a one-zero window box sits well within 1e-3 of
+        # its root, so one Newton sweep on the counting evaluator hands it to
+        # the polish: a step bound relative to |k| took a second sweep.
+        calls = _spy_evaluations(monkeypatch)
+        counts = []
+        moment_zeros = rootfind._moment_zeros
+        monkeypatch.setattr(rootfind, "_moment_zeros",
+                            lambda *args: counts.append(args[2]) or moment_zeros(*args))
+        evs = _window(potential, n, n)
+        assert counts == [1] and [e.index for e in evs] == [n] and evs[0].refined
+        rtols = [rtol for rtol, _ks in calls]
+        polish = rtols.index(1e-13)
+        assert rtols[:polish] == [pipeline._RTOL_WINDING] * 2      # the opening call and one sweep
+        assert len(calls[1][1]) == len(rootfind._STENCIL)
 
     @pytest.mark.parametrize("n_lo, searches", [(1, 1), (2, 0)])
     def test_small_zero_search_only_where_a_window_can_reach_it(self, n_lo, searches,
@@ -275,13 +297,15 @@ class TestOpeningCall:
         (LINEAR, {"n": [3, 3]}), (STRIP, {"region": [7.2, 8.7, -0.6, 0.6]})],
         ids=["targeted", "scan"])
     def test_d_call_budget(self, potential, spectrum, monkeypatch):
+        # The opening call, one Newton sweep on the counting evaluator, and the
+        # polish's stencil and check: 4 calls for the run's one zero.
         calls = []
         transfer_many = tspec.charfun.transfer_many
         monkeypatch.setattr(tspec.charfun, "transfer_many",
                             lambda p, ks, rtol: calls.append(ks) or transfer_many(p, ks, rtol))
         run = run_spectrum(_cfg(potential, spectrum=spectrum))
         assert run.exit_code == 0 and len(run.eigenvalues) == 1
-        assert len(calls) == 5
+        assert len(calls) == 4
         if "n" in spectrum:
             p = Potential.from_dict(potential)
             region = pipeline._strip(derive_scalars(p), "robin", 3, 3)[0]

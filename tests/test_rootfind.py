@@ -455,6 +455,23 @@ class TestMomentZeros:
         assert ev.refined and abs(ev.k - root) < 1e-8
         assert seen[:2] == [len(rootfind._STENCIL), 1] and len(seen) > 3 and seen[-1] == 1
 
+    @pytest.mark.parametrize("gap", [9.4e-4, 3e-4, 1e-4])
+    def test_close_pair_gives_two_refined_zeros(self, gap, monkeypatch):
+        # Two simple zeros closer than the counting stage's step of 1e-3, as
+        # in the real-pair collision, with the counting evaluator 1e-9 off.
+        # The box's step bound is 1e-3 of its pencil seeds' gap (about 0.045),
+        # not of its side of 1: the counting stage hands the polish iterates
+        # it takes to two zeros without a split.
+        splits = _spy(monkeypatch, "_split")
+        pair = [2.79792, 2.79792 + gap]
+        fine = poly_with_roots(pair)
+        res = find_zeros(lambda k: fine(k) + 1e-9 * np.cos(37 * np.asarray(k, complex)),
+                         (2.3, 3.3, -0.4, 0.4), refine_f=fine, symmetry=False)
+        assert splits == []
+        assert [(ev.multiplicity, ev.refined) for ev in res.zeros] == [(1, True)] * 2
+        for ev, root in zip(sorted(res.zeros, key=lambda ev: ev.k.real), pair):
+            assert abs(ev.k - root) < 1e-12 * root
+
     def test_seed_outside_the_padded_box_skips_newton(self, monkeypatch):
         # Newton would stop such a seed at its first evaluation, so the box
         # fails without the call.
