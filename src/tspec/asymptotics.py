@@ -2,8 +2,7 @@
 
 Covers the leading function g1(k) = 4ik*omega + q(1)(e^{2ik} - e^{-2ik}), the
 asymptotic location of its zeros mu_n (with Newton polish to machine accuracy),
-the transcendental equation z - kappa*log z = w behind those formulas, the
-per-theorem eigenvalue predictions, the theorem numbering of computed zeros,
+the per-theorem eigenvalue predictions, the theorem numbering of computed zeros,
 and residual reports of computed spectra against the predictions.
 """
 
@@ -16,8 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, HypothesisMismatchError, IndexingConflictError, TspecError,
-                     UnstableLimitError)
+from .errors import DomainError, HypothesisMismatchError, IndexingConflictError, TspecError
 from .potential import PotentialScalars, q_constants
 from .rootfind import _MIN_SIZE, find_zeros, representative
 
@@ -25,8 +23,6 @@ THEOREM_TAGS = ("T41i_W21", "T41i_W22", "T41ii_W21", "T41ii_W22",
                 "T42i", "T42ii", "Dirichlet_i", "Dirichlet_ii")
 
 _ZERO_TOL = 1e-9
-_TRANSCENDENTAL_MAX_ITER = 50
-_TRANSCENDENTAL_TOL = 1e-12
 _SEED_IS_ROOT = 2 ** 22     # from this n on Newton on g1 leaves the mu_n seed as it is
 _NEWTON_TOL = 1e-13         # Newton step on g1, relative to max(1, |k|), that ends a seed
 _NEWTON_MAX_ITER = 40
@@ -62,53 +58,6 @@ def default_theorem_tag(scalars: PotentialScalars, variant: str) -> Optional[str
 def _dirichlet_flip(scalars: PotentialScalars) -> PotentialScalars:
     """The Dirichlet leading function flips the sign of q(1) and q'(1) against Robin."""
     return replace(scalars, q_at_1=-scalars.q_at_1, dq_at_1=-scalars.dq_at_1)
-
-
-@dataclass
-class TranscendentalProblem:
-    """One solved instance of z - kappa*log z = w (log z continued from Log w)."""
-
-    kappa: complex
-    w: complex
-    z: complex
-    residual: float
-    seed: complex
-
-
-def solve_transcendental(kappa, w) -> TranscendentalProblem:
-    """Solve z - kappa*log z = w for large |w|, seeded from the expansion
-    z = w + kappa log w + kappa^2 log w / w.
-
-    log z is continued from the seed's branch, log z = Log w + Log(z / w):
-    z / w stays near 1, whereas the principal Log z jumps by 2 pi i where z
-    and w straddle the negative real axis.
-    Unlike every other Newton polish in the package, this one does not go
-    through :func:`tspec.rootfind.newton_refine_many`: it stops on the
-    residual |z - kappa log z - w| < 1e-12, and it takes the analytic
-    derivative 1 - kappa/z.
-    """
-    kappa = complex(kappa)
-    w = complex(w)
-    if kappa == 0:
-        return TranscendentalProblem(kappa, w, w, 0.0, w)
-    guard = max(10.0, 4.0 * abs(kappa) * math.log(max(abs(w), 2.0)))
-    if abs(w) <= guard:
-        raise DomainError(f"|w|={abs(w):.3g} below the asymptotic validity guard {guard:.3g}")
-    logw = cmath.log(w)
-    seed = w + kappa * logw + kappa * kappa * logw / w
-    z = seed
-    tol = _TRANSCENDENTAL_TOL
-    for _ in range(_TRANSCENDENTAL_MAX_ITER):
-        g = z - kappa * (logw + cmath.log(z / w)) - w
-        if abs(g) < tol:
-            return TranscendentalProblem(kappa, w, z, abs(g), seed)
-        z = z - g / (1.0 - kappa / z)
-    g = z - kappa * (logw + cmath.log(z / w)) - w
-    if abs(g) < tol:
-        return TranscendentalProblem(kappa, w, z, abs(g), seed)
-    raise UnstableLimitError(f"Newton did not reach residual {tol} in "
-                             f"{_TRANSCENDENTAL_MAX_ITER} steps",
-                             diagnostics={"kappa": kappa, "w": w, "z": z, "residual": abs(g)})
 
 
 def eval_g1(scalars: PotentialScalars, k):
@@ -209,7 +158,8 @@ def _newton_g1(scalars: PotentialScalars, seeds: np.ndarray):
     """Newton on g1 from each seed with its exact derivative
     g1'(k) = 4i omega + 4i q(1) cos 2k: (roots, converged). A seed ends once
     its step is below 1e-13 max(1, |k|); one still moving after 40 sweeps,
-    or stopped where g1' = 0, has not converged."""
+    or stopped by a step that is not finite (g1' = 0, or e^{+-2ik} past the
+    float range), has not converged."""
     w, q1 = scalars.omega, scalars.q_at_1
     roots = np.array(seeds, dtype=complex)
     conv = np.zeros(roots.size, dtype=bool)
@@ -218,8 +168,8 @@ def _newton_g1(scalars: PotentialScalars, seeds: np.ndarray):
         if not live.size:
             break
         k = roots[live]
-        e, ei = np.exp(2j * k), np.exp(-2j * k)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e, ei = np.exp(2j * k), np.exp(-2j * k)
             step = (4j * k * w + q1 * (e - ei)) / (4j * w + 2j * q1 * (e + ei))
         moves = np.isfinite(step)
         roots[live] = k = np.where(moves, k - step, k)
@@ -496,7 +446,7 @@ class ResidualReport:
     tail_second: float
     tails_decreasing: bool
     loglog_slope: Optional[float]      # None when fewer than 3 rows can be fitted
-    parity_fits: Optional[dict] = None
+    next_order_mean: Optional[float]   # mean |refined|; T41ii_W22 and Dirichlet_ii only
     nonfinite: List[int] = field(default_factory=list)   # the n whose |eps_n|^2 overflows
 
     def to_rows(self):
@@ -509,7 +459,9 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
 
     Reports eps_n, the next-order residual n*(eps_n - correction_n), split
     tail sums of |eps_n|^2, and the log-log decay slope of |eps_n| (None
-    with fewer than 3 rows of finite, nonzero |eps_n| to fit). The
+    with fewer than 3 rows of finite, nonzero |eps_n| to fit). For the
+    omega = 0 theorems (T41ii_W22, Dirichlet_ii), whose correction carries a
+    (-1)^n term, next_order_mean is the mean next-order |residual|. The
     indices whose |eps_n|^2 is past the float range are listed in nonfinite
     (their tail sum is inf) for the caller to refuse.
     """
@@ -545,24 +497,10 @@ def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
     fit = (abs_eps > 0) & np.isfinite(abs_eps)
     slope = float(np.polyfit(np.log(ns[fit]), np.log(abs_eps[fit]), 1)[0]) \
         if fit.sum() >= 3 else None
-    parity = None
-    if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") and "q_at_1" in prediction.constants:
-        # No parity convention is fixed for the (-1)^n term; report both fits.
-        c = prediction.constants
-        q1v = c["q_at_1"]
-        if prediction.theorem_tag == "T41ii_W22":
-            def corr_flip(n):
-                return -(c["Q1"] - (-1) ** n * c["Q2"]) / (2 * q1v * n * math.pi)
-        else:
-            def corr_flip(n):
-                return (c["Q3"] - (-1) ** n * c["Q4"]) / (2 * q1v * n * math.pi)
-        parity = {
-            "as_indexed": float(np.mean([abs(r["refined"]) for r in rows])),
-            "sign_flipped": float(np.mean([abs(r["n"] * (r["eps"] - corr_flip(r["n"])))
-                                           for r in rows])),
-        }
+    next_order = float(np.mean([abs(r["refined"]) for r in rows])) \
+        if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") else None
     return ResidualReport(theorem_tag=prediction.theorem_tag, rows=rows,
                           tail_first=tail_first, tail_second=tail_second,
                           tails_decreasing=bool(tail_second < tail_first),
-                          loglog_slope=slope, parity_fits=parity,
+                          loglog_slope=slope, next_order_mean=next_order,
                           nonfinite=[int(n) for n in ns[~np.isfinite(eps_sq)]])

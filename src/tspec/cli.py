@@ -237,7 +237,7 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
     summary = {"theorem": tag, "loglog_slope": report.loglog_slope,
                "tail_first": report.tail_first, "tail_second": report.tail_second,
                "tails_decreasing": report.tails_decreasing,
-               "parity_fits": report.parity_fits}
+               "next_order_mean": report.next_order_mean}
     print(json.dumps(summary, indent=2, default=_jsonable), file=sys.stderr)
     print(f"wrote residual table to {out}", file=sys.stderr)
     return 0

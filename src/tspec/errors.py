@@ -17,18 +17,6 @@ class IntegrationFailureError(TspecError):
     """Jost propagation did not meet its tolerance within the cell cap."""
 
 
-class KernelConvergenceError(TspecError):
-    """Fixed-point iteration for the kernel did not converge.
-
-    Attributes:
-        residual: sup-norm of the last successive-iterate difference.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class BoundaryTooCloseError(TspecError):
     """A zero sits too close to a contour boundary even after perturbation."""
 
@@ -59,7 +47,3 @@ class UnstableLimitError(TspecError):
 
 class ConfigError(TspecError):
     """Run configuration failed schema validation."""
-
-
-class TruncationWarning(UserWarning):
-    """A series was truncated before its bound reached the requested tolerance."""

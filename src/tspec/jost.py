@@ -14,7 +14,7 @@ A constant q is exact in one cell; otherwise :func:`transfer_many` doubles the
 cells per k^2 until both signs meet the tolerance and Richardson-extrapolates M,
 skipping the doublings its first comparison predicts at 6th order; both counts
 of a comparison come from one pass. The independent representations that
-cross-check this path live in :mod:`tspec.crosscheck`.
+cross-check this path are test oracles (``tests/jost_oracles.py``).
 """
 
 from __future__ import annotations

@@ -1,18 +1,72 @@
 """Shared fixtures and independent closed-form oracles."""
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from tspec import Potential
+from tspec.errors import DomainError, UnstableLimitError
 from tspec.jost import DEFAULT_RTOL, transfer_many
+
+from jost_oracles import kernel_iterate
 
 # The larger example budget of the properties that take their count from the
 # active profile: pytest --hypothesis-profile=exit-codes.
 settings.register_profile("exit-codes", max_examples=1000)
 settings.register_profile("zero-target", max_examples=2000)
+
+
+_TRANSCENDENTAL_MAX_ITER = 50
+_TRANSCENDENTAL_TOL = 1e-12
+
+
+@dataclass
+class TranscendentalProblem:
+    """One solved instance of z - kappa*log z = w (log z continued from Log w)."""
+
+    kappa: complex
+    w: complex
+    z: complex
+    residual: float
+    seed: complex
+
+
+def solve_transcendental(kappa, w) -> TranscendentalProblem:
+    """Solve z - kappa*log z = w for large |w|, seeded from the expansion
+    z = w + kappa log w + kappa^2 log w / w.
+
+    log z is continued from the seed's branch, log z = Log w + Log(z / w):
+    z / w stays near 1, whereas the principal Log z jumps by 2 pi i where z
+    and w straddle the negative real axis.
+    Newton stops on the residual |z - kappa log z - w| < 1e-12 and takes the
+    analytic derivative 1 - kappa/z.
+    """
+    kappa = complex(kappa)
+    w = complex(w)
+    if kappa == 0:
+        return TranscendentalProblem(kappa, w, w, 0.0, w)
+    guard = max(10.0, 4.0 * abs(kappa) * math.log(max(abs(w), 2.0)))
+    if abs(w) <= guard:
+        raise DomainError(f"|w|={abs(w):.3g} below the asymptotic validity guard {guard:.3g}")
+    logw = cmath.log(w)
+    seed = w + kappa * logw + kappa * kappa * logw / w
+    z = seed
+    tol = _TRANSCENDENTAL_TOL
+    for _ in range(_TRANSCENDENTAL_MAX_ITER):
+        g = z - kappa * (logw + cmath.log(z / w)) - w
+        if abs(g) < tol:
+            return TranscendentalProblem(kappa, w, z, abs(g), seed)
+        z = z - g / (1.0 - kappa / z)
+    g = z - kappa * (logw + cmath.log(z / w)) - w
+    if abs(g) < tol:
+        return TranscendentalProblem(kappa, w, z, abs(g), seed)
+    raise UnstableLimitError(f"Newton did not reach residual {tol} in "
+                             f"{_TRANSCENDENTAL_MAX_ITER} steps",
+                             diagnostics={"kappa": kappa, "w": w, "z": z, "residual": abs(g)})
 
 
 def zero_target_by_box_search(scalars):
@@ -107,13 +161,9 @@ def rng():
 
 @pytest.fixture(scope="session")
 def kg_one_128(q_one):
-    from tspec.crosscheck import kernel_iterate
-
     return kernel_iterate(q_one, 128)
 
 
 @pytest.fixture(scope="session")
 def kg_one_256(q_one):
-    from tspec.crosscheck import kernel_iterate
-
     return kernel_iterate(q_one, 256)

@@ -1,9 +1,8 @@
 """Two representations of the Jost solution that share no code with :mod:`tspec.jost`.
 
-A triangular kernel grid and a successive-approximation series, used only to
-cross-check the production propagator in the tests. Neither the package import
-nor any CLI command loads this module; the kernel row K(0, t) is
-``kernel_iterate(p, mesh).values[0]``.
+A triangular kernel grid and a successive-approximation series: test oracles
+for the production propagator, and the reason scipy is a test dependency. The
+kernel row K(0, t) is ``kernel_iterate(p, mesh).values[0]``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .errors import DomainError, KernelConvergenceError, TruncationWarning
-from .potential import Potential
+from tspec.errors import DomainError, TspecError
+from tspec.potential import Potential
+
+
+class KernelConvergenceError(TspecError):
+    """Fixed-point iteration for the kernel did not converge.
+
+    Attributes:
+        residual: sup-norm of the last successive-iterate difference.
+    """
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class TruncationWarning(UserWarning):
+    """A series was truncated before its bound reached the requested tolerance."""
+
 
 # ---------------------------------------------------------------------------
 # Kernel representation f(k,x) = e^{ikx} + int_x^{2-x} K(x,t) e^{ikt} dt

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from tspec import Potential, derive_scalars, index_eigenvalues, q_constants
-from tspec.asymptotics import index_targets, leading_zeros, solve_transcendental
+from tspec.asymptotics import index_targets, leading_zeros
 from tspec.charfun import DEvaluator
 from tspec.gamma_recovery import (from_eigenvalues, gamma_direct, gamma_from_endpoint,
                                   gamma_from_omega, hadamard_product)
-from tspec.crosscheck import jost_via_kernel
 from tspec.config import validate_config
 from tspec.pipeline import run_spectrum
 from tspec.rootfind import find_zeros, gamma_contour_count
 
-from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many
+from conftest import const_jost, dirichlet_d_const1, jost_at_zero_many, solve_transcendental
+from jost_oracles import jost_via_kernel
 
 
 @contextmanager

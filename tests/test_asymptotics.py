@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from tspec import Potential, derive_scalars, q_constants
 from tspec.asymptotics import (_C_MIN, _X_STAR, _dirichlet_flip, _newton_g1, default_theorem_tag,
                                eval_g1, index_targets, leading_zeros, predict_eigenvalues,
-                               residual_report, solve_transcendental, vanishing)
+                               residual_report, vanishing)
 from tspec.errors import DomainError, HypothesisMismatchError
 from tspec.potential import PotentialScalars
 from tspec.rootfind import Eigenvalue
 
-from conftest import zero_target_by_box_search
+from conftest import solve_transcendental, zero_target_by_box_search
 
 
 def make_scalars(omega=0.0, q1=0.0, dq1=0.0, q0=0.0, dq0=0.0, qsq=0.0, m=None, h=0.0):
@@ -161,6 +161,17 @@ class TestLeadingZeros:
             assert n * math.pi <= mu.real <= (n + 1) * math.pi
             assert abs(eval_g1(s, mu)) < 1e-12
 
+    def test_newton_step_past_the_exp_range_stops_its_seed(self):
+        # q = 4262248.2 - 8526207.2 x, h = 0.1 (q(1)/omega near 5e3): Newton
+        # from the n = 395 seed leaves for Im k near -620, where e^{2ik}
+        # overflows. The non-finite step stops that seed with no RuntimeWarning
+        # (an error under the test filters), and the box search replaces it.
+        s = derive_scalars(Potential.polynomial([4262248.207606005, -8526207.2260619], h=0.1))
+        lz = leading_zeros(s, range(300, 401))
+        for n, mu, ok in zip(lz.ns, lz.mu_n, lz.polished):
+            assert ok
+            assert n * math.pi <= mu.real <= (n + 1) * math.pi
+            assert abs(eval_g1(s, mu)) < 1e-12 * abs(s.q_at_1)
 
     @pytest.mark.parametrize("tag", ["T41i_W22", "Dirichlet_i"])
     def test_sparse_indices_are_predicted_alone(self, tag):
@@ -368,11 +379,21 @@ class TestResidualReport:
             residual_report(zeros, pred)
 
     def test_parity_fits_reported(self):
+        # The omega = 0 corrections carry (-1)^n with the theorem's sign: the
+        # reported next-order mean is below the one of the sign-flipped term.
         s = make_scalars(omega=0.0, q1=0.5, dq1=1.0, dq0=1.0, qsq=1.0 / 12.0)
-        pred = predict_eigenvalues(s, "T41ii_W22", range(4, 10))
-        report = residual_report(self._zeros_from(pred), pred)
-        assert report.parity_fits is not None
-        assert report.parity_fits["as_indexed"] < report.parity_fits["sign_flipped"]
+        flipped = {
+            "T41ii_W22": lambda c, n: -(c["Q1"] - (-1) ** n * c["Q2"]) / (2 * s.q_at_1 * n * math.pi),
+            "Dirichlet_ii": lambda c, n: (c["Q3"] - (-1) ** n * c["Q4"]) / (2 * s.q_at_1 * n * math.pi),
+        }
+        for tag, corr_flip in flipped.items():
+            pred = predict_eigenvalues(s, tag, range(4, 10))
+            report = residual_report(self._zeros_from(pred), pred)
+            flip_mean = np.mean([abs(r["n"] * (r["eps"] - corr_flip(pred.constants, r["n"])))
+                                 for r in report.rows])
+            assert report.next_order_mean < flip_mean, tag
+        pred = predict_eigenvalues(s, "T41ii_W21", range(4, 10))
+        assert residual_report(self._zeros_from(pred), pred).next_order_mean is None
 
 
 # Scalars of each theorem case (Robin and Dirichlet, omega != 0 for both signs

@@ -1,10 +1,13 @@
 import argparse
+import ast
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -1072,18 +1075,29 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 
 
 class TestImportPath:
-    def test_cli_import_skips_crosscheck_and_scipy_integrate(self):
-        # Set-up time and peak memory of every run rest on these staying
-        # unloaded: tspec.crosscheck and every scipy module, not only scipy.integrate.
+    def test_package_has_no_crosscheck_and_imports_no_scipy(self):
+        # scipy is a test dependency only: the Jost cross-checks live in the
+        # tests, no module of the package imports scipy, and importing tspec or
+        # its CLI loads no scipy module (set-up time and peak memory rest on it).
+        assert importlib.util.find_spec("tspec.crosscheck") is None
         for module in ("tspec", "tspec.cli"):
             probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                     "if m == 'tspec.crosscheck' or m.split('.')[0] == 'scipy'))")
+                     "if m.split('.')[0] == 'scipy'))")
             proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", module
+        for path in sorted(pathlib.Path(tspec.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "scipy" for name in names), (path.name, names)
 
     def test_commands_run_without_scipy(self, workdir):
-        # Every command: no CLI path imports tspec.crosscheck or scipy.
+        # Every command: no CLI path imports scipy.
         cfgs = {
             "grid": {"kind": "grid", "h": 0.1,
                      "samples": [0.45, 0.52, 0.61, 0.48, 0.39, 0.55, 0.62, 0.71, 0.9]},

@@ -11,11 +11,12 @@ from scipy.special import airye
 import tspec.jost
 from tspec import Potential
 from tspec.charfun import eval_D_many
-from tspec.crosscheck import jost_via_kernel, kernel_iterate, successive_approx
-from tspec.errors import DomainError, IntegrationFailureError, TruncationWarning
+from tspec.errors import DomainError, IntegrationFailureError
 from tspec.potential import aligned_cells
 
 from conftest import const_jost, jost_at_zero_many
+from jost_oracles import (KernelConvergenceError, TruncationWarning, jost_via_kernel,
+                          kernel_iterate, successive_approx)
 
 SPLINE_SAMPLES = (0.4, -1.1, 0.7, 1.9, -0.3, 0.8, -1.6, 0.2, 1.3)
 NONCONSTANT = {
@@ -431,8 +432,6 @@ class TestKernel:
             kernel_iterate(q_one, 8)
 
     def test_nonconvergence_reports_residual(self, q_one):
-        from tspec.errors import KernelConvergenceError
-
         with pytest.raises(KernelConvergenceError) as excinfo:
             kernel_iterate(q_one, 20, max_iter=2)
         assert excinfo.value.residual > 0
