@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -436,12 +437,25 @@ def index_eigenvalues(zeros, scalars: PotentialScalars, variant: str = "robin"):
     return _match_targets(zeros, *index_targets(scalars, variant, k_max))
 
 
+def _int_keys(ints) -> np.ndarray:
+    """Python ints as an int64 array that sorts as they do (their ranks past int64)."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.unique(np.array(ints, dtype=object), return_inverse=True)[1]
+
+
+# The rows of a residual report, one entry per row in each column: n and branch
+# as lists; k, mu, eps = k - mu and refined = n (eps - correction) as arrays.
+ResidualRows = namedtuple("ResidualRows", "n branch k mu eps refined")
+
+
 @dataclass
 class ResidualReport:
     """Measured eps_n = sqrt(lambda_n) - mu_n against one prediction."""
 
     theorem_tag: str
-    rows: List[dict]
+    rows: ResidualRows
     tail_first: float
     tail_second: float
     tails_decreasing: bool
@@ -450,57 +464,57 @@ class ResidualReport:
     nonfinite: List[int] = field(default_factory=list)   # the n whose |eps_n|^2 overflows
 
     def to_rows(self):
-        return [(r["n"], r["eps"].real, r["eps"].imag, abs(r["eps"]), r["n"] * abs(r["eps"]))
-                for r in self.rows]
+        """The residual table's rows (n, Re eps, Im eps, |eps|, n |eps|), built on request."""
+        eps = self.rows.eps
+        with np.errstate(over="ignore"):    # np.hypot is abs(complex) to the bit; np.abs is not
+            abs_eps = np.hypot(eps.real, eps.imag)
+            n_abs = np.array(self.rows.n, dtype=float) * abs_eps
+        return list(zip(self.rows.n, eps.real.tolist(), eps.imag.tolist(), abs_eps.tolist(),
+                        n_abs.tolist()))
 
 
 def residual_report(zeros, prediction: AsymptoticPrediction) -> ResidualReport:
-    """Join indexed eigenvalues with a prediction and measure residual decay.
+    """Join indexed eigenvalues, the columns of pipeline.eigenvalues_from_columns,
+    with a prediction and measure residual decay.
 
-    Reports eps_n, the next-order residual n*(eps_n - correction_n), split
-    tail sums of |eps_n|^2, and the log-log decay slope of |eps_n| (None
-    with fewer than 3 rows of finite, nonzero |eps_n| to fit). For the
-    omega = 0 theorems (T41ii_W22, Dirichlet_ii), whose correction carries a
-    (-1)^n term, next_order_mean is the mean next-order |residual|. The
-    indices whose |eps_n|^2 is past the float range are listed in nonfinite
-    (their tail sum is inf) for the caller to refuse.
+    A zero joins the prediction row of its (index, branch), else of (index,
+    None). The rows, sorted stably by (n, branch or 0), hold eps_n and the
+    next-order residual n*(eps_n - correction_n) as arrays. Reports split tail
+    sums of |eps_n|^2 and the log-log decay slope of |eps_n| (None with fewer
+    than 3 rows of finite, nonzero |eps_n| to fit). For the omega = 0 theorems
+    (T41ii_W22, Dirichlet_ii), whose correction carries a (-1)^n term,
+    next_order_mean is the mean next-order |residual|. The indices whose
+    |eps_n|^2 is past the float range are listed in nonfinite (their tail sum
+    is inf) for the caller to refuse.
     """
-    by_key = {}
-    for n, mu, corr, br in zip(prediction.ns, prediction.mus, prediction.corrections,
-                               prediction.branches):
-        by_key[(n, br)] = (mu, corr)
-    rows = []
-    for ev in zeros:
-        if ev.index is None:
-            continue
-        key = (ev.index, ev.branch)
-        if key not in by_key:
-            if (ev.index, None) in by_key:
-                key = (ev.index, None)
-            else:
-                continue
-        mu, corr = by_key[key]
-        eps = ev.k - mu
-        rows.append({"n": ev.index, "branch": ev.branch, "k": ev.k, "mu": mu,
-                     "eps": eps, "refined": ev.index * (eps - corr)})
-    if not rows:
+    at = {key: j for j, key in enumerate(zip(prediction.ns, prediction.branches))}
+    pos = [at.get(key, at.get((key[0], None))) for key in zip(zeros.index, zeros.branch)]
+    take = [i for i, j in enumerate(pos) if j is not None]
+    if not take:
         raise DomainError("no eigenvalue indices matched the prediction")
-    rows.sort(key=lambda r: (r["n"], 0 if r["branch"] is None else r["branch"]))
-    ns = np.array([r["n"] for r in rows], dtype=float)
-    eps = np.array([r["eps"] for r in rows], dtype=complex)
-    with np.errstate(over="ignore"):    # past the float range: inf, refused through nonfinite
+    order = np.lexsort((_int_keys([zeros.branch[i] or 0 for i in take]),
+                        _int_keys([zeros.index[i] for i in take])))
+    take = [take[i] for i in order.tolist()]
+    n, branch, pos = ([column[i] for i in take] for column in (zeros.index, zeros.branch, pos))
+    k, mu, ns = zeros.k[take], np.array(prediction.mus, dtype=complex)[pos], np.array(n, float)
+    # Past the float range: inf or nan, as Python's complex arithmetic gives,
+    # and an inf |eps_n|^2 is refused through nonfinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = k - mu
+        refined = ns * (eps - np.array(prediction.corrections)[pos])
         abs_eps = np.hypot(eps.real, eps.imag)
         eps_sq = abs_eps ** 2
-    half = len(rows) // 2
+        next_order = float(np.mean(np.hypot(refined.real, refined.imag))) \
+            if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") else None
+    half = len(n) // 2
     tail_first = float(np.sum(eps_sq[:half]))
     tail_second = float(np.sum(eps_sq[half:]))
     fit = (abs_eps > 0) & np.isfinite(abs_eps)
     slope = float(np.polyfit(np.log(ns[fit]), np.log(abs_eps[fit]), 1)[0]) \
         if fit.sum() >= 3 else None
-    next_order = float(np.mean([abs(r["refined"]) for r in rows])) \
-        if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") else None
-    return ResidualReport(theorem_tag=prediction.theorem_tag, rows=rows,
+    return ResidualReport(theorem_tag=prediction.theorem_tag,
+                          rows=ResidualRows(n, branch, k, mu, eps, refined),
                           tail_first=tail_first, tail_second=tail_second,
                           tails_decreasing=bool(tail_second < tail_first),
                           loglog_slope=slope, next_order_mean=next_order,
-                          nonfinite=[int(n) for n in ns[~np.isfinite(eps_sq)]])
+                          nonfinite=[int(v) for v in ns[~np.isfinite(eps_sq)]])

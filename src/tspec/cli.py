@@ -22,7 +22,8 @@ from . import asymptotics as asy
 from .charfun import DEvaluator, eval_D_many, sample_D_grid
 from .config import RunConfig, check_values, load_config
 from .errors import ConfigError, DomainError, TspecError, UnstableLimitError
-from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
+from .gamma_recovery import (from_representatives, gamma_direct, gamma_from_endpoint,
+                             gamma_from_omega)
 from .pipeline import _file_potential, eigenvalues_from_columns, run_spectrum, validate_columns
 from .potential import Potential, derive_scalars, finite_real
 from .spectrumfile import read_spectrum, write_spectrum, write_spectrum_csv
@@ -193,12 +194,13 @@ def _cmd_charfun(cfg: RunConfig, args) -> int:
 
 
 def _load_spectrum(path):
-    """The header, record columns, potential and scalars of a spectrum file (the
-    potential is the header's, not the config's); a hash mismatch warns."""
+    """The header, representatives (eigenvalues_from_columns), potential and scalars
+    of a spectrum file (the potential is the header's, not the config's); a hash
+    mismatch warns."""
     header, columns, hash_ok = read_spectrum(path)
     if not hash_ok:
         print("warning: spectrum file content hash mismatch", file=sys.stderr)
-    return (header, columns, *_file_potential(header))
+    return (header, eigenvalues_from_columns(columns), *_file_potential(header))
 
 
 def _cmd_asymptotics(cfg: RunConfig, args) -> int:
@@ -214,17 +216,16 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
                                               pred.mus, pred.corrections)],
         }, cfg.out)
         return 0
-    header, columns, _, scalars = _load_spectrum(args.spectrum)
-    zeros = [ev for ev in eigenvalues_from_columns(columns)
-             if ev.index is not None and ev.index >= 1]
-    if not zeros:
+    header, zeros, _, scalars = _load_spectrum(args.spectrum)
+    ns = sorted({n for n in zeros.index if n is not None and n >= 1})
+    if not ns:
         print("error: spectrum file has no indexed eigenvalues", file=sys.stderr)
         return 3
     tag = args.theorem or asy.default_theorem_tag(scalars, header.variant)
     if tag is None:
         raise DomainError("no asymptotic theorem applies to the spectrum file's potential "
                           f"and variant {header.variant!r}")
-    pred = asy.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in zeros}))
+    pred = asy.predict_eigenvalues(scalars, tag, ns)
     report = asy.residual_report(zeros, pred)
     if report.nonfinite:
         raise DomainError(f"|eps_n|^2 is not finite at indices {report.nonfinite}")
@@ -244,11 +245,11 @@ def _cmd_asymptotics(cfg: RunConfig, args) -> int:
 
 
 def _cmd_gamma(cfg: RunConfig, args) -> int:
-    header, columns, p, scalars = _load_spectrum(args.spectrum)
-    warnings = asy._index_warnings(columns.index, scalars, header.variant)
+    header, zeros, p, scalars = _load_spectrum(args.spectrum)
+    warnings = asy._index_warnings(zeros.index, scalars, header.variant)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    hp = from_eigenvalues(eigenvalues_from_columns(columns), s=header.s)
+    hp = from_representatives(zeros.k, zeros.multiplicity, zeros.cls, s=header.s)
     try:
         if args.route == "omega":
             est = gamma_from_omega(hp, scalars, header.variant)

@@ -100,22 +100,28 @@ def _square(ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
-    """Build the product from root-finder output (first-quadrant representatives).
+def from_representatives(ks, multiplicity, cls, s: int = 0) -> HadamardProduct:
+    """Build the product from first-quadrant representatives as columns: k,
+    multiplicity and class per zero (pipeline.eigenvalues_from_columns).
 
     A quadrant zero k stands for the conjugate pair (k^2, k^2*); real and
     imaginary ones for a single real lambda, each repeated per multiplicity.
     """
-    eigenvalues = list(eigenvalues)
-    ks = np.array([ev.k for ev in eigenvalues], dtype=complex)
-    mult = np.array([ev.multiplicity for ev in eigenvalues], dtype=int)
-    quadrant = np.array([ev.cls == "quadrant" for ev in eigenvalues], dtype=bool)
+    quadrant = np.array([c == "quadrant" for c in cls], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):   # inf fails in _modulus_order
-        lam = _square(ks)
+        lam = _square(np.asarray(ks, dtype=complex))
     lam.imag[~quadrant] = 0.0
+    mult = np.asarray(multiplicity, dtype=int)
     lam, paired = np.repeat(lam, mult), np.repeat(quadrant, mult)
     order = _modulus_order(lam)
     return HadamardProduct(s=int(s), roots=lam[order], paired=paired[order])
+
+
+def from_eigenvalues(eigenvalues, s: int = 0) -> HadamardProduct:
+    """from_representatives on root-finder output (a list of Eigenvalue)."""
+    evs = list(eigenvalues)
+    return from_representatives([ev.k for ev in evs], [ev.multiplicity for ev in evs],
+                                [ev.cls for ev in evs], s)
 
 
 def _paired_factors(hp: HadamardProduct, k: complex) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -20,7 +21,8 @@ from . import asymptotics as asy
 from .charfun import DEvaluator
 from .errors import (ConfigError, DomainError, HypothesisMismatchError, IndexingConflictError,
                      PhaseResolutionError, ProbeTooCloseError, TspecError, UnstableLimitError)
-from .gamma_recovery import from_eigenvalues, gamma_direct, gamma_from_endpoint, gamma_from_omega
+from .gamma_recovery import (from_representatives, gamma_direct, gamma_from_endpoint,
+                             gamma_from_omega)
 from .potential import Potential, PotentialScalars, derive_scalars
 from .rootfind import (_ORIGIN_BOX, ContourBox, Eigenvalue, _boundary, find_zeros,
                        gamma_contour_count, orbit, origin_multiplicity)
@@ -110,29 +112,38 @@ def _k_array(re_k, im_k) -> np.ndarray:
     return ks
 
 
-def eigenvalues_from_columns(columns) -> List[Eigenvalue]:
-    """First-quadrant representatives with indices, one per orbit, from the
-    record columns of a spectrum file (spectrumfile.read_spectrum).
+# The representatives of eigenvalues_from_columns, one entry per orbit in
+# each column: k as one complex array, the other fields as lists.
+Representatives = namedtuple("Representatives", "k index multiplicity residual cls branch")
+
+
+def eigenvalues_from_columns(columns) -> Representatives:
+    """First-quadrant representatives with indices, one per orbit, as columns,
+    from the record columns of a spectrum file (spectrumfile.read_spectrum).
 
     The mirrors of a zero share its exact (|Re k|, |Im k|), so they collapse
     first, by the first-occurrence indices of a stable np.unique; the 9-digit
     key then merges images that differ by rounding, formed only when the means of
     two survivors' parts lie within 1e-9 (+ 3 eps). Both keep the first row seen.
+    One np.lexsort orders the survivors by (index, None as 10^9; |k|), ties in
+    the order of their rows.
     """
-    re_k, im_k = columns.re_k, columns.im_k
-    survivors, firsts = np.unique(_k_array(np.abs(re_k), np.abs(im_k)), return_index=True)
-    firsts = np.sort(firsts).tolist()
+    re_k, im_k, index = columns.re_k, columns.im_k, columns.index
+    abs_re, abs_im = (np.abs(np.fromiter(part, float, len(part))) for part in (re_k, im_k))
+    survivors, firsts = np.unique(_k_array(abs_re, abs_im), return_index=True)
+    firsts = np.sort(firsts)
     means = np.sort(survivors.real / 2 + survivors.imag / 2)    # halves: no overflow
     if np.any(np.diff(means) <= 1e-9 + 1e-15 * means[-1:]):
-        rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
-        firsts = _first_of_each(rounded, firsts)
+        rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts.tolist()]
+        firsts = np.array(_first_of_each(rounded, firsts.tolist()), dtype=int)
     with np.errstate(over="ignore"):    # a modulus past the float range sorts as inf
-        mods = np.hypot(re_k, im_k).tolist()
-    firsts.sort(key=lambda i: (10 ** 9 if columns.index[i] is None else columns.index[i], mods[i]))
-    return [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
-                       multiplicity=columns.multiplicity[i], residual=columns.residual[i],
-                       cls=columns.cls[i], branch=columns.branch[i])
-            for i in firsts]
+        mods = np.hypot(abs_re[firsts], abs_im[firsts])
+    keys = asy._int_keys([10 ** 9 if index[i] is None else index[i] for i in firsts.tolist()])
+    take = firsts[np.lexsort((mods, keys))]
+    rows = take.tolist()
+    return Representatives(_k_array(abs_re[take], abs_im[take]), *(
+        [column[i] for i in rows] for column in (
+            index, columns.multiplicity, columns.residual, columns.cls, columns.branch)))
 
 
 @dataclass
@@ -292,24 +303,25 @@ def audit_contours(dev: DEvaluator, scalars: PotentialScalars, ns) -> AuditEntry
     return AuditEntry("contour-counts", "pass", f"counts {got} match 4n+{offset}")
 
 
-def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, variant: str,
+def audit_residual_decay(zeros: Representatives, scalars: PotentialScalars, variant: str,
                          theorem: Optional[str] = None) -> AuditEntry:
+    """The residuals of the representatives with n >= 1 against the theorem's
+    prediction must decay (asymptotics.residual_report)."""
     tag = theorem or asy.default_theorem_tag(scalars, variant)
     if tag is None:
         return AuditEntry("residual-decay", "skipped", "no asymptotic theorem applies")
-    rows = [ev for ev in zeros if ev.index is not None and ev.index >= 1]
+    ns = [n for n in zeros.index if n is not None and n >= 1]
     # One prediction checks the theorem's hypotheses: at n = 5 alone when too
     # few rows leave nothing else to predict.
     try:
-        pred = asy.predict_eigenvalues(scalars, tag, [5] if len(rows) < 4
-                                       else sorted({ev.index for ev in rows}))
+        pred = asy.predict_eigenvalues(scalars, tag, [5] if len(ns) < 4 else sorted(set(ns)))
     except HypothesisMismatchError as exc:
         return AuditEntry("residual-decay", "fail", f"hypothesis mismatch: {exc}")
-    if len(rows) < 4:
+    if len(ns) < 4:
         return AuditEntry("residual-decay", "skipped",
-                          f"only {len(rows)} indexed eigenvalues with n >= 1")
+                          f"only {len(ns)} indexed eigenvalues with n >= 1")
     try:
-        report = asy.residual_report(rows, pred)
+        report = asy.residual_report(zeros, pred)
     except DomainError as exc:
         return AuditEntry("residual-decay", "skipped", str(exc))
     if report.nonfinite:
@@ -323,12 +335,12 @@ def audit_residual_decay(zeros: List[Eigenvalue], scalars: PotentialScalars, var
     return AuditEntry("residual-decay", "pass" if ok else "fail", detail)
 
 
-def audit_gamma(dev: DEvaluator, zeros: List[Eigenvalue], scalars: PotentialScalars,
+def audit_gamma(dev: DEvaluator, zeros: Representatives, scalars: PotentialScalars,
                 variant: str, s: int = 0) -> AuditEntry:
-    if not zeros:
+    if not zeros.index:
         return AuditEntry("gamma-consistency", "skipped", "empty spectrum")
     try:
-        hp = from_eigenvalues(zeros, s=s)
+        hp = from_representatives(zeros.k, zeros.multiplicity, zeros.cls, s=s)
     except DomainError as exc:
         return AuditEntry("gamma-consistency", "fail", f"bad eigenvalue list: {exc}")
     if hp.truncation < 20:

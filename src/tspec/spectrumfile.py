@@ -142,12 +142,18 @@ def _floats(obj):
 
 
 def _reals(column):
-    """A column's values (float bytes as floats, ints as ints); None unless all are finite."""
+    """A column's values (float bytes as floats, ints as ints); None unless all are finite.
+
+    A finite sum shows every float finite at once; only a sum past the float
+    range, or a column holding ints (which past that range can cancel in the
+    sum), takes the scan value by value."""
     types = set(map(type, column))
     if types - {bytes, int}:
         return None
     values = ([float(v) if type(v) is bytes else v for v in column] if int in types
               else list(map(float, column)))
+    if int not in types and math.isfinite(sum(values)):
+        return values
     try:
         return values if all(map(math.isfinite, values)) else None
     except OverflowError:       # an int beyond float range

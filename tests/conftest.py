@@ -2,15 +2,18 @@
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tspec import Potential
+from tspec import Potential, gamma_recovery
 from tspec.errors import DomainError, UnstableLimitError
 from tspec.jost import DEFAULT_RTOL, transfer_many
+from tspec.pipeline import Representatives, _first_of_each, _k_array
+from tspec.rootfind import Eigenvalue
 
 from jost_oracles import kernel_iterate
 
@@ -18,6 +21,7 @@ from jost_oracles import kernel_iterate
 # active profile: pytest --hypothesis-profile=exit-codes.
 settings.register_profile("exit-codes", max_examples=1000)
 settings.register_profile("zero-target", max_examples=2000)
+settings.register_profile("representatives", max_examples=1000)
 
 
 _TRANSCENDENTAL_MAX_ITER = 50
@@ -92,6 +96,115 @@ def zero_target_by_box_search(scalars):
     tau = 0.5 * (math.log(2 * math.pi) + abs(math.log(abs(q1 / (2 * w))))) + 2.0
     res = find_zeros(g1_over_k, (-0.1, math.pi * 1.02, -0.1, max(2.0, tau)), max_depth=24)
     return min((ev.k for ev in res.zeros), key=abs, default=None)
+
+
+def representatives_of(zeros) -> Representatives:
+    """A list of Eigenvalue as the columns pipeline.eigenvalues_from_columns returns."""
+    zeros = list(zeros)
+    return Representatives(np.array([ev.k for ev in zeros], dtype=complex),
+                           *([getattr(ev, name) for ev in zeros]
+                             for name in Representatives._fields[1:]))
+
+
+def eigenvalues_of(reps: Representatives) -> List[Eigenvalue]:
+    """The columns of pipeline.eigenvalues_from_columns as a list of Eigenvalue."""
+    return [Eigenvalue(k=complex(k), index=index, multiplicity=m, residual=r, cls=cls, branch=b)
+            for k, index, m, r, cls, b in zip(reps.k.tolist(), *reps[1:])]
+
+
+def eigenvalues_from_columns_oracle(columns) -> List[Eigenvalue]:
+    """The representatives of pipeline.eigenvalues_from_columns as one Eigenvalue
+    per orbit, ordered by a Python sort key: the reader before it kept columns."""
+    re_k, im_k = columns.re_k, columns.im_k
+    survivors, firsts = np.unique(_k_array(np.abs(re_k), np.abs(im_k)), return_index=True)
+    firsts = np.sort(firsts).tolist()
+    means = np.sort(survivors.real / 2 + survivors.imag / 2)
+    if np.any(np.diff(means) <= 1e-9 + 1e-15 * means[-1:]):
+        rounded = [(round(abs(re_k[i]), 9), round(abs(im_k[i]), 9)) for i in firsts]
+        firsts = _first_of_each(rounded, firsts)
+    with np.errstate(over="ignore"):
+        mods = np.hypot(re_k, im_k).tolist()
+    firsts.sort(key=lambda i: (10 ** 9 if columns.index[i] is None else columns.index[i], mods[i]))
+    return [Eigenvalue(k=complex(abs(re_k[i]), abs(im_k[i])), index=columns.index[i],
+                       multiplicity=columns.multiplicity[i], residual=columns.residual[i],
+                       cls=columns.cls[i], branch=columns.branch[i])
+            for i in firsts]
+
+
+def product_oracle(zeros: List[Eigenvalue], s: int = 0):
+    """(roots, paired) of the Hadamard product of a list of Eigenvalue, built
+    from the objects as gamma_recovery.from_eigenvalues did before it took columns."""
+    ks = np.array([ev.k for ev in zeros], dtype=complex)
+    mult = np.array([ev.multiplicity for ev in zeros], dtype=int)
+    quadrant = np.array([ev.cls == "quadrant" for ev in zeros], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = gamma_recovery._square(ks)
+    lam.imag[~quadrant] = 0.0
+    lam, paired = np.repeat(lam, mult), np.repeat(quadrant, mult)
+    order = np.argsort(np.abs(lam), kind="stable")
+    return lam[order], paired[order]
+
+
+@dataclass
+class RowResidualReport:
+    """asymptotics.ResidualReport as residual_report_oracle builds it: one dict per row."""
+
+    theorem_tag: str
+    rows: List[dict]
+    tail_first: float
+    tail_second: float
+    tails_decreasing: bool
+    loglog_slope: Optional[float]
+    next_order_mean: Optional[float]
+    nonfinite: List[int] = field(default_factory=list)
+
+    def to_rows(self):
+        return [(r["n"], r["eps"].real, r["eps"].imag, abs(r["eps"]), r["n"] * abs(r["eps"]))
+                for r in self.rows]
+
+
+def residual_report_oracle(zeros: List[Eigenvalue], prediction) -> RowResidualReport:
+    """asymptotics.residual_report row by row over a list of Eigenvalue, in
+    Python complex arithmetic: the report before it kept columns."""
+    by_key = {}
+    for n, mu, corr, br in zip(prediction.ns, prediction.mus, prediction.corrections,
+                               prediction.branches):
+        by_key[(n, br)] = (mu, corr)
+    rows = []
+    for ev in zeros:
+        if ev.index is None:
+            continue
+        key = (ev.index, ev.branch)
+        if key not in by_key:
+            if (ev.index, None) in by_key:
+                key = (ev.index, None)
+            else:
+                continue
+        mu, corr = by_key[key]
+        eps = ev.k - mu
+        rows.append({"n": ev.index, "branch": ev.branch, "k": ev.k, "mu": mu,
+                     "eps": eps, "refined": ev.index * (eps - corr)})
+    if not rows:
+        raise DomainError("no eigenvalue indices matched the prediction")
+    rows.sort(key=lambda r: (r["n"], 0 if r["branch"] is None else r["branch"]))
+    ns = np.array([r["n"] for r in rows], dtype=float)
+    eps = np.array([r["eps"] for r in rows], dtype=complex)
+    with np.errstate(over="ignore"):
+        abs_eps = np.hypot(eps.real, eps.imag)
+        eps_sq = abs_eps ** 2
+    half = len(rows) // 2
+    tail_first = float(np.sum(eps_sq[:half]))
+    tail_second = float(np.sum(eps_sq[half:]))
+    fit = (abs_eps > 0) & np.isfinite(abs_eps)
+    slope = float(np.polyfit(np.log(ns[fit]), np.log(abs_eps[fit]), 1)[0]) \
+        if fit.sum() >= 3 else None
+    next_order = float(np.mean([abs(r["refined"]) for r in rows])) \
+        if prediction.theorem_tag in ("T41ii_W22", "Dirichlet_ii") else None
+    return RowResidualReport(theorem_tag=prediction.theorem_tag, rows=rows,
+                             tail_first=tail_first, tail_second=tail_second,
+                             tails_decreasing=bool(tail_second < tail_first),
+                             loglog_slope=slope, next_order_mean=next_order,
+                             nonfinite=[int(n) for n in ns[~np.isfinite(eps_sq)]])
 
 
 def jost_at_zero_many(p: Potential, ks, rtol: float = DEFAULT_RTOL):

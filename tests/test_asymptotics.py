@@ -14,7 +14,7 @@ from tspec.errors import DomainError, HypothesisMismatchError
 from tspec.potential import PotentialScalars
 from tspec.rootfind import Eigenvalue
 
-from conftest import solve_transcendental, zero_target_by_box_search
+from conftest import representatives_of, solve_transcendental, zero_target_by_box_search
 
 
 def make_scalars(omega=0.0, q1=0.0, dq1=0.0, q0=0.0, dq0=0.0, qsq=0.0, m=None, h=0.0):
@@ -361,20 +361,21 @@ class TestResidualReport:
         for n, v, br in zip(pred.ns, pred.values, pred.branches):
             out.append(Eigenvalue(k=v, index=n, multiplicity=1, residual=0.0,
                                   cls="quadrant", branch=br))
-        return out
+        return representatives_of(out)
 
     def test_exact_predictions_zero_residuals(self, q_one):
         s = derive_scalars(q_one)
         pred = predict_eigenvalues(s, "T41i_W22", range(3, 9))
         report = residual_report(self._zeros_from(pred), pred)
-        for row, corr in zip(report.rows, pred.corrections):
-            assert abs(row["eps"] - corr) < 1e-12
-            assert abs(row["refined"]) < 1e-9
+        for eps, refined, corr in zip(report.rows.eps, report.rows.refined, pred.corrections):
+            assert abs(eps - corr) < 1e-12
+            assert abs(refined) < 1e-9
 
     def test_index_mismatch_raises(self, q_one):
         s = derive_scalars(q_one)
         pred = predict_eigenvalues(s, "T41i_W22", [3, 4])
-        zeros = [Eigenvalue(k=1.0, index=99, multiplicity=1, residual=0.0, cls="real")]
+        zeros = representatives_of([Eigenvalue(k=1.0, index=99, multiplicity=1, residual=0.0,
+                                               cls="real")])
         with pytest.raises(DomainError):
             residual_report(zeros, pred)
 
@@ -389,8 +390,8 @@ class TestResidualReport:
         for tag, corr_flip in flipped.items():
             pred = predict_eigenvalues(s, tag, range(4, 10))
             report = residual_report(self._zeros_from(pred), pred)
-            flip_mean = np.mean([abs(r["n"] * (r["eps"] - corr_flip(pred.constants, r["n"])))
-                                 for r in report.rows])
+            flip_mean = np.mean([abs(n * (eps - corr_flip(pred.constants, n)))
+                                 for n, eps in zip(report.rows.n, report.rows.eps.tolist())])
             assert report.next_order_mean < flip_mean, tag
         pred = predict_eigenvalues(s, "T41ii_W21", range(4, 10))
         assert residual_report(self._zeros_from(pred), pred).next_order_mean is None

@@ -1,20 +1,30 @@
-from dataclasses import replace
+import json
+import re
+import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import tspec.charfun
 from tspec import asymptotics, pipeline, rootfind, spectrumfile
 from tspec import Potential, derive_scalars
 from tspec.config import validate_config
-from tspec.errors import ConfigError, HypothesisMismatchError
+from tspec.errors import ConfigError, DomainError, HypothesisMismatchError
+from tspec.gamma_recovery import from_representatives
+from tspec.potential import PotentialScalars
 from tspec.pipeline import (AuditEntry, audit_residual_decay, audit_symmetry,
                             eigenvalues_from_columns, expand_orbit, run_spectrum,
                             validate_columns)
 from tspec.charfun import DEvaluator
 from tspec.rootfind import Eigenvalue, ZeroSearchResult, find_zeros
 from tspec.spectrumfile import _RECORD_FIELDS, SpectrumRecord, _Columns
+
+from conftest import (eigenvalues_from_columns_oracle, eigenvalues_of, product_oracle,
+                      representatives_of, residual_report_oracle)
 
 
 def _columns_of(records) -> _Columns:
@@ -340,11 +350,11 @@ class TestDirichletTheorem:
         s = derive_scalars(q_one)
         evs = _window(Q_ONE, 4, 12, "dirichlet")
         pred = predict_eigenvalues(s, "Dirichlet_i", range(4, 13))
-        rep = residual_report(evs, pred)
-        good = sum(abs(r["refined"]) for r in rep.rows) / len(rep.rows)
+        rep = residual_report(representatives_of(evs), pred)
+        good = sum(abs(r) for r in rep.rows.refined.tolist()) / len(rep.rows.n)
         _, _, q3, _ = q_constants(s)
-        bad = sum(abs(r["n"] * (r["eps"] + q3 / (4 * r["n"] * math.pi * s.q_at_1)))
-                  for r in rep.rows) / len(rep.rows)
+        bad = sum(abs(n * (eps + q3 / (4 * n * math.pi * s.q_at_1)))
+                  for n, eps in zip(rep.rows.n, rep.rows.eps.tolist())) / len(rep.rows.n)
         assert good < 0.2 * bad
         assert rep.tails_decreasing
         assert rep.loglog_slope <= -0.5
@@ -360,7 +370,7 @@ class TestOrbits:
         assert len(expand_orbit(ev)) == 2
 
     def test_records_round_trip(self, small_run):
-        back = eigenvalues_from_columns(_columns_of(small_run.records))
+        back = eigenvalues_of(eigenvalues_from_columns(_columns_of(small_run.records)))
         assert len(back) == 1
         assert abs(back[0].k - small_run.eigenvalues[0].k) < 1e-12
         assert back[0].index == 0
@@ -383,16 +393,16 @@ class TestOrbits:
         records = [SpectrumRecord(index=0, re_k=m.real, im_k=m.imag, multiplicity=1,
                                   residual=1e-14 * (i + 1), cls="quadrant")
                    for i, m in enumerate(images)]
-        back = eigenvalues_from_columns(_columns_of(records))
+        back = eigenvalues_of(eigenvalues_from_columns(_columns_of(records)))
         assert len(back) == 1
         assert back[0].k == complex(k) and back[0].residual == 1e-14
 
     def test_order_of_records_does_not_matter(self, small_run):
         rng = np.random.default_rng(3)
-        ref = eigenvalues_from_columns(_columns_of(small_run.records))
+        ref = eigenvalues_of(eigenvalues_from_columns(_columns_of(small_run.records)))
         for _ in range(5):
             shuffled = [small_run.records[i] for i in rng.permutation(len(small_run.records))]
-            assert eigenvalues_from_columns(_columns_of(shuffled)) == ref
+            assert eigenvalues_of(eigenvalues_from_columns(_columns_of(shuffled))) == ref
 
     def test_matches_per_record_collapse(self):
         # Orbits with exact and with rounding-level mirrors, duplicated rows,
@@ -408,7 +418,7 @@ class TestOrbits:
                                               cls="quadrant", branch=n - 2))
         for _ in range(5):
             records = [records[i] for i in rng.permutation(len(records))]
-            assert (eigenvalues_from_columns(_columns_of(records))
+            assert (eigenvalues_of(eigenvalues_from_columns(_columns_of(records)))
                     == self._collapse_per_record(records))
 
     @staticmethod
@@ -447,7 +457,7 @@ class TestOrbits:
                     records.append(SpectrumRecord(index=n, re_k=image.real, im_k=image.imag,
                                                   multiplicity=1, residual=float(len(records)),
                                                   cls="quadrant"))
-        back = eigenvalues_from_columns(_columns_of(records))
+        back = eigenvalues_of(eigenvalues_from_columns(_columns_of(records)))
         assert back == self._collapse_by_dict(records)
         close = abs(direction.real + direction.imag) * gap / 2 <= 1e-9
         assert bool(calls) is (close or bool(images))
@@ -479,9 +489,118 @@ class TestOrbits:
             assert hash_ok
             ref = [repr(ev) for ev in self._collapse_by_dict(written)]
             assert len(ref) == 6
-            assert [repr(ev) for ev in eigenvalues_from_columns(columns)] == ref
-            assert ([repr(ev) for ev in eigenvalues_from_columns(_columns_of(records))]
+            assert [repr(ev) for ev in eigenvalues_of(eigenvalues_from_columns(columns))] == ref
+            assert ([repr(ev) for ev in eigenvalues_of(eigenvalues_from_columns(_columns_of(records)))]
                     == [repr(ev) for ev in self._collapse_by_dict(records)])
+
+
+# Scalars of a theorem case for each tag the columnar property predicts with:
+# T42ii splits every index into branches +1 and -1.
+_TAG_SCALARS = {
+    "T41i_W22": PotentialScalars(omega=1.0, q_at_1=1.0, dq_at_1=0.0, q_at_0=1.0, dq_at_0=0.0,
+                                 q_sq_integral=1.0, m_order=None),
+    "T41ii_W22": PotentialScalars(omega=0.0, q_at_1=0.5, dq_at_1=1.0, q_at_0=-0.5, dq_at_0=1.0,
+                                  q_sq_integral=1.0 / 12.0, m_order=None),
+    "Dirichlet_ii": PotentialScalars(omega=0.0, q_at_1=0.5, dq_at_1=1.0, q_at_0=-0.5,
+                                     dq_at_0=1.0, q_sq_integral=1.0 / 12.0, m_order=None),
+    "T42ii": PotentialScalars(omega=0.0, q_at_1=0.0, dq_at_1=1.0, q_at_0=0.3, dq_at_0=-0.7,
+                              q_sq_integral=0.2, m_order=None),
+}
+
+
+@st.composite
+def _spectrum_records(draw):
+    """The records of a few orbits, shuffled: each orbit's mirrors (in half the
+    files some moved by less than 1e-9, so that the 9-digit merge runs), and
+    now and then a repeated record with another index."""
+    records, moves = [], draw(st.sampled_from([(0.0,), (0.0, 0.0, 3e-11, -4e-10, 7e-10)]))
+    for _ in range(draw(st.integers(0, 10))):
+        cls = draw(st.sampled_from(["quadrant", "real", "imaginary"]))
+        k = complex(draw(st.floats(0.1, 60.0)) if cls != "imaginary" else 0.0,
+                    draw(st.floats(0.05, 6.0)) if cls != "real" else 0.0)
+        fields = {"index": draw(st.one_of(st.none(), st.integers(-1, 12),
+                                          st.sampled_from([2 ** 70, 2 ** 70 + 1]))),
+                  "multiplicity": draw(st.integers(1, 3)), "residual": draw(st.floats(0.0, 1.0)),
+                  "cls": cls, "branch": draw(st.sampled_from([None, 1, -1]))}
+        for m in dict.fromkeys((k, -k, k.conjugate(), -k.conjugate())):
+            m += draw(st.sampled_from(moves)) * draw(st.sampled_from([1.0, 1j]))
+            records.append(SpectrumRecord(re_k=m.real, im_k=m.imag, **fields))
+            if draw(st.integers(0, 9)) == 0:
+                records.append(replace(records[-1], index=draw(st.integers(0, 12))))
+    return draw(st.permutations(records))
+
+
+class TestColumnarReadSide:
+    """The representatives, the product and the residual report of a spectrum
+    file, kept on columns, against the object path they replaced (the oracles
+    in conftest): bit for bit, on files whose records come in any order. The
+    example count is the active hypothesis profile's: the default in the
+    tier-1 run, and the larger "representatives" profile in a longer CI run."""
+
+    @pytest.fixture(scope="class")
+    def spec_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("columnar") / "spectrum.json"
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(records=_spectrum_records(), tag=st.sampled_from(sorted(_TAG_SCALARS)),
+           s=st.integers(0, 2))
+    def test_matches_the_object_path(self, spec_path, records, tag, s):
+        header = spectrumfile.SpectrumHeader(potential=Q_ONE, variant="robin", region=[],
+                                             tolerances={}, s=s)
+        spec_path.write_text(json.dumps({"header": asdict(header),
+                                         "records": [asdict(r) for r in records]}))
+        _, columns, _ = spectrumfile.read_spectrum(spec_path)
+        reps, ref = eigenvalues_from_columns(columns), eigenvalues_from_columns_oracle(columns)
+        assert repr(eigenvalues_of(reps)) == repr(ref)
+
+        hp = from_representatives(reps.k, reps.multiplicity, reps.cls, s=s)
+        roots, paired = product_oracle(ref, s)
+        assert repr(hp.roots.tolist()) == repr(roots.tolist()) and hp.s == s
+        assert hp.paired.tolist() == paired.tolist()
+
+        ns = sorted({n for n in reps.index if n is not None and n >= 1})
+        if not ns:
+            return
+        pred = asymptotics.predict_eigenvalues(_TAG_SCALARS[tag], tag, ns)
+        # Rows that share one n make the log-log fit warn, or fail when that n
+        # is 1, on both paths alike.
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            try:
+                want = residual_report_oracle(ref, pred)
+            except (DomainError, np.linalg.LinAlgError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    asymptotics.residual_report(reps, pred)
+                return
+            ref_warnings = [w.category for w in warned]
+            del warned[:]
+            got = asymptotics.residual_report(reps, pred)
+            assert [w.category for w in warned] == ref_warnings
+        rows = got.rows
+        for name in ("n", "branch", "k", "mu", "eps", "refined"):
+            column = getattr(rows, name)
+            assert repr(getattr(column, "tolist", lambda: column)()) == repr(
+                [r[name] for r in want.rows]), name
+        for name in ("theorem_tag", "tail_first", "tail_second", "tails_decreasing",
+                     "loglog_slope", "next_order_mean", "nonfinite"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+        assert repr(got.to_rows()) == repr(want.to_rows())
+
+    @pytest.mark.parametrize("tag", ["T41ii_W22", "Dirichlet_ii"])
+    def test_moduli_are_python_abs_to_the_bit(self, tag):
+        # |eps_n|, n |eps_n| and the mean |n (eps_n - correction_n)| over 2,000
+        # rows equal Python's abs(complex) on each row, as np.hypot gives it
+        # (np.abs of a complex array differs in the last bit for about a third).
+        rng = np.random.default_rng(4)
+        ks = np.arange(1, 2001) * np.pi / 2 + rng.uniform(-0.5, 0.5, 2000) \
+            + 1j * rng.uniform(0.0, 3.0, 2000)
+        zeros = [Eigenvalue(k=k, index=n, multiplicity=1, residual=0.0, cls="quadrant")
+                 for n, k in enumerate(ks.tolist(), start=1)]
+        pred = asymptotics.predict_eigenvalues(_TAG_SCALARS[tag], tag, range(1, 2001))
+        got = asymptotics.residual_report(representatives_of(zeros), pred)
+        want = residual_report_oracle(zeros, pred)
+        assert repr(got.next_order_mean) == repr(want.next_order_mean)
+        assert repr(got.to_rows()) == repr(want.to_rows())
 
 
 class TestAudits:
@@ -585,7 +704,7 @@ class TestAudits:
             return AuditEntry("residual-decay", "skipped",
                               f"only {len(rows)} indexed eigenvalues with n >= 1")
         pred = asymptotics.predict_eigenvalues(scalars, tag, sorted({ev.index for ev in rows}))
-        report = asymptotics.residual_report(rows, pred)
+        report = asymptotics.residual_report(representatives_of(rows), pred)
         ok = report.loglog_slope <= pipeline._SLOPE_TOL and report.tails_decreasing
         return AuditEntry("residual-decay", "pass" if ok else "fail",
                           f"tag {tag}: slope {report.loglog_slope:.2f} "
@@ -609,7 +728,7 @@ class TestAudits:
         predict = asymptotics.predict_eigenvalues
         monkeypatch.setattr(asymptotics, "predict_eigenvalues",
                             lambda *args: calls.append(args[2]) or predict(*args))
-        entry = audit_residual_decay(zeros, scalars, "robin", theorem)
+        entry = audit_residual_decay(representatives_of(zeros), scalars, "robin", theorem)
         assert entry == ref and entry.status == status
         assert calls == [[5] if n_rows < 4 else list(range(1, n_rows + 1))]
         if status == "fail":

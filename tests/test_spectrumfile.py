@@ -364,6 +364,35 @@ class TestColumnReader:
         assert [repr(r) for r in back] == [repr(SpectrumRecord(**d)) for d in doc["records"]]
         assert hash_ok is (case != "changed-value")
 
+    @pytest.mark.parametrize("command", [["validate"], ["gamma", "--route", "direct"],
+                                         ["asymptotics", "residuals"]])
+    def test_finite_values_whose_sum_overflows_are_read(self, tmp_path, command, capsys):
+        # Two re_k of 1.5e308 sum past the float range: the column's one-pass
+        # sum test fails, and the scan value by value still accepts it, so no
+        # reader refuses the file. A re_k written 1e999 reads as inf and is
+        # refused by record and field.
+        path = tmp_path / "spec.json"
+        records = [replace(r, re_k=1.5e308) if i in (1, 3) else r
+                   for i, r in enumerate(GOLDEN_RECORDS[1:])]
+        doc = self._write(path, records)
+        _, back, hash_ok = _read_records(path)
+        assert hash_ok and [repr(r) for r in back] == [repr(SpectrumRecord(**d))
+                                                       for d in doc["records"]]
+        assert [r.re_k for r in back].count(1.5e308) == 2
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"potential": self.HEADER["potential"], "variant": "robin"}))
+        argv = ["--config", str(config), "--out", str(tmp_path / "out")] + command
+        assert main(argv + ["--spectrum", str(path)]) in (0, 2, 3)
+        assert "config error" not in capsys.readouterr().err
+        first = next(i for i, d in enumerate(doc["records"]) if d["re_k"] == 1.5e308)
+        path.write_text(path.read_text().replace('"re_k": 1.5e+308', '"re_k": 1e999', 1))
+        message = f"{path}: record {first} has a malformed value: re_k"
+        with pytest.raises(ConfigError) as excinfo:
+            read_spectrum(path)
+        assert str(excinfo.value) == message
+        assert main(argv + ["--spectrum", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("case", LAYOUTS)
     def test_malformed_layouts_raise_the_same_text(self, tmp_path, case, capsys):
         # read_spectrum's error names the file, and the record where the fault
